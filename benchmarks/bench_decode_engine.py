@@ -1,10 +1,9 @@
 """Decode-engine ablation bench: what each memoisation layer buys.
 
-Runs the same GA (same seed, same trajectory — asserted) under four
-evaluation variants on warm caches:
+Runs the same GA (same seed, same trajectory — asserted) under three
+decode-engine variants on warm caches, with the vector decode pinned off
+so the engine is what runs:
 
-- ``baseline``       — the naive pre-engine path (``decode_engine=False``),
-  per-genome full decode with only the valid-operation memo;
 - ``transitions``    — layer 1 alone (transition memoisation);
 - ``transitions+prefix`` — layers 1+2 (dirty-prefix re-decode);
 - ``full``           — layers 1+2+3 (adds phenotype dedup / fitness memo).
@@ -13,8 +12,8 @@ Per variant the run is warmed for a few generations, then measured with a
 fresh metrics registry; the headline number is ``evals_per_sec`` (the
 ``evals`` counter over the ``eval_batch`` timer, i.e. individuals scored
 per second of evaluation wall time).  Results go to
-``benchmarks/results/BENCH_decode.json`` with per-variant speedups over the
-baseline recorded in the same file.
+``benchmarks/results/BENCH_decode.json`` with per-variant speedups over
+``transitions`` recorded in the same file.
 
 Usage::
 
@@ -39,7 +38,7 @@ from repro.obs import MetricsRegistry
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-VARIANTS = ("baseline", "transitions", "transitions+prefix", "full")
+VARIANTS = ("transitions", "transitions+prefix", "full")
 
 COUNTER_KEYS = (
     "decode_cache_hits",
@@ -82,13 +81,13 @@ def build_evaluator(variant: str) -> SerialEvaluator:
         return SerialEvaluator(engine=DecodeEngine(prefix=False, dedup=False))
     if variant == "transitions+prefix":
         return SerialEvaluator(engine=DecodeEngine(dedup=False))
-    return SerialEvaluator()  # baseline (naive via config) and full
+    return SerialEvaluator()
 
 
 def measure_variant(domain, config: GAConfig, seed: int, variant: str,
                     warmup: int, measured: int):
     """Run warmup + measured generations; return (row, trajectory)."""
-    cfg = config.replace(decode_engine=(variant != "baseline"))
+    cfg = config.replace(vector_decode=False)
     run = GARun(domain, cfg, make_rng(seed), evaluator=build_evaluator(variant))
     for _ in range(warmup):
         run.step()
@@ -149,13 +148,13 @@ def run_bench(quick: bool = False, seed: int = DECODE_BENCH_SEED) -> dict:
             print(f"[{name}] {variant:<20} {row['evals_per_sec']} evals/s")
         # The engine's contract: the ablation changes speed, never results.
         for variant in VARIANTS[1:]:
-            assert trajectories[variant] == trajectories["baseline"], (
-                f"{name}/{variant} diverged from the baseline trajectory"
+            assert trajectories[variant] == trajectories["transitions"], (
+                f"{name}/{variant} diverged from the transitions trajectory"
             )
-        base = rows["baseline"]["evals_per_sec"]
+        base = rows["transitions"]["evals_per_sec"]
         for variant in VARIANTS:
             eps = rows[variant]["evals_per_sec"]
-            rows[variant]["speedup_vs_baseline"] = (
+            rows[variant]["speedup_vs_transitions"] = (
                 round(eps / base, 2) if base and eps else None
             )
         report["domains"][name] = {
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
         full = entry["variants"]["full"]
         print(
             f"{name}: full engine {full['evals_per_sec']} evals/s, "
-            f"{full['speedup_vs_baseline']}x over baseline"
+            f"{full['speedup_vs_transitions']}x over transitions alone"
         )
     return 0
 

@@ -28,7 +28,6 @@ from repro.core import (
     random_crossover,
     state_aware_crossover,
 )
-from repro.core.fused_decode import FusedDecoder
 from repro.core.mutation import sample_uniform_reset, uniform_reset_mutation
 from repro.core.selection import tournament_selection, tournament_winner_indices
 from repro.core.vector_decode import VectorDecoder
@@ -100,41 +99,20 @@ def test_decode_hanoi7_dirty_prefix(benchmark):
     assert plan.state_keys[:dirty_from] == parent_plan.state_keys[:dirty_from]
 
 
-def _population_decode_setup(make_dec):
-    """A 100×635 Hanoi-7 population bound to a warm whole-population decoder."""
+def test_population_decode_vector_numpy(benchmark):
+    """Whole-population decode (100×635 Hanoi-7) through the numpy
+    lock-step walk, tables warmed outside the timer."""
     domain = HanoiDomain(7)
     rng = make_rng(4)
     population = [Individual(rng.random(635)) for _ in range(100)]
     buffer = PopulationBuffer.from_individuals(population, keep_plans=False)
-    decoder = make_dec(domain.kernel())
+    decoder = VectorDecoder(domain.kernel())
     decoder.bind(EvaluationContext(domain, domain.initial_state, FitnessFunction(domain)))
     decoder.decode_rows(buffer.genes, buffer.offsets, buffer.lengths, False)  # warm tables
-    return decoder, buffer
-
-
-def test_population_decode_vector_numpy(benchmark):
-    """Whole-population decode through the numpy lock-step walk."""
-    decoder, buffer = _population_decode_setup(VectorDecoder)
     out = benchmark(
         decoder.decode_rows, buffer.genes, buffer.offsets, buffer.lengths, False
     )
     assert out[0].shape == (100,)
-
-
-def test_population_decode_fused(benchmark):
-    """Whole-population decode through the fused per-row loop (jit when
-    numba is installed, else its pure-Python twin — same algorithm)."""
-    def make_dec(kernel):
-        decoder = FusedDecoder(kernel)
-        decoder.warmup()  # compile outside the bench timer
-        return decoder
-
-    decoder, buffer = _population_decode_setup(make_dec)
-    out = benchmark(
-        decoder.decode_rows, buffer.genes, buffer.offsets, buffer.lengths, False
-    )
-    assert out[0].shape == (100,)
-    benchmark.extra_info["backend"] = decoder.backend_name
 
 
 @pytest.mark.parametrize("operator", [random_crossover, state_aware_crossover, mixed_crossover])

@@ -1,33 +1,25 @@
-"""Population-buffer ablation bench: what batching and shm dispatch buy.
+"""Population-buffer ablation bench: what the batched generation step buys.
 
 Runs the same Hanoi-7 GA (same seed, same trajectory — asserted) under the
 evaluation variants of DESIGN.md §11:
 
-- ``serial-object``   — the PR4 serial path (``batched=False``,
-  list-of-Individual generation step);
+- ``serial-object``   — the serial path with the list-of-Individual
+  generation step (``batched=False``);
 - ``serial-batched``  — the structure-of-arrays generation step
   (``batched=True``) on the serial evaluator;
-- ``pool-object``     — the PR4 process pool (pickled Individual dispatch);
-- ``pool-batched``    — batched generation step, pool dispatch with pickled
-  genome chunks (``shm=False``);
-- ``pool-batched-shm``— batched + zero-copy shared-memory dispatch (workers
-  receive row ranges, return packed fitness arrays in place);
+- ``pool-object``     — the process pool driven through its list API (the
+  Individuals are packed into a buffer and published through shared
+  memory);
+- ``pool-batched-shm``— batched generation step + zero-copy shared-memory
+  dispatch (workers receive row ranges, return packed fitness arrays in
+  place);
 - ``serial-vector``   — whole-population vectorised decode over the domain
   kernel's int tables (``vector_decode=True``, DESIGN.md §12);
-- ``pool-vector-shm`` — vectorised decode inside shm pool workers;
-- ``serial-fused``    — the fused per-row decode backend (DESIGN.md §16):
-  jit-compiled when numba is installed, else the pure-Python twin of the
-  compiled loop (slower, but it measures the same algorithm and must
-  produce the same trajectory);
-- ``pool-fused-shm``  — fused decode inside shm pool workers (resolves to
-  the numpy walk when numba is absent — pool workers only take the fused
-  loop through the JIT).
+- ``pool-vector-shm`` — vectorised decode inside shm pool workers.
 
-The object-path variants pin ``vector_decode=False``, and the vector
-variants pin ``decode_backend="numpy"``, so the ablation keeps isolating
-one axis at a time (the auto-probes would otherwise silently take the
-fastest path available).  Every row records the ``backend`` that actually
-ran.
+The object-path variants pin ``vector_decode=False`` so the ablation keeps
+isolating one axis at a time (the auto-probe would otherwise silently take
+the vector path).  Every row records the decode ``backend`` that ran.
 
 Per variant the run is warmed for a few generations, then measured with a
 fresh metrics registry.  Headline numbers: ``evals_per_sec`` (the ``evals``
@@ -36,9 +28,9 @@ counter over the ``eval_batch`` timer) and ``generation_step_s`` (the
 vectorises).  The batched engine replays the object path's RNG draws
 exactly, so every variant must produce the identical trajectory *and* the
 identical best plan; the bench asserts both.  A second section runs the
-4×4 sliding tile — the domain where the object decode engine's GC-bound
-caches only reached ≈1.4× (see BENCH_decode.json) — object engine vs
-vector decode.  Results go to ``benchmarks/results/BENCH_popbuffer.json``.
+4×4 sliding tile — the domain where the object decode engine's caches are
+GC-bound (see BENCH_decode.json) — object engine vs vector decode.
+Results go to ``benchmarks/results/BENCH_popbuffer.json``.
 
 Usage::
 
@@ -59,7 +51,6 @@ from pathlib import Path
 
 from repro.exp.defaults import DECODE_BENCH_SEED
 from repro.core import GAConfig, GARun, ProcessPoolEvaluator, SerialEvaluator, make_rng
-from repro.core.fused_decode import FusedDecoder, numba_available
 from repro.domains import HanoiDomain, SlidingTileDomain
 from repro.obs import MetricsRegistry
 
@@ -69,12 +60,9 @@ VARIANTS = (
     "serial-object",
     "serial-batched",
     "pool-object",
-    "pool-batched",
     "pool-batched-shm",
     "serial-vector",
     "pool-vector-shm",
-    "serial-fused",
-    "pool-fused-shm",
 )
 
 COUNTER_KEYS = (
@@ -85,8 +73,6 @@ COUNTER_KEYS = (
     "vector_rows",
     "vector_genes",
     "genes_reused",
-    "fused_rows_decoded",
-    "jit_compile_ms",
 )
 
 
@@ -106,43 +92,19 @@ def pool_processes() -> int:
 
 
 def variant_backend(variant: str) -> str:
-    """The walk implementation a variant actually measures on this host."""
-    if "fused" in variant:
-        if numba_available():
-            return "fused-jit"
-        # Serial runs exercise the pure-Python twin of the compiled loop;
-        # pool workers resolve the auto-probe to numpy without numba.
-        return "fused-python" if variant.startswith("serial") else "numpy"
-    if "vector" in variant:
-        return "numpy"
-    return "engine"
+    """The decode path a variant measures."""
+    return "numpy" if "vector" in variant else "engine"
 
 
 def build_run(domain, config: GAConfig, seed: int, variant: str) -> GARun:
-    vector = "vector" in variant or "fused" in variant
+    vector = "vector" in variant
     batched = vector or "batched" in variant
-    backend = None
-    if "fused" in variant:
-        backend = "fused" if numba_available() else None
-    elif vector:
-        backend = "numpy"  # pin: keep the backend axis out of vector rows
-    cfg = config.replace(batched=batched, vector_decode=vector,
-                         decode_backend=backend)
+    cfg = config.replace(batched=batched, vector_decode=vector)
     if variant.startswith("pool"):
-        evaluator = ProcessPoolEvaluator(
-            processes=pool_processes(), shm=variant.endswith("shm")
-        )
+        evaluator = ProcessPoolEvaluator(processes=pool_processes())
     else:
         evaluator = SerialEvaluator()
-    run = GARun(domain, cfg, make_rng(seed), evaluator=evaluator)
-    if variant == "serial-fused" and not numba_available():
-        # Force the pure-Python fused loop so the fused algorithm (not its
-        # numpy fallback) is what the variant measures without the JIT.
-        decoder = FusedDecoder(domain.kernel(), jit=False)
-        decoder.warmup()
-        evaluator._vdec = decoder
-        evaluator._vdec_backend = None
-    return run
+    return GARun(domain, cfg, make_rng(seed), evaluator=evaluator)
 
 
 def measure_variant(domain, config: GAConfig, seed: int, variant: str,
@@ -190,9 +152,9 @@ def run_tile4(quick: bool, seed: int) -> dict:
     """Object engine vs vector decode on the 4×4 tile (warm evals/sec).
 
     This is the domain where the object engine's retained caches are
-    GC-bound (DESIGN.md §9's caveat) and only managed ≈1.4× over the naive
-    baseline; the vector path decodes against int tables with no tracked
-    Python objects, so it is the regime the kernel ABI was built for.
+    GC-bound (DESIGN.md §9's caveat); the vector path decodes against int
+    tables with no tracked Python objects, so it is the regime the kernel
+    ABI was built for.
     """
     warmup, measured = (1, 3) if quick else (3, 8)
     config = GAConfig(
@@ -204,7 +166,7 @@ def run_tile4(quick: bool, seed: int) -> dict:
     )
     rows = {}
     trajectories = {}
-    for variant in ("serial-batched", "serial-vector", "serial-fused"):
+    for variant in ("serial-batched", "serial-vector"):
         row, trajectory, _ = measure_variant(
             SlidingTileDomain(4), config, seed, variant, warmup, measured
         )
@@ -212,10 +174,9 @@ def run_tile4(quick: bool, seed: int) -> dict:
         trajectories[variant] = trajectory
         print(f"[tile4]  {variant:<18} {row['evals_per_sec']} evals/s "
               f"({row['backend']})")
-    for variant in ("serial-vector", "serial-fused"):
-        assert trajectories[variant] == trajectories["serial-batched"], (
-            f"tile4 {variant} diverged from the object engine"
-        )
+    assert trajectories["serial-vector"] == trajectories["serial-batched"], (
+        "tile4 serial-vector diverged from the object engine"
+    )
     obj = rows["serial-batched"]
     for variant in rows:
         eps = rows[variant]["evals_per_sec"]
@@ -229,7 +190,6 @@ def run_tile4(quick: bool, seed: int) -> dict:
         "variants": rows,
         "trajectory_identical": True,
         "vector_speedup_vs_engine": rows["serial-vector"]["speedup_vs_baseline"],
-        "fused_speedup_vs_engine": rows["serial-fused"]["speedup_vs_baseline"],
     }
 
 
@@ -280,9 +240,8 @@ def run_bench(quick: bool = False, seed: int = DECODE_BENCH_SEED) -> dict:
         "max_len": config.max_len,
         "notes": (
             "serial variants isolate the batched generation step (selection "
-            "+ variation on the arrays); pool variants isolate dispatch "
-            "transport (pickled Individuals vs pickled genome chunks vs "
-            "zero-copy shared memory); vector variants swap the object "
+            "+ variation on the arrays); pool variants isolate the same step "
+            "over the one shared-memory transport; vector variants swap the object "
             "decode engine for the whole-population kernel-table decode. "
             "Speedups are within-transport: serial-* over serial-object, "
             "pool-* over pool-object. The tile4 section pits the vector "
@@ -314,19 +273,17 @@ def main(argv=None) -> int:
     shm = report["variants"]["pool-batched-shm"]
     print(
         f"hanoi7: batched+shm pool {shm['evals_per_sec']} evals/s, "
-        f"{shm['speedup_vs_baseline']}x over the pickled-Individual pool; "
+        f"{shm['speedup_vs_baseline']}x over the list-API pool; "
         f"batched generation step {report['generation_step_speedup']}x "
         f"over the object path"
     )
     vec = report["variants"]["serial-vector"]
-    fused = report["variants"]["serial-fused"]
     tile = report["tile4"]
     print(
         f"hanoi7: vector decode {vec['evals_per_sec']} evals/s serial "
         f"({vec['speedup_vs_baseline']}x over serial-object); "
-        f"fused [{fused['backend']}] {fused['evals_per_sec']} evals/s; "
-        f"tile4: vector {tile['vector_speedup_vs_engine']}x, fused "
-        f"{tile['fused_speedup_vs_engine']}x over the object decode engine"
+        f"tile4: vector {tile['vector_speedup_vs_engine']}x over the object "
+        f"decode engine"
     )
     return 0
 

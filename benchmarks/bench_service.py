@@ -22,12 +22,8 @@ layers, not socket syscalls) and writes ``BENCH_service.json``:
   (wall-clock and cache-warmth payloads masked) — the exactness contract
   the warm cache rides on.
 - **thread_scaling** — a saturated closed-loop batch of vector-decode
-  requests across ``workers in (1, 2, 4)`` × decode backend (numpy vs
-  fused, DESIGN.md §16), reporting sustained evals/sec per cell.  The
-  fused walk releases the GIL under numba, so its throughput should scale
-  with workers where the numpy walk's cannot; without numba the fused
-  column resolves to numpy and the cells document that (the CI speed leg
-  measures the real thing).
+  requests across ``workers in (1, 2, 4)``, reporting sustained evals/sec
+  per cell.
 
 Usage::
 
@@ -49,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.fused_decode import numba_available
 from repro.faults.spec import parse_fault_spec
 from repro.obs import MetricsRegistry
 from repro.service import (
@@ -261,60 +256,50 @@ def run_determinism(seed: int, n_requests: int = 6, workers: int = 3) -> dict:
 def run_thread_scaling(
     seed: int, n_requests: int, workers_grid: Tuple[int, ...] = (1, 2, 4)
 ) -> dict:
-    """Saturated vector-request batch across workers × decode backend.
+    """Saturated vector-request batch across worker counts.
 
     Every cell replays the identical batch (``vector=True``, distinct
     seeds so the warm cache cannot interfere — the vector path is
     stateless anyway) and reports sustained evals/sec over the batch
-    makespan plus the scaling ratio against that backend's one-worker
-    cell.
+    makespan plus the scaling ratio against the one-worker cell.
     """
     cells: Dict[str, dict] = {}
-    for requested in ("numpy", "fused"):
-        # Without numba a hard "fused" request fails by design; the cell
-        # then measures the auto-probe resolution (numpy) and says so.
-        available = requested != "fused" or numba_available()
-        wire: Optional[str] = requested if available else None
-        resolved = requested if available else "numpy"
-        base_eps: Optional[float] = None
-        for workers in workers_grid:
-            metrics = MetricsRegistry()
-            scheduler = RunScheduler(metrics=metrics, queue_cap=n_requests + 1)
-            runs = [
-                scheduler.submit(
-                    PlanRequest(
-                        domain="hanoi",
-                        size=6,
-                        seed=seed + i,
-                        budget=12,
-                        population=40,
-                        vector=True,
-                        backend=wire,
-                    )
+    base_eps: Optional[float] = None
+    for workers in workers_grid:
+        metrics = MetricsRegistry()
+        scheduler = RunScheduler(metrics=metrics, queue_cap=n_requests + 1)
+        runs = [
+            scheduler.submit(
+                PlanRequest(
+                    domain="hanoi",
+                    size=6,
+                    seed=seed + i,
+                    budget=12,
+                    population=40,
+                    vector=True,
                 )
-                for i in range(n_requests)
-            ]
-            started = time.perf_counter()
-            with ServicePool(scheduler, workers=workers, idle_wait=5.0):
-                assert scheduler.wait_idle(timeout=600), "scaling cell stalled"
-            makespan = time.perf_counter() - started
-            assert all(r.state == DONE for r in runs), [r.error for r in runs]
-            evals = metrics.counters.get("evals")
-            eps = round((evals.value if evals else 0) / makespan, 1)
-            if workers == workers_grid[0]:
-                base_eps = eps
-            cells[f"{requested}-w{workers}"] = {
-                "requested_backend": requested,
-                "resolved_backend": resolved,
-                "workers": workers,
-                "requests": n_requests,
-                "makespan_s": round(makespan, 3),
-                "evals_per_sec": eps,
-                "scaling_vs_w1": round(eps / base_eps, 2) if base_eps else None,
-            }
+            )
+            for i in range(n_requests)
+        ]
+        started = time.perf_counter()
+        with ServicePool(scheduler, workers=workers, idle_wait=5.0):
+            assert scheduler.wait_idle(timeout=600), "scaling cell stalled"
+        makespan = time.perf_counter() - started
+        assert all(r.state == DONE for r in runs), [r.error for r in runs]
+        evals = metrics.counters.get("evals")
+        eps = round((evals.value if evals else 0) / makespan, 1)
+        if workers == workers_grid[0]:
+            base_eps = eps
+        cells[f"numpy-w{workers}"] = {
+            "resolved_backend": "numpy",
+            "workers": workers,
+            "requests": n_requests,
+            "makespan_s": round(makespan, 3),
+            "evals_per_sec": eps,
+            "scaling_vs_w1": round(eps / base_eps, 2) if base_eps else None,
+        }
     return {
         "workers_grid": list(workers_grid),
-        "numba_available": numba_available(),
         "cells": cells,
     }
 

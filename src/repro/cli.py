@@ -149,7 +149,6 @@ def _cmd_solve(args) -> int:
         crossover=args.crossover,
         max_len=max_len,
         init_length=init,
-        decode_backend=args.decode_backend,
     )
     mode = args.mode
     multiphase = None
@@ -536,7 +535,6 @@ def _cmd_client(args) -> int:
         stream=args.stream,
         evaluator=args.evaluator,
         vector=args.vector,
-        backend=args.decode_backend,
     )
 
     def on_frame(frame: dict) -> None:
@@ -623,11 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--evaluator", choices=("serial", "process", "resilient"), default="serial",
         help="population evaluation strategy (process = worker pool, "
         "resilient = worker pool with retry/degradation ladder)",
-    )
-    p.add_argument(
-        "--decode-backend", choices=("numpy", "fused"), default=None,
-        help="vector-decode walk implementation (default: auto — fused "
-        "compiled per-row loops when numba is installed, numpy otherwise)",
     )
     fault_group = p.add_argument_group("fault injection")
     fault_group.add_argument(
@@ -780,11 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--vector", action="store_true",
         help="use the vectorised decode (faster cold, but skips warm-cache reuse)",
-    )
-    p.add_argument(
-        "--decode-backend", choices=("numpy", "fused"), default=None,
-        help="vector-decode walk implementation (requires --vector; "
-        "default: server auto-probes numba)",
     )
     p.add_argument("--timeout", type=float, default=60.0, help="socket timeout in seconds")
     p.add_argument("--show-plan", action="store_true")

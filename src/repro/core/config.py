@@ -65,11 +65,6 @@ class GAConfig:
     elitism:
         Number of best individuals copied unchanged into the next
         generation.  The paper uses none (0); exposed for ablations.
-    decode_engine:
-        Evaluate through the incremental decode engine (transition
-        memoisation, dirty-prefix re-decode, phenotype dedup — DESIGN.md
-        §9).  Bit-identical results either way; the naive path exists so
-        ablations can measure the engine itself.
     batched:
         Run the generation step on the structure-of-arrays population
         engine (DESIGN.md §11): genomes packed into one contiguous arena,
@@ -85,19 +80,8 @@ class GAConfig:
         (``domain.kernel() is not None``) and falls back to the object
         decode engine otherwise; ``True`` demands it (evaluation raises if
         the domain has no kernel); ``False`` forces the object path.
-        Results are bit-identical either way.  Requires ``decode_engine``
-        and ``batched`` (the vector path rides the buffer pipeline and
-        replaces the engine, not the naive decoder).
-    decode_backend:
-        Which walk implementation the vector path uses (DESIGN.md §16).
-        ``None`` (the default) auto-probes numba and runs the fused
-        compiled per-row backend when it is importable, the numpy
-        :class:`~repro.core.vector_decode.VectorDecoder` otherwise;
-        ``"numpy"`` forces the numpy walk; ``"fused"`` demands the
-        compiled backend (decoder construction raises when numba is
-        missing).  Results are bit-identical across backends.  Only
-        meaningful on the vector path, so it must stay ``None`` when
-        ``vector_decode=False``.
+        Results are bit-identical either way.  Requires ``batched`` (the
+        vector path rides the buffer pipeline).
     """
 
     population_size: int = 200
@@ -113,10 +97,8 @@ class GAConfig:
     truncate_at_goal: bool = True
     stop_on_goal: bool = True
     elitism: int = 0
-    decode_engine: bool = True
     batched: bool = True
     vector_decode: Optional[bool] = None
-    decode_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         """Validate field ranges and cross-field invariants."""
@@ -159,27 +141,10 @@ class GAConfig:
                 raise ValueError(
                     f"init_length {self.init_length} exceeds max_len {self.max_len}"
                 )
-        if self.vector_decode:
-            if not self.decode_engine:
-                raise ValueError(
-                    "vector_decode=True requires decode_engine=True: the vector "
-                    "path replaces the decode engine, not the naive decoder "
-                    "(set vector_decode=False for a naive-path ablation)"
-                )
-            if not self.batched:
-                raise ValueError(
-                    "vector_decode=True requires batched=True: whole-population "
-                    "decoding runs on the structure-of-arrays buffer pipeline"
-                )
-        if self.decode_backend not in (None, "numpy", "fused"):
+        if self.vector_decode and not self.batched:
             raise ValueError(
-                f"decode_backend must be None, 'numpy' or 'fused', got "
-                f"{self.decode_backend!r}"
-            )
-        if self.decode_backend is not None and self.vector_decode is False:
-            raise ValueError(
-                "decode_backend selects the vector path's walk implementation; "
-                "it must stay None when vector_decode=False"
+                "vector_decode=True requires batched=True: whole-population "
+                "decoding runs on the structure-of-arrays buffer pipeline"
             )
 
     def replace(self, **changes) -> "GAConfig":

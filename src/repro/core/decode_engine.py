@@ -35,11 +35,12 @@ layers (DESIGN.md §9):
    tables (keyed by state identity) survive.
 
 Every layer is individually switchable (``transitions`` / ``prefix`` /
-``dedup``) so ``benchmarks/bench_decode_engine.py`` can ablate them, and
-the whole engine is bypassed when ``GAConfig.decode_engine`` is False.
+``dedup``) so ``benchmarks/bench_decode_engine.py`` can ablate them.
 
 Exactness contract: with all layers on, decoded plans, fitness values and
-whole GA trajectories are *bit-identical* to the naive path.  This relies
+whole GA trajectories are *bit-identical* to the reference decoder
+(:func:`~repro.core.encoding.decode`, which the test suites run as an
+oracle).  This relies
 on (a) ``state_key`` being injective (see :class:`~repro.protocol.
 PlanningDomain.state_key`), (b) operation objects being reused from the
 cached valid tuples (identity-stable), and (c) plan cost being accumulated

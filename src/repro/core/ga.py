@@ -148,9 +148,7 @@ class GARun:
             start_state=self.start_state,
             fitness=FitnessFunction(domain, config.goal_weight, config.cost_weight),
             truncate_at_goal=config.truncate_at_goal,
-            memoize=config.decode_engine,
             vector=getattr(config, "vector_decode", None),
-            backend=getattr(config, "decode_backend", None),
         )
         self.evaluator = evaluator if evaluator is not None else SerialEvaluator()
         self.tracer = tracer if tracer is not None else default_tracer()

@@ -5,11 +5,12 @@ fitness evaluation time has a significant impact on the overall execution
 time of a GA"), and individuals are independent, so the population is an
 embarrassingly parallel workload.  The :class:`ProcessPoolEvaluator`
 decomposes it SPMD-style across worker processes — each worker holds its own
-copy of the (picklable) domain, receives chunks of genomes, and returns
-decoded plans plus fitness values; only small arrays and dataclasses cross
-the process boundary.
+copy of the (picklable) domain, reads its row range of a generation from a
+shared-memory segment and writes fitness values back in place; only row
+ranges, timings and (when the crossover needs them) decoded plans are
+pickled.
 
-On a single-core box (or for small populations, where pickling dominates)
+On a single-core box (or for small populations, where dispatch dominates)
 use the default :class:`SerialEvaluator`.
 
 Evaluators are observable: :meth:`Evaluator.bind_observability` attaches a
@@ -30,14 +31,15 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.decode_engine import DecodeEngine
-from repro.core.encoding import DecodeCache, decode
+from repro.core.encoding import decode
 from repro.core.fitness import FitnessFunction, FitnessResult
-from repro.core.fused_decode import make_decoder
+from repro.core.popbuffer import PopulationBuffer
 from repro.core.vector_decode import VectorDecoder
 from repro.obs.events import EvaluationBatch
 from repro.obs.metrics import MetricsRegistry
@@ -91,22 +93,13 @@ class WorkerPoolError(RuntimeError):
 class EvaluationContext:
     """Everything needed to evaluate a genome: domain, start state, options.
 
-    ``memoize`` selects the incremental decode engine (DESIGN.md §9) over
-    the naive per-genome decode; results are bit-identical either way.  It
-    is wired from ``GAConfig.decode_engine`` and defaults to on.
-
     ``vector`` selects the whole-population vectorised decode (DESIGN.md
     §12), wired from ``GAConfig.vector_decode``: ``None`` auto-enables it
     when the domain exposes a kernel, ``True`` demands a kernel (raising
-    otherwise), ``False`` forces the object path.  Only buffer-based
-    evaluation consults it; the list-of-Individuals API always decodes
-    through the object engine.
-
-    ``backend`` selects the vector path's walk implementation (DESIGN.md
-    §16), wired from ``GAConfig.decode_backend``: ``None`` auto-probes
-    numba for the fused compiled backend, ``"numpy"`` / ``"fused"`` force
-    one.  Consulted wherever a decoder is built — the serial evaluator,
-    each pool worker's initialiser, and the service layer's leases.
+    otherwise), ``False`` forces the object decode engine.  Serial
+    evaluation consults it only for buffers (the serial list-of-Individuals
+    API always decodes through the engine); pool workers consult it for
+    every batch.
     """
 
     def __init__(
@@ -115,31 +108,19 @@ class EvaluationContext:
         start_state: object,
         fitness: FitnessFunction,
         truncate_at_goal: bool = True,
-        memoize: bool = True,
         vector: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.domain = domain
         self.start_state = start_state
         self.fitness = fitness
         self.truncate_at_goal = truncate_at_goal
-        self.memoize = memoize
         self.vector = vector
-        self.backend = backend
 
     def resolve_vector(self) -> bool:
-        """Whether buffer evaluation should run the vectorised decode path."""
+        """Whether evaluation should run the vectorised decode path."""
         if self.vector is False:
             return False
-        if not self.memoize:
-            if self.vector:
-                raise ValueError(
-                    "vector=True requires memoize=True (GAConfig already "
-                    "enforces vector_decode => decode_engine)"
-                )
-            return False
-        kernel = self.domain.kernel()
-        if kernel is None:
+        if self.domain.kernel() is None:
             if self.vector:
                 raise ValueError(
                     f"vector_decode=True but domain {self.domain.name!r} has no "
@@ -149,18 +130,14 @@ class EvaluationContext:
             return False
         return True
 
-    def decode_genes(self, genes: np.ndarray, cache: Optional[DecodeCache] = None):
+    def decode_genes(self, genes: np.ndarray):
+        """Decode one genome with the reference decoder (no shared caches)."""
         return decode(
             genes,
             self.domain,
             self.start_state,
             truncate_at_goal=self.truncate_at_goal,
-            cache=cache,
         )
-
-    def evaluate_genes(self, genes: np.ndarray, cache: Optional[DecodeCache] = None):
-        decoded = self.decode_genes(genes, cache=cache)
-        return decoded, self.fitness(decoded)
 
 
 class Evaluator:
@@ -221,92 +198,81 @@ class Evaluator:
         self.close()
 
 
-class SerialEvaluator(Evaluator):
-    """Evaluate the population in-process, sharing one decode engine.
+def _individual_hint(ind: Individual):
+    return ind.prefix_plan, ind.dirty_from
 
-    With ``context.memoize`` (the default) evaluation goes through a
-    persistent :class:`~repro.core.decode_engine.DecodeEngine` — transition
-    memoisation, dirty-prefix re-decode and fingerprint dedup, bit-identical
-    to the naive path.  A pre-built engine can be injected to share caches
-    across evaluators (the island model does this); otherwise one is created
-    lazily and kept for the evaluator's lifetime.  With ``memoize`` off the
-    legacy per-domain :class:`~repro.core.encoding.DecodeCache` path runs.
+
+def _write_individual(ind: Individual, decoded, fitness) -> None:
+    ind.decoded, ind.fitness = decoded, fitness
+    ind.prefix_plan = None
+    ind.dirty_from = None
+
+
+class SerialEvaluator(Evaluator):
+    """Evaluate the population in-process.
+
+    Buffers whose context resolves the vectorised decode (DESIGN.md §12)
+    are decoded whole by a :class:`~repro.core.vector_decode.VectorDecoder`;
+    everything else goes through a persistent :class:`~repro.core.
+    decode_engine.DecodeEngine` — transition memoisation, dirty-prefix
+    re-decode and fingerprint dedup (DESIGN.md §9).  A pre-built engine can
+    be injected to share caches across evaluators (the island model does
+    this); otherwise one is created lazily and kept for the evaluator's
+    lifetime.
     """
 
     def __init__(self, engine: Optional[DecodeEngine] = None) -> None:
-        self._cache: Optional[DecodeCache] = None
-        self._cache_domain: Optional[PlanningDomain] = None
         self._engine = engine
         self._vdec: Optional[VectorDecoder] = None
-        self._vdec_backend: Optional[str] = None
 
     def _vector_decoder(self, context: EvaluationContext) -> Optional[VectorDecoder]:
-        """The (cached) vector decoder for *context*, or None for object path."""
+        """The (cached) vector decoder for *context*, or None for the engine."""
         resolve = getattr(context, "resolve_vector", None)
         if resolve is None or not resolve():
             return None
         kernel = context.domain.kernel()
-        backend = getattr(context, "backend", None)
-        if (
-            self._vdec is None
-            or self._vdec.kernel is not kernel
-            or self._vdec_backend != backend
-        ):
-            self._vdec = make_decoder(kernel, backend)
-            self._vdec_backend = backend
-            # JIT warmup happened inside make_decoder, outside every eval
-            # timer; surface the compile cost as its own counter.
-            ms = getattr(self._vdec, "jit_compile_ms", 0.0)
-            if ms and self._metrics is not None:
-                self._metrics.counter("jit_compile_ms").add(ms)
+        if self._vdec is None or self._vdec.kernel is not kernel:
+            self._vdec = VectorDecoder(kernel)
         return self._vdec
 
+    def _bound_engine(self, context: EvaluationContext) -> DecodeEngine:
+        if self._engine is None:
+            self._engine = DecodeEngine()
+        self._engine.bind(context)
+        return self._engine
+
     def vector_counters(self) -> Optional[dict]:
-        """Cumulative vector-decode counters, or ``None`` on the object path."""
+        """Cumulative vector-decode counters, or ``None`` on the engine path."""
         return self._vdec.counters() if self._vdec is not None else None
 
     def cache_info(self) -> Optional[Tuple[int, int]]:
-        if self._engine is not None and self._engine.active:
-            return self._engine.cache_info()
-        if self._cache is None:
+        if self._engine is None or not self._engine.active:
             return None
-        return self._cache.hits, self._cache.misses
+        return self._engine.cache_info()
 
     def engine_counters(self) -> Optional[dict]:
-        """Cumulative decode-engine counters, or ``None`` on the naive path."""
+        """Cumulative decode-engine counters, or ``None`` before first use."""
         if self._engine is None or not self._engine.active:
             return None
         return self._engine.counters()
 
     def evaluate(self, population: Sequence[Individual], context: EvaluationContext) -> None:
-        if getattr(context, "memoize", True):
-            engine = self._engine
-            if engine is None:
-                engine = self._engine = DecodeEngine()
-            engine.bind(context)
-            if not self.instrumented:
-                fitness_fn = context.fitness
-                for ind in population:
-                    if ind.is_evaluated:
-                        continue
-                    ind.decoded, ind.fitness = engine.evaluate_genes(
-                        ind.genes, fitness_fn, ind.prefix_plan, ind.dirty_from
-                    )
-                    ind.prefix_plan = None
-                    ind.dirty_from = None
-                return
-            self._evaluate_engine_instrumented(population, context, engine)
-            return
-        if self._cache is None or self._cache_domain is not context.domain:
-            self._cache = DecodeCache(context.domain)
-            self._cache_domain = context.domain
+        engine = self._bound_engine(context)
         if not self.instrumented:
+            fitness_fn = context.fitness
             for ind in population:
                 if ind.is_evaluated:
                     continue
-                ind.decoded, ind.fitness = context.evaluate_genes(ind.genes, cache=self._cache)
+                ind.decoded, ind.fitness = engine.evaluate_genes(
+                    ind.genes, fitness_fn, ind.prefix_plan, ind.dirty_from
+                )
+                ind.prefix_plan = None
+                ind.dirty_from = None
             return
-        self._evaluate_instrumented(population, context)
+        pending = [ind for ind in population if not ind.is_evaluated]
+        self._evaluate_engine_instrumented(
+            engine, context, pending, attrgetter("genes"), _individual_hint, _write_individual
+        )
 
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
         """Array-native serial path: decode rows straight off the arena.
@@ -317,15 +283,12 @@ class SerialEvaluator(Evaluator):
         results, no per-genome Python loop at all.  Otherwise this runs the
         same engine pipeline as :meth:`evaluate` over zero-copy genome
         views — no Individual construction, no per-row validation — with
-        identical results (same rows, same order, same memo traffic).  The
-        naive (``memoize`` off) path bridges through the base
-        implementation, which is already loop-shaped.  So does any subclass
-        that overrides :meth:`evaluate` — its override keeps seeing every
-        evaluation, instead of being silently bypassed in batched runs.
+        identical results (same rows, same order, same memo traffic).  A
+        subclass that overrides :meth:`evaluate` is bridged through the
+        base implementation, so its override keeps seeing every
+        evaluation instead of being silently bypassed in batched runs.
         """
-        if type(self).evaluate is not SerialEvaluator.evaluate or not getattr(
-            context, "memoize", True
-        ):
+        if type(self).evaluate is not SerialEvaluator.evaluate:
             Evaluator.evaluate_buffer(self, buffer, context)
             return
         vdec = self._vector_decoder(context)
@@ -338,13 +301,8 @@ class SerialEvaluator(Evaluator):
             else:
                 self._evaluate_buffer_vector_instrumented(buffer, context, vdec)
             return
-        engine = self._engine
-        if engine is None:
-            engine = self._engine = DecodeEngine()
-        engine.bind(context)
+        engine = self._bound_engine(context)
         pending = np.flatnonzero(~buffer.evaluated)
-        if pending.size == 0:
-            return
         if not self.instrumented:
             fitness_fn = context.fitness
             for i in pending:
@@ -355,79 +313,9 @@ class SerialEvaluator(Evaluator):
                 )
                 buffer.set_result(i, decoded, fitness)
             return
-        self._evaluate_buffer_engine_instrumented(buffer, pending, context, engine)
-
-    def _evaluate_buffer_engine_instrumented(
-        self,
-        buffer,
-        pending: np.ndarray,
-        context: EvaluationContext,
-        engine: DecodeEngine,
-    ) -> None:
-        """Buffer twin of :meth:`_evaluate_engine_instrumented`."""
-        before = engine.counters()
-        fitness_fn = context.fitness
-        decode_s = 0.0
-        fitness_s = 0.0
-        n_decoded = 0
-        t0 = time.perf_counter()
-        for i in pending:
-            i = int(i)
-            genes = buffer.view(i)
-            fp = genes.tobytes()
-            hit = engine.lookup(fp)
-            if hit is not None:
-                buffer.set_result(i, hit[0], hit[1])
-            else:
-                prefix, dirty = buffer.prefix_hint(i)
-                t1 = time.perf_counter()
-                decoded = engine.decode(genes, prefix, dirty)
-                t2 = time.perf_counter()
-                fitness = fitness_fn(decoded)
-                t3 = time.perf_counter()
-                engine.store(fp, decoded, fitness)
-                buffer.set_result(i, decoded, fitness)
-                decode_s += t2 - t1
-                fitness_s += t3 - t2
-                n_decoded += 1
-        seconds = time.perf_counter() - t0
-        after = engine.counters()
-        delta = {k: after[k] - before[k] for k in after}
-        if self._metrics is not None:
-            m = self._metrics
-            m.counter("evals").add(int(pending.size))
-            m.timer("eval_batch").record(seconds)
-            if n_decoded:
-                m.timer("decode").record(decode_s, count=n_decoded)
-                m.timer("fitness").record(fitness_s, count=n_decoded)
-            m.counter("decode_cache_hits").add(delta["decode_cache_hits"])
-            m.counter("decode_cache_misses").add(delta["decode_cache_misses"])
-            m.counter("transition_cache_hits").add(delta["transition_cache_hits"])
-            m.counter("transition_cache_misses").add(delta["transition_cache_misses"])
-            m.counter("evals_skipped").add(delta["evals_skipped"])
-            m.counter("genes_reused").add(delta["genes_reused"])
-            for name in (
-                "decode_cache_evictions",
-                "transition_cache_evictions",
-                "decode_fallbacks",
-                "memo_evictions",
-            ):
-                if delta[name]:
-                    m.counter(name).add(delta[name])
-        if self._tracer.enabled:
-            self._tracer.emit(
-                EvaluationBatch(
-                    scope=self._scope,
-                    n_evaluated=int(pending.size),
-                    seconds=seconds,
-                    mode="serial",
-                    chunks=1,
-                    cache_hits=delta["decode_cache_hits"],
-                    cache_misses=delta["decode_cache_misses"],
-                    evals_skipped=delta["evals_skipped"],
-                    genes_reused=delta["genes_reused"],
-                )
-            )
+        self._evaluate_engine_instrumented(
+            engine, context, pending.tolist(), buffer.view, buffer.prefix_hint, buffer.set_result
+        )
 
     def _evaluate_buffer_vector_instrumented(
         self,
@@ -452,13 +340,8 @@ class SerialEvaluator(Evaluator):
             m.counter("vector_rows").add(delta["vector_rows"])
             m.counter("vector_genes").add(delta["vector_genes"])
             m.counter("genes_reused").add(delta["vector_genes_reused"])
-            for name in (
-                "vector_prefix_fallbacks",
-                "vector_kernel_resets",
-                "fused_rows_decoded",
-                "jit_compile_ms",
-            ):
-                if delta.get(name):
+            for name in ("vector_prefix_fallbacks", "vector_kernel_resets"):
+                if delta[name]:
                     m.counter(name).add(delta[name])
         if self._tracer.enabled:
             self._tracer.emit(
@@ -474,13 +357,21 @@ class SerialEvaluator(Evaluator):
 
     def _evaluate_engine_instrumented(
         self,
-        population: Sequence[Individual],
-        context: EvaluationContext,
         engine: DecodeEngine,
+        context: EvaluationContext,
+        rows: list,
+        genes_of: Callable,
+        hint_of: Callable,
+        write: Callable,
     ) -> None:
-        """The engine path with decode/fitness split timing and counters."""
-        pending = [ind for ind in population if not ind.is_evaluated]
-        if not pending:
+        """The engine path with decode/fitness split timing and counters.
+
+        Both entry points feed it: *rows* are pending Individuals or buffer
+        row indices, and ``genes_of(row)`` / ``hint_of(row)`` /
+        ``write(row, decoded, fitness)`` read a row's genome and
+        ``(prefix_plan, dirty_from)`` hint and store its result.
+        """
+        if not rows:
             return
         before = engine.counters()
         fitness_fn = context.fitness
@@ -488,30 +379,30 @@ class SerialEvaluator(Evaluator):
         fitness_s = 0.0
         n_decoded = 0
         t0 = time.perf_counter()
-        for ind in pending:
-            fp = ind.genes.tobytes()
+        for row in rows:
+            genes = genes_of(row)
+            fp = genes.tobytes()
             hit = engine.lookup(fp)
             if hit is not None:
-                ind.decoded, ind.fitness = hit
+                write(row, hit[0], hit[1])
             else:
+                prefix, dirty = hint_of(row)
                 t1 = time.perf_counter()
-                decoded = engine.decode(ind.genes, ind.prefix_plan, ind.dirty_from)
+                decoded = engine.decode(genes, prefix, dirty)
                 t2 = time.perf_counter()
                 fitness = fitness_fn(decoded)
                 t3 = time.perf_counter()
                 engine.store(fp, decoded, fitness)
-                ind.decoded, ind.fitness = decoded, fitness
+                write(row, decoded, fitness)
                 decode_s += t2 - t1
                 fitness_s += t3 - t2
                 n_decoded += 1
-            ind.prefix_plan = None
-            ind.dirty_from = None
         seconds = time.perf_counter() - t0
         after = engine.counters()
         delta = {k: after[k] - before[k] for k in after}
         if self._metrics is not None:
             m = self._metrics
-            m.counter("evals").add(len(pending))
+            m.counter("evals").add(len(rows))
             m.timer("eval_batch").record(seconds)
             if n_decoded:
                 m.timer("decode").record(decode_s, count=n_decoded)
@@ -534,7 +425,7 @@ class SerialEvaluator(Evaluator):
             self._tracer.emit(
                 EvaluationBatch(
                     scope=self._scope,
-                    n_evaluated=len(pending),
+                    n_evaluated=len(rows),
                     seconds=seconds,
                     mode="serial",
                     chunks=1,
@@ -545,130 +436,32 @@ class SerialEvaluator(Evaluator):
                 )
             )
 
-    def _evaluate_instrumented(
-        self, population: Sequence[Individual], context: EvaluationContext
-    ) -> None:
-        """Same work as the naive :meth:`evaluate` path, with split timing."""
-        cache = self._cache
-        assert cache is not None
-        pending = [ind for ind in population if not ind.is_evaluated]
-        if not pending:
-            return
-        hits0, misses0, evict0 = cache.hits, cache.misses, cache.evictions
-        decode_s = 0.0
-        fitness_s = 0.0
-        t0 = time.perf_counter()
-        for ind in pending:
-            t1 = time.perf_counter()
-            decoded = context.decode_genes(ind.genes, cache=cache)
-            t2 = time.perf_counter()
-            ind.decoded, ind.fitness = decoded, context.fitness(decoded)
-            t3 = time.perf_counter()
-            decode_s += t2 - t1
-            fitness_s += t3 - t2
-        seconds = time.perf_counter() - t0
-        hits, misses = cache.hits - hits0, cache.misses - misses0
-        if self._metrics is not None:
-            m = self._metrics
-            m.counter("evals").add(len(pending))
-            m.timer("eval_batch").record(seconds)
-            m.timer("decode").record(decode_s, count=len(pending))
-            m.timer("fitness").record(fitness_s, count=len(pending))
-            m.counter("decode_cache_hits").add(hits)
-            m.counter("decode_cache_misses").add(misses)
-            if cache.evictions > evict0:
-                m.counter("decode_cache_evictions").add(cache.evictions - evict0)
-        if self._tracer.enabled:
-            self._tracer.emit(
-                EvaluationBatch(
-                    scope=self._scope,
-                    n_evaluated=len(pending),
-                    seconds=seconds,
-                    mode="serial",
-                    chunks=1,
-                    cache_hits=hits,
-                    cache_misses=misses,
-                )
-            )
-
 
 # -- process-pool machinery ---------------------------------------------------
 #
 # Worker state is installed once per process via the pool initializer, so the
 # domain is pickled once, not once per task.  Workers keep their decode
-# engine / cache for the life of the process, so the transition tables stay
-# warm across batches; a pool restart rebuilds them through the same
-# initializer (cold but correct).
+# engine and vector decoder for the life of the process, so the transition
+# tables stay warm across batches; a pool restart rebuilds them through the
+# same initializer (cold but correct).
 
 _WORKER_CONTEXT: Optional[EvaluationContext] = None
-_WORKER_CACHE: Optional[DecodeCache] = None
 _WORKER_ENGINE: Optional[DecodeEngine] = None
 _WORKER_VDEC: Optional[VectorDecoder] = None
 
 
 def _init_worker(context: EvaluationContext) -> None:
-    global _WORKER_CONTEXT, _WORKER_CACHE, _WORKER_ENGINE, _WORKER_VDEC
+    global _WORKER_CONTEXT, _WORKER_ENGINE, _WORKER_VDEC
     _WORKER_CONTEXT = context
-    _WORKER_VDEC = None
-    if getattr(context, "memoize", True):
-        # Transition memoisation only: prefix plans live with the parent
-        # (shipping them per task would dwarf the savings), and dedup runs
-        # parent-side where the memo sees the whole population.
-        _WORKER_ENGINE = DecodeEngine(prefix=False, dedup=False)
-        _WORKER_ENGINE.bind(context)
-        _WORKER_CACHE = None
-        # Each worker builds its own kernel (tables never cross the process
-        # boundary — the domain pickles without them) and keeps it warm for
-        # the life of the process, like the engine's transition tables.
-        # make_decoder warms the fused backend's JIT here, in the pool
-        # initialiser, so compile time never lands inside a chunk timing.
-        resolve = getattr(context, "resolve_vector", None)
-        if resolve is not None and resolve():
-            _WORKER_VDEC = make_decoder(
-                context.domain.kernel(), getattr(context, "backend", None)
-            )
-    else:
-        _WORKER_CACHE = DecodeCache(context.domain)
-        _WORKER_ENGINE = None
-
-
-def _evaluate_chunk(chunk: List[np.ndarray]):
-    """Evaluate one chunk in a worker.
-
-    Returns ``(results, seconds, stats)`` — the per-chunk wall time and a
-    ``(decode_cache_hits, decode_cache_misses, transition_cache_hits,
-    transition_cache_misses)`` delta tuple measured inside the worker, so
-    the parent can aggregate true in-worker cost separately from dispatch
-    overhead.
-    """
-    assert _WORKER_CONTEXT is not None, "worker not initialised"
-    context = _WORKER_CONTEXT
-    engine = _WORKER_ENGINE
-    t0 = time.perf_counter()
-    if engine is not None:
-        c0 = engine.counters()
-        fitness_fn = context.fitness
-        results = []
-        for genes in chunk:
-            decoded = engine.decode(genes)
-            results.append((decoded, fitness_fn(decoded)))
-        seconds = time.perf_counter() - t0
-        c1 = engine.counters()
-        stats = (
-            c1["decode_cache_hits"] - c0["decode_cache_hits"],
-            c1["decode_cache_misses"] - c0["decode_cache_misses"],
-            c1["transition_cache_hits"] - c0["transition_cache_hits"],
-            c1["transition_cache_misses"] - c0["transition_cache_misses"],
-        )
-        return results, seconds, stats
-    cache = _WORKER_CACHE
-    hits0 = cache.hits if cache is not None else 0
-    misses0 = cache.misses if cache is not None else 0
-    results = [context.evaluate_genes(genes, cache=cache) for genes in chunk]
-    seconds = time.perf_counter() - t0
-    hits = (cache.hits - hits0) if cache is not None else 0
-    misses = (cache.misses - misses0) if cache is not None else 0
-    return results, seconds, (hits, misses, 0, 0)
+    # Transition memoisation only: prefix plans live with the parent
+    # (shipping them per task would dwarf the savings), and dedup runs
+    # parent-side where the memo sees the whole population.
+    _WORKER_ENGINE = DecodeEngine(prefix=False, dedup=False)
+    _WORKER_ENGINE.bind(context)
+    # Each worker builds its own kernel (tables never cross the process
+    # boundary — the domain pickles without them) and keeps it warm for
+    # the life of the process, like the engine's transition tables.
+    _WORKER_VDEC = VectorDecoder(context.domain.kernel()) if context.resolve_vector() else None
 
 
 # -- zero-copy shared-memory dispatch (DESIGN.md §11) --------------------------
@@ -779,34 +572,11 @@ def _evaluate_shm_chunk(name: str, start: int, stop: int):
             plans.extend(v_plans)
         seconds = time.perf_counter() - t0
         return seconds, (0, 0, 0, 0), plans
-    if engine is not None:
-        c0 = engine.counters()
-        for j in range(start, stop):
-            g = genes[starts[j] : starts[j] + lengths[j]]
-            decoded = engine.decode(g)
-            fit = fitness_fn(decoded)
-            total[j] = fit.total
-            goal[j] = fit.goal
-            cost[j] = fit.cost
-            reached[j] = 1 if fit.goal_reached else 0
-            plan_len[j] = len(decoded.operations)
-            if plans is not None:
-                plans.append(decoded)
-        seconds = time.perf_counter() - t0
-        c1 = engine.counters()
-        stats = (
-            c1["decode_cache_hits"] - c0["decode_cache_hits"],
-            c1["decode_cache_misses"] - c0["decode_cache_misses"],
-            c1["transition_cache_hits"] - c0["transition_cache_hits"],
-            c1["transition_cache_misses"] - c0["transition_cache_misses"],
-        )
-        return seconds, stats, plans
-    cache = _WORKER_CACHE
-    hits0 = cache.hits if cache is not None else 0
-    misses0 = cache.misses if cache is not None else 0
+    c0 = engine.counters()
     for j in range(start, stop):
         g = genes[starts[j] : starts[j] + lengths[j]]
-        decoded, fit = context.evaluate_genes(g, cache=cache)
+        decoded = engine.decode(g)
+        fit = fitness_fn(decoded)
         total[j] = fit.total
         goal[j] = fit.goal
         cost[j] = fit.cost
@@ -815,9 +585,14 @@ def _evaluate_shm_chunk(name: str, start: int, stop: int):
         if plans is not None:
             plans.append(decoded)
     seconds = time.perf_counter() - t0
-    hits = (cache.hits - hits0) if cache is not None else 0
-    misses = (cache.misses - misses0) if cache is not None else 0
-    return seconds, (hits, misses, 0, 0), plans
+    c1 = engine.counters()
+    stats = (
+        c1["decode_cache_hits"] - c0["decode_cache_hits"],
+        c1["decode_cache_misses"] - c0["decode_cache_misses"],
+        c1["transition_cache_hits"] - c0["transition_cache_hits"],
+        c1["transition_cache_misses"] - c0["transition_cache_misses"],
+    )
+    return seconds, stats, plans
 
 
 class ProcessPoolEvaluator(Evaluator):
@@ -833,14 +608,15 @@ class ProcessPoolEvaluator(Evaluator):
     workers would silently use stale state otherwise; build one evaluator
     per phase/start-state instead.
 
+    ``processes=None`` (the default) uses one worker per CPU.
     ``chunk_size=None`` (the default) derives the chunk size per batch as
     ``ceil(pending / (processes * 4))`` — four waves per worker, so small
     populations stop paying one-genome-per-chunk dispatch overhead while
-    load balancing survives uneven chunks; pass an int to pin it.  With
-    ``shm`` (default on) buffer-based evaluation publishes each
-    generation's genomes through one shared-memory segment and workers
-    receive only row ranges (DESIGN.md §11); the object-list
-    :meth:`evaluate` API always uses pickled dispatch.
+    load balancing survives uneven chunks; pass an int to pin it.  Every
+    batch publishes its genomes through one shared-memory segment and
+    workers receive only row ranges (DESIGN.md §11); the object-list
+    :meth:`evaluate` API packs its Individuals into a buffer and takes the
+    same path.
     """
 
     def __init__(
@@ -849,8 +625,9 @@ class ProcessPoolEvaluator(Evaluator):
         processes: Optional[int] = None,
         chunk_size: Optional[int] = None,
         timeout_s: Optional[float] = None,
-        shm: bool = True,
     ) -> None:
+        if processes is not None and processes < 1:
+            raise ValueError(f"processes must be >= 1, got {processes}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if timeout_s is not None and timeout_s <= 0:
@@ -858,8 +635,7 @@ class ProcessPoolEvaluator(Evaluator):
         self.context = context
         self.chunk_size = chunk_size
         self.timeout_s = timeout_s
-        self.processes = processes or max(1, (os.cpu_count() or 1))
-        self.shm = bool(shm)
+        self.processes = processes if processes is not None else max(1, os.cpu_count() or 1)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._segment: Optional[shared_memory.SharedMemory] = None
         self._zombie_segments: List[shared_memory.SharedMemory] = []
@@ -981,173 +757,82 @@ class ProcessPoolEvaluator(Evaluator):
         return self._cache_hits, self._cache_misses
 
     def evaluate(self, population: Sequence[Individual], context: EvaluationContext) -> None:
+        """Evaluate the pending Individuals through the buffer path.
+
+        They are packed into a plan-keeping :class:`~repro.core.popbuffer.
+        PopulationBuffer` (Individuals carry their phenotype), evaluated
+        like any buffer, and the results written back — only once every
+        chunk returned, so a failed batch leaves them safe to retry.
+        """
         self.ensure_started(context)
-        assert self._pool is not None
         pending = [ind for ind in population if not ind.is_evaluated]
         if not pending:
             return
-        memoize = getattr(context, "memoize", True)
-        if memoize:
-            # Dedup the batch before dispatch: each distinct genome crosses
-            # the process boundary (and is decoded) exactly once; memo hits
-            # from earlier batches are not dispatched at all.
-            fingerprints: List[bytes] = []
-            resolved: dict = {}
-            dispatch_fps: List[bytes] = []
-            dispatch_genes: List[np.ndarray] = []
-            for ind in pending:
-                fp = ind.genes.tobytes()
-                fingerprints.append(fp)
-                hit = self._memo.get(fp)
-                if hit is not None and hit[0] is None:
-                    # Packed shm result without a decoded plan: Individuals
-                    # need the phenotype, so treat it as a miss.
-                    hit = None
-                if hit is not None:
-                    resolved[fp] = hit
-                elif fp not in resolved:
-                    resolved[fp] = None  # claimed; filled after dispatch
-                    dispatch_fps.append(fp)
-                    dispatch_genes.append(ind.genes)
-            skipped = len(pending) - len(dispatch_genes)
-            size = self._effective_chunk_size(len(dispatch_genes))
-            chunks = [
-                dispatch_genes[i : i + size] for i in range(0, len(dispatch_genes), size)
-            ]
-        else:
-            skipped = 0
-            size = self._effective_chunk_size(len(pending))
-            chunks = [
-                [ind.genes for ind in pending[i : i + size]]
-                for i in range(0, len(pending), size)
-            ]
-        t0 = time.perf_counter()
-        try:
-            # ``timeout_s`` bounds the whole batch: map's iterator raises
-            # TimeoutError measured from the map() call, so one hung worker
-            # cannot wedge the run.  TimeoutError propagates as-is (the
-            # pool object itself is still consistent, merely busy).
-            outputs = list(self._pool.map(_evaluate_chunk, chunks, timeout=self.timeout_s))
-        except BrokenProcessPool as exc:
-            raise WorkerPoolError(
-                f"worker pool broke while evaluating {len(pending)} individuals on "
-                f"domain {type(context.domain).__name__}: worker process(es) died "
-                f"(crash, OOM kill, or an initializer error); call restart() and "
-                f"retry, or fall back to SerialEvaluator — ResilientEvaluator "
-                f"automates both"
-            ) from exc
-        seconds = time.perf_counter() - t0
-        # No partial writes: individuals are only mutated after every chunk
-        # returned, so a failed batch leaves the population un-evaluated and
-        # safe to retry.
-        flat = [item for chunk_results, _, _ in outputs for item in chunk_results]
-        if memoize:
-            if len(self._memo) >= self._memo_max:
-                self._memo.clear()
-            for fp, result in zip(dispatch_fps, flat):
-                resolved[fp] = result
-                self._memo[fp] = result
-            self._evals_skipped += skipped
-            for ind, fp in zip(pending, fingerprints):
-                ind.decoded, ind.fitness = resolved[fp]
-                ind.prefix_plan = None
-                ind.dirty_from = None
-        else:
-            for ind, (decoded, fitness) in zip(pending, flat):
-                ind.decoded = decoded
-                ind.fitness = fitness
-        if self.instrumented:
-            worker_s = sum(s for _, s, _ in outputs)
-            hits = sum(st[0] for _, _, st in outputs)
-            misses = sum(st[1] for _, _, st in outputs)
-            trans_hits = sum(st[2] for _, _, st in outputs)
-            trans_misses = sum(st[3] for _, _, st in outputs)
-            self._cache_hits += hits
-            self._cache_misses += misses
-            if self._metrics is not None:
-                m = self._metrics
-                m.counter("evals").add(len(pending))
-                m.timer("eval_batch").record(seconds)
-                m.timer("dispatch").record(max(0.0, seconds - worker_s / self.processes))
-                m.timer("worker_eval").record(worker_s, count=len(chunks))
-                m.counter("decode_cache_hits").add(hits)
-                m.counter("decode_cache_misses").add(misses)
-                if memoize:
-                    m.counter("transition_cache_hits").add(trans_hits)
-                    m.counter("transition_cache_misses").add(trans_misses)
-                    m.counter("evals_skipped").add(skipped)
-            if self._tracer.enabled:
-                self._tracer.emit(
-                    EvaluationBatch(
-                        scope=self._scope,
-                        n_evaluated=len(pending),
-                        seconds=seconds,
-                        mode="process",
-                        chunks=len(chunks),
-                        cache_hits=hits,
-                        cache_misses=misses,
-                        evals_skipped=skipped,
-                    )
-                )
+        buffer = PopulationBuffer.from_individuals(pending, keep_plans=True)
+        self._evaluate_rows(buffer, context)
+        for i, ind in enumerate(pending):
+            _write_individual(ind, buffer.plans[i], buffer.fitness_result(i))
 
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
         """Evaluate a population buffer's pending rows across the pool.
 
-        Pending rows are deduplicated against the parent-side memo exactly
-        like :meth:`evaluate`; the survivors are dispatched either through
-        the shared-memory segment (``shm``, the default — workers receive
-        only row ranges and write packed fitness arrays in place) or as
-        pickled genome chunks.  Decoded plans cross the boundary only when
-        the buffer keeps them (state-matching crossovers); otherwise the
-        generation best is decoded lazily by the caller.  Rows are only
-        written after every chunk returned, so a failed batch leaves the
-        buffer un-evaluated and safe to retry.  Subclasses that override
-        :meth:`evaluate` are bridged through it instead, like the serial
-        evaluator does.
+        Pending rows are deduplicated against the parent-side memo; the
+        survivors are published into the shared-memory segment, workers
+        receive only row ranges and write packed fitness arrays in place.
+        Decoded plans cross the boundary only when the buffer keeps them
+        (state-matching crossovers); otherwise the generation best is
+        decoded lazily by the caller.  Rows are only written after every
+        chunk returned, so a failed batch leaves the buffer un-evaluated and
+        safe to retry.  Subclasses that override :meth:`evaluate` are
+        bridged through it instead, like the serial evaluator does.
         """
         if type(self).evaluate is not ProcessPoolEvaluator.evaluate:
             Evaluator.evaluate_buffer(self, buffer, context)
             return
+        self._evaluate_rows(buffer, context)
+
+    def _evaluate_rows(self, buffer, context: EvaluationContext) -> None:
         self.ensure_started(context)
         assert self._pool is not None
         pending = [int(i) for i in np.flatnonzero(~buffer.evaluated)]
         if not pending:
             return
-        memoize = getattr(context, "memoize", True)
         need_plans = buffer.keep_plans
-        if memoize:
-            fingerprints: List[bytes] = []
-            resolved: dict = {}
-            dispatch_fps: List[bytes] = []
-            dispatch_rows: List[int] = []
-            for row in pending:
-                fp = buffer.view(row).tobytes()
-                fingerprints.append(fp)
-                hit = self._memo.get(fp)
-                if hit is not None and hit[0] is None and need_plans:
-                    hit = None  # packed result can't feed a plan-keeping buffer
-                if hit is not None:
-                    resolved[fp] = hit
-                elif fp not in resolved:
-                    resolved[fp] = None  # claimed; filled after dispatch
-                    dispatch_fps.append(fp)
-                    dispatch_rows.append(row)
-        else:
-            dispatch_rows = pending
+        # Dedup the batch before dispatch: each distinct genome crosses the
+        # process boundary (and is decoded) exactly once; memo hits from
+        # earlier batches are not dispatched at all.
+        fingerprints: List[bytes] = []
+        resolved: dict = {}
+        dispatch_fps: List[bytes] = []
+        dispatch_rows: List[int] = []
+        for row in pending:
+            fp = buffer.view(row).tobytes()
+            fingerprints.append(fp)
+            hit = self._memo.get(fp)
+            if hit is not None and hit[0] is None and need_plans:
+                hit = None  # packed result can't feed a plan-keeping buffer
+            if hit is not None:
+                resolved[fp] = hit
+            elif fp not in resolved:
+                resolved[fp] = None  # claimed; filled after dispatch
+                dispatch_fps.append(fp)
+                dispatch_rows.append(row)
         skipped = len(pending) - len(dispatch_rows)
         size = self._effective_chunk_size(len(dispatch_rows))
-        n_chunks = max(0, math.ceil(len(dispatch_rows) / size)) if dispatch_rows else 0
+        starts = list(range(0, len(dispatch_rows), size))
         published = 0
+        outputs: list = []
+        results: List[tuple] = []
         t0 = time.perf_counter()
         try:
-            if not dispatch_rows:
-                outputs = []
-                results: List[tuple] = []
-            elif self.shm:
+            if dispatch_rows:
                 name, published, result_views = self._publish(
                     buffer, dispatch_rows, need_plans
                 )
-                starts = list(range(0, len(dispatch_rows), size))
+                # ``timeout_s`` bounds the whole batch: map's iterator raises
+                # TimeoutError measured from the map() call, so one hung
+                # worker cannot wedge the run.  TimeoutError propagates
+                # as-is (the pool object itself is still consistent).
                 outputs = list(
                     self._pool.map(
                         _evaluate_shm_chunk,
@@ -1160,14 +845,6 @@ class ProcessPoolEvaluator(Evaluator):
                 results = self._collect_shm_results(
                     dispatch_rows, result_views, outputs, need_plans
                 )
-            else:
-                chunks = [
-                    [buffer.view(r) for r in dispatch_rows[i : i + size]]
-                    for i in range(0, len(dispatch_rows), size)
-                ]
-                raw = list(self._pool.map(_evaluate_chunk, chunks, timeout=self.timeout_s))
-                outputs = [(seconds, stats, None) for _, seconds, stats in raw]
-                results = [item for chunk_results, _, _ in raw for item in chunk_results]
         except BrokenProcessPool as exc:
             raise WorkerPoolError(
                 f"worker pool broke while evaluating {len(pending)} individuals on "
@@ -1184,27 +861,22 @@ class ProcessPoolEvaluator(Evaluator):
         seconds = time.perf_counter() - t0
         # No partial writes: the buffer is only mutated after every chunk
         # returned, so a failed batch is safe to retry.
-        if memoize:
-            if len(self._memo) >= self._memo_max:
-                self._memo.clear()
-            for fp, result in zip(dispatch_fps, results):
-                resolved[fp] = result
-                self._memo[fp] = result
-            self._evals_skipped += skipped
-            for row, fp in zip(pending, fingerprints):
-                decoded, fitness = resolved[fp]
-                buffer.set_result(row, decoded, fitness)
-        else:
-            for row, (decoded, fitness) in zip(pending, results):
-                buffer.set_result(row, decoded, fitness)
+        if len(self._memo) >= self._memo_max:
+            self._memo.clear()
+        for fp, result in zip(dispatch_fps, results):
+            resolved[fp] = result
+            self._memo[fp] = result
+        self._evals_skipped += skipped
+        for row, fp in zip(pending, fingerprints):
+            decoded, fitness = resolved[fp]
+            buffer.set_result(row, decoded, fitness)
         if self.instrumented:
             self._record_batch_metrics(
                 n_pending=len(pending),
                 seconds=seconds,
-                outputs=[(s, st) for s, st, _ in outputs],
-                n_chunks=n_chunks,
+                outputs=outputs,
+                n_chunks=len(starts),
                 skipped=skipped,
-                memoize=memoize,
                 published=published,
             )
 
@@ -1257,15 +929,14 @@ class ProcessPoolEvaluator(Evaluator):
         outputs: List[tuple],
         n_chunks: int,
         skipped: int,
-        memoize: bool,
         published: int,
     ) -> None:
-        """Shared metrics/event emission for both dispatch transports."""
-        worker_s = sum(s for s, _ in outputs)
-        hits = sum(st[0] for _, st in outputs)
-        misses = sum(st[1] for _, st in outputs)
-        trans_hits = sum(st[2] for _, st in outputs)
-        trans_misses = sum(st[3] for _, st in outputs)
+        """Batch metrics and the ``evaluation-batch`` event."""
+        worker_s = sum(s for s, _, _ in outputs)
+        hits = sum(st[0] for _, st, _ in outputs)
+        misses = sum(st[1] for _, st, _ in outputs)
+        trans_hits = sum(st[2] for _, st, _ in outputs)
+        trans_misses = sum(st[3] for _, st, _ in outputs)
         self._cache_hits += hits
         self._cache_misses += misses
         if self._metrics is not None:
@@ -1277,10 +948,9 @@ class ProcessPoolEvaluator(Evaluator):
                 m.timer("worker_eval").record(worker_s, count=n_chunks)
             m.counter("decode_cache_hits").add(hits)
             m.counter("decode_cache_misses").add(misses)
-            if memoize:
-                m.counter("transition_cache_hits").add(trans_hits)
-                m.counter("transition_cache_misses").add(trans_misses)
-                m.counter("evals_skipped").add(skipped)
+            m.counter("transition_cache_hits").add(trans_hits)
+            m.counter("transition_cache_misses").add(trans_misses)
+            m.counter("evals_skipped").add(skipped)
             if published:
                 m.counter("shm_bytes_published").add(published)
                 # Lower bound: the gene payload alone no longer crosses the

@@ -65,16 +65,7 @@ class VectorDecoder:
     :class:`~repro.core.decode_engine.DecodeEngine`): :meth:`bind` is
     called once per batch with the current evaluation context and
     re-interns the start state only when it, or the kernel epoch, changed.
-
-    The walk itself — advance every active row to its stopping point — is
-    isolated in :meth:`_walk` so alternative backends
-    (:class:`~repro.core.fused_decode.FusedDecoder`) can replace just the
-    inner loop while inheriting hint processing, fitness combination and
-    plan reconstruction verbatim, keeping bit-identity by construction.
     """
-
-    #: Tag identifying the walk implementation in summaries and benches.
-    backend_name = "numpy"
 
     def __init__(self, kernel: DomainKernel) -> None:
         self.kernel = kernel
@@ -301,10 +292,8 @@ class VectorDecoder:
         ``cur`` / ``pos`` / ``cost`` are the per-row state arrays (updated
         in place); ``slot_tr`` / ``id_tr`` are the trace matrices to fill
         when plans are kept (``None`` otherwise).  Rows enter having
-        already passed the initial stop test.  Overridable backend hook:
-        this numpy implementation advances the whole active set one gene
-        per iteration; the fused backend walks each row to completion in a
-        compiled scalar loop.  Both must leave identical state behind.
+        already passed the initial stop test; the whole active set advances
+        one gene per iteration.
         """
         kernel = self.kernel
         unit = kernel.unit_cost

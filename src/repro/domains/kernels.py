@@ -141,21 +141,6 @@ class TableKernel(DomainKernel):
     def overflowed(self) -> bool:
         return len(self._states) > self.max_states
 
-    def tables(self) -> dict:
-        """Live backing arrays for the fused decode loop (no property hops).
-
-        Handing out ``_vc`` / ``_succ`` / … directly keeps the per-sweep
-        re-export (after every ``fill_transitions``) at dict-build cost;
-        the arrays themselves are the same objects the properties serve.
-        """
-        return {
-            "valid_count": self._vc,
-            "succ": self._succ,
-            "goal_fit": self._gfit,
-            "goal_mask": self._gmask,
-            "op_cost": self._cost,
-        }
-
     def reset(self) -> None:
         self._ids.clear()
         self._states.clear()

@@ -114,18 +114,6 @@ CANONICAL_INSTRUMENTS: Tuple[InstrumentSpec, ...] = (
     ),
     InstrumentSpec("vector_rows", "counter", "core", "population rows decoded by the vector path"),
     InstrumentSpec("vector_genes", "counter", "core", "genes consumed by the vector decode path"),
-    InstrumentSpec(
-        "fused_rows_decoded",
-        "counter",
-        "core",
-        "rows walked by the fused per-row decode backend",
-    ),
-    InstrumentSpec(
-        "jit_compile_ms",
-        "counter",
-        "core",
-        "milliseconds spent JIT-compiling the fused decode kernel (outside eval timers)",
-    ),
     InstrumentSpec("checkpoints_recovered", "counter", "core", "corrupt checkpoints skipped"),
     InstrumentSpec(
         "retries", "counter", "core", "fault-tolerant retry attempts (broker + evaluator)"

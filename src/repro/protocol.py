@@ -256,28 +256,6 @@ class DomainKernel(abc.ABC, Generic[S, O]):
         """Whether the table grew past its budget and wants a :meth:`reset`."""
         return False
 
-    def tables(self) -> dict:
-        """Bulk export of the decode tables for fused per-row kernels.
-
-        Returns ``{"valid_count", "succ", "goal_fit", "goal_mask",
-        "op_cost"}`` mapping to the *live* backing arrays (``op_cost`` is
-        ``None`` for unit-cost kernels) — views, never copies, so a
-        compiled decode loop can index them directly without per-gene
-        property dispatch.  The reallocation caveat applies with full
-        force: any call that may intern states (:meth:`fill_transitions`,
-        :meth:`intern`) invalidates a previous export, and consumers must
-        call :meth:`tables` again afterwards.  Kernels whose properties
-        compute anything per access should override this to hand out the
-        raw arrays.
-        """
-        return {
-            "valid_count": self.valid_count,
-            "succ": self.succ,
-            "goal_fit": self.goal_fit,
-            "goal_mask": self.goal_mask,
-            "op_cost": None if self.unit_cost else self.op_cost,
-        }
-
     # -- reconstruction hooks (plan-keeping decodes) --------------------------
 
     @abc.abstractmethod

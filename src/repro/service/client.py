@@ -83,7 +83,6 @@ class ServiceClient:
             "stream",
             "evaluator",
             "vector",
-            "backend",
         ):
             value = getattr(request, field)
             if value != getattr(defaults, field):

@@ -39,7 +39,6 @@ MAX_FRAME_BYTES = 1 << 20
 
 _MODES = ("ga", "portfolio")
 _EVALUATORS = ("serial", "resilient")
-_BACKENDS = ("numpy", "fused")
 
 
 class ProtocolError(ValueError):
@@ -133,11 +132,6 @@ class PlanRequest:
     for one-off requests on kernel-backed domains, but stateless — it
     bypasses the warm cross-request engine cache, which is why the service
     defaults to the (warmable) decode-engine path instead.
-
-    ``backend`` picks the vector path's walk implementation (requires
-    ``vector``): ``None`` auto-probes numba for the fused compiled loop,
-    ``"numpy"`` / ``"fused"`` force one.  The fused walk releases the GIL,
-    so service workers decode concurrent requests on real cores.
     """
 
     domain: str
@@ -153,7 +147,6 @@ class PlanRequest:
     stream: bool = False
     evaluator: str = "serial"
     vector: bool = False
-    backend: Optional[str] = None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -183,7 +176,6 @@ def parse_plan_request(frame: dict) -> PlanRequest:
         "stream",
         "evaluator",
         "vector",
-        "backend",
     }
     unknown = sorted(set(frame) - known)
     _require(not unknown, f"unknown plan fields: {', '.join(unknown)}")
@@ -227,11 +219,6 @@ def parse_plan_request(frame: dict) -> PlanRequest:
     _require(evaluator in _EVALUATORS, f"'evaluator' must be one of {_EVALUATORS}")
     vector = frame.get("vector", False)
     _require(isinstance(vector, bool), "'vector' must be a boolean")
-    backend = frame.get("backend")
-    _require(backend is None or backend in _BACKENDS,
-             f"'backend' must be one of {_BACKENDS} when given")
-    _require(backend is None or vector,
-             "'backend' requires vector=true (it selects the vector walk)")
     return PlanRequest(
         domain=domain,
         size=size,
@@ -246,5 +233,4 @@ def parse_plan_request(frame: dict) -> PlanRequest:
         stream=stream,
         evaluator=evaluator,
         vector=vector,
-        backend=backend,
     )

@@ -28,7 +28,6 @@ from typing import Callable, Deque, Dict, List, Optional
 import numpy as np
 
 from repro.core.config import GAConfig
-from repro.core.fused_decode import resolve_backend
 from repro.core.ga import GARun
 from repro.core.parallel import SerialEvaluator
 from repro.core.portfolio import canonical_events
@@ -142,7 +141,7 @@ class ServiceRun:
         self.result: Optional[dict] = None
         self.slices = 0
         self.warm: Optional[bool] = None
-        #: Resolved decode backend tag ("engine", "numpy" or "fused"),
+        #: Decode path tag ("engine" or "numpy" for the vector walk),
         #: echoed in the result frame so clients see what actually ran.
         self.backend: Optional[str] = None
         self.cancel_requested = False
@@ -377,15 +376,9 @@ class RunScheduler:
             # The engine path is the warmable one; vector decode is faster
             # cold but stateless across requests (see PlanRequest.vector).
             vector_decode=bool(request.vector),
-            decode_backend=request.backend if request.vector else None,
             **kwargs,
         )
-        if request.vector:
-            # Resolve now so a missing numba under backend="fused" fails
-            # the request with a clear error frame instead of mid-slice.
-            run.backend = resolve_backend(request.backend)
-        else:
-            run.backend = "engine"
+        run.backend = "numpy" if request.vector else "engine"
         evaluator = SerialEvaluator(engine=lease.engine)
         if request.evaluator == "resilient":
             from repro.core.resilient import ResiliencePolicy, ResilientEvaluator
@@ -723,11 +716,6 @@ class ServicePool:
     after sleeping out the bound).  ``stop()`` wakes parked workers
     through :meth:`RunScheduler.wake_all` and joins every worker;
     in-flight slices finish, queued work stays queued.
-
-    With the fused decode backend (DESIGN.md §16) the jitted walk releases
-    the GIL, so several workers slicing concurrent requests decode on real
-    cores in one process — see BENCH_service.json's thread-scaling
-    ablation.
     """
 
     def __init__(

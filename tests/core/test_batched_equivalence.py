@@ -5,9 +5,10 @@ structure-of-arrays :class:`~repro.core.popbuffer.PopulationBuffer` engine
 and the historical list-of-Individual path.  The batched engine replays the
 object path's RNG draws exactly (DESIGN.md §11), so the switch must be
 *unobservable* in results: same seed → same per-generation statistics, same
-best genome, fitness and decoded plan, to the last bit — serial or process
-pool, shared-memory dispatch on or off, single-phase or multi-phase.
-Hypothesis drives random configurations across all three crossovers.
+best genome, fitness and decoded plan, to the last bit — serial, process
+pool or the reference evaluator (``tests/oracle.py``), single-phase or
+multi-phase.  Hypothesis drives random configurations across all three
+crossovers.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core import (
 )
 from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
 from repro.domains import HanoiDomain, SlidingTileDomain
+from tests.oracle import ReferenceEvaluator
 
 
 def run_pair(domain, config, seed, on_evaluator=None, off_evaluator=None):
@@ -96,19 +98,24 @@ class TestBatchedTrajectoryEquivalence:
         assert_results_identical(on, off)
 
     def test_naive_decode_also_identical(self):
-        # Batching must not depend on the incremental decode engine.
+        # Batching must not depend on the incremental decode engine: the
+        # oracle reaches buffers through the base bridge.
         config = GAConfig(
             population_size=12, generations=6, max_len=32, init_length=10,
-            decode_engine=False,
         )
-        on, off = run_pair(HanoiDomain(3), config, 31337)
+        on, off = run_pair(
+            HanoiDomain(3),
+            config,
+            31337,
+            on_evaluator=ReferenceEvaluator(),
+            off_evaluator=ReferenceEvaluator(),
+        )
         assert_results_identical(on, off)
 
 
 class TestProcessPoolBatchedEquivalence:
     @pytest.mark.parametrize("crossover", ["random", "mixed"])
-    @pytest.mark.parametrize("shm", [True, False])
-    def test_pool_matches_object_serial(self, crossover, shm):
+    def test_pool_matches_object_serial(self, crossover):
         domain = HanoiDomain(3)
         config = GAConfig(
             population_size=16,
@@ -117,21 +124,29 @@ class TestProcessPoolBatchedEquivalence:
             init_length=10,
             crossover=crossover,
         )
-        with ProcessPoolEvaluator(processes=2, shm=shm) as pool:
+        with ProcessPoolEvaluator(processes=2) as pool:
             on, off = run_pair(
                 domain, config, 7, on_evaluator=pool, off_evaluator=SerialEvaluator()
             )
         assert_results_identical(on, off)
 
-    def test_shm_on_off_identical(self):
+    @pytest.mark.parametrize("crossover", ["state-aware", "mixed"])
+    def test_pool_list_api_matches_oracle(self, crossover):
+        # batched=False drives the pool's list API, which packs the
+        # Individuals into a plan-keeping buffer and publishes it through
+        # the same shared-memory path.
         domain = HanoiDomain(3)
         config = GAConfig(
-            population_size=16, generations=5, max_len=32, init_length=10
+            population_size=16,
+            generations=5,
+            max_len=32,
+            init_length=10,
+            crossover=crossover,
+            batched=False,
         )
-        with ProcessPoolEvaluator(processes=2, shm=True) as a:
-            with ProcessPoolEvaluator(processes=2, shm=False) as b:
-                on = run_ga(domain, config, make_rng(11), evaluator=a)
-                off = run_ga(domain, config, make_rng(11), evaluator=b)
+        with ProcessPoolEvaluator(processes=2) as pool:
+            on = run_ga(domain, config, make_rng(11), evaluator=pool)
+        off = run_ga(domain, config, make_rng(11), evaluator=ReferenceEvaluator())
         assert_results_identical(on, off)
 
 

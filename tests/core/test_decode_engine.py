@@ -16,6 +16,7 @@ from repro.core.fitness import FitnessFunction
 from repro.core.mutation import deletion_mutation, insertion_mutation, uniform_reset_mutation
 from repro.core.parallel import EvaluationContext, SerialEvaluator
 from repro.domains import HanoiDomain, SlidingTileDomain
+from tests.oracle import ReferenceEvaluator
 
 
 def assert_plans_identical(a, b):
@@ -29,13 +30,12 @@ def assert_plans_identical(a, b):
     assert a.cost == b.cost  # exact: same additions in the same order
 
 
-def make_context(domain, truncate=True, memoize=True):
+def make_context(domain, truncate=True):
     return EvaluationContext(
         domain=domain,
         start_state=domain.initial_state,
         fitness=FitnessFunction(domain),
         truncate_at_goal=truncate,
-        memoize=memoize,
     )
 
 
@@ -372,9 +372,8 @@ class TestEvaluatorIntegration:
         pop = [Individual.random(16, rng) for _ in range(20)]
         pop_naive = [ind.copy() for ind in pop]
         with SerialEvaluator() as ev:
-            ev.evaluate(pop, make_context(hanoi3, memoize=True))
-        with SerialEvaluator() as ev:
-            ev.evaluate(pop_naive, make_context(hanoi3, memoize=False))
+            ev.evaluate(pop, make_context(hanoi3))
+        ReferenceEvaluator().evaluate(pop_naive, make_context(hanoi3))
         for a, b in zip(pop, pop_naive):
             assert_plans_identical(a.decoded, b.decoded)
             assert a.fitness.total == b.fitness.total
@@ -397,9 +396,8 @@ class TestEvaluatorIntegration:
             generations=5,
             max_len=32,
             init_length=8,
-            decode_engine=False,
         )
-        result = run_ga(hanoi3, cfg, make_rng(7))
+        result = run_ga(hanoi3, cfg, make_rng(7), evaluator=ReferenceEvaluator())
         assert result.generations_run >= 1
         assert result.best.fitness is not None
 

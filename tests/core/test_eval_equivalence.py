@@ -1,10 +1,11 @@
-"""Engine-vs-naive equivalence: whole GA trajectories must be bit-identical.
+"""Engine-vs-oracle equivalence: whole GA trajectories must be bit-identical.
 
-``GAConfig.decode_engine`` switches between the incremental decode engine
-and the naive per-genome decode.  The engine's contract (DESIGN.md §9) is
-that the switch is *unobservable* in results: same seed → same per-generation
-statistics, same best genome, same fitness, to the last bit.  Hypothesis
-drives random configurations across all three crossover operators.
+The incremental decode engine's contract (DESIGN.md §9) is that it is
+*unobservable* in results: a run on the engine and a run on the reference
+evaluator (the paper's plain decode rule, ``tests/oracle.py``) give the same
+per-generation statistics, best genome and fitness, to the last bit, for the
+same seed.  Hypothesis drives random configurations across all three
+crossover operators.
 """
 
 import numpy as np
@@ -13,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GAConfig, MultiPhaseConfig, make_rng, run_ga, run_multiphase
-from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
-from repro.domains import HanoiDomain, SlidingTileDomain
+from repro.core.parallel import ProcessPoolEvaluator
+from repro.domains import BlocksWorldDomain, HanoiDomain, SlidingTileDomain
+from tests.oracle import ReferenceEvaluator
 
 
 def run_pair(domain, config, seed):
-    """Run the same GA with the engine on and off; return both results."""
-    on = run_ga(domain, config.replace(decode_engine=True), make_rng(seed))
-    off = run_ga(domain, config.replace(decode_engine=False), make_rng(seed))
+    """Run the same GA on the decode engine and on the oracle."""
+    on = run_ga(domain, config.replace(vector_decode=False), make_rng(seed))
+    off = run_ga(domain, config, make_rng(seed), evaluator=ReferenceEvaluator())
     return on, off
 
 
@@ -89,13 +91,14 @@ class TestMultiphaseEquivalence:
         )
         on = run_multiphase(
             domain,
-            MultiPhaseConfig(phase=base.replace(decode_engine=True), max_phases=3),
+            MultiPhaseConfig(phase=base.replace(vector_decode=False), max_phases=3),
             make_rng(99),
         )
         off = run_multiphase(
             domain,
-            MultiPhaseConfig(phase=base.replace(decode_engine=False), max_phases=3),
+            MultiPhaseConfig(phase=base, max_phases=3),
             make_rng(99),
+            evaluator_factory=ReferenceEvaluator,
         )
         assert on.plan == off.plan
         assert on.goal_fitness == off.goal_fitness
@@ -112,13 +115,37 @@ class TestProcessPoolEquivalence:
             population_size=16, generations=6, max_len=32, init_length=10
         )
         with ProcessPoolEvaluator(processes=2, chunk_size=4) as pool:
-            on = run_ga(
-                domain, config.replace(decode_engine=True), make_rng(7), evaluator=pool
-            )
-        off = run_ga(
-            domain,
-            config.replace(decode_engine=False),
-            make_rng(7),
-            evaluator=SerialEvaluator(),
-        )
+            on = run_ga(domain, config, make_rng(7), evaluator=pool)
+        off = run_ga(domain, config, make_rng(7), evaluator=ReferenceEvaluator())
+        assert_results_identical(on, off)
+
+
+class TestKernelLessDomain:
+    """Blocks World has no kernel, so every evaluator runs the engine."""
+
+    config = GAConfig(
+        population_size=12,
+        generations=6,
+        max_len=24,
+        init_length=8,
+        crossover="mixed",
+    )
+
+    @staticmethod
+    def domain():
+        return BlocksWorldDomain([["a", "b", "c"]], [["c", "b", "a"]])
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_serial_engine_matches_oracle(self, batched):
+        config = self.config.replace(batched=batched)
+        on = run_ga(self.domain(), config, make_rng(3))
+        off = run_ga(self.domain(), config, make_rng(3), evaluator=ReferenceEvaluator())
+        assert_results_identical(on, off)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_pool_matches_oracle(self, batched):
+        config = self.config.replace(batched=batched)
+        with ProcessPoolEvaluator(processes=2) as pool:
+            on = run_ga(self.domain(), config, make_rng(3), evaluator=pool)
+        off = run_ga(self.domain(), config, make_rng(3), evaluator=ReferenceEvaluator())
         assert_results_identical(on, off)

@@ -80,3 +80,10 @@ class TestProcessPoolEvaluator:
     def test_bad_chunk_size(self, hanoi3):
         with pytest.raises(ValueError):
             ProcessPoolEvaluator(_context(hanoi3), chunk_size=0)
+
+    @pytest.mark.parametrize("processes", [0, -2])
+    def test_bad_process_count(self, processes):
+        # Rejected at construction, before any pool exists: 0 used to mean
+        # "all CPUs" and a negative count failed only inside evaluate().
+        with pytest.raises(ValueError, match="processes must be >= 1"):
+            ProcessPoolEvaluator(processes=processes)

@@ -21,6 +21,7 @@ from repro.core import (
 from repro.core.parallel import SerialEvaluator
 from repro.domains import HanoiDomain
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer
+from tests.oracle import ReferenceEvaluator
 
 
 def _ga(pop=24, gens=40, **kw):
@@ -36,7 +37,8 @@ def _spec(*strategies, **kw):
 
 
 #: Three strategy mixes exercised by the determinism suite: GA-only (full
-#: migration churn), GA + search race, and engine-heterogeneous GAs.
+#: migration churn), GA + search race, and engine-heterogeneous GAs (the
+#: latter also needs the evaluators from ``MIX_EVALUATORS``).
 MIXES = {
     "ga-only": _spec(
         StrategySpec(kind="ga", ga=_ga()),
@@ -49,11 +51,24 @@ MIXES = {
         StrategySpec(kind="search", algorithm="gbfs", expansions_per_tick=8),
     ),
     "engines": _spec(
-        StrategySpec(kind="ga", ga=_ga(batched=False, decode_engine=False)),
+        StrategySpec(kind="ga", ga=_ga(batched=False)),
         StrategySpec(kind="ga", ga=_ga(vector_decode=False)),
         StrategySpec(kind="search", algorithm="astar", expansions_per_tick=16),
     ),
 }
+
+#: Per-mix GA-island evaluator classes, in island order: the "engines" mix
+#: runs its first GA on the reference oracle, its second on the default
+#: serial evaluator.
+MIX_EVALUATORS = {"engines": (ReferenceEvaluator, SerialEvaluator)}
+
+
+def _evaluator_factory(mix):
+    classes = MIX_EVALUATORS.get(mix)
+    if classes is None:
+        return None
+    remaining = iter(classes)
+    return lambda: next(remaining)()
 
 
 class TestSpecValidation:
@@ -155,16 +170,17 @@ class TestDeterministicReplay:
     """`--portfolio-serial` must reproduce the concurrent run exactly."""
 
     @staticmethod
-    def _run(domain, spec, seed, serial):
+    def _run(domain, mix, seed, serial):
         recorder = MemoryRecorder()
         metrics = MetricsRegistry()
         result = run_portfolio(
             domain,
-            spec,
+            MIXES[mix],
             make_rng(seed),
             tracer=Tracer([recorder]),
             metrics=metrics,
             serial=serial,
+            evaluator_factory=_evaluator_factory(mix),
         )
         return result, canonical_events(recorder.events), metrics.summary()
 
@@ -173,8 +189,8 @@ class TestDeterministicReplay:
     @settings(max_examples=2, deadline=None)
     def test_serial_reproduces_concurrent_run(self, mix, seed):
         domain = HanoiDomain(3)
-        conc, conc_events, conc_metrics = self._run(domain, MIXES[mix], seed, False)
-        ser, ser_events, ser_metrics = self._run(domain, MIXES[mix], seed, True)
+        conc, conc_events, conc_metrics = self._run(domain, mix, seed, False)
+        ser, ser_events, ser_metrics = self._run(domain, mix, seed, True)
         assert ser.winner == conc.winner
         assert ser.plan == conc.plan
         assert ser.first_solution_tick == conc.first_solution_tick
@@ -185,7 +201,7 @@ class TestDeterministicReplay:
         assert ser_metrics["counters"] == conc_metrics["counters"]
 
     def test_event_stream_has_portfolio_vocabulary(self, hanoi3):
-        _, events, _ = self._run(hanoi3, MIXES["ga-only"], 5, True)
+        _, events, _ = self._run(hanoi3, "ga-only", 5, True)
         kinds = {e["kind"] for e in events}
         assert "generation" in kinds
         assert "incumbent" in kinds

@@ -4,8 +4,8 @@ The zero-copy dispatch path publishes each generation through one
 ``multiprocessing.shared_memory`` segment owned by the parent.  These tests
 pin the ownership contract: the segment is unlinked on :meth:`close` and on
 :meth:`restart` (a fresh one replaces it), survives reuse across batches,
-is never created with ``shm=False``, and worker crashes mid-batch leave
-nothing behind once the evaluator is closed.
+also carries the object-list API's batches, and worker crashes mid-batch
+leave nothing behind once the evaluator is closed.
 """
 
 import os
@@ -71,10 +71,12 @@ class TestSegmentLifecycle:
             assert pool._segment is not None
             assert pool._segment.name != old
 
-    def test_shm_off_never_creates_a_segment(self):
-        with ProcessPoolEvaluator(processes=2, shm=False) as pool:
-            run_ga(HanoiDomain(3), CONFIG, make_rng(5), evaluator=pool)
-            assert pool._segment is None
+    def test_list_api_publishes_through_the_segment(self):
+        with ProcessPoolEvaluator(processes=2) as pool:
+            run_ga(HanoiDomain(3), CONFIG.replace(batched=False), make_rng(5), evaluator=pool)
+            assert pool._segment is not None
+            name = pool._segment.name
+        assert_unlinked(name)
 
     def test_close_is_idempotent(self):
         pool = ProcessPoolEvaluator(processes=2)

@@ -3,8 +3,9 @@
 The trajectory-level bit-identity suites live in
 ``test_vector_equivalence.py``; this file drives :class:`VectorDecoder`
 directly into its corners — empty rows, dead-end (zero-valid-op) states,
-dirty-prefix resume exactly at row boundaries, evicted-transition fallback
-after a kernel reset — and checks the configuration guard rails.
+non-unit operation costs, dirty-prefix resume exactly at row boundaries,
+evicted-transition fallback after a kernel reset — and checks the
+configuration guard rails.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.vector_decode import VectorDecoder, vector_supported
 from repro.domains import GridNavigationDomain, HanoiDomain
 from repro.domains.kernels import TableKernel, cached_kernel
 from repro.protocol import PlanningDomain
+from tests.oracle import ReferenceEvaluator
 
 
 class TrapChainDomain(PlanningDomain):
@@ -57,13 +59,37 @@ class TrapChainDomain(PlanningDomain):
         )
 
 
+class WeightedTrapDomain(TrapChainDomain):
+    """Trap chain with a two-step skip and non-unit operation costs, so the
+    kernel carries an ``op_cost`` table."""
+
+    name = "weighted-trap"
+
+    def valid_operations(self, state: int):
+        if state == -1 or state >= self.n:
+            return ()
+        return ("step", "trap", "skip")
+
+    def apply(self, state: int, op: str) -> int:
+        if op == "trap":
+            return -1
+        return state + (2 if op == "skip" else 1)
+
+    def operation_cost(self, op: str) -> float:
+        return {"step": 1.0, "trap": 0.25, "skip": 2.5}[op]
+
+    def goal_fitness(self, state: int) -> float:
+        if state >= self.n:
+            return 1.0
+        return super().goal_fitness(state)
+
+
 def _context(domain, vector=True, truncate=True):
     return EvaluationContext(
         domain=domain,
         start_state=domain.initial_state,
         fitness=FitnessFunction(domain, 0.7, 0.3),
         truncate_at_goal=truncate,
-        memoize=True,
         vector=vector,
     )
 
@@ -130,6 +156,19 @@ class TestDeadEnds:
         off = run_ga(domain, config.replace(vector_decode=False), make_rng(3))
         assert on.history.generations == off.history.generations
         np.testing.assert_array_equal(on.best.genes, off.best.genes)
+
+
+class TestWeightedCosts:
+    @pytest.mark.parametrize("truncate", [True, False])
+    def test_non_unit_costs_match_the_oracle(self, truncate):
+        domain = WeightedTrapDomain(6)
+        assert not domain.kernel().unit_cost
+        rng = make_rng(5)
+        rows = [rng.random(int(rng.integers(1, 15))) for _ in range(48)]
+        vec, ref = _buffer_of(rows), _buffer_of(rows)
+        SerialEvaluator().evaluate_buffer(vec, _context(domain, truncate=truncate))
+        ReferenceEvaluator().evaluate_buffer(ref, _context(domain, truncate=truncate))
+        assert_buffers_identical(vec, ref)
 
 
 class TestEmptyRows:
@@ -266,12 +305,6 @@ class TestEvictedTransitionFallback:
 
 
 class TestConfigGuards:
-    def test_vector_requires_decode_engine(self):
-        with pytest.raises(ValueError, match="decode engine"):
-            GAConfig(
-                max_len=16, init_length=8, vector_decode=True, decode_engine=False
-            )
-
     def test_vector_requires_batched(self):
         with pytest.raises(ValueError, match="structure-of-arrays"):
             GAConfig(max_len=16, init_length=8, vector_decode=True, batched=False)

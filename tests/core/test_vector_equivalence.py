@@ -1,13 +1,12 @@
-"""Vector-vs-object decode equivalence: trajectories must be bit-identical.
+"""Vector-vs-oracle decode equivalence: trajectories must be bit-identical.
 
-``GAConfig.vector_decode`` switches evaluation between the whole-population
-numpy decoder (:mod:`repro.core.vector_decode`, gathering transitions from
-the domain kernel's int tables) and the object decode engine.  The kernel
-ABI's exactness contract (DESIGN.md §12) makes the switch *unobservable* in
-results: same seed → same per-generation statistics, same best genome,
-fitness, decoded plan and match keys, to the last bit — serial or process
-pool, shared-memory dispatch on or off, single-phase, multi-phase or
-islands.  Hypothesis drives random configurations across all three
+``GAConfig.vector_decode`` runs evaluation on the whole-population numpy
+decoder (:mod:`repro.core.vector_decode`, gathering transitions from the
+domain kernel's int tables).  The kernel ABI's exactness contract
+(DESIGN.md §12) makes it *unobservable* in results: against the reference
+evaluator (``tests/oracle.py``), same seed → same per-generation
+statistics, same best genome, fitness, decoded plan and match keys, to the
+last bit — serial or process pool, single-phase, multi-phase or islands.  Hypothesis drives random configurations across all three
 crossovers and all three kernel-backed domains.
 """
 
@@ -25,19 +24,18 @@ from repro.core import (
     run_islands,
     run_multiphase,
 )
-from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
+from repro.core.parallel import ProcessPoolEvaluator
 from repro.domains import HanoiDomain, PocketCubeDomain, SlidingTileDomain
 from repro.domains.pocket_cube import scrambled_state
+from tests.oracle import ReferenceEvaluator
 
 
-def run_pair(domain, config, seed, on_evaluator=None, off_evaluator=None):
-    """Run the same GA with vector decode on and off; return both results."""
+def run_pair(domain, config, seed, on_evaluator=None):
+    """Run the same GA with vector decode and on the oracle."""
     on = run_ga(
         domain, config.replace(vector_decode=True), make_rng(seed), evaluator=on_evaluator
     )
-    off = run_ga(
-        domain, config.replace(vector_decode=False), make_rng(seed), evaluator=off_evaluator
-    )
+    off = run_ga(domain, config, make_rng(seed), evaluator=ReferenceEvaluator())
     return on, off
 
 
@@ -122,8 +120,7 @@ class TestVectorTrajectoryEquivalence:
 
 class TestVectorProcessPoolEquivalence:
     @pytest.mark.parametrize("crossover", ["random", "mixed"])
-    @pytest.mark.parametrize("shm", [True, False])
-    def test_pool_vector_matches_object_serial(self, crossover, shm):
+    def test_pool_vector_matches_object_serial(self, crossover):
         domain = HanoiDomain(3)
         config = GAConfig(
             population_size=16,
@@ -132,10 +129,8 @@ class TestVectorProcessPoolEquivalence:
             init_length=10,
             crossover=crossover,
         )
-        with ProcessPoolEvaluator(processes=2, shm=shm) as pool:
-            on, off = run_pair(
-                domain, config, 7, on_evaluator=pool, off_evaluator=SerialEvaluator()
-            )
+        with ProcessPoolEvaluator(processes=2) as pool:
+            on, off = run_pair(domain, config, 7, on_evaluator=pool)
         assert_results_identical(on, off)
 
 
@@ -150,8 +145,9 @@ class TestVectorMultiphaseEquivalence:
         )
         off = run_multiphase(
             domain,
-            MultiPhaseConfig(phase=base.replace(vector_decode=False), max_phases=3),
+            MultiPhaseConfig(phase=base, max_phases=3),
             make_rng(99),
+            evaluator_factory=ReferenceEvaluator,
         )
         assert on.plan == off.plan
         assert on.goal_fitness == off.goal_fitness
@@ -177,7 +173,9 @@ class TestVectorIslandsEquivalence:
             )
 
         on = run_islands(domain, island_config(True), make_rng(5))
-        off = run_islands(domain, island_config(False), make_rng(5))
+        off = run_islands(
+            domain, island_config(None), make_rng(5), evaluator_factory=ReferenceEvaluator
+        )
         assert on.best.sort_key() == off.best.sort_key()
         np.testing.assert_array_equal(on.best.genes, off.best.genes)
         assert on.solved_at_generation == off.solved_at_generation

@@ -211,7 +211,12 @@ class TestSerialVsProcessEquivalence:
         domain = HanoiDomain(3)
         rng = make_rng(seed)
         population = [Individual.random(int(rng.integers(1, 20)), rng) for _ in range(12)]
-        context = EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
+        # vector=False: pool workers would otherwise take the vector walk
+        # (no decode-cache traffic), while the serial list API always runs
+        # the engine.
+        context = EvaluationContext(
+            domain, domain.initial_state, FitnessFunction(domain), vector=False
+        )
 
         serial_metrics = MetricsRegistry()
         serial = SerialEvaluator()

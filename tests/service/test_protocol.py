@@ -128,6 +128,12 @@ class TestParsePlanRequest:
         with pytest.raises(ProtocolError, match=match):
             parse_plan_request(plan_frame(**overrides))
 
+    def test_backend_field_is_unknown(self):
+        # The decode backend is not selectable over the wire; result frames
+        # still report which decode path ran.
+        with pytest.raises(ProtocolError, match="unknown plan fields: backend"):
+            parse_plan_request(plan_frame(vector=True, backend="numpy"))
+
     def test_parse_accepts_decoded_wire_frame(self):
         wire = encode_frame(plan_frame(seed=3, budget=12))
         request = parse_plan_request(decode_frame(wire))

@@ -4,8 +4,6 @@ import time
 
 import pytest
 
-from repro.core.fused_decode import numba_available
-
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer
 from repro.service import (
     DONE,
@@ -317,28 +315,6 @@ class TestDecodeBackendFrames:
     def test_vector_request_reports_resolved_backend(self):
         frames = []
         scheduler = make_scheduler()
-        scheduler.submit(
-            request(vector=True, backend="numpy"), subscriber=frames.append
-        )
-        scheduler.drain()
-        assert frames[-1]["backend"] == "numpy"
-
-    def test_vector_auto_backend_resolves_by_probe(self):
-        frames = []
-        scheduler = make_scheduler()
         scheduler.submit(request(vector=True), subscriber=frames.append)
         scheduler.drain()
-        expected = "fused" if numba_available() else "numpy"
-        assert frames[-1]["backend"] == expected
-
-    @pytest.mark.skipif(numba_available(), reason="numba installed")
-    def test_fused_without_numba_fails_with_error_frame(self):
-        frames = []
-        scheduler = make_scheduler()
-        run = scheduler.submit(
-            request(vector=True, backend="fused"), subscriber=frames.append
-        )
-        scheduler.drain()
-        assert run.state == FAILED
-        assert frames[-1]["type"] == "error"
-        assert "numba" in frames[-1]["message"]
+        assert frames[-1]["backend"] == "numpy"
