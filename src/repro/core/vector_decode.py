@@ -69,7 +69,8 @@ class VectorDecoder:
 
     def __init__(self, kernel: DomainKernel) -> None:
         self.kernel = kernel
-        domain = kernel.domain
+        # The kernel holds its domain weakly; the decoder keeps it alive.
+        self.domain = domain = kernel.domain
         self._has_dkey = (
             type(domain).decode_key is not PlanningDomain.decode_key
         )
@@ -77,10 +78,11 @@ class VectorDecoder:
         self._start_key = None
         self._start_dkey = None
         self._epoch = -1
-        # sid → state_key / decode_key memo for plan reconstruction: keys
-        # are rebuilt from packed rows on every state_key_of call, which
-        # dominates rebuild cost without this (states repeat heavily
-        # across rows and generations).  Cleared whenever the epoch moves.
+        # sid → state_key / decode_key / operations memo for plan
+        # reconstruction, the only one: kernels rebuild keys from packed
+        # rows on every state_key_of call, which dominates rebuild cost
+        # without this (states repeat heavily across rows and
+        # generations).  Cleared whenever the epoch moves.
         self._keys: List[object] = []
         self._dkeys: List[object] = []
         self._ops: List[object] = []
@@ -102,7 +104,7 @@ class VectorDecoder:
         if kernel.overflowed:
             kernel.reset()
             self.kernel_resets += 1
-        domain = kernel.domain
+        domain = self.domain
         start = context.start_state
         start_key = domain.state_key(start)
         if (
@@ -190,7 +192,7 @@ class VectorDecoder:
                 else:
                     # Left-to-right re-accumulation: same rounding as a full
                     # decode (mirrors TransitionCache._resume).
-                    opcost = kernel.domain.operation_cost
+                    opcost = self.domain.operation_cost
                     acc = 0.0
                     for op in plan.operations[:d]:
                         acc += opcost(op)
@@ -229,7 +231,7 @@ class VectorDecoder:
         bad = (gfit < 0.0) | (gfit > 1.0 + 1e-12)
         if bad.any():
             raise ValueError(
-                f"domain {kernel.domain.name!r} returned goal fitness "
+                f"domain {self.domain.name!r} returned goal fitness "
                 f"{float(gfit[bad][0])} outside [0, 1]"
             )
         np.minimum(gfit, 1.0, out=gfit)
@@ -243,10 +245,10 @@ class VectorDecoder:
             # Prefix-served rows: the plan is authoritative; score it with
             # the scalar FitnessFunction arithmetic (identical to the array
             # expression, and these rows were never walked above).
-            g = float(kernel.domain.goal_fitness(plan.final_state))
+            g = float(self.domain.goal_fitness(plan.final_state))
             if not 0.0 <= g <= 1.0 + 1e-12:
                 raise ValueError(
-                    f"domain {kernel.domain.name!r} returned goal fitness "
+                    f"domain {self.domain.name!r} returned goal fitness "
                     f"{g} outside [0, 1]"
                 )
             g = min(g, 1.0)
@@ -373,26 +375,6 @@ class VectorDecoder:
         if ops is _MISSING:
             ops = cache[sid] = self.kernel.operations_of(sid)
         return ops
-
-    def _key_of(self, sid: int):
-        """Memoised ``kernel.state_key_of`` (cleared on epoch change)."""
-        cache = self._keys
-        if sid >= len(cache):
-            cache.extend([_MISSING] * (sid + 1 - len(cache)))
-        key = cache[sid]
-        if key is _MISSING:
-            key = cache[sid] = self.kernel.state_key_of(sid)
-        return key
-
-    def _dkey_of(self, sid: int):
-        """Memoised ``kernel.decode_key_of`` (cleared on epoch change)."""
-        cache = self._dkeys
-        if sid >= len(cache):
-            cache.extend([_MISSING] * (sid + 1 - len(cache)))
-        key = cache[sid]
-        if key is _MISSING:
-            key = cache[sid] = self.kernel.decode_key_of(sid)
-        return key
 
     def _rebuild_plan(
         self,

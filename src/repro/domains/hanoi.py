@@ -182,7 +182,6 @@ class HanoiKernel(DomainKernel):
         won = on_goal.sum(axis=1)
         self._gfit = won / np.float64(domain._total_weight)
         self._gmask = won == domain._total_weight
-        self._ops_cache: dict = {}
 
     # -- DomainKernel surface -------------------------------------------------
 
@@ -232,12 +231,8 @@ class HanoiKernel(DomainKernel):
 
     def operations_of(self, sid: int) -> Sequence[HanoiMove]:
         # Slot order is the _MOVES order filtered to valid — exactly what
-        # valid_operations returns, so delegate and cache the tuple.
-        ops = self._ops_cache.get(sid)
-        if ops is None:
-            ops = tuple(self.domain.valid_operations(self.state_of(sid)))
-            self._ops_cache[sid] = ops
-        return ops
+        # valid_operations returns, so delegate.
+        return tuple(self.domain.valid_operations(self.state_of(sid)))
 
 
 

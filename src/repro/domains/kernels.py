@@ -19,6 +19,15 @@ domains; this module holds what they share:
   kernels beat it by *vectorising* expansion; it exists so irregular
   domains (and tests) can opt into the vector decode path with one line.
 
+Ownership rule: a kernel holds its domain *weakly*
+(:attr:`~repro.protocol.DomainKernel.domain`), and the cache holds the
+domain weakly too, so nothing here keeps a domain alive — a domain's
+kernel (tens to hundreds of MB of tables for the larger puzzles) is freed
+by refcount the moment the last reference to the domain goes.  Whoever
+keeps a kernel keeps its domain: :class:`~repro.core.vector_decode.
+VectorDecoder` stores the domain it was built from, and any other
+long-lived holder of a kernel must do the same.
+
 This module deliberately imports only :mod:`repro.protocol` and numpy —
 never ``repro.core`` — so domain modules can define kernels without import
 cycles.
@@ -49,8 +58,10 @@ def cached_kernel(
 
     ``factory(domain)`` may return ``None`` ("unsupported at this size");
     the negative result is cached too.  Entries die with the domain
-    instance (weak keys), so long-lived processes cycling through many
-    domains don't accumulate tables.
+    instance (weak keys, and kernels refer back to their domain only
+    weakly), so long-lived processes cycling through many domains don't
+    accumulate tables.  The cache never keeps a domain alive: hold the
+    domain for as long as you use its kernel.
     """
     hit = _KERNEL_CACHE.get(domain)
     if hit is not None:

@@ -188,7 +188,6 @@ class CubeKernel(DomainKernel):
         self._succ = np.full((cap, 9), -1, dtype=np.int32)
         self._gfit = np.zeros(cap, dtype=np.float64)
         self._gmask = np.zeros(cap, dtype=bool)
-        self._key_cache: dict = {}
 
     # -- DomainKernel surface -------------------------------------------------
 
@@ -300,15 +299,8 @@ class CubeKernel(DomainKernel):
         return self.state_key_of(sid)
 
     def state_key_of(self, sid: int) -> Hashable:
-        key = self._key_cache.get(sid)
-        if key is None:
-            row = self._packed[sid]
-            key = (
-                tuple(int(x) for x in row[:8]),
-                tuple(int(x) for x in row[8:]),
-            )
-            self._key_cache[sid] = key
-        return key
+        row = self._packed[sid].tolist()
+        return (tuple(row[:8]), tuple(row[8:]))
 
     def decode_key_of(self, sid: int) -> Hashable:
         return 0

@@ -287,7 +287,6 @@ class TileKernel(DomainKernel):
         self._succ = np.full((cap, 4), -1, dtype=np.int32)
         self._gfit = np.zeros(cap, dtype=np.float64)
         self._gmask = np.zeros(cap, dtype=bool)
-        self._key_cache: dict = {}
 
     # -- DomainKernel surface -------------------------------------------------
 
@@ -401,24 +400,14 @@ class TileKernel(DomainKernel):
         return self.state_key_of(sid)
 
     def state_key_of(self, sid: int) -> Hashable:
-        key = self._key_cache.get(sid)
-        if key is None:
-            key = tuple(int(t) for t in self._boards[sid])
-            self._key_cache[sid] = key
-        return key
+        return tuple(self._boards[sid].tolist())
 
     def decode_key_of(self, sid: int) -> Hashable:
         return int(self._blank[sid])
 
     def state_keys_of(self, sids) -> list:
-        # One C-level tolist for the whole batch instead of a per-state
-        # genexpr; feeds the cache so scalar lookups stay consistent.
-        sids = np.asarray(sids, dtype=np.int64)
-        keys = [tuple(b) for b in self._boards[sids].tolist()]
-        cache = self._key_cache
-        for sid, key in zip(sids.tolist(), keys):
-            cache[sid] = key
-        return keys
+        # One C-level tolist for the whole batch instead of one per state.
+        return [tuple(b) for b in self._boards[np.asarray(sids, dtype=np.int64)].tolist()]
 
     def decode_keys_of(self, sids) -> list:
         return self._blank[np.asarray(sids, dtype=np.int64)].tolist()

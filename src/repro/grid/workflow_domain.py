@@ -24,6 +24,7 @@ A plan in this domain *is* an activity-graph construction: see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Hashable, Optional, Sequence, Tuple
 
@@ -194,6 +195,51 @@ class GridWorkflowDomain(PlanningDomain):
 
     def state_key(self, state) -> Hashable:
         return state
+
+    def relaxed_depth(self, state) -> float:
+        """Relaxed parallel steps from *state* until every goal is met.
+
+        Layered fixpoint over ``(dtype, machine)`` pairs ignoring transfer
+        caps, attribute/history constraints and all costs: each layer
+        spreads every reached dtype to every up machine with a live route,
+        and adds a program's output dtypes on every up machine that can
+        host it once its input dtypes are there.  Returns the number of
+        layers until all goal pairs are reached, or ``math.inf`` when the
+        fixpoint misses one — a proof the goal is unreachable, since the
+        relaxation only over-approximates reachability.
+
+        As a search heuristic it is what :func:`~repro.planning.search.
+        heuristics.goal_gap` cannot be on a pipeline: ``goal_fitness`` is
+        flat until the final data type exists, so greedy best-first on the
+        goal gap explores that plateau blind, while every useful step
+        (a transfer towards a host, a stage run) lowers the depth.
+        """
+        onto = self.ontology
+        topo = self.topology
+        up = [m.name for m in topo.up_machines()]
+        reach = {(product.dtype, machine) for product, machine in state
+                 if topo.machines[machine].up}
+        depth = 0
+        while not all(req in reach for req in self.goal):
+            new = set()
+            for dtype, src in reach:
+                volume = onto.volume_of(dtype)
+                for dst in up:
+                    if (dtype, dst) in reach:
+                        continue
+                    if topo.transfer_time(src, dst, volume) is not None:
+                        new.add((dtype, dst))
+            for name in onto.program_names():
+                program = onto.programs[name]
+                for machine in onto.hosts_for(name):
+                    if all((spec.dtype, machine.name) in reach for spec in program.inputs):
+                        new.update((out.dtype, machine.name) for out in program.outputs)
+            new -= reach
+            if not new:
+                return math.inf
+            reach |= new
+            depth += 1
+        return float(depth)
 
     def describe_operation(self, op) -> str:
         return str(op)

@@ -212,6 +212,10 @@ CANONICAL_INSTRUMENTS: Tuple[InstrumentSpec, ...] = (
         "service_warm_misses", "counter", "service", "runs that had to build a cold decode engine"
     ),
     InstrumentSpec(
+        "service_cache_evictions", "counter", "service",
+        "idle engine pairs evicted past the cache's cross-key cap",
+    ),
+    InstrumentSpec(
         "service_latency", "histogram", "service", "wall seconds from submit to final frame"
     ),
     InstrumentSpec(

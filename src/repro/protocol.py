@@ -35,6 +35,7 @@ both exist.
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import Generic, Hashable, Optional, Sequence, TypeVar
 
 __all__ = ["PlanningDomain", "DomainKernel"]
@@ -181,16 +182,37 @@ class DomainKernel(abc.ABC, Generic[S, O]):
     Arrays may be *reallocated* by growth or :meth:`reset`; consumers must
     re-read the properties after any call that can intern states and must
     re-intern ids after a reset (``epoch`` changes).
+
+    Lifetime: the kernel holds its domain *weakly* (see :attr:`domain`),
+    so a kernel cached per domain instance dies with that instance.
     """
 
-    #: The object-API domain this kernel mirrors.
-    domain: "PlanningDomain[S, O]"
     #: Width of the ``succ`` table (max valid operations in any state).
     max_ops: int
     #: True when every operation costs exactly 1.0 (no ``op_cost`` table).
     unit_cost: bool = True
     #: Incremented by :meth:`reset`; interned ids are invalid across epochs.
     epoch: int = 0
+
+    @property
+    def domain(self) -> "PlanningDomain[S, O]":
+        """The object-API domain this kernel mirrors, held by weak reference.
+
+        Ownership rule: the kernel never keeps its domain alive — whoever
+        keeps a kernel must also keep its domain (``VectorDecoder`` stores
+        the domain it was built from).  A strong back-reference would make
+        the kernel, the value in ``cached_kernel``'s weak-keyed cache, pin
+        its own key, so no kernel would ever be freed.  Reading this after
+        the domain died raises ``ReferenceError``.
+        """
+        domain = self._domain_ref()
+        if domain is None:
+            raise ReferenceError(f"{type(self).__name__} outlived its domain")
+        return domain
+
+    @domain.setter
+    def domain(self, domain: "PlanningDomain[S, O]") -> None:
+        self._domain_ref = weakref.ref(domain)
 
     @property
     @abc.abstractmethod

@@ -8,7 +8,10 @@ fresh instance silently cold-starts.  The cache therefore stores the
 domain name and constructor args, and leases whole pairs for a run's
 lifetime — two concurrent same-domain requests get *separate* pairs (no
 shared mutable state mid-run), and a released pair is the next same-domain
-request's warm start.
+request's warm start.  At most :data:`MAX_IDLE_PAIRS` idle pairs are kept
+across all keys; past that the least recently released pair is evicted,
+and its domain (with the kernel tables that die with it) is freed, so
+memory stays bounded when request shapes churn.
 
 Warmth never changes results: the decode engine's exactness contract means
 a warm request computes bit-identical fitness to a cold one, just faster.
@@ -29,7 +32,10 @@ from repro.domains import registry as domain_registry
 from repro.domains.base import PlanningDomain
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["config_hash", "EngineLease", "EngineCache"]
+__all__ = ["config_hash", "EngineLease", "EngineCache", "MAX_IDLE_PAIRS"]
+
+#: Idle pairs kept across all keys; the least recently released goes first.
+MAX_IDLE_PAIRS = 32
 
 
 def config_hash(domain: str, args: Sequence[object] = ()) -> str:
@@ -63,7 +69,9 @@ class EngineCache:
 
     Thread-safe: the run scheduler's worker threads lease and release
     concurrently.  ``max_idle_per_key`` bounds retained pairs per key
-    (excess releases are dropped); ``enabled=False`` turns every lease into
+    (excess releases are dropped) and :data:`MAX_IDLE_PAIRS` bounds them
+    across keys (the least recently released pair is evicted, counted in
+    ``service_cache_evictions``); ``enabled=False`` turns every lease into
     a cold build and every release into a drop — the cold-cache ablation.
     """
 
@@ -80,8 +88,12 @@ class EngineCache:
         self.metrics = metrics
         self.warm_hits = 0
         self.warm_misses = 0
+        self.evictions = 0
+        if metrics is not None:
+            metrics.counter("service_cache_evictions")  # reported from zero
         self._lock = threading.Lock()
-        self._idle: Dict[str, List[Tuple[PlanningDomain, DecodeEngine]]] = {}
+        # Idle (key, domain, engine) triples, least recently released first.
+        self._idle: List[Tuple[str, PlanningDomain, DecodeEngine]] = []
 
     def lease(self, domain_name: str, args: Sequence[object] = ()) -> EngineLease:
         """Check out a pair for *domain_name(args)*, warm when available.
@@ -90,17 +102,19 @@ class EngineCache:
         scheduler turns that into an ``error`` frame.
         """
         key = config_hash(domain_name, args)
-        pair: Optional[Tuple[PlanningDomain, DecodeEngine]] = None
+        entry: Optional[Tuple[str, PlanningDomain, DecodeEngine]] = None
         if self.enabled:
             with self._lock:
-                idle = self._idle.get(key)
-                if idle:
-                    pair = idle.pop()
-        if pair is not None:
+                idle = self._idle
+                for i in range(len(idle) - 1, -1, -1):
+                    if idle[i][0] == key:
+                        entry = idle.pop(i)
+                        break
+        if entry is not None:
             self.warm_hits += 1
             if self.metrics is not None:
                 self.metrics.counter("service_warm_hits").add(1)
-            return EngineLease(key=key, domain=pair[0], engine=pair[1], warm=True)
+            return EngineLease(key=key, domain=entry[1], engine=entry[2], warm=True)
         domain = domain_registry.create(domain_name, *args)
         self.warm_misses += 1
         if self.metrics is not None:
@@ -115,7 +129,8 @@ class EngineCache:
         """Return a lease's pair to the idle pool (idempotent).
 
         With the cache disabled, or when the per-key idle pool is full, the
-        pair is simply dropped.
+        pair is simply dropped; when all keys together hold
+        :data:`MAX_IDLE_PAIRS`, the least recently released pair is evicted.
         """
         if lease.released:
             return
@@ -123,17 +138,27 @@ class EngineCache:
         if not self.enabled:
             return
         with self._lock:
-            idle = self._idle.setdefault(lease.key, [])
-            if len(idle) < self.max_idle_per_key:
-                idle.append((lease.domain, lease.engine))
+            idle = self._idle
+            if sum(1 for entry in idle if entry[0] == lease.key) >= self.max_idle_per_key:
+                return
+            idle.append((lease.key, lease.domain, lease.engine))
+            evicted = len(idle) > MAX_IDLE_PAIRS
+            if evicted:
+                del idle[0]
+                self.evictions += 1
+        if evicted and self.metrics is not None:
+            self.metrics.counter("service_cache_evictions").add(1)
 
     def stats(self) -> dict:
-        """Warm hit/miss totals and current idle-pool occupancy."""
+        """Warm hit/miss and eviction totals and current idle-pool occupancy."""
+        idle: Dict[str, int] = {}
         with self._lock:
-            idle = {key: len(pairs) for key, pairs in self._idle.items() if pairs}
+            for key, _domain, _engine in self._idle:
+                idle[key] = idle.get(key, 0) + 1
         return {
             "enabled": self.enabled,
             "warm_hits": self.warm_hits,
             "warm_misses": self.warm_misses,
+            "evictions": self.evictions,
             "idle": idle,
         }

@@ -30,6 +30,7 @@ the simulated clock, so soak runs stay deterministic in simulated time.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -81,43 +82,14 @@ class ReplanDecision:
 def relaxed_feasible(domain: GridWorkflowDomain, state) -> bool:
     """Cheap relaxed-reachability check: could the goal possibly be reached?
 
-    Fixpoint over ``(dtype, machine)`` pairs ignoring transfer caps,
-    attribute/history constraints and all costs: a dtype spreads to every
-    up machine with a live route from a machine that has it, and a program
-    adds its output dtypes on every up machine that can host it once its
-    input dtypes are present there.  The relaxation only ever
+    The fixpoint of :meth:`GridWorkflowDomain.relaxed_depth` (transfer
+    caps, attribute/history constraints and costs ignored) only ever
     *over*-approximates reachability, so ``False`` is a proof the goal is
     unreachable on the current topology — the ladder sheds immediately
     instead of burning a full search/GA budget discovering the same thing
     the slow way.
     """
-    onto = domain.ontology
-    topo = onto.topology
-    up = [m.name for m in topo.up_machines()]
-    reach = {(product.dtype, machine) for product, machine in state if
-             topo.machines[machine].up}
-    changed = True
-    while changed:
-        changed = False
-        # Transfer closure: spread every reachable dtype over live routes.
-        for dtype, src in list(reach):
-            volume = onto.volume_of(dtype)
-            for dst in up:
-                if dst == src or (dtype, dst) in reach:
-                    continue
-                if topo.transfer_time(src, dst, volume) is not None:
-                    reach.add((dtype, dst))
-                    changed = True
-        # Program closure: run every hostable program whose inputs arrived.
-        for name in onto.program_names():
-            program = onto.programs[name]
-            for machine in onto.hosts_for(name):
-                if all((spec.dtype, machine.name) in reach for spec in program.inputs):
-                    for out in program.outputs:
-                        if (out.dtype, machine.name) not in reach:
-                            reach.add((out.dtype, machine.name))
-                            changed = True
-    return all(req in reach for req in domain.goal)
+    return domain.relaxed_depth(state) < math.inf
 
 
 def _greedy(domain: GridWorkflowDomain, start_state, max_expansions: int = 4_000):

@@ -6,13 +6,16 @@ specialised kernels (Hanoi, sliding tile, pocket cube) are checked by
 random walks through the object API; Hanoi's dense table exhaustively.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import make_rng
 from repro.domains import HanoiDomain, PocketCubeDomain, SlidingTileDomain
 from repro.domains.hanoi import _MAX_KERNEL_DISKS
-from repro.domains.kernels import TableKernel, cached_kernel, grow
+from repro.domains.kernels import _KERNEL_CACHE, TableKernel, cached_kernel, grow
 from repro.domains.pocket_cube import scrambled_state
 
 
@@ -153,3 +156,44 @@ class TestHelpers:
         assert cached_kernel(domain, factory) is None
         assert cached_kernel(domain, factory) is None
         assert len(calls) == 1  # the negative probe is cached too
+
+
+class _TableHanoi(HanoiDomain):
+    """Hanoi served by the generic object-backed kernel."""
+
+    def kernel(self):
+        return cached_kernel(self, TableKernel)
+
+
+class TestKernelLifetime:
+    """A kernel dies with its domain, freed by refcount alone (no GC pass)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: HanoiDomain(5), lambda: SlidingTileDomain(3), PocketCubeDomain,
+         lambda: _TableHanoi(4)],
+        ids=["hanoi", "tile", "cube", "table"],
+    )
+    def test_kernel_freed_with_domain(self, make):
+        gc.collect()
+        before = len(_KERNEL_CACHE)
+        gc.disable()
+        try:
+            domain = make()
+            # Warm the tables through the object API's states first.
+            assert_kernel_matches_domain(domain, random_walk_states(domain, 20, 1))
+            assert len(_KERNEL_CACHE) == before + 1
+            ref = weakref.ref(domain)
+            del domain
+            assert ref() is None
+            assert len(_KERNEL_CACHE) == before
+        finally:
+            gc.enable()
+
+    def test_kernel_does_not_keep_its_domain(self):
+        domain = HanoiDomain(3)
+        kernel = domain.kernel()
+        assert kernel.domain is domain
+        del domain
+        with pytest.raises(ReferenceError):
+            kernel.domain

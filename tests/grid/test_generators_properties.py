@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import make_rng
@@ -29,21 +29,42 @@ class TestRandomGrid:
 
 class TestRandomPipeline:
     @given(st.integers(0, 10_000), st.integers(1, 5))
+    @example(seed=264, n_stages=5)  # goal-gap greedy lost this one on its plateau
     @settings(max_examples=15, deadline=None)
     def test_generated_pipelines_are_plannable_and_executable(self, seed, n_stages):
         """The headline whole-stack property: every generated pipeline can
-        be planned greedily, compiled, and simulated to completion."""
+        be planned greedily, compiled, and simulated to completion.
+
+        Greedy runs on the domain's relaxed depth: the goal gap is flat
+        until the final data type exists, which leaves greedy blind on the
+        longer pipelines."""
         rng = make_rng(seed)
         onto, domain = random_pipeline(rng, n_stages=n_stages)
-        result = greedy_best_first(
-            domain, goal_gap(domain, scale=1000.0), max_expansions=100_000
-        )
+        result = greedy_best_first(domain, domain.relaxed_depth, max_expansions=100_000)
         assert result.solved, f"seed {seed}: pipeline not plannable"
         graph = plan_to_activity_graph(domain, result.plan)
         execution = GridSimulator(onto).execute(graph, domain.initial_state)
         assert execution.success
         assert domain.is_goal(execution.placements)
         assert execution.makespan > 0
+
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    @settings(max_examples=10, deadline=None)
+    def test_relaxed_depth_bounds_plans_and_drops_one_step_at_a_time(self, seed, n_stages):
+        """The relaxed depth never exceeds a real plan's length, a real
+        step lowers it by at most one, and it is zero exactly at the goal."""
+        onto, domain = random_pipeline(make_rng(seed), n_stages=n_stages)
+        result = greedy_best_first(domain, domain.relaxed_depth, max_expansions=100_000)
+        state = domain.initial_state
+        depth = domain.relaxed_depth(state)
+        assert 0 < depth <= len(result.plan)
+        for op in result.plan:
+            state = domain.apply(state, op)
+            nxt = domain.relaxed_depth(state)
+            assert nxt >= depth - 1
+            assert (nxt == 0) == domain.is_goal(state)
+            depth = nxt
+        assert depth == 0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)

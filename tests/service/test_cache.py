@@ -1,9 +1,16 @@
 """Engine-cache tests: warm reuse, pooling bounds, the cold ablation."""
 
+import gc
+import random
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.service import EngineCache, config_hash
+from repro.service.cache import MAX_IDLE_PAIRS
 
 
 class TestConfigHash:
@@ -69,6 +76,7 @@ class TestEngineCache:
             "enabled": False,
             "warm_hits": 0,
             "warm_misses": 2,
+            "evictions": 0,
             "idle": {},
         }
 
@@ -92,3 +100,80 @@ class TestEngineCache:
     def test_bad_pool_bound_rejected(self):
         with pytest.raises(ValueError, match="max_idle_per_key"):
             EngineCache(max_idle_per_key=0)
+
+
+class TestIdleCap:
+    """Idle pairs are bounded across keys, least recently released first."""
+
+    #: 40 distinct configs (Hanoi sizes × goal stakes), past the cap.
+    CONFIGS = [(n, goal) for goal in (1, 2) for n in range(1, 21)]
+
+    def test_churning_keys_keep_idle_bounded_and_free_evicted_domains(self):
+        metrics = MetricsRegistry()
+        cache = EngineCache(metrics=metrics)
+        refs = []
+        for args in self.CONFIGS:
+            lease = cache.lease("hanoi", args)
+            lease.domain.kernel()
+            refs.append(weakref.ref(lease.domain))
+            cache.release(lease)
+            del lease
+            assert sum(cache.stats()["idle"].values()) <= MAX_IDLE_PAIRS
+        evicted = len(self.CONFIGS) - MAX_IDLE_PAIRS
+        assert cache.stats()["evictions"] == evicted
+        assert metrics.counters["service_cache_evictions"].value == evicted
+        gc.collect()
+        # The oldest releases went, and their domains with them.
+        assert [r() is None for r in refs] == [True] * evicted + [False] * MAX_IDLE_PAIRS
+        # The newest survive warm; the evicted ones lease cold again.
+        assert cache.lease("hanoi", self.CONFIGS[-1]).warm is True
+        assert cache.lease("hanoi", self.CONFIGS[0]).warm is False
+
+    def test_counter_reported_before_any_eviction(self):
+        metrics = MetricsRegistry()
+        cache = EngineCache(metrics=metrics)
+        for _ in range(3):
+            cache.release(cache.lease("hanoi", (3,)))
+        assert metrics.counters["service_cache_evictions"].value == 0
+        assert cache.stats()["evictions"] == 0
+
+    def test_concurrent_churn_never_shares_or_loses_a_pair(self):
+        # More threads than cores, a tiny switch interval, 40 keys: every
+        # release is pooled (no per-key drop), so each one is later leased
+        # warm, evicted, or still idle — a lost update breaks the sum.
+        cache = EngineCache(max_idle_per_key=MAX_IDLE_PAIRS + 1)
+        held, held_lock, shared = set(), threading.Lock(), []
+        releases, warm = [0] * 8, [0] * 8
+
+        def churn(t):
+            rng = random.Random(t)
+            for _ in range(150):
+                lease = cache.lease("hanoi", rng.choice(self.CONFIGS))
+                with held_lock:
+                    if id(lease.engine) in held:
+                        shared.append(lease.key)
+                    held.add(id(lease.engine))
+                warm[t] += lease.warm
+                with held_lock:
+                    held.discard(id(lease.engine))
+                cache.release(lease)
+                releases[t] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shared == []
+        stats = cache.stats()
+        idle = sum(stats["idle"].values())
+        assert idle <= MAX_IDLE_PAIRS
+        assert sum(releases) == 8 * 150
+        assert sum(releases) == sum(warm) + stats["evictions"] + idle
+        assert stats["evictions"] > 0
