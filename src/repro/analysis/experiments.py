@@ -11,7 +11,9 @@ regimes:
 ``scale_from_env()`` picks the paper regime when ``REPRO_FULL=1``.
 
 MaxLen assumptions (the paper's MaxLen values are illegible in the source
-scan; recorded in EXPERIMENTS.md):
+scan; recorded in EXPERIMENTS.md).  The rules live beside their domains,
+:func:`repro.domains.hanoi.hanoi_max_len` and
+:func:`repro.domains.sliding_tile.tile_max_len`, and are re-exported here:
 
 - Hanoi: ``MaxLen = 5 * (2**n - 1)`` — five times the optimal length.  The
   paper's reported solution sizes (72.3–628.0 single-phase) exceed small
@@ -23,7 +25,6 @@ scan; recorded in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -40,8 +41,8 @@ from repro.core import (
     run_multiphase,
     spawn_many,
 )
-from repro.domains.hanoi import HanoiDomain
-from repro.domains.sliding_tile import SlidingTileDomain
+from repro.domains.hanoi import HanoiDomain, hanoi_max_len
+from repro.domains.sliding_tile import SlidingTileDomain, tile_init_length, tile_max_len
 
 __all__ = [
     "ExperimentScale",
@@ -60,22 +61,6 @@ __all__ = [
     "run_single_record",
     "run_multi_record",
 ]
-
-
-def hanoi_max_len(n_disks: int) -> int:
-    """MaxLen for the n-disk Hanoi GA: five times the optimal length."""
-    return 5 * (2**n_disks - 1)
-
-
-def tile_max_len(n: int) -> int:
-    """MaxLen for the n×n tile GA: ``2 n^4``."""
-    return 2 * n**4
-
-
-def tile_init_length(n: int) -> int:
-    """Initial individual size ``n² · log2(n²)`` (paper, Section 4.2)."""
-    t = n * n
-    return max(1, int(round(t * math.log2(t))))
 
 
 @dataclass(frozen=True)

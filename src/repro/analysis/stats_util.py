@@ -5,6 +5,12 @@ mean ± t-based confidence intervals, bootstrap intervals, and the
 Mann-Whitney U test (scipy) for comparing GA variants across runs — small
 sample counts and non-normal fitness distributions make the rank test the
 right default.
+
+``scipy.stats`` is imported inside :func:`mean_ci` and :func:`mann_whitney`,
+the only two functions that call it, not at module level.  Every ``repro``
+command imports this module through :mod:`repro.analysis`, and loading scipy
+there made up most of the start-up time and resident memory of
+``repro serve``, which never computes a p-value or a t-quantile.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["MeanCI", "mean_ci", "bootstrap_ci", "mann_whitney", "summarize"]
 
@@ -48,6 +53,8 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> MeanCI:
     sem = float(x.std(ddof=1)) / np.sqrt(x.size)
     if sem == 0.0:
         return MeanCI(mean=m, low=m, high=m, confidence=confidence, n=int(x.size))
+    from scipy import stats as sps
+
     half = float(sps.t.ppf(0.5 + confidence / 2, df=x.size - 1)) * sem
     return MeanCI(mean=m, low=m - half, high=m + half, confidence=confidence, n=int(x.size))
 
@@ -80,6 +87,8 @@ def mann_whitney(
     """Mann-Whitney U: ``(statistic, p_value)`` for samples *a* vs *b*."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be non-empty")
+    from scipy import stats as sps
+
     result = sps.mannwhitneyu(list(a), list(b), alternative=alternative)
     return float(result.statistic), float(result.pvalue)
 

@@ -39,7 +39,6 @@ from repro.analysis import (
     figure2,
     figure3,
     fitness_accuracy_study,
-    hanoi_max_len,
     hanoi_parameter_table,
     maxlen_sweep,
     phase_budget_sweep,
@@ -48,13 +47,13 @@ from repro.analysis import (
     run_tile_table4,
     run_tile_table5,
     seeding_study,
-    tile_init_length,
-    tile_max_len,
     tile_parameter_table,
     weight_sweep,
 )
 from repro.core import GAConfig, GAPlanner
 from repro.domains import registry as domain_registry
+from repro.domains.hanoi import hanoi_max_len
+from repro.domains.sliding_tile import tile_init_length, tile_max_len
 from repro.exp.defaults import ABLATION_SEEDS, PAPER_SEED, SCHEDULE_SEED
 from repro.obs import JsonlSink, MetricsRegistry, ProgressSink, Tracer, observe
 

@@ -745,10 +745,21 @@ class ProcessPoolEvaluator(Evaluator):
             self._zombie_segments.append(segment)
 
     def submit(self, fn: Callable, *args) -> Future:
-        """Run *fn(*args)* on one worker — health probes and fault injection."""
+        """Run *fn(*args)* on one worker — health probes and fault injection.
+
+        A pool whose workers already died raises :class:`WorkerPoolError`,
+        like a broken batch does, so the caller's recovery ladder can
+        restart it.
+        """
         if self._pool is None:
             raise RuntimeError("pool not started; evaluate once or call ensure_started()")
-        return self._pool.submit(fn, *args)
+        try:
+            return self._pool.submit(fn, *args)
+        except BrokenProcessPool as exc:
+            raise WorkerPoolError(
+                "worker pool is broken: a worker process died since the last batch; "
+                "call restart() before submitting more work"
+            ) from exc
 
     def cache_info(self) -> Optional[Tuple[int, int]]:
         """Aggregated worker-side decode-cache stats (instrumented runs only)."""

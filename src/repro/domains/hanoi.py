@@ -34,6 +34,7 @@ __all__ = [
     "HanoiMove",
     "HanoiDomain",
     "HanoiKernel",
+    "hanoi_max_len",
     "hanoi_strips_problem",
     "optimal_hanoi_moves",
 ]
@@ -234,6 +235,10 @@ class HanoiKernel(DomainKernel):
         # valid_operations returns, so delegate.
         return tuple(self.domain.valid_operations(self.state_of(sid)))
 
+
+def hanoi_max_len(n_disks: int) -> int:
+    """MaxLen for the n-disk Hanoi GA: five times the optimal length."""
+    return 5 * (2**n_disks - 1)
 
 
 def optimal_hanoi_moves(n_disks: int, src: int = 0, dst: int = 1) -> list:

@@ -19,6 +19,7 @@ State representation: a flat tuple of length ``n²`` in row-major order, with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
@@ -35,6 +36,8 @@ __all__ = [
     "is_solvable",
     "reversed_start",
     "random_solvable_start",
+    "tile_init_length",
+    "tile_max_len",
 ]
 
 #: Slide directions: the *blank* moves this way (the tile moves opposite).
@@ -62,6 +65,17 @@ _MOVES = {name: TileMove(name) for name, _, _ in DIRECTIONS}
 def goal_tuple(n: int) -> tuple:
     """The canonical goal ``(1, ..., n²-1, 0)``."""
     return tuple(range(1, n * n)) + (0,)
+
+
+def tile_max_len(n: int) -> int:
+    """MaxLen for the n×n tile GA: ``2 n^4``."""
+    return 2 * n**4
+
+
+def tile_init_length(n: int) -> int:
+    """Initial individual size ``n² · log2(n²)`` (paper, Section 4.2)."""
+    t = n * n
+    return max(1, int(round(t * math.log2(t))))
 
 
 def reversed_start(n: int) -> tuple:

@@ -31,6 +31,8 @@ from repro.core.config import GAConfig
 from repro.core.ga import GARun
 from repro.core.parallel import SerialEvaluator
 from repro.core.portfolio import canonical_events
+from repro.domains.hanoi import hanoi_max_len
+from repro.domains.sliding_tile import tile_init_length, tile_max_len
 from repro.obs.events import (
     IncumbentImproved,
     ServiceAdmitted,
@@ -95,16 +97,14 @@ def default_max_len(domain: str, size: int) -> Optional[int]:
     """The service's derived plan-length bound, or ``None`` if unknown.
 
     Mirrors ``repro solve``: hanoi and tile get the paper-calibrated bounds
-    from :mod:`repro.analysis.experiments`; other domains must send an
-    explicit ``max_len``.
+    :func:`~repro.domains.hanoi.hanoi_max_len` and
+    :func:`~repro.domains.sliding_tile.tile_max_len` from the domain layer,
+    so the service never imports the experiment drivers; other domains must
+    send an explicit ``max_len``.
     """
     if domain == "hanoi":
-        from repro.analysis.experiments import hanoi_max_len
-
         return hanoi_max_len(size)
     if domain == "tile":
-        from repro.analysis.experiments import tile_max_len
-
         return tile_max_len(size)
     return None
 
@@ -364,8 +364,6 @@ class RunScheduler:
         if request.domain == "hanoi":
             init_length = lease.domain.optimal_length
         elif request.domain == "tile":
-            from repro.analysis.experiments import tile_init_length
-
             init_length = tile_init_length(request.size)
         kwargs = dict(max_len=max_len)
         if init_length is not None:

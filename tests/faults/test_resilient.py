@@ -5,6 +5,8 @@ These spawn process pools and kill/wedge real workers (``os._exit``,
 path; run them with ``pytest -m chaos``.
 """
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.core import (
@@ -18,6 +20,7 @@ from repro.core import (
 from repro.core.fitness import FitnessFunction
 from repro.core.ga import initial_population
 from repro.core.parallel import EvaluationContext, Evaluator, ProcessPoolEvaluator
+from repro.core.resilient import _injected_worker_crash
 from repro.domains import HanoiDomain
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.sinks import MemoryRecorder
@@ -105,6 +108,35 @@ class TestKillResilience:
         assert "WorkerPoolError" in retries[0].reason
         assert metrics.counter("retries").value >= 1
         assert metrics.counter("degradations").value == 0
+
+
+def break_pool(pool, ctx):
+    """Kill one of *pool*'s workers and wait until the executor notices."""
+    pool.ensure_started(ctx)
+    with pytest.raises(BrokenProcessPool):
+        pool.submit(_injected_worker_crash).result(timeout=60)
+
+
+@pytest.mark.chaos
+class TestBrokenBetweenBatches:
+    """A worker can die after its batch returned: the next batch finds the
+    pool already broken before it dispatches anything."""
+
+    def test_submit_on_broken_pool_raises_worker_pool_error(self, ctx):
+        with ProcessPoolEvaluator(processes=2) as pool:
+            break_pool(pool, ctx)
+            with pytest.raises(WorkerPoolError, match="restart"):
+                pool.submit(_injected_worker_crash)
+
+    def test_injection_into_broken_pool_retries_without_degrading(self, cfg, ctx):
+        expected = expected_fitness(cfg, ctx)
+        pop = initial_population(cfg, make_rng(3))
+        policy = ResiliencePolicy(retry_max=2, eval_timeout_s=30.0, **NO_SLEEP)
+        with ResilientEvaluator(policy=policy, worker_crashes=2) as ev:
+            break_pool(ev.inner, ctx)
+            ev.evaluate(pop, ctx)
+            assert [ind.fitness.total for ind in pop] == expected
+            assert not ev.degraded
 
 
 @pytest.mark.chaos
