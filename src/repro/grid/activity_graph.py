@@ -12,10 +12,8 @@ then free to execute concurrently under the coordination service.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.grid.data import DataProduct
 from repro.grid.workflow_domain import GridWorkflowDomain, RunProgram, Transfer
@@ -44,23 +42,37 @@ class Activity:
 
 
 class ActivityGraph:
-    """A validated DAG of activities over a grid domain."""
+    """A validated DAG of activities over a grid domain.
+
+    Each activity keeps its successor and predecessor ids in the order the
+    edges were added, which is the order networkx's ``nx.DiGraph`` keeps
+    them in; :meth:`topological_order` walks them as ``nx.topological_sort``
+    does, so orders (and the simulations seeded from them) match networkx.
+    """
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
         self._by_id: Dict[int, Activity] = {}
+        self._succ: Dict[int, List[int]] = {}
+        self._pred: Dict[int, List[int]] = {}
 
     def add(self, activity: Activity, depends_on: Sequence[int] = ()) -> None:
+        """Register *activity* after the existing activities it depends on.
+
+        Every dependency is checked before anything is registered, so a
+        rejected add leaves the graph unchanged.  Each edge runs from an
+        existing activity to the new one, so the graph stays acyclic.
+        """
         if activity.id in self._by_id:
             raise ValueError(f"duplicate activity id {activity.id}")
-        self._by_id[activity.id] = activity
-        self.graph.add_node(activity.id)
-        for dep in depends_on:
+        deps = list(dict.fromkeys(depends_on))
+        for dep in deps:
             if dep not in self._by_id:
                 raise ValueError(f"activity {activity.id} depends on unknown activity {dep}")
-            self.graph.add_edge(dep, activity.id)
-        if not nx.is_directed_acyclic_graph(self.graph):  # pragma: no cover - defensive
-            raise ValueError("activity graph acquired a cycle")
+        self._by_id[activity.id] = activity
+        self._succ[activity.id] = []
+        self._pred[activity.id] = deps
+        for dep in deps:
+            self._succ[dep].append(activity.id)
 
     def activity(self, activity_id: int) -> Activity:
         return self._by_id[activity_id]
@@ -69,10 +81,31 @@ class ActivityGraph:
         return [self._by_id[i] for i in sorted(self._by_id)]
 
     def topological_order(self) -> List[Activity]:
-        return [self._by_id[i] for i in nx.topological_sort(self.graph)]
+        """Kahn levels in insertion order (networkx's ``topological_generations``)."""
+        indegree = {aid: len(preds) for aid, preds in self._pred.items()}
+        level = [aid for aid, n in indegree.items() if n == 0]
+        order: List[int] = []
+        while level:
+            order.extend(level)
+            next_level = []
+            for aid in level:
+                for child in self._succ[aid]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        next_level.append(child)
+            level = next_level
+        return [self._by_id[i] for i in order]
 
     def predecessors(self, activity_id: int) -> List[int]:
-        return sorted(self.graph.predecessors(activity_id))
+        return sorted(self._pred[activity_id])
+
+    def successors(self, activity_id: int) -> List[int]:
+        """Dependent activity ids, in the order their edges were added."""
+        return list(self._succ[activity_id])
+
+    def edges(self) -> List[Tuple[int, int]]:
+        """``(dependency, dependent)`` pairs, grouped by dependency in insertion order."""
+        return [(src, dst) for src, dsts in self._succ.items() for dst in dsts]
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -81,9 +114,7 @@ class ActivityGraph:
         """Longest path through the DAG under *duration_of(activity)*."""
         longest: Dict[int, float] = {}
         for act in self.topological_order():
-            base = max(
-                (longest[p] for p in self.graph.predecessors(act.id)), default=0.0
-            )
+            base = max((longest[p] for p in self._pred[act.id]), default=0.0)
             longest[act.id] = base + duration_of(act)
         return max(longest.values(), default=0.0)
 
@@ -140,7 +171,7 @@ def to_dot(graph: ActivityGraph) -> str:
         shape = "box" if act.kind == "run" else "ellipse"
         label = str(act.op).replace('"', "'")
         lines.append(f'  a{act.id} [shape={shape}, label="{label}"];')
-    for src, dst in graph.graph.edges:
+    for src, dst in graph.edges():
         lines.append(f"  a{src} -> a{dst};")
     lines.append("}")
     return "\n".join(lines)
@@ -155,7 +186,7 @@ def activity_graph_to_dag_problem(graph: ActivityGraph, ontology) -> "object":
     property of the route, not of a host).  Edge communication volumes come
     from the produced placements' data types.
     """
-    import numpy as np
+    import networkx as nx
 
     from repro.scheduling.dag import DagProblem
 
@@ -182,7 +213,7 @@ def activity_graph_to_dag_problem(graph: ActivityGraph, ontology) -> "object":
         compute[act.id] = row
 
     comm: dict = {}
-    for src, dst in graph.graph.edges:
+    for src, dst in graph.edges():
         produced = graph.activity(src).produces
         volume = sum(ontology.volume_of(p.dtype) for p, _m in produced)
         # Worst-case inter-site estimate: slowest pairwise route.
@@ -194,4 +225,7 @@ def activity_graph_to_dag_problem(graph: ActivityGraph, ontology) -> "object":
         ]
         finite = [t for t in times if t is not None]
         comm[(src, dst)] = max(finite) if finite else 0.0
-    return DagProblem(graph=graph.graph.copy(), compute=compute, comm=comm, machines=machines)
+    dag = nx.DiGraph()
+    dag.add_nodes_from(graph._by_id)
+    dag.add_edges_from(graph.edges())
+    return DagProblem(graph=dag, compute=compute, comm=comm, machines=machines)

@@ -10,10 +10,8 @@ alternative sites capable of executing program P at lower costs").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Optional, Tuple
-
-import networkx as nx
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Machine", "Site", "Link", "GridTopology"]
 
@@ -100,18 +98,57 @@ class Link:
             raise ValueError(f"link {self.a}-{self.b}: latency must be non-negative")
 
 
+def _bidirectional_pred_succ(adj: Dict[str, Dict[str, Link]], source: str, target: str):
+    """BFS from both ends that meets in the middle (networkx's helper).
+
+    Grows the smaller fringe one level at a time, visiting neighbours in
+    adjacency order, and stops at the first node both searches reached.
+    Returns ``(pred, succ, meet)`` or ``None`` when no path exists;
+    *source* and *target* differ.
+    """
+    pred: Dict[str, Optional[str]] = {source: None}
+    succ: Dict[str, Optional[str]] = {target: None}
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for v in level:
+                for w in adj[v]:
+                    if w not in pred:
+                        forward.append(w)
+                        pred[w] = v
+                    if w in succ:
+                        return pred, succ, w
+        else:
+            level, reverse = reverse, []
+            for v in level:
+                for w in adj[v]:
+                    if w not in succ:
+                        succ[w] = v
+                        reverse.append(w)
+                    if w in pred:
+                        return pred, succ, w
+    return None
+
+
 class GridTopology:
     """The grid: sites, machines, and inter-site links.
 
     Intra-site transfers use a configurable (fast) local bandwidth.
     Machine lookups are by name; iteration order is sorted by name so that
     planning operations ground deterministically.
+
+    Links live in an adjacency dict ``{site: {site: Link}}`` whose entries
+    are inserted, overwritten and deleted in the order networkx's
+    ``nx.Graph`` would; :meth:`_route` walks it exactly as
+    ``nx.shortest_path`` does, so routes (and the floats taken from them)
+    match networkx tie for tie.
     """
 
     def __init__(self, local_bandwidth_mbps: float = 10_000.0) -> None:
         self.sites: Dict[str, Site] = {}
         self.machines: Dict[str, Machine] = {}
-        self._graph = nx.Graph()
+        self._adj: Dict[str, Dict[str, Link]] = {}
         self.local_bandwidth_mbps = local_bandwidth_mbps
         # Pristine Link records for currently degraded/partitioned site
         # pairs, keyed by the sorted pair — what restore_link reinstates.
@@ -123,7 +160,7 @@ class GridTopology:
         if site.name in self.sites:
             raise ValueError(f"duplicate site {site.name!r}")
         self.sites[site.name] = site
-        self._graph.add_node(site.name)
+        self._adj[site.name] = {}
         return self
 
     def add_machine(self, machine: Machine) -> "GridTopology":
@@ -138,8 +175,13 @@ class GridTopology:
         for s in (link.a, link.b):
             if s not in self.sites:
                 raise ValueError(f"link references unknown site {s!r}")
-        self._graph.add_edge(link.a, link.b, link=link)
+        self._set_link(link.a, link.b, link)
         return self
+
+    def _set_link(self, site_a: str, site_b: str, link: Link) -> None:
+        # Overwriting keeps an entry's position; a new pair goes last.
+        self._adj[site_a][site_b] = link
+        self._adj[site_b][site_a] = link
 
     # -- queries -------------------------------------------------------------
 
@@ -148,12 +190,50 @@ class GridTopology:
 
     def link_pairs(self) -> list:
         """Sorted site pairs that have (or had, while faulted) a link."""
-        pairs = {tuple(sorted(edge)) for edge in self._graph.edges}
+        pairs = {tuple(sorted((a, b))) for a, nbrs in self._adj.items() for b in nbrs}
         pairs.update(self._pristine_links)
         return sorted(pairs)
 
     def up_machines(self) -> list:
         return [self.machines[n] for n in self.machine_names() if self.machines[n].up]
+
+    def _route(self, source: str, target: str) -> Optional[List[str]]:
+        """Fewest-hop site path from *source* to *target*, ``None`` if cut off.
+
+        A port of networkx 3.6's ``bidirectional_shortest_path``.
+        """
+        met = _bidirectional_pred_succ(self._adj, source, target)
+        if met is None:
+            return None
+        pred, succ, node = met
+        path: List[str] = []
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[path[-1]]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
+
+    def _route_links(self, src_machine: str, dst_machine: str) -> Optional[List[Link]]:
+        """Links along the route between two machines' sites (``[]`` if same site)."""
+        src = self.machines[src_machine].site
+        dst = self.machines[dst_machine].site
+        if src == dst:
+            return []
+        path = self._route(src, dst)
+        if path is None:
+            return None
+        return [self._adj[a][b] for a, b in zip(path, path[1:])]
+
+    def _bandwidth_of(self, links: List[Link]) -> float:
+        return min([self.local_bandwidth_mbps, *(link.bandwidth_mbps for link in links)])
+
+    @staticmethod
+    def _latency_of(links: List[Link]) -> float:
+        return sum((link.latency_s for link in links), 0.0)
 
     def bandwidth(self, src_machine: str, dst_machine: str) -> Optional[float]:
         """Path bandwidth (bottleneck) between two machines, Mbit/s.
@@ -161,32 +241,13 @@ class GridTopology:
         ``None`` when no path exists.  Same-machine transfers are free and
         report local bandwidth.
         """
-        src = self.machines[src_machine]
-        dst = self.machines[dst_machine]
-        if src.site == dst.site:
-            return self.local_bandwidth_mbps
-        try:
-            path = nx.shortest_path(self._graph, src.site, dst.site)
-        except nx.NetworkXNoPath:
-            return None
-        bw = self.local_bandwidth_mbps
-        for a, b in zip(path, path[1:]):
-            bw = min(bw, self._graph.edges[a, b]["link"].bandwidth_mbps)
-        return bw
+        links = self._route_links(src_machine, dst_machine)
+        return None if links is None else self._bandwidth_of(links)
 
     def latency(self, src_machine: str, dst_machine: str) -> Optional[float]:
         """Total path latency in seconds (0 for same-site)."""
-        src = self.machines[src_machine]
-        dst = self.machines[dst_machine]
-        if src.site == dst.site:
-            return 0.0
-        try:
-            path = nx.shortest_path(self._graph, src.site, dst.site)
-        except nx.NetworkXNoPath:
-            return None
-        return sum(
-            self._graph.edges[a, b]["link"].latency_s for a, b in zip(path, path[1:])
-        )
+        links = self._route_links(src_machine, dst_machine)
+        return None if links is None else self._latency_of(links)
 
     def transfer_time(self, src_machine: str, dst_machine: str, volume_mb: float) -> Optional[float]:
         """Seconds to move *volume_mb* megabytes between two machines."""
@@ -194,11 +255,10 @@ class GridTopology:
             raise ValueError(f"volume must be non-negative, got {volume_mb}")
         if src_machine == dst_machine:
             return 0.0
-        bw = self.bandwidth(src_machine, dst_machine)
-        lat = self.latency(src_machine, dst_machine)
-        if bw is None or lat is None:
+        links = self._route_links(src_machine, dst_machine)
+        if links is None:
             return None
-        return lat + (volume_mb * 8.0) / bw
+        return self._latency_of(links) + (volume_mb * 8.0) / self._bandwidth_of(links)
 
     # -- mutation (dynamic events) -------------------------------------------
 
@@ -238,9 +298,7 @@ class GridTopology:
         return tuple(sorted((site_a, site_b)))  # type: ignore[return-value]
 
     def _current_link(self, key: Tuple[str, str]) -> Optional[Link]:
-        if self._graph.has_edge(*key):
-            return self._graph.edges[key]["link"]
-        return None
+        return self._adj[key[0]].get(key[1])
 
     def degrade_link(self, site_a: str, site_b: str, factor: float) -> None:
         """Divide the link's bandwidth by *factor* (> 1)."""
@@ -252,7 +310,7 @@ class GridTopology:
             raise ValueError(f"no link between {site_a!r} and {site_b!r}")
         self._pristine_links.setdefault(key, link)
         degraded = replace(link, bandwidth_mbps=link.bandwidth_mbps / factor)
-        self._graph.edges[key]["link"] = degraded
+        self._set_link(*key, degraded)
 
     def partition_link(self, site_a: str, site_b: str) -> None:
         """Remove the link entirely until :meth:`restore_link`."""
@@ -263,7 +321,8 @@ class GridTopology:
                 raise ValueError(f"no link between {site_a!r} and {site_b!r}")
             return  # already partitioned
         self._pristine_links.setdefault(key, link)
-        self._graph.remove_edge(*key)
+        del self._adj[key[0]][key[1]]
+        self._adj[key[1]].pop(key[0], None)  # a self-loop has one entry
 
     def restore_link(self, site_a: str, site_b: str) -> None:
         """Undo any degradation/partition, reinstating the pristine link."""
@@ -271,4 +330,4 @@ class GridTopology:
         pristine = self._pristine_links.pop(key, None)
         if pristine is None:
             return  # never faulted — nothing to do
-        self._graph.add_edge(key[0], key[1], link=pristine)
+        self._set_link(*key, pristine)

@@ -310,7 +310,7 @@ class GridSimulator:
                         status="done",
                     )
                 )
-                for succ in graph.graph.successors(aid):
+                for succ in graph.successors(aid):
                     remaining_deps[succ] -= 1
                     if remaining_deps[succ] == 0:
                         enqueue(graph.activity(succ), now)

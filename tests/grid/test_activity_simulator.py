@@ -3,6 +3,8 @@
 import pytest
 
 from repro.grid import (
+    Activity,
+    ActivityGraph,
     GridEvent,
     GridSimulator,
     RunProgram,
@@ -63,6 +65,19 @@ class TestActivityGraph:
         )
         ag = plan_to_activity_graph(domain, plan)
         assert ag.predecessors(0) == [] and ag.predecessors(1) == []
+
+    @pytest.mark.parametrize("deps", [(0, 7), (2,), (1, 2)], ids=["unknown", "self", "self-late"])
+    def test_rejected_add_leaves_graph_unchanged(self, deps):
+        ag = ActivityGraph()
+        for aid, before in ((0, ()), (1, (0,))):
+            ag.add(Activity(id=aid, kind="run", op=aid, consumes=(), produces=()), before)
+        snapshot = (len(ag), ag.edges(), [a.id for a in ag.topological_order()])
+        new = Activity(id=2, kind="run", op=2, consumes=(), produces=())
+        with pytest.raises(ValueError, match="unknown activity"):
+            ag.add(new, depends_on=deps)
+        assert (len(ag), ag.edges(), [a.id for a in ag.topological_order()]) == snapshot
+        ag.add(new, depends_on=(1,))  # the same id is still free
+        assert ag.edges() == [(0, 1), (1, 2)]
 
 
 class TestSimulator:

@@ -25,7 +25,7 @@ class TestToDot:
 
         assert dot.count("[shape=") == len(ag)
         edges = re.findall(r"^  a\d+ -> a\d+;$", dot, flags=re.MULTILINE)
-        assert len(edges) == ag.graph.number_of_edges()
+        assert len(edges) == len(ag.edges())
 
     def test_node_shapes_by_kind(self, graph):
         domain, ag = graph
