@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -179,7 +180,10 @@ class ResilientEvaluator(Evaluator):
         pool.ensure_started(context)
         if self._pending_crashes > 0:
             self._pending_crashes -= 1
-            pool.submit(_injected_worker_crash)
+            # Wait for the pool to see the death (the crash future then fails
+            # with BrokenProcessPool), so the batch meets a broken pool
+            # instead of racing the kill on the surviving workers.
+            wait([pool.submit(_injected_worker_crash)], timeout=self.policy.eval_timeout_s)
         elif self._pending_hangs > 0:
             self._pending_hangs -= 1
             pool.submit(_injected_worker_hang, self._hang_seconds)

@@ -10,6 +10,9 @@ domains; this module holds what they share:
   evaluators) share warm tables.  The cache is external to the domain on
   purpose: domains are pickled to process-pool workers, and a kernel held
   in an attribute would ship megabytes of tables with every pool start.
+- :func:`intern_rows` — the packed kernels' one intern loop: a batch of
+  ``uint8`` rows becomes ids through a dict keyed by each row's packed
+  int, the same int their domains' ``state_key`` returns.
 - :class:`TableKernel` — a generic, object-backed
   :class:`~repro.protocol.DomainKernel` for *any* domain with hashable
   state keys.  It builds its tables by calling the object API
@@ -42,7 +45,7 @@ import numpy as np
 
 from repro.protocol import DomainKernel, PlanningDomain
 
-__all__ = ["TableKernel", "cached_kernel", "grow"]
+__all__ = ["TableKernel", "cached_kernel", "grow", "intern_rows"]
 
 
 #: domain instance -> its kernel (or None for "probed, unsupported").
@@ -86,6 +89,39 @@ def grow(arr: np.ndarray, needed: int, fill=None) -> np.ndarray:
     if fill is not None:
         out[cap:] = fill
     return out
+
+
+def intern_rows(
+    ids: dict, keys: list, rows: np.ndarray, admit: Callable[[np.ndarray], None]
+) -> np.ndarray:
+    """Ids for a ``(m, w)`` uint8 row batch, admitting unseen rows in bulk.
+
+    A row's key is ``int.from_bytes(row, "little")``: one Python int per
+    state that the *ids* dict (key → id) and the id-indexed *keys* list
+    share, and that the kernel serves as the state key, so plans and
+    memos hold the same object rather than a copy.  Unseen rows get the
+    next ids in row order (a row repeated within the batch is admitted
+    once); ``admit(new_rows)`` is then called once with them, after
+    *keys* has grown, so the new ids are ``len(keys) - len(new_rows)``
+    onwards.
+    """
+    width = rows.shape[1]
+    data = rows.tobytes()
+    from_bytes = int.from_bytes
+    get = ids.get
+    out: list = []
+    new_rows: list = []
+    for i, off in enumerate(range(0, len(data), width)):
+        key = from_bytes(data[off : off + width], "little")
+        sid = get(key)
+        if sid is None:
+            sid = ids[key] = len(keys)
+            keys.append(key)
+            new_rows.append(i)
+        out.append(sid)
+    if new_rows:
+        admit(rows[new_rows])
+    return np.array(out, dtype=np.int64)
 
 
 class TableKernel(DomainKernel):

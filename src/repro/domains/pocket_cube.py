@@ -10,6 +10,9 @@ held fixed — only U, R and F face turns are generated, which never move it
 — so whole-cube rotations are modded out and the solved state is unique.
 
 State: ``(cp, co)`` — two 8-tuples (corner permutation and orientation).
+Its key is the 16 values ``cp ‖ co`` packed one byte each into a Python
+int, ``int.from_bytes(bytes((*cp, *co)), "little")`` — the same int the
+kernel computes from its packed ``uint8`` rows.
 Moves: U, U', U2, R, R', R2, F, F', F2 — all nine valid in every state, so
 the gene→operation mapping is state-independent (``decode_key`` is
 constant and state-aware crossover always finds matches).
@@ -22,7 +25,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.domains.kernels import cached_kernel, grow
+from repro.domains.kernels import cached_kernel, grow, intern_rows
 from repro.protocol import DomainKernel, PlanningDomain
 
 __all__ = ["CubeMove", "CubeKernel", "PocketCubeDomain", "scrambled_state"]
@@ -128,8 +131,10 @@ class PocketCubeDomain(PlanningDomain):
     def is_goal(self, state) -> bool:
         return state == (_SOLVED_CP, _SOLVED_CO)
 
-    def state_key(self, state) -> Hashable:
-        return state
+    def state_key(self, state) -> int:
+        """``cp ‖ co`` packed one byte per value into an int (little-endian)."""
+        cp, co = state
+        return int.from_bytes(bytes((*cp, *co)), "little")
 
     def decode_key(self, state) -> Hashable:
         # The move set is state-independent: all states decode identically.
@@ -153,6 +158,8 @@ class CubeKernel(DomainKernel):
     by applying the move to an identity-labelled cube, so a batch of
     states advances with two gathers and a mod-3 add.  All nine moves are
     always valid (``valid_count`` ≡ 9); only successor interning is lazy.
+    States are indexed by their packed int key, held once and served as
+    the state key (:func:`~repro.domains.kernels.intern_rows`).
     """
 
     def __init__(self, domain: PocketCubeDomain, max_states: int = 400_000) -> None:
@@ -181,8 +188,8 @@ class CubeKernel(DomainKernel):
 
     def _init_tables(self) -> None:
         cap = 1024
-        self._ids = {}
-        self._count = 0
+        self._ids: dict = {}  # packed int key -> id
+        self._keys: list = []  # id -> packed int key
         self._packed = np.zeros((cap, 16), dtype=np.uint8)  # cp ‖ co
         self._vc = np.full(cap, 9, dtype=np.int32)
         self._succ = np.full((cap, 9), -1, dtype=np.int32)
@@ -193,7 +200,7 @@ class CubeKernel(DomainKernel):
 
     @property
     def n_states(self) -> int:
-        return self._count
+        return len(self._keys)
 
     @property
     def valid_count(self) -> np.ndarray:
@@ -213,7 +220,7 @@ class CubeKernel(DomainKernel):
 
     @property
     def overflowed(self) -> bool:
-        return self._count > self.max_states
+        return len(self._keys) > self.max_states
 
     def reset(self) -> None:
         self._init_tables()
@@ -225,34 +232,14 @@ class CubeKernel(DomainKernel):
         return np.asarray(tuple(cp) + tuple(co), dtype=np.uint8)
 
     def intern(self, state) -> int:
-        return int(self._intern_batch(self._pack(state)[None, :])[0])
+        return int(intern_rows(self._ids, self._keys, self._pack(state)[None, :], self._admit)[0])
 
     def id_for_key(self, key: Hashable) -> Optional[int]:
-        return self._ids.get(self._pack(key).tobytes())
-
-    def _intern_batch(self, packed: np.ndarray) -> np.ndarray:
-        m = packed.shape[0]
-        out = np.empty(m, dtype=np.int64)
-        new_rows: list = []
-        ids = self._ids
-        count = self._count
-        for i in range(m):
-            key = packed[i].tobytes()
-            sid = ids.get(key)
-            if sid is None:
-                sid = count
-                count += 1
-                ids[key] = sid
-                new_rows.append(i)
-            out[i] = sid
-        if new_rows:
-            self._admit(packed[new_rows])
-            self._count = count
-        return out
+        return self._ids.get(key)
 
     def _admit(self, rows: np.ndarray) -> None:
-        start = self._count
-        needed = start + rows.shape[0]
+        needed = len(self._keys)
+        start = needed - rows.shape[0]
         self._packed = grow(self._packed, needed)
         self._vc = grow(self._vc, needed, fill=9)
         self._succ = grow(self._succ, needed, fill=-1)
@@ -290,17 +277,20 @@ class CubeKernel(DomainKernel):
             co = src[sel, 8:]
             out[sel, :8] = cp[:, perm]
             out[sel, 8:] = (co[:, perm] + self._twists[m][None, :]) % 3
-        nids = self._intern_batch(out)
+        nids = intern_rows(self._ids, self._keys, out, self._admit)
         self._succ[uids, uslots] = nids
 
     # -- reconstruction -------------------------------------------------------
 
     def state_of(self, sid: int):
-        return self.state_key_of(sid)
-
-    def state_key_of(self, sid: int) -> Hashable:
         row = self._packed[sid].tolist()
         return (tuple(row[:8]), tuple(row[8:]))
+
+    def state_key_of(self, sid: int) -> int:
+        return self._keys[sid]
+
+    def state_keys_of(self, sids) -> list:
+        return list(map(self._keys.__getitem__, np.asarray(sids, dtype=np.int64).tolist()))
 
     def decode_key_of(self, sid: int) -> Hashable:
         return 0

@@ -14,7 +14,10 @@ from the goal iff it is an even permutation, adjusted for the blank's row on
 even-width boards.
 
 State representation: a flat tuple of length ``n²`` in row-major order, with
-``0`` denoting the blank; the goal is ``(1, 2, ..., n²-1, 0)``.
+``0`` denoting the blank; the goal is ``(1, 2, ..., n²-1, 0)``.  The state
+key is that tuple packed one byte per cell into a Python int,
+``int.from_bytes(bytes(state), "little")`` — the same int the kernel
+computes from its ``uint8`` board rows, so boards go up to 16×16.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.domains.kernels import cached_kernel, grow
+from repro.domains.kernels import cached_kernel, grow, intern_rows
 from repro.protocol import DomainKernel, PlanningDomain
 
 __all__ = [
@@ -144,8 +147,8 @@ class SlidingTileDomain(PlanningDomain):
         goal: Optional[Sequence[int]] = None,
         check_solvable: bool = True,
     ) -> None:
-        if n < 2:
-            raise ValueError(f"board must be at least 2×2, got n={n}")
+        if not 2 <= n <= 16:
+            raise ValueError(f"board must be 2×2 to 16×16 (a byte per cell), got n={n}")
         self.n = n
         self._goal = tuple(goal) if goal is not None else goal_tuple(n)
         self._initial = tuple(initial) if initial is not None else reversed_start(n)
@@ -222,8 +225,9 @@ class SlidingTileDomain(PlanningDomain):
     def is_goal(self, state) -> bool:
         return state == self._goal
 
-    def state_key(self, state) -> Hashable:
-        return state
+    def state_key(self, state) -> int:
+        """The board packed one byte per cell into an int (little-endian)."""
+        return int.from_bytes(bytes(state), "little")
 
     def decode_key(self, state) -> Hashable:
         """Gene→operation mapping depends only on the blank position.
@@ -243,14 +247,17 @@ class SlidingTileDomain(PlanningDomain):
 class TileKernel(DomainKernel):
     """Packed-board kernel for the sliding tile: lazy, vectorised expansion.
 
-    States intern to rows of a ``uint8`` board matrix keyed by their raw
-    bytes (GC-untrackable, unlike tuple keys — tile4's random walks made
-    the object engine's retained tables a cyclic-GC scan burden).  The
-    valid-operation *count* and goal arrays are filled at intern time from
-    the blank position alone; successors materialise in bulk only for the
-    ``(state, slot)`` pairs genes actually select, via row copies and a
-    vectorised Manhattan recomputation — no per-state Python in the steady
-    state.
+    States intern to rows of a ``uint8`` board matrix.  Each state's one
+    Python object is its packed int key (:func:`~repro.domains.kernels.
+    intern_rows`): the index dict maps it to the id, and the id-indexed
+    ``_keys`` list hands that same object out as the state key, so the
+    decoder's memo and every plan share it.  Ints are GC-untrackable,
+    unlike tuples, so the hundreds of thousands of keys a tile4 run keeps
+    add nothing to cyclic-GC scans.  The valid-operation *count* and goal
+    arrays are filled at intern time from the blank position alone;
+    successors materialise in bulk only for the ``(state, slot)`` pairs
+    genes actually select, via row copies and a vectorised Manhattan
+    recomputation — no per-state Python in the steady state.
     """
 
     def __init__(self, domain: SlidingTileDomain, max_states: int = 400_000) -> None:
@@ -293,8 +300,8 @@ class TileKernel(DomainKernel):
 
     def _init_tables(self) -> None:
         cap = 1024
-        self._ids = {}
-        self._count = 0
+        self._ids: dict = {}  # packed int key -> id
+        self._keys: list = []  # id -> packed int key
         self._boards = np.zeros((cap, self._cells), dtype=np.uint8)
         self._blank = np.zeros(cap, dtype=np.int32)
         self._vc = np.zeros(cap, dtype=np.int32)
@@ -306,7 +313,7 @@ class TileKernel(DomainKernel):
 
     @property
     def n_states(self) -> int:
-        return self._count
+        return len(self._keys)
 
     @property
     def valid_count(self) -> np.ndarray:
@@ -326,7 +333,7 @@ class TileKernel(DomainKernel):
 
     @property
     def overflowed(self) -> bool:
-        return self._count > self.max_states
+        return len(self._keys) > self.max_states
 
     def reset(self) -> None:
         self._init_tables()
@@ -334,36 +341,15 @@ class TileKernel(DomainKernel):
 
     def intern(self, state) -> int:
         board = np.asarray(state, dtype=np.uint8)
-        return int(self._intern_batch(board[None, :])[0])
+        return int(intern_rows(self._ids, self._keys, board[None, :], self._admit)[0])
 
     def id_for_key(self, key: Hashable) -> Optional[int]:
-        return self._ids.get(bytes(bytearray(key)))
-
-    def _intern_batch(self, boards: np.ndarray) -> np.ndarray:
-        """Ids for a ``(m, n²)`` uint8 board batch, admitting new rows in bulk."""
-        m = boards.shape[0]
-        out = np.empty(m, dtype=np.int64)
-        new_rows: list = []
-        ids = self._ids
-        count = self._count
-        for i in range(m):
-            key = boards[i].tobytes()
-            sid = ids.get(key)
-            if sid is None:
-                sid = count
-                count += 1
-                ids[key] = sid
-                new_rows.append(i)
-            out[i] = sid
-        if new_rows:
-            self._admit(boards[new_rows])
-            self._count = count
-        return out
+        return self._ids.get(key)
 
     def _admit(self, new_boards: np.ndarray) -> None:
         """Append a block of distinct boards, computing their row data."""
-        start = self._count
-        needed = start + new_boards.shape[0]
+        needed = len(self._keys)
+        start = needed - new_boards.shape[0]
         self._boards = grow(self._boards, needed)
         self._blank = grow(self._blank, needed)
         self._vc = grow(self._vc, needed)
@@ -404,24 +390,23 @@ class TileKernel(DomainKernel):
         rows = np.arange(uids.size)
         src[rows, blank] = src[rows, target]
         src[rows, target] = 0
-        nids = self._intern_batch(src)
-        # _intern_batch may reallocate the tables; index fresh.
+        nids = intern_rows(self._ids, self._keys, src, self._admit)
+        # Admitting new boards may reallocate the tables; index fresh.
         self._succ[uids, uslots] = nids
 
     # -- reconstruction -------------------------------------------------------
 
-    def state_of(self, sid: int):
-        return self.state_key_of(sid)
-
-    def state_key_of(self, sid: int) -> Hashable:
+    def state_of(self, sid: int) -> tuple:
         return tuple(self._boards[sid].tolist())
+
+    def state_key_of(self, sid: int) -> int:
+        return self._keys[sid]
 
     def decode_key_of(self, sid: int) -> Hashable:
         return int(self._blank[sid])
 
     def state_keys_of(self, sids) -> list:
-        # One C-level tolist for the whole batch instead of one per state.
-        return [tuple(b) for b in self._boards[np.asarray(sids, dtype=np.int64)].tolist()]
+        return list(map(self._keys.__getitem__, np.asarray(sids, dtype=np.int64).tolist()))
 
     def decode_keys_of(self, sids) -> list:
         return self._blank[np.asarray(sids, dtype=np.int64)].tolist()

@@ -98,6 +98,14 @@ class PlanningDomain(abc.ABC, Generic[S, O]):
         under the same key, so a key collision between genuinely different
         states would silently corrupt every cached evaluation.  The default
         (the state itself) is always correct for hashable immutable states.
+
+        Domains with a packed kernel key states by the packed row as one
+        Python int (the sliding tile and the pocket cube use
+        ``int.from_bytes(row, "little")`` of their ``uint8`` cells): the
+        kernel indexes states by that int and serves it back from
+        ``state_key_of``, so plans and memos share one small object per
+        state, and int hashes do not vary between processes as ``bytes``
+        hashes do.
         """
         return state
 

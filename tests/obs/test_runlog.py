@@ -73,16 +73,6 @@ class TestGenerationLogger:
 
 
 class TestDeprecatedShim:
-    def test_core_runlog_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.core.runlog", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs"):
-            legacy = importlib.import_module("repro.core.runlog")
-        assert legacy.GenerationLogger is GenerationLogger
-        assert legacy.read_log is read_log
-
     def test_dropped_from_core_public_api(self):
         import repro.core
 
