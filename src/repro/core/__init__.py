@@ -7,23 +7,18 @@ Public surface:
 - :class:`GARun` / :func:`run_ga` — single-phase engine
 - :func:`run_multiphase` — the multi-phase algorithm
 - :func:`decode` / :func:`encode_operations` — the indirect encoding
-- crossover / mutation / selection operators
+- :class:`PopulationBuffer` — the population representation
+- length mutation operators (gene insertion / deletion)
 """
 
 from repro.core.config import GAConfig, MultiPhaseConfig, CROSSOVER_KINDS
-from repro.core.crossover import (
-    CROSSOVER_OPERATORS,
-    mixed_crossover,
-    random_crossover,
-    state_aware_crossover,
-)
 from repro.core.decode_engine import DecodeEngine, TransitionCache
 from repro.core.encoding import DecodeCache, DecodedPlan, decode, encode_operations, gene_to_index
 from repro.core.fitness import FitnessFunction, FitnessResult, cost_fitness
 from repro.core.ga import GAResult, GARun, initial_population, run_ga
 from repro.core.individual import Individual
 from repro.core.multiphase import MultiPhaseResult, PhaseRecord, run_multiphase
-from repro.core.mutation import deletion_mutation, insertion_mutation, uniform_reset_mutation
+from repro.core.mutation import deletion_mutation, insertion_mutation
 from repro.core.parallel import (
     EvaluationContext,
     Evaluator,
@@ -35,17 +30,10 @@ from repro.core.popbuffer import PopulationBuffer
 from repro.core.resilient import ResiliencePolicy, ResilientEvaluator
 from repro.core.planner import GAPlanner, PLANNING_MODES, PlanningOutcome
 from repro.core.rng import make_rng, spawn, spawn_many
-from repro.core.selection import (
-    SELECTION_SCHEMES,
-    rank_selection,
-    roulette_selection,
-    tournament_selection,
-)
 from repro.core.stats import GenerationStats, RunHistory
 
 __all__ = [
     "CROSSOVER_KINDS",
-    "CROSSOVER_OPERATORS",
     "DecodeCache",
     "DecodeEngine",
     "DecodedPlan",
@@ -69,7 +57,6 @@ __all__ = [
     "ResiliencePolicy",
     "ResilientEvaluator",
     "RunHistory",
-    "SELECTION_SCHEMES",
     "SerialEvaluator",
     "TransitionCache",
     "WorkerPoolError",
@@ -81,17 +68,10 @@ __all__ = [
     "initial_population",
     "insertion_mutation",
     "make_rng",
-    "mixed_crossover",
-    "random_crossover",
-    "rank_selection",
-    "roulette_selection",
     "run_ga",
     "run_multiphase",
     "spawn",
     "spawn_many",
-    "state_aware_crossover",
-    "tournament_selection",
-    "uniform_reset_mutation",
 ]
 
 from repro.core.termination import (  # noqa: E402

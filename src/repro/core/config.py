@@ -65,14 +65,6 @@ class GAConfig:
     elitism:
         Number of best individuals copied unchanged into the next
         generation.  The paper uses none (0); exposed for ablations.
-    batched:
-        Run the generation step on the structure-of-arrays population
-        engine (DESIGN.md §11): genomes packed into one contiguous arena,
-        batched selection/mutation/crossover, and (with the process-pool
-        evaluator) zero-copy shared-memory dispatch.  The RNG draws are
-        replayed exactly, so trajectories are bit-identical to the
-        list-of-individuals path either way; the object path exists for
-        ablations and as the reference implementation.
     vector_decode:
         Decode whole populations in numpy against the domain's array
         kernel (DESIGN.md §12).  ``None`` (the default) auto-enables the
@@ -80,8 +72,7 @@ class GAConfig:
         (``domain.kernel() is not None``) and falls back to the object
         decode engine otherwise; ``True`` demands it (evaluation raises if
         the domain has no kernel); ``False`` forces the object path.
-        Results are bit-identical either way.  Requires ``batched`` (the
-        vector path rides the buffer pipeline).
+        Results are bit-identical either way.
     """
 
     population_size: int = 200
@@ -97,7 +88,6 @@ class GAConfig:
     truncate_at_goal: bool = True
     stop_on_goal: bool = True
     elitism: int = 0
-    batched: bool = True
     vector_decode: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -141,11 +131,6 @@ class GAConfig:
                 raise ValueError(
                     f"init_length {self.init_length} exceeds max_len {self.max_len}"
                 )
-        if self.vector_decode and not self.batched:
-            raise ValueError(
-                "vector_decode=True requires batched=True: whole-population "
-                "decoding runs on the structure-of-arrays buffer pipeline"
-            )
 
     def replace(self, **changes) -> "GAConfig":
         """A copy of this config with some fields changed."""

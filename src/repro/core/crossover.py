@@ -15,56 +15,18 @@ exists, no crossover is performed and both parents survive unchanged.
 
 *Mixed* crossover tries state-aware first and falls back to random.
 
-All operators cap children at ``max_len`` genes (MaxLen) by truncation.
+This module draws the cut points; :func:`repro.core.popbuffer.breed` splices
+the children on the population arena and caps them at ``max_len`` genes
+(MaxLen) by truncation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.individual import Individual
-
-__all__ = [
-    "random_crossover",
-    "state_aware_crossover",
-    "mixed_crossover",
-    "sample_cut",
-    "sample_crossover_cuts",
-    "CROSSOVER_OPERATORS",
-]
-
-
-def _clip(genes: np.ndarray, max_len: Optional[int]) -> np.ndarray:
-    if max_len is not None and genes.size > max_len:
-        return genes[:max_len]
-    return genes
-
-
-def _one_point_children(
-    p1: Individual, p2: Individual, cut1: int, cut2: int, max_len: Optional[int]
-) -> Tuple[Individual, Individual]:
-    g1 = np.concatenate([p1.genes[:cut1], p2.genes[cut2:]])
-    g2 = np.concatenate([p2.genes[:cut2], p1.genes[cut1:]])
-    children = []
-    for g, fallback, cut in ((g1, p1, cut1), (g2, p2, cut2)):
-        g = _clip(g, max_len)
-        # A cut at an extreme end of both parents can yield an empty child;
-        # genomes must be non-empty, so fall back to the parent copy.
-        if g.size == 0:
-            children.append(fallback.copy())
-            continue
-        # The child's first ``cut`` genes are the parent's own prefix, so
-        # the decode engine can resume from the parent's retained walk.
-        prefix = fallback.decoded
-        if prefix is not None and cut > 0:
-            children.append(
-                Individual(genes=g, dirty_from=min(cut, int(g.size)), prefix_plan=prefix)
-            )
-        else:
-            children.append(Individual(genes=g))
-    return children[0], children[1]
+__all__ = ["sample_cut", "sample_crossover_cuts"]
 
 
 def sample_cut(length: int, rng: np.random.Generator) -> int:
@@ -122,11 +84,11 @@ def sample_crossover_cuts(
 ) -> Optional[Tuple[int, int]]:
     """Draw the cut pair for one crossover, or ``None`` for "copy parents".
 
-    This is the single source of the operators' randomness — the Individual
-    operators below and the batched population engine (:mod:`repro.core.
-    popbuffer`) both call it, so their RNG streams are identical by
-    construction.  *plan1*/*plan2* are the parents' decoded plans (only
-    consulted by the state-matching kinds).
+    This is the single source of the operators' randomness: the generation
+    step (:func:`repro.core.popbuffer.breed`) and the object reference step
+    the tests hold it against both call it, so their RNG streams are
+    identical by construction.  *plan1*/*plan2* are the parents' decoded
+    plans (only consulted by the state-matching kinds).
     """
     cut1 = sample_cut(length1, rng)
     if kind == "random":
@@ -149,53 +111,3 @@ def sample_crossover_cuts(
                 return cut1, int(candidates[int(rng.integers(0, len(candidates)))])
         return cut1, sample_cut(length2, rng)
     raise ValueError(f"unknown crossover kind {kind!r}")
-
-
-def random_crossover(
-    p1: Individual,
-    p2: Individual,
-    rng: np.random.Generator,
-    max_len: Optional[int] = None,
-) -> Tuple[Individual, Individual]:
-    """One-point crossover with independent cut points on each parent."""
-    cut1, cut2 = sample_crossover_cuts("random", len(p1), len(p2), None, None, rng)
-    return _one_point_children(p1, p2, cut1, cut2, max_len)
-
-
-def state_aware_crossover(
-    p1: Individual,
-    p2: Individual,
-    rng: np.random.Generator,
-    max_len: Optional[int] = None,
-) -> Tuple[Individual, Individual]:
-    """State-aware crossover; copies the parents when no matching cut exists."""
-    cuts = sample_crossover_cuts(
-        "state-aware", len(p1), len(p2), p1.decoded, p2.decoded, rng
-    )
-    if cuts is None:
-        return p1.copy(), p2.copy()
-    return _one_point_children(p1, p2, cuts[0], cuts[1], max_len)
-
-
-def mixed_crossover(
-    p1: Individual,
-    p2: Individual,
-    rng: np.random.Generator,
-    max_len: Optional[int] = None,
-) -> Tuple[Individual, Individual]:
-    """State-aware when a matching cut exists, otherwise random.
-
-    Implemented exactly as the paper describes: pick the first cut, look for
-    a state match; if found do state-aware splicing, else pick the second
-    cut at random.
-    """
-    cuts = sample_crossover_cuts("mixed", len(p1), len(p2), p1.decoded, p2.decoded, rng)
-    assert cuts is not None  # mixed always falls back to a random second cut
-    return _one_point_children(p1, p2, cuts[0], cuts[1], max_len)
-
-
-CROSSOVER_OPERATORS: dict = {
-    "random": random_crossover,
-    "state-aware": state_aware_crossover,
-    "mixed": mixed_crossover,
-}

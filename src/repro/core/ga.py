@@ -19,18 +19,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import GAConfig
-from repro.core.crossover import CROSSOVER_OPERATORS
 from repro.core.fitness import FitnessFunction
 from repro.core.individual import Individual
-from repro.core.mutation import uniform_reset_mutation
 from repro.core.parallel import EvaluationContext, Evaluator, SerialEvaluator
 from repro.core.popbuffer import PopulationBuffer, breed, select_parent_indices
-from repro.core.selection import tournament_selection
 from repro.core.stats import GenerationStats, RunHistory
 from repro.obs.events import DecodeCacheSnapshot, GenerationComplete
 from repro.obs.metrics import MetricsRegistry
@@ -155,14 +152,10 @@ class GARun:
         self.metrics = metrics if metrics is not None else default_metrics()
         self.scope = scope
         self.evaluator.bind_observability(self.tracer, self.metrics, scope=scope)
-        self._crossover = CROSSOVER_OPERATORS[config.crossover]
-        self._batched = bool(getattr(config, "batched", True))
         # The state-matching crossovers read parents' match_keys, so the
-        # batched path must keep decoded plans; random crossover does not,
-        # which lets shared-memory dispatch skip shipping plans back.
+        # buffer must keep decoded plans; random crossover does not, which
+        # lets shared-memory dispatch skip shipping plans back.
         self._keep_plans = config.crossover != "random"
-        self._buffer: Optional[PopulationBuffer] = None
-        self._individuals: Optional[List[Individual]] = None
         self.population = initial_population(config, rng, seeds=seeds)
         self.history = RunHistory()
         self.generation = 0
@@ -171,55 +164,42 @@ class GARun:
 
     # -- population storage --------------------------------------------------
     #
-    # With ``config.batched`` the population lives in a PopulationBuffer;
-    # the ``population`` property keeps the historical list-of-Individual
-    # surface working (checkpoints, islands, tests) by materialising on
-    # read and re-packing on write.
+    # The population lives in ``buffer``; Individuals appear only at the API
+    # edge below (checkpoints, tests), materialised on read and packed on
+    # write.
 
     @property
     def population(self) -> List[Individual]:
-        if self._buffer is not None:
-            return self._buffer.to_individuals()
-        assert self._individuals is not None
-        return self._individuals
+        return self.buffer.to_individuals()
 
     @population.setter
-    def population(self, value) -> None:
-        if isinstance(value, PopulationBuffer):
-            self._buffer, self._individuals = value, None
-        elif self._batched:
-            self._buffer = PopulationBuffer.from_individuals(
-                value, keep_plans=self._keep_plans
-            )
-            self._individuals = None
-        else:
-            self._individuals, self._buffer = list(value), None
+    def population(self, value: Sequence[Individual]) -> None:
+        self.buffer = PopulationBuffer.from_individuals(value, keep_plans=self._keep_plans)
 
-    @property
-    def buffer(self) -> Optional[PopulationBuffer]:
-        """The structure-of-arrays population, or ``None`` when not batched."""
-        return self._buffer
+    def replace_worst(self, migrants: PopulationBuffer) -> None:
+        """Swap this run's ``migrants.n`` worst rows for *migrants* (migration).
+
+        The population must be evaluated.  Survivors keep their order and
+        the migrants follow; a stable argsort picks the same victims as a
+        stable sort by total fitness.  A migrant that arrives evaluated but
+        without its plan (shared-memory dispatch under random crossover
+        ships fitness only) is decoded here when this run keeps plans,
+        because the state-matching crossovers read parents' plans.
+        """
+        buf = self.buffer
+        worst = np.argsort(buf.total, kind="stable")[: migrants.n]
+        keep = np.setdiff1d(np.arange(buf.n, dtype=np.int64), worst)
+        merged = PopulationBuffer.concatenate([buf.take(keep), migrants])
+        if self._keep_plans:
+            for i in range(keep.size, merged.n):
+                if merged.evaluated[i] and merged.plans[i] is None:
+                    merged.plans[i] = self.context.decode_genes(merged.view(i))
+        self.buffer = merged
 
     # -- internals -----------------------------------------------------------
 
     def _evaluate_and_record(self) -> None:
-        if self._buffer is not None:
-            self._evaluate_and_record_batched()
-            return
-        self.evaluator.evaluate(self.population, self.context)
-        stats = GenerationStats.from_population(self.generation, self.population)
-        self.history.record(stats)
-        gen_best = max(self.population, key=lambda ind: ind.sort_key())
-        if self.best is None or gen_best.sort_key() > self.best.sort_key():
-            self.best = gen_best.copy()
-        if self.solved_at is None and stats.solved_count > 0:
-            self.solved_at = self.generation
-        if self.tracer.enabled:
-            self.tracer.emit(GenerationComplete.from_stats(stats, scope=self.scope))
-
-    def _evaluate_and_record_batched(self) -> None:
-        buf = self._buffer
-        assert buf is not None
+        buf = self.buffer
         self.evaluator.evaluate_buffer(buf, self.context)
         stats = GenerationStats.from_buffer(self.generation, buf)
         self.history.record(stats)
@@ -238,42 +218,10 @@ class GARun:
             self.tracer.emit(GenerationComplete.from_stats(stats, scope=self.scope))
 
     def _next_generation(self) -> None:
-        cfg = self.config
-        if self._buffer is not None:
-            t0 = time.perf_counter()
-            parent_idx = select_parent_indices(self._buffer, cfg, self.rng)
-            t1 = time.perf_counter()
-            self._buffer = breed(self._buffer, parent_idx, cfg, self.rng)
-            self.generation += 1
-            if self.metrics is not None:
-                self.metrics.timer("selection").record(t1 - t0)
-                self.metrics.timer("variation").record(time.perf_counter() - t1)
-                self.metrics.counter("batched_generations").add(1)
-            return
         t0 = time.perf_counter()
-        parents = tournament_selection(
-            self.population, cfg.population_size, self.rng, cfg.tournament_size
-        )
+        parent_idx = select_parent_indices(self.buffer, self.config, self.rng)
         t1 = time.perf_counter()
-        offspring: List[Individual] = []
-        if cfg.elitism:
-            elite = sorted(self.population, key=lambda ind: ind.total_fitness, reverse=True)
-            offspring.extend(e.copy() for e in elite[: cfg.elitism])
-        i = 0
-        while len(offspring) < cfg.population_size:
-            p1 = parents[i % len(parents)]
-            p2 = parents[(i + 1) % len(parents)]
-            i += 2
-            if self.rng.random() < cfg.crossover_rate:
-                c1, c2 = self._crossover(p1, p2, self.rng, max_len=cfg.max_len)
-            else:
-                c1, c2 = p1.copy(), p2.copy()
-            for child in (c1, c2):
-                child = uniform_reset_mutation(child, cfg.mutation_rate, self.rng)
-                offspring.append(child)
-                if len(offspring) >= cfg.population_size:
-                    break
-        self.population = offspring
+        self.buffer = breed(self.buffer, parent_idx, self.config, self.rng)
         self.generation += 1
         if self.metrics is not None:
             self.metrics.timer("selection").record(t1 - t0)

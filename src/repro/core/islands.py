@@ -29,7 +29,6 @@ from repro.core.ga import GAResult, GARun
 from repro.core.individual import Individual
 from repro.core.decode_engine import DecodeEngine
 from repro.core.parallel import Evaluator, SerialEvaluator, build_evaluators
-from repro.core.popbuffer import PopulationBuffer
 from repro.core.stats import RunHistory
 from repro.obs.events import IslandMigration
 from repro.obs.metrics import MetricsRegistry
@@ -112,33 +111,16 @@ def _migrate(islands: List[GARun], k: int) -> None:
 
     Populations are already evaluated when this is called (migration runs
     right after a step's evaluation), so fitness-based ranking is safe.
-    Batched islands migrate buffer rows directly (stable argsorts pick the
-    same emigrants/victims as the object path's stable sorts; survivors
-    keep their order with the migrants appended); mixed or object-path
-    islands go through the Individual lists.
+    Emigrants are buffer rows picked by a stable argsort (ties keep their
+    population order); :meth:`GARun.replace_worst` appends them after the
+    destination's survivors.
     """
-    if all(run.buffer is not None for run in islands):
-        emigrants = []
-        for run in islands:
-            order = np.argsort(-run.buffer.total, kind="stable")
-            emigrants.append(run.buffer.take(order[:k]))
-        for i, run in enumerate(islands):
-            source = emigrants[(i - 1) % len(islands)]
-            buf = run.buffer
-            worst = np.argsort(buf.total, kind="stable")[:k]
-            keep = np.setdiff1d(np.arange(buf.n, dtype=np.int64), worst)
-            run.population = PopulationBuffer.concatenate([buf.take(keep), source])
-        return
     emigrants = []
     for run in islands:
-        ranked = sorted(run.population, key=lambda ind: ind.total_fitness, reverse=True)
-        emigrants.append([ind.copy() for ind in ranked[:k]])
+        order = np.argsort(-run.buffer.total, kind="stable")
+        emigrants.append(run.buffer.take(order[:k]))
     for i, run in enumerate(islands):
-        source = emigrants[(i - 1) % len(islands)]
-        ranked = sorted(run.population, key=lambda ind: ind.total_fitness)
-        worst = {id(ind) for ind in ranked[:k]}
-        survivors = [ind for ind in run.population if id(ind) not in worst]
-        run.population = survivors + source
+        run.replace_worst(emigrants[(i - 1) % len(islands)])
 
 
 def run_islands(

@@ -2,8 +2,10 @@
 
 The paper's mutation (Section 3.4.3) is uniform per-gene reset: every gene
 is independently replaced with a fresh uniform float with probability
-``mutation_rate``.  Two structural operators — gene insertion and deletion —
-are provided for the variable-length ablations; they are off by default.
+``mutation_rate``.  This module draws it (:func:`sample_uniform_reset`);
+:func:`repro.core.popbuffer.breed` applies the draws to the population
+arena.  Two structural operators — gene insertion and deletion — are
+provided for the variable-length ablations; they are off by default.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from repro.core.individual import Individual
 
 __all__ = [
     "sample_uniform_reset",
-    "uniform_reset_mutation",
     "insertion_mutation",
     "deletion_mutation",
 ]
@@ -29,9 +30,9 @@ def sample_uniform_reset(
 
     This is the single source of the operator's randomness — the mask draw
     (``length`` uniforms) followed, only when the mask hit, by one
-    replacement value per hit.  Both the per-individual path below and the
-    arena-wide batched path (:mod:`repro.core.popbuffer`) call it, so their
-    RNG streams are identical by construction.
+    replacement value per hit.  The generation step (:mod:`repro.core.
+    popbuffer`) and the object reference step the tests hold it against
+    both call it, so their RNG streams are identical by construction.
     """
     mask = rng.random(length) < rate
     if not mask.any():
@@ -57,27 +58,6 @@ def _mutated_child(ind: Individual, genes: np.ndarray, first_changed: int) -> In
     if prefix is None or dirty <= 0:
         return Individual(genes=genes)
     return Individual(genes=genes, dirty_from=min(dirty, int(genes.size)), prefix_plan=prefix)
-
-
-def uniform_reset_mutation(
-    ind: Individual, rate: float, rng: np.random.Generator
-) -> Individual:
-    """Replace each gene with a new uniform float with probability *rate*.
-
-    Returns the same object when nothing mutates (genomes are immutable, so
-    sharing is safe), avoiding a copy for the common case at rate 0.01.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
-    if rate == 0.0:
-        return ind
-    drawn = sample_uniform_reset(len(ind), rate, rng)
-    if drawn is None:
-        return ind
-    idx, values = drawn
-    genes = ind.genes.copy()
-    genes[idx] = values
-    return _mutated_child(ind, genes, int(idx[0]))
 
 
 def insertion_mutation(

@@ -15,7 +15,7 @@ use the default :class:`SerialEvaluator`.
 
 Evaluators are observable: :meth:`Evaluator.bind_observability` attaches a
 tracer and metrics registry (done automatically by :class:`~repro.core.ga.
-GARun`), after which every ``evaluate`` call emits an ``evaluation-batch``
+GARun`), after which every evaluated batch emits an ``evaluation-batch``
 event and feeds the canonical ``evals`` / ``eval_batch`` / ``decode`` /
 ``dispatch`` / ``worker_eval`` / ``decode_cache_*`` instruments.  With the
 null tracer and no registry the instrumented branches are skipped, keeping
@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,10 +96,8 @@ class EvaluationContext:
     ``vector`` selects the whole-population vectorised decode (DESIGN.md
     §12), wired from ``GAConfig.vector_decode``: ``None`` auto-enables it
     when the domain exposes a kernel, ``True`` demands a kernel (raising
-    otherwise), ``False`` forces the object decode engine.  Serial
-    evaluation consults it only for buffers (the serial list-of-Individuals
-    API always decodes through the engine); pool workers consult it for
-    every batch.
+    otherwise), ``False`` forces the object decode engine.  The serial
+    evaluator and the pool workers consult it for every batch.
     """
 
     def __init__(
@@ -141,7 +139,7 @@ class EvaluationContext:
 
 
 class Evaluator:
-    """Strategy interface: fill in ``decoded`` and ``fitness`` in place."""
+    """Strategy interface: evaluate a population buffer's pending rows."""
 
     # Observability is off by default; class attributes keep subclasses'
     # __init__ free of boilerplate.
@@ -150,24 +148,33 @@ class Evaluator:
     _scope: str = ""
 
     def evaluate(self, population: Sequence[Individual], context: EvaluationContext) -> None:
-        raise NotImplementedError
+        """Evaluate the pending Individuals of *population* in place.
 
-    def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
-        """Fill in the pending rows of a :class:`~repro.core.popbuffer.
-        PopulationBuffer`.
-
-        The base implementation bridges to the object API — pending rows
-        are materialised as Individuals, evaluated, and written back — so
-        any custom evaluator works with the batched engine unchanged.
-        Subclasses override it with array-native paths.
+        They are packed into a plan-keeping :class:`~repro.core.popbuffer.
+        PopulationBuffer` (Individuals carry their phenotype), evaluated by
+        :meth:`evaluate_buffer`, and the results written back only after it
+        returned — a failed attempt writes nothing, so the batch is safe to
+        retry.  Not an override point: evaluators implement
+        :meth:`evaluate_buffer` only.
         """
-        pending = [int(i) for i in np.flatnonzero(~buffer.evaluated)]
+        pending = [ind for ind in population if not ind.is_evaluated]
         if not pending:
             return
-        individuals = [buffer.materialize(i) for i in pending]
-        self.evaluate(individuals, context)
-        for i, ind in zip(pending, individuals):
-            buffer.set_result(i, ind.decoded, ind.fitness)
+        buffer = PopulationBuffer.from_individuals(pending, keep_plans=True)
+        self.evaluate_buffer(buffer, context)
+        for i, ind in enumerate(pending):
+            ind.decoded, ind.fitness = buffer.plans[i], buffer.fitness_result(i)
+            ind.prefix_plan = None
+            ind.dirty_from = None
+
+    def evaluate_buffer(self, buffer: PopulationBuffer, context: EvaluationContext) -> None:
+        """Fill in the pending rows of *buffer* (plans too when it keeps them).
+
+        The one method an evaluator implements.  A row is written only with
+        its final result, so after a failed call the rows still pending are
+        exactly the ones left to retry.
+        """
+        raise NotImplementedError
 
     def bind_observability(
         self,
@@ -198,27 +205,17 @@ class Evaluator:
         self.close()
 
 
-def _individual_hint(ind: Individual):
-    return ind.prefix_plan, ind.dirty_from
-
-
-def _write_individual(ind: Individual, decoded, fitness) -> None:
-    ind.decoded, ind.fitness = decoded, fitness
-    ind.prefix_plan = None
-    ind.dirty_from = None
-
-
 class SerialEvaluator(Evaluator):
     """Evaluate the population in-process.
 
-    Buffers whose context resolves the vectorised decode (DESIGN.md §12)
-    are decoded whole by a :class:`~repro.core.vector_decode.VectorDecoder`;
-    everything else goes through a persistent :class:`~repro.core.
-    decode_engine.DecodeEngine` — transition memoisation, dirty-prefix
-    re-decode and fingerprint dedup (DESIGN.md §9).  A pre-built engine can
-    be injected to share caches across evaluators (the island model does
-    this); otherwise one is created lazily and kept for the evaluator's
-    lifetime.
+    When the context resolves the vectorised decode (DESIGN.md §12) the
+    pending rows are decoded whole by a :class:`~repro.core.vector_decode.
+    VectorDecoder`; otherwise row by row through a persistent
+    :class:`~repro.core.decode_engine.DecodeEngine` — transition
+    memoisation, dirty-prefix re-decode and fingerprint dedup (DESIGN.md
+    §9).  A pre-built engine can be injected to share caches across
+    evaluators (the island model does this); otherwise one is created
+    lazily and kept for the evaluator's lifetime.
     """
 
     def __init__(self, engine: Optional[DecodeEngine] = None) -> None:
@@ -256,41 +253,16 @@ class SerialEvaluator(Evaluator):
             return None
         return self._engine.counters()
 
-    def evaluate(self, population: Sequence[Individual], context: EvaluationContext) -> None:
-        engine = self._bound_engine(context)
-        if not self.instrumented:
-            fitness_fn = context.fitness
-            for ind in population:
-                if ind.is_evaluated:
-                    continue
-                ind.decoded, ind.fitness = engine.evaluate_genes(
-                    ind.genes, fitness_fn, ind.prefix_plan, ind.dirty_from
-                )
-                ind.prefix_plan = None
-                ind.dirty_from = None
-            return
-        pending = [ind for ind in population if not ind.is_evaluated]
-        self._evaluate_engine_instrumented(
-            engine, context, pending, attrgetter("genes"), _individual_hint, _write_individual
-        )
-
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
         """Array-native serial path: decode rows straight off the arena.
 
         When the context resolves the vectorised decode (DESIGN.md §12),
         the whole pending set is decoded in numpy by a
         :class:`~repro.core.vector_decode.VectorDecoder` — bit-identical
-        results, no per-genome Python loop at all.  Otherwise this runs the
-        same engine pipeline as :meth:`evaluate` over zero-copy genome
-        views — no Individual construction, no per-row validation — with
-        identical results (same rows, same order, same memo traffic).  A
-        subclass that overrides :meth:`evaluate` is bridged through the
-        base implementation, so its override keeps seeing every
-        evaluation instead of being silently bypassed in batched runs.
+        results, no per-genome Python loop at all.  Otherwise each pending
+        row runs through the decode engine over a zero-copy genome view,
+        resuming from its prefix hint.
         """
-        if type(self).evaluate is not SerialEvaluator.evaluate:
-            Evaluator.evaluate_buffer(self, buffer, context)
-            return
         vdec = self._vector_decoder(context)
         if vdec is not None:
             # keep_plans=True regardless of the buffer's flag: in-process
@@ -313,9 +285,7 @@ class SerialEvaluator(Evaluator):
                 )
                 buffer.set_result(i, decoded, fitness)
             return
-        self._evaluate_engine_instrumented(
-            engine, context, pending.tolist(), buffer.view, buffer.prefix_hint, buffer.set_result
-        )
+        self._evaluate_engine_instrumented(engine, context, buffer, pending)
 
     def _evaluate_buffer_vector_instrumented(
         self,
@@ -359,19 +329,12 @@ class SerialEvaluator(Evaluator):
         self,
         engine: DecodeEngine,
         context: EvaluationContext,
-        rows: list,
-        genes_of: Callable,
-        hint_of: Callable,
-        write: Callable,
+        buffer: PopulationBuffer,
+        rows: np.ndarray,
     ) -> None:
-        """The engine path with decode/fitness split timing and counters.
-
-        Both entry points feed it: *rows* are pending Individuals or buffer
-        row indices, and ``genes_of(row)`` / ``hint_of(row)`` /
-        ``write(row, decoded, fitness)`` read a row's genome and
-        ``(prefix_plan, dirty_from)`` hint and store its result.
-        """
-        if not rows:
+        """The engine path over *buffer*'s pending *rows*, with
+        decode/fitness split timing and counters."""
+        if not rows.size:
             return
         before = engine.counters()
         fitness_fn = context.fitness
@@ -379,21 +342,21 @@ class SerialEvaluator(Evaluator):
         fitness_s = 0.0
         n_decoded = 0
         t0 = time.perf_counter()
-        for row in rows:
-            genes = genes_of(row)
+        for row in rows.tolist():
+            genes = buffer.view(row)
             fp = genes.tobytes()
             hit = engine.lookup(fp)
             if hit is not None:
-                write(row, hit[0], hit[1])
+                buffer.set_result(row, hit[0], hit[1])
             else:
-                prefix, dirty = hint_of(row)
+                prefix, dirty = buffer.prefix_hint(row)
                 t1 = time.perf_counter()
                 decoded = engine.decode(genes, prefix, dirty)
                 t2 = time.perf_counter()
                 fitness = fitness_fn(decoded)
                 t3 = time.perf_counter()
                 engine.store(fp, decoded, fitness)
-                write(row, decoded, fitness)
+                buffer.set_result(row, decoded, fitness)
                 decode_s += t2 - t1
                 fitness_s += t3 - t2
                 n_decoded += 1
@@ -488,6 +451,14 @@ def _init_worker(context: EvaluationContext) -> None:
 _SHM_HEADER_BYTES = 32
 
 _WORKER_SHM: dict = {}
+
+# Creating or unlinking a segment takes multiprocessing's resource-tracker
+# lock.  A worker forked while another thread holds that lock inherits it
+# locked, and then blocks forever when its own attach registers with the
+# tracker (Python < 3.13).  Threads racing one pool each (the portfolio's
+# GA islands) therefore create/unlink segments and submit work — which is
+# when the executor forks its workers — only under this one lock.
+_TRACKER_LOCK = threading.Lock()
 
 
 def _shm_layout(buf, n: int, genes_len: int) -> tuple:
@@ -601,7 +572,7 @@ class ProcessPoolEvaluator(Evaluator):
     The pool's workers are initialised with one :class:`EvaluationContext`
     (the domain and start state ship through the pool initializer).  The
     context can be given up front, or left ``None`` to bind lazily on the
-    first :meth:`evaluate` call — which is what lets zero-argument evaluator
+    first evaluation — which is what lets zero-argument evaluator
     factories (``GAPlanner(evaluator="process")``, the multi-phase driver's
     per-phase factories) build pools before the start state is known.
     Evaluating against a *different* context afterwards raises, because
@@ -614,9 +585,7 @@ class ProcessPoolEvaluator(Evaluator):
     populations stop paying one-genome-per-chunk dispatch overhead while
     load balancing survives uneven chunks; pass an int to pin it.  Every
     batch publishes its genomes through one shared-memory segment and
-    workers receive only row ranges (DESIGN.md §11); the object-list
-    :meth:`evaluate` API packs its Individuals into a buffer and takes the
-    same path.
+    workers receive only row ranges (DESIGN.md §11).
     """
 
     def __init__(
@@ -716,7 +685,10 @@ class ProcessPoolEvaluator(Evaluator):
         self._release_segment()
         # Over-allocate so genome-length drift doesn't recreate every
         # generation; names are kernel-generated, so never reused.
-        self._segment = shared_memory.SharedMemory(create=True, size=max(64, nbytes + nbytes // 4))
+        with _TRACKER_LOCK:
+            self._segment = shared_memory.SharedMemory(
+                create=True, size=max(64, nbytes + nbytes // 4)
+            )
         return self._segment
 
     def _release_segment(self) -> None:
@@ -734,7 +706,8 @@ class ProcessPoolEvaluator(Evaluator):
             return
         segment, self._segment = self._segment, None
         try:
-            segment.unlink()
+            with _TRACKER_LOCK:
+                segment.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
         try:
@@ -754,7 +727,8 @@ class ProcessPoolEvaluator(Evaluator):
         if self._pool is None:
             raise RuntimeError("pool not started; evaluate once or call ensure_started()")
         try:
-            return self._pool.submit(fn, *args)
+            with _TRACKER_LOCK:
+                return self._pool.submit(fn, *args)
         except BrokenProcessPool as exc:
             raise WorkerPoolError(
                 "worker pool is broken: a worker process died since the last batch; "
@@ -767,23 +741,6 @@ class ProcessPoolEvaluator(Evaluator):
             return None
         return self._cache_hits, self._cache_misses
 
-    def evaluate(self, population: Sequence[Individual], context: EvaluationContext) -> None:
-        """Evaluate the pending Individuals through the buffer path.
-
-        They are packed into a plan-keeping :class:`~repro.core.popbuffer.
-        PopulationBuffer` (Individuals carry their phenotype), evaluated
-        like any buffer, and the results written back — only once every
-        chunk returned, so a failed batch leaves them safe to retry.
-        """
-        self.ensure_started(context)
-        pending = [ind for ind in population if not ind.is_evaluated]
-        if not pending:
-            return
-        buffer = PopulationBuffer.from_individuals(pending, keep_plans=True)
-        self._evaluate_rows(buffer, context)
-        for i, ind in enumerate(pending):
-            _write_individual(ind, buffer.plans[i], buffer.fitness_result(i))
-
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
         """Evaluate a population buffer's pending rows across the pool.
 
@@ -794,15 +751,8 @@ class ProcessPoolEvaluator(Evaluator):
         (state-matching crossovers); otherwise the generation best is
         decoded lazily by the caller.  Rows are only written after every
         chunk returned, so a failed batch leaves the buffer un-evaluated and
-        safe to retry.  Subclasses that override :meth:`evaluate` are
-        bridged through it instead, like the serial evaluator does.
+        safe to retry.
         """
-        if type(self).evaluate is not ProcessPoolEvaluator.evaluate:
-            Evaluator.evaluate_buffer(self, buffer, context)
-            return
-        self._evaluate_rows(buffer, context)
-
-    def _evaluate_rows(self, buffer, context: EvaluationContext) -> None:
         self.ensure_started(context)
         assert self._pool is not None
         pending = [int(i) for i in np.flatnonzero(~buffer.evaluated)]
@@ -844,15 +794,15 @@ class ProcessPoolEvaluator(Evaluator):
                 # TimeoutError measured from the map() call, so one hung
                 # worker cannot wedge the run.  TimeoutError propagates
                 # as-is (the pool object itself is still consistent).
-                outputs = list(
-                    self._pool.map(
+                with _TRACKER_LOCK:  # map submits (and forks) eagerly
+                    chunks = self._pool.map(
                         _evaluate_shm_chunk,
                         [name] * len(starts),
                         starts,
                         [min(s + size, len(dispatch_rows)) for s in starts],
                         timeout=self.timeout_s,
                     )
-                )
+                outputs = list(chunks)
                 results = self._collect_shm_results(
                     dispatch_rows, result_views, outputs, need_plans
                 )

@@ -10,18 +10,19 @@ batched draw plus an argmax gather, offspring are materialised with slice
 copies into a freshly allocated arena, and every mutation in the generation
 lands in one vectorised scatter.
 
-**Replay-exact randomness.**  The object path draws from the generator in a
-data-dependent, interleaved order (pair coin → crossover cuts → per-child
-mutation mask → replacement values), so a literally "arena-wide" mask draw
-would change the stream and break reproducibility against existing runs.
-Instead the batched engine *replays the object path's draws exactly*: the
-pair loop below issues the same RNG calls in the same order through the
-shared samplers (:func:`~repro.core.crossover.sample_crossover_cuts`,
+**Replay-exact randomness.**  The paper's operators draw from the generator
+per individual, in a data-dependent, interleaved order (pair coin →
+crossover cuts → per-child mutation mask → replacement values), so a
+literally "arena-wide" mask draw would change the stream and break
+reproducibility against existing runs.  Instead the pair loop below issues
+those draws in that order through the shared samplers
+(:func:`~repro.core.crossover.sample_crossover_cuts`,
 :func:`~repro.core.mutation.sample_uniform_reset`,
 :func:`~repro.core.selection.tournament_winner_indices`), while all data
-movement — parent copies, splices, mutation application, ``Individual``
-construction/validation — is batched away.  Same seed, same trajectory,
-whether ``GAConfig.batched`` is on or off.
+movement — parent copies, splices, mutation application — is batched away.
+The test suite holds :func:`breed` bit-identical to an object reference
+step that applies the same operators one Individual at a time
+(``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ class PopulationBuffer:
         return out
 
 
-# -- the batched generation step ----------------------------------------------
+# -- the generation step -----------------------------------------------------
 
 
 class _ChildRec:
@@ -323,12 +324,13 @@ def _splice(
     cut2: int,
     max_len: Optional[int],
 ) -> _ChildRec:
-    """The child ``a[:cut1] + b[cut2:]``, with the object path's edge rules.
+    """The child ``a[:cut1] + b[cut2:]``.
 
-    Mirrors :func:`repro.core.crossover._one_point_children` for one child:
-    clip to ``max_len``, fall back to a copy of parent *a* when the splice
-    is empty, and carry parent *a*'s decoded plan as the prefix hint with
-    ``dirty_from = min(cut1, length)``.
+    Clips to ``max_len``, falls back to a copy of parent *a* when the
+    splice is empty (genomes are non-empty), and carries parent *a*'s
+    decoded plan as the prefix hint with ``dirty_from = min(cut1, length)``:
+    the child's first ``cut1`` genes are *a*'s own, so the decoder can
+    resume from *a*'s walk.
     """
     length2 = int(buffer.lengths[b])
     raw = cut1 + (length2 - cut2)
@@ -351,13 +353,12 @@ def _splice(
 
 
 def _mutate_record(rec: _ChildRec, rate: float, rng: np.random.Generator) -> None:
-    """Replay one child's uniform-reset mutation draws onto its recipe.
+    """Draw one child's uniform-reset mutation onto its recipe.
 
-    Identical draws to :func:`repro.core.mutation.uniform_reset_mutation`
-    (via the shared sampler) and identical lineage rules to its
-    ``_mutated_child``: an evaluated clone's decoded plan becomes the
-    prefix; an offspring's pending hint is tightened to the first changed
-    gene; a change at gene 0 (or a missing prefix) drops the hint.
+    The lineage rules match :func:`repro.core.mutation._mutated_child`: an
+    evaluated clone's decoded plan becomes the prefix; an offspring's
+    pending hint is tightened to the first changed gene; a change at gene 0
+    (or a missing prefix) drops the hint.
     """
     if rate == 0.0:
         return
@@ -398,12 +399,13 @@ def breed(
     config,
     rng: np.random.Generator,
 ) -> PopulationBuffer:
-    """One generation of variation on the arrays, replaying the object path.
+    """One generation of variation on the arrays.
 
-    The loop structure (elites first; parents paired ``(i, i+1)`` with
-    wraparound; the second child of the final pair dropped *after* its
-    sibling's mutation when the population fills on an odd count) and every
-    RNG draw match :meth:`repro.core.ga.GARun._next_generation` exactly.
+    Elites first; then parents are paired ``(i, i+1)`` with wraparound, each
+    pair crosses over with probability ``crossover_rate`` (else both are
+    copied), and every child is mutated; the second child of the final pair
+    is dropped *after* its sibling's mutation when the population fills on
+    an odd count.
     """
     rate = config.mutation_rate
     if not 0.0 <= rate <= 1.0:

@@ -48,6 +48,7 @@ from repro.core.decode_engine import DecodeEngine
 from repro.core.fitness import cost_fitness
 from repro.core.ga import GARun
 from repro.core.parallel import Evaluator, SerialEvaluator, build_evaluators
+from repro.core.popbuffer import PopulationBuffer
 from repro.core.stats import RunHistory
 from repro.obs.events import (
     IncumbentImproved,
@@ -425,7 +426,8 @@ def _apply_migration(edges: List[tuple]) -> int:
 
     Emigrants are snapshotted from every source before any import, so the
     order edges are applied in cannot feed an island its own fresh
-    immigrants.  Immigrant genomes longer than the destination's
+    immigrants.  Sources rank their rows by a stable argsort on total
+    fitness, best first.  Immigrant genomes longer than the destination's
     ``max_len`` are skipped (their fitness would be invalid if truncated);
     intake is clamped to leave the destination at least one native
     survivor.
@@ -433,30 +435,23 @@ def _apply_migration(edges: List[tuple]) -> int:
     exports = {}
     for src, dst, k, _reason in edges:
         if src.index not in exports:
-            ranked = sorted(
-                src.run.population, key=lambda ind: ind.total_fitness, reverse=True
-            )
-            exports[src.index] = ranked
+            buf = src.run.buffer
+            exports[src.index] = (buf, np.argsort(-buf.total, kind="stable"))
     imports: dict = {}
     for src, dst, k, _reason in edges:
-        pool = exports[src.index]
+        buf, order = exports[src.index]
         dst_cap = dst.strategy.ga.max_len
-        fitting = [ind for ind in pool if dst_cap is None or len(ind) <= dst_cap]
-        take = min(k, len(fitting))
+        if dst_cap is not None:
+            order = order[buf.lengths[order] <= dst_cap]
         imports.setdefault(dst.index, (dst, []))[1].extend(
-            ind.copy() for ind in fitting[:take]
+            buf.take(order[i : i + 1]) for i in range(min(k, order.size))
         )
     moved = 0
     for dst, immigrants in imports.values():
+        immigrants = immigrants[: dst.run.buffer.n - 1]  # keep one native survivor
         if not immigrants:
             continue
-        population = dst.run.population
-        room = len(population) - 1  # keep at least one native survivor
-        immigrants = immigrants[:room]
-        ranked = sorted(population, key=lambda ind: ind.total_fitness)
-        worst = {id(ind) for ind in ranked[: len(immigrants)]}
-        survivors = [ind for ind in population if id(ind) not in worst]
-        dst.run.population = survivors + immigrants
+        dst.run.replace_worst(PopulationBuffer.concatenate(immigrants))
         moved += len(immigrants)
     return moved
 

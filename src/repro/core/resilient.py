@@ -33,7 +33,7 @@ import os
 import time
 from concurrent.futures import wait
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.parallel import (
     EvaluationContext,
@@ -42,7 +42,6 @@ from repro.core.parallel import (
     SerialEvaluator,
     WorkerPoolError,
 )
-from repro.core.individual import Individual
 from repro.obs.events import EvaluatorDegraded, RetryAttempt
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -190,19 +189,12 @@ class ResilientEvaluator(Evaluator):
 
     # -- the recovery ladder -------------------------------------------------
 
-    def evaluate(self, population: Sequence[Individual], context: EvaluationContext) -> None:
-        self._evaluate_with_ladder(
-            context,
-            lambda: self.inner.evaluate(population, context),
-            lambda: self.fallback.evaluate(population, context),
-        )
-
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
-        """The same recovery ladder over the buffer API.
+        """Run the recovery ladder over one batch.
 
-        Safe for the same reason as :meth:`evaluate`: a failed parallel
-        attempt never writes partial results into the buffer, so the serial
-        fallback re-evaluates exactly the pending rows.
+        Safe because a failed parallel attempt never writes partial results
+        into the buffer, so the serial fallback re-evaluates exactly the
+        pending rows.
         """
         self._evaluate_with_ladder(
             context,

@@ -1,35 +1,17 @@
-"""Selection schemes (paper, Section 3.4.1: tournament of size 2).
+"""Tournament selection (paper, Section 3.4.1: tournament of size 2).
 
-All schemes operate on evaluated populations and return a *parent pool* of
-the requested size; individuals may (and generally do) appear more than
-once.  Returned entries are copies so that downstream mutation of offspring
-can never alias a surviving parent.
+Each tournament draws ``k`` individuals uniformly with replacement and keeps
+the fittest ("the individual with the higher fitness value wins and remains
+in the population").  Selection runs on a population's total-fitness vector
+and returns parent row indices; individuals may (and generally do) win more
+than once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
-from repro.core.individual import Individual
-
-__all__ = [
-    "tournament_selection",
-    "tournament_winner_indices",
-    "roulette_selection",
-    "rank_selection",
-    "SELECTION_SCHEMES",
-]
-
-
-def _require_evaluated(population: Sequence[Individual]) -> None:
-    if not population:
-        raise ValueError("population is empty")
-    for ind in population:
-        # Selection ranks on fitness only; the decoded phenotype is not needed.
-        if ind.fitness is None:
-            raise ValueError("selection requires an evaluated population")
+__all__ = ["tournament_winner_indices"]
 
 
 def tournament_winner_indices(
@@ -42,11 +24,10 @@ def tournament_winner_indices(
 
     One batched ``rng.integers`` draw samples every tournament at once; the
     winner of each row is a vectorized argmax over the gathered fitness
-    matrix.  ``np.argmax`` keeps the first maximum, exactly like the old
-    per-row loop's strict-greater comparison, so the winners (and the RNG
-    stream) are bit-identical to the scalar implementation.  This is the
-    index core shared by :func:`tournament_selection` and the batched
-    population engine (:mod:`repro.core.popbuffer`).
+    matrix.  ``np.argmax`` keeps the first maximum, exactly like a per-row
+    loop's strict-greater comparison, so the winners (and the RNG stream)
+    are bit-identical to the scalar implementation.  The generation step
+    (:func:`repro.core.popbuffer.select_parent_indices`) calls it.
     """
     if tournament_size < 1:
         raise ValueError(f"tournament size must be >= 1, got {tournament_size}")
@@ -54,60 +35,3 @@ def tournament_winner_indices(
     draws = rng.integers(0, size, size=(n, tournament_size))
     winners = np.argmax(fitness[draws], axis=1)
     return draws[np.arange(n), winners]
-
-
-def tournament_selection(
-    population: Sequence[Individual],
-    n: int,
-    rng: np.random.Generator,
-    tournament_size: int = 2,
-) -> list:
-    """Pick *n* parents by size-``k`` tournaments on total fitness.
-
-    Each tournament draws ``k`` individuals uniformly with replacement and
-    keeps the fittest (paper: k=2, "the individual with the higher fitness
-    value wins and remains in the population").
-    """
-    _require_evaluated(population)
-    fits = np.array([ind.total_fitness for ind in population], dtype=np.float64)
-    picks = tournament_winner_indices(fits, n, rng, tournament_size)
-    return [population[i].copy() for i in picks]
-
-
-def roulette_selection(
-    population: Sequence[Individual], n: int, rng: np.random.Generator
-) -> list:
-    """Fitness-proportionate selection (classic GA baseline, for ablations)."""
-    _require_evaluated(population)
-    fits = np.array([ind.total_fitness for ind in population], dtype=np.float64)
-    fits = fits - min(0.0, float(fits.min()))  # shift to non-negative
-    total = float(fits.sum())
-    if total <= 0.0:
-        probs = np.full(len(population), 1.0 / len(population))
-    else:
-        probs = fits / total
-    picks = rng.choice(len(population), size=n, p=probs)
-    return [population[i].copy() for i in picks]
-
-
-def rank_selection(
-    population: Sequence[Individual], n: int, rng: np.random.Generator
-) -> list:
-    """Linear rank-proportionate selection (for ablations)."""
-    _require_evaluated(population)
-    fits = np.array([ind.total_fitness for ind in population], dtype=np.float64)
-    # Stable argsort assigns ranks exactly like the old sorted()-based loop
-    # (ties keep their population order), without per-row Python.
-    order = np.argsort(fits, kind="stable")
-    ranks = np.empty(len(population), dtype=np.float64)
-    ranks[order] = np.arange(1, len(population) + 1, dtype=np.float64)
-    probs = ranks / ranks.sum()
-    picks = rng.choice(len(population), size=n, p=probs)
-    return [population[i].copy() for i in picks]
-
-
-SELECTION_SCHEMES: dict = {
-    "tournament": tournament_selection,
-    "roulette": roulette_selection,
-    "rank": rank_selection,
-}

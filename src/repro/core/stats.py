@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
-
-from repro.core.individual import Individual
 
 __all__ = ["GenerationStats", "RunHistory"]
 
@@ -27,34 +25,9 @@ class GenerationStats:
     solved_count: int
 
     @staticmethod
-    def from_population(generation: int, population: Sequence[Individual]) -> "GenerationStats":
-        totals = np.array([ind.total_fitness for ind in population])
-        goals = np.array([ind.goal_fitness for ind in population])
-        lengths = np.array([len(ind) for ind in population])
-        solved = sum(
-            1 for ind in population if ind.fitness is not None and ind.fitness.goal_reached
-        )
-        return GenerationStats(
-            generation=generation,
-            best_total=float(totals.max()),
-            mean_total=float(totals.mean()),
-            best_goal=float(goals.max()),
-            mean_goal=float(goals.mean()),
-            mean_length=float(lengths.mean()),
-            max_length=int(lengths.max()),
-            min_length=int(lengths.min()),
-            solved_count=solved,
-        )
-
-    @staticmethod
     def from_buffer(generation: int, buffer) -> "GenerationStats":
-        """Same summary computed from a :class:`~repro.core.popbuffer.
-        PopulationBuffer`'s arrays.
-
-        Bit-identical to :meth:`from_population` on the materialised
-        population: the arrays hold the very same float64 values the
-        object path would collect.
-        """
+        """Summary of an evaluated :class:`~repro.core.popbuffer.
+        PopulationBuffer`, read straight off its arrays."""
         totals = buffer.total
         goals = buffer.goal
         lengths = buffer.lengths

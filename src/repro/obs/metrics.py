@@ -98,9 +98,6 @@ CANONICAL_INSTRUMENTS: Tuple[InstrumentSpec, ...] = (
     ),
     InstrumentSpec("memo_evictions", "counter", "core", "fitness-memo entries dropped by resets"),
     InstrumentSpec(
-        "batched_generations", "counter", "core", "generations bred on the PopulationBuffer path"
-    ),
-    InstrumentSpec(
         "shm_bytes_published",
         "counter",
         "core",

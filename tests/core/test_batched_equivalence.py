@@ -1,14 +1,13 @@
-"""Batched-vs-object equivalence: whole GA trajectories must be bit-identical.
+"""Replay equivalence: whole GA trajectories must be bit-identical to the oracle.
 
-``GAConfig.batched`` switches the generation step between the
-structure-of-arrays :class:`~repro.core.popbuffer.PopulationBuffer` engine
-and the historical list-of-Individual path.  The batched engine replays the
-object path's RNG draws exactly (DESIGN.md §11), so the switch must be
-*unobservable* in results: same seed → same per-generation statistics, same
-best genome, fitness and decoded plan, to the last bit — serial, process
-pool or the reference evaluator (``tests/oracle.py``), single-phase or
-multi-phase.  Hypothesis drives random configurations across all three
-crossovers.
+:class:`~repro.core.ga.GARun` breeds on the structure-of-arrays
+:class:`~repro.core.popbuffer.PopulationBuffer`; ``tests/oracle.py``'s
+:func:`reference_ga` runs the same GA one Individual at a time with the
+paper's object operators.  ``breed`` replays the operators' RNG draws
+exactly (DESIGN.md §11), so same seed → same per-generation statistics,
+same best genome, fitness and decoded plan, to the last bit — on the
+serial evaluator, the process pool or the reference evaluator.  Hypothesis
+drives random configurations across all three crossovers.
 """
 
 import numpy as np
@@ -16,28 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    GAConfig,
-    IslandConfig,
-    MultiPhaseConfig,
-    make_rng,
-    run_ga,
-    run_islands,
-    run_multiphase,
-)
+from repro.core import GAConfig, make_rng, run_ga
 from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
-from repro.domains import HanoiDomain, SlidingTileDomain
-from tests.oracle import ReferenceEvaluator
+from repro.domains import BlocksWorldDomain, HanoiDomain, SlidingTileDomain
+from tests.oracle import ReferenceEvaluator, reference_ga
 
 
 def run_pair(domain, config, seed, on_evaluator=None, off_evaluator=None):
-    """Run the same GA batched and unbatched; return both results."""
-    on = run_ga(
-        domain, config.replace(batched=True), make_rng(seed), evaluator=on_evaluator
-    )
-    off = run_ga(
-        domain, config.replace(batched=False), make_rng(seed), evaluator=off_evaluator
-    )
+    """Run the same GA on the buffer and on the oracle; return both results."""
+    on = run_ga(domain, config, make_rng(seed), evaluator=on_evaluator)
+    off = reference_ga(domain, config, make_rng(seed), evaluator=off_evaluator)
     return on, off
 
 
@@ -85,6 +72,16 @@ class TestBatchedTrajectoryEquivalence:
         on, off = run_pair(SlidingTileDomain(3), config, seed)
         assert_results_identical(on, off)
 
+    @given(configs)
+    @settings(max_examples=8, deadline=None)
+    def test_blocks_random_configs(self, params):
+        # Blocks World has no kernel: the serial evaluator runs the engine.
+        seed = params.pop("seed")
+        config = GAConfig(max_len=24, init_length=(4, 12), **params)
+        domain = BlocksWorldDomain([["a", "b", "c"]], [["c", "b", "a"]])
+        on, off = run_pair(domain, config, seed)
+        assert_results_identical(on, off)
+
     @pytest.mark.parametrize("crossover", ["random", "state-aware", "mixed"])
     def test_longer_run_per_crossover(self, crossover):
         config = GAConfig(
@@ -98,17 +95,12 @@ class TestBatchedTrajectoryEquivalence:
         assert_results_identical(on, off)
 
     def test_naive_decode_also_identical(self):
-        # Batching must not depend on the incremental decode engine: the
-        # oracle reaches buffers through the base bridge.
+        # The buffer step must not depend on the incremental decode engine.
         config = GAConfig(
             population_size=12, generations=6, max_len=32, init_length=10,
         )
         on, off = run_pair(
-            HanoiDomain(3),
-            config,
-            31337,
-            on_evaluator=ReferenceEvaluator(),
-            off_evaluator=ReferenceEvaluator(),
+            HanoiDomain(3), config, 31337, on_evaluator=ReferenceEvaluator()
         )
         assert_results_identical(on, off)
 
@@ -132,7 +124,7 @@ class TestProcessPoolBatchedEquivalence:
 
     @pytest.mark.parametrize("crossover", ["state-aware", "mixed"])
     def test_pool_list_api_matches_oracle(self, crossover):
-        # batched=False drives the pool's list API, which packs the
+        # The oracle loop drives the pool's list API, which packs the
         # Individuals into a plan-keeping buffer and publishes it through
         # the same shared-memory path.
         domain = HanoiDomain(3)
@@ -142,55 +134,8 @@ class TestProcessPoolBatchedEquivalence:
             max_len=32,
             init_length=10,
             crossover=crossover,
-            batched=False,
         )
         with ProcessPoolEvaluator(processes=2) as pool:
-            on = run_ga(domain, config, make_rng(11), evaluator=pool)
-        off = run_ga(domain, config, make_rng(11), evaluator=ReferenceEvaluator())
+            on = reference_ga(domain, config, make_rng(11), evaluator=pool)
+        off = reference_ga(domain, config, make_rng(11))
         assert_results_identical(on, off)
-
-
-class TestMultiphaseBatchedEquivalence:
-    def test_multiphase_batched_on_off(self):
-        domain = HanoiDomain(4)
-        base = GAConfig(population_size=16, generations=8, max_len=40, init_length=12)
-        on = run_multiphase(
-            domain,
-            MultiPhaseConfig(phase=base.replace(batched=True), max_phases=3),
-            make_rng(99),
-        )
-        off = run_multiphase(
-            domain,
-            MultiPhaseConfig(phase=base.replace(batched=False), max_phases=3),
-            make_rng(99),
-        )
-        assert on.plan == off.plan
-        assert on.goal_fitness == off.goal_fitness
-        assert on.solved == off.solved
-        assert on.total_generations == off.total_generations
-        for a, b in zip(on.phases, off.phases):
-            assert a.result.history.generations == b.result.history.generations
-
-
-class TestIslandsBatchedEquivalence:
-    def test_islands_batched_on_off(self):
-        domain = HanoiDomain(3)
-        base = GAConfig(
-            population_size=10, generations=12, max_len=32, init_length=10
-        )
-        def island_config(batched):
-            return IslandConfig(
-                n_islands=3,
-                migration_interval=4,
-                migration_size=2,
-                island=base.replace(batched=batched),
-            )
-
-        on = run_islands(domain, island_config(True), make_rng(5))
-        off = run_islands(domain, island_config(False), make_rng(5))
-        assert on.best.sort_key() == off.best.sort_key()
-        np.testing.assert_array_equal(on.best.genes, off.best.genes)
-        assert on.solved_at_generation == off.solved_at_generation
-        assert on.migrations == off.migrations
-        for ha, hb in zip(on.histories, off.histories):
-            assert ha.generations == hb.generations

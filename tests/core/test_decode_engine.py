@@ -13,10 +13,10 @@ from repro.core import GAConfig, Individual, make_rng, run_ga
 from repro.core.decode_engine import DecodeEngine, TransitionCache
 from repro.core.encoding import DecodeCache, decode
 from repro.core.fitness import FitnessFunction
-from repro.core.mutation import deletion_mutation, insertion_mutation, uniform_reset_mutation
+from repro.core.mutation import deletion_mutation, insertion_mutation
 from repro.core.parallel import EvaluationContext, SerialEvaluator
 from repro.domains import HanoiDomain, SlidingTileDomain
-from tests.oracle import ReferenceEvaluator
+from tests.oracle import ReferenceEvaluator, random_crossover, uniform_reset_mutation
 
 
 def assert_plans_identical(a, b):
@@ -297,8 +297,6 @@ class TestOperatorLineage:
         return ind
 
     def test_crossover_children_carry_prefix(self, hanoi3, rng):
-        from repro.core.crossover import random_crossover
-
         p1 = self._evaluated(hanoi3, rng)
         p2 = self._evaluated(hanoi3, rng)
         c1, c2 = random_crossover(p1, p2, rng, max_len=64)
@@ -313,8 +311,6 @@ class TestOperatorLineage:
             )
 
     def test_unevaluated_parents_produce_plain_children(self, rng):
-        from repro.core.crossover import random_crossover
-
         p1, p2 = Individual.random(10, rng), Individual.random(10, rng)
         c1, c2 = random_crossover(p1, p2, rng, max_len=64)
         assert c1.prefix_plan is None and c2.prefix_plan is None
@@ -336,8 +332,6 @@ class TestOperatorLineage:
         # engine's prefix-resumed decode must still equal a naive decode.
         p1 = self._evaluated(hanoi3, rng)
         p2 = self._evaluated(hanoi3, rng)
-        from repro.core.crossover import random_crossover
-
         cache = TransitionCache(hanoi3)
         for _ in range(20):
             c1, _ = random_crossover(p1, p2, rng, max_len=64)

@@ -135,16 +135,16 @@ class TestKernelLessDomain:
     def domain():
         return BlocksWorldDomain([["a", "b", "c"]], [["c", "b", "a"]])
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_serial_engine_matches_oracle(self, batched):
-        config = self.config.replace(batched=batched)
+    @pytest.mark.parametrize("truncate_at_goal", [True, False])
+    def test_serial_engine_matches_oracle(self, truncate_at_goal):
+        config = self.config.replace(truncate_at_goal=truncate_at_goal)
         on = run_ga(self.domain(), config, make_rng(3))
         off = run_ga(self.domain(), config, make_rng(3), evaluator=ReferenceEvaluator())
         assert_results_identical(on, off)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_pool_matches_oracle(self, batched):
-        config = self.config.replace(batched=batched)
+    @pytest.mark.parametrize("truncate_at_goal", [True, False])
+    def test_pool_matches_oracle(self, truncate_at_goal):
+        config = self.config.replace(truncate_at_goal=truncate_at_goal)
         with ProcessPoolEvaluator(processes=2) as pool:
             on = run_ga(self.domain(), config, make_rng(3), evaluator=pool)
         off = run_ga(self.domain(), config, make_rng(3), evaluator=ReferenceEvaluator())

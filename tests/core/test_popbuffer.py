@@ -3,9 +3,9 @@
 Trajectory-level equivalence lives in ``test_batched_equivalence.py``; this
 file pins the buffer's own contracts — lossless Individual round-trips,
 ``GenerationStats.from_buffer`` equality, ``best_index`` tie-breaking, and
-the property that a batched generation carries exactly the same
+the property that a bred generation carries exactly the same
 incremental-decode lineage (``dirty_from`` + prefix plan) per offspring as
-the per-individual object path.
+the per-individual reference step (``tests/oracle.py``).
 """
 
 import numpy as np
@@ -17,10 +17,11 @@ from repro.core import GAConfig, GARun, Individual, PopulationBuffer, make_rng
 from repro.core.popbuffer import breed, select_parent_indices
 from repro.core.stats import GenerationStats
 from repro.domains import HanoiDomain
+from tests.oracle import reference_generation, stats_from_population
 
 
-def evaluated_run(config, seed, batched):
-    run = GARun(HanoiDomain(3), config.replace(batched=batched), make_rng(seed))
+def evaluated_run(config, seed):
+    run = GARun(HanoiDomain(3), config, make_rng(seed))
     run._evaluate_and_record()
     return run
 
@@ -40,7 +41,7 @@ class TestRoundTrip:
             assert not b.is_evaluated
 
     def test_evaluated_round_trip_preserves_fitness_and_plans(self):
-        run = evaluated_run(BASE, 17, batched=False)
+        run = evaluated_run(BASE, 17)
         population = run.population
         buf = PopulationBuffer.from_individuals(population)
         np.testing.assert_array_equal(buf.evaluated, np.ones(len(population), bool))
@@ -51,7 +52,7 @@ class TestRoundTrip:
             assert ind.decoded.operations == src.decoded.operations
 
     def test_views_are_zero_copy_and_read_only(self):
-        run = evaluated_run(BASE, 17, batched=True)
+        run = evaluated_run(BASE, 17)
         buf = run.buffer
         view = buf.view(0)
         assert view.base is buf.genes or view.base is buf.genes.base
@@ -67,17 +68,15 @@ class TestStatsAndBest:
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=10, deadline=None)
     def test_from_buffer_matches_from_population(self, seed):
-        run = evaluated_run(BASE, seed, batched=False)
+        run = evaluated_run(BASE, seed)
         population = run.population
         buf = PopulationBuffer.from_individuals(population)
-        assert GenerationStats.from_buffer(0, buf) == GenerationStats.from_population(
-            0, population
-        )
+        assert GenerationStats.from_buffer(0, buf) == stats_from_population(0, population)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=10, deadline=None)
     def test_best_index_matches_object_max(self, seed):
-        run = evaluated_run(BASE, seed, batched=False)
+        run = evaluated_run(BASE, seed)
         population = run.population
         buf = PopulationBuffer.from_individuals(population)
         expected = max(range(len(population)), key=lambda i: population[i].sort_key())
@@ -102,7 +101,7 @@ class TestStatsAndBest:
 
 class TestSubsetOps:
     def test_take_preserves_rows_in_order(self):
-        run = evaluated_run(BASE, 23, batched=True)
+        run = evaluated_run(BASE, 23)
         buf = run.buffer
         rows = np.array([4, 0, 7], dtype=np.int64)
         sub = buf.take(rows)
@@ -113,7 +112,7 @@ class TestSubsetOps:
             assert sub.plans[j] is buf.plans[int(r)]
 
     def test_concatenate_stacks_parts(self):
-        run = evaluated_run(BASE, 23, batched=True)
+        run = evaluated_run(BASE, 23)
         buf = run.buffer
         a = buf.take(np.arange(4))
         b = buf.take(np.arange(4, buf.n))
@@ -140,12 +139,11 @@ class TestDirtyFromLineage:
         config = BASE.replace(
             crossover=crossover, mutation_rate=mutation_rate, elitism=elitism
         )
-        on = evaluated_run(config, seed, batched=True)
-        off = evaluated_run(config, seed, batched=False)
+        on = evaluated_run(config, seed)
+        off = evaluated_run(config, seed)
         on._next_generation()
-        off._next_generation()
+        offspring = reference_generation(off.population, config, off.rng)
         buf = on.buffer
-        offspring = off.population
         assert buf.n == len(offspring)
         for i, ind in enumerate(offspring):
             np.testing.assert_array_equal(buf.view(i), ind.genes)
@@ -166,7 +164,7 @@ class TestDirtyFromLineage:
                 assert buf.prefix_plans[i] is None
 
     def test_breed_validates_mutation_rate(self):
-        run = evaluated_run(BASE, 1, batched=True)
+        run = evaluated_run(BASE, 1)
         bad = BASE.replace(mutation_rate=0.1)
         object.__setattr__(bad, "mutation_rate", 1.5)
         idx = select_parent_indices(run.buffer, BASE, make_rng(0))

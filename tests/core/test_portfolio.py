@@ -1,5 +1,9 @@
 """Portfolio engine: racing, cancellation, anytime API, deterministic replay."""
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -18,9 +22,11 @@ from repro.core import (
     parse_portfolio,
     run_portfolio,
 )
-from repro.core.parallel import SerialEvaluator
+import repro
+from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
 from repro.domains import HanoiDomain
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer
+from tests.core.test_shm_lifecycle import shm_entries
 from tests.oracle import ReferenceEvaluator
 
 
@@ -51,7 +57,7 @@ MIXES = {
         StrategySpec(kind="search", algorithm="gbfs", expansions_per_tick=8),
     ),
     "engines": _spec(
-        StrategySpec(kind="ga", ga=_ga(batched=False)),
+        StrategySpec(kind="ga", ga=_ga()),
         StrategySpec(kind="ga", ga=_ga(vector_decode=False)),
         StrategySpec(kind="search", algorithm="astar", expansions_per_tick=16),
     ),
@@ -242,15 +248,9 @@ class TestEvaluatorLifetimes:
 
             def evaluate_buffer(self, buffer, context):
                 Exploding.calls += 1
-                if Exploding.calls > 4:
+                if Exploding.calls > 2:
                     raise RuntimeError("mid-run failure")
                 return super().evaluate_buffer(buffer, context)
-
-            def evaluate(self, population, context):
-                Exploding.calls += 1
-                if Exploding.calls > 4:
-                    raise RuntimeError("mid-run failure")
-                return super().evaluate(population, context)
 
             def close(self):
                 closed.append(self)
@@ -325,3 +325,97 @@ class TestPlannerIntegration:
     def test_conflicting_sub_configs_rejected(self, hanoi3):
         with pytest.raises(ValueError, match="at most one"):
             GAPlanner(hanoi3, _ga(), seed=0, islands=2, portfolio=2)
+
+
+#: Two GA islands that cannot solve Hanoi-4 before the first migration
+#: (round 1 of interval 2), so their pools trade rows at least once.
+_POOLED_GA = GAConfig(population_size=20, generations=6, max_len=40, init_length=10)
+
+
+def _pooled_spec(second_crossover):
+    return PortfolioSpec(
+        strategies=(
+            StrategySpec(kind="ga", ga=_POOLED_GA),
+            StrategySpec(kind="ga", ga=_POOLED_GA.replace(crossover=second_crossover)),
+        ),
+        interval=2,
+    )
+
+
+class TestPooledMigration:
+    """Shared-memory dispatch under random crossover returns fitness without
+    plans; migrated rows must stay evaluated, and a plan-keeping island must
+    get the plans its crossover reads."""
+
+    @pytest.mark.parametrize("second_crossover", ["random", "state-aware"])
+    def test_pooled_islands_migrate_like_serial_ones(self, second_crossover):
+        spec = _pooled_spec(second_crossover)
+        pooled = run_portfolio(
+            HanoiDomain(4),
+            spec,
+            make_rng(1),
+            evaluator_factory=lambda: ProcessPoolEvaluator(processes=1),
+            serial=True,
+        )
+        serial = run_portfolio(HanoiDomain(4), spec, make_rng(1), serial=True)
+        assert pooled.migrations >= 1
+        assert pooled.histories == serial.histories
+        assert pooled.winner == serial.winner
+        assert pooled.plan == serial.plan
+
+
+_RACE_SCRIPT = """
+import sys
+from repro.core import GAConfig, PortfolioSpec, StrategySpec, make_rng, run_portfolio
+from repro.core.parallel import ProcessPoolEvaluator
+from repro.domains import HanoiDomain
+
+ga = GAConfig(population_size=20, generations=6, max_len=40, init_length=10)
+spec = PortfolioSpec(
+    strategies=(
+        StrategySpec(kind="ga", ga=ga),
+        StrategySpec(kind="ga", ga=ga.replace(crossover="state-aware")),
+    ),
+    interval=2,
+)
+result = run_portfolio(
+    HanoiDomain(4), spec, make_rng(int(sys.argv[1])),
+    evaluator_factory=lambda: ProcessPoolEvaluator(processes=1),
+)
+print("rounds", result.rounds)
+"""
+
+
+class TestThreadedPoolRace:
+    @pytest.mark.timeout(600)
+    def test_threaded_pool_islands_never_deadlock_at_fork(self):
+        # Two island threads each create a shared-memory segment and fork
+        # pool workers; a fork under the other thread's resource-tracker
+        # lock used to wedge the worker forever.  Each fresh process runs
+        # the race under a timeout, and its process group is killed if it
+        # hangs so no wedged worker outlives the test.
+        before = shm_entries()
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        hung = []
+        for seed in range(5):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _RACE_SCRIPT, str(seed)],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                hung.append(seed)
+                continue
+            assert proc.returncode == 0, err.decode()[-2000:]
+            assert b"rounds" in out
+        assert not hung, f"races with seeds {hung} hung"
+        if before is not None:
+            assert shm_entries() - before == set()

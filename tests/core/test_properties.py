@@ -11,11 +11,10 @@ from repro.core import (
     encode_operations,
     gene_to_index,
     make_rng,
-    random_crossover,
-    uniform_reset_mutation,
 )
 from repro.core.fitness import cost_fitness
 from repro.domains import HanoiDomain, SlidingTileDomain
+from tests.oracle import random_crossover, uniform_reset_mutation
 
 genes_arrays = hnp.arrays(
     dtype=np.float64,

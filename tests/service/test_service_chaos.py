@@ -23,7 +23,7 @@ class _BrokenPool(Evaluator):
     def __init__(self, failures):
         self.failures = failures
 
-    def evaluate(self, population, context):
+    def evaluate_buffer(self, buffer, context):
         if self.failures > 0:
             self.failures -= 1
             raise WorkerPoolError("simulated pool death")
