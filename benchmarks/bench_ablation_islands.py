@@ -6,7 +6,7 @@ The trial grid, per-trial seeds and aggregation live in the declarative
 paper-shaped table, and asserts its shape: every structure appears for
 every disk count, fitness stays in range, and whenever both the portfolio
 and the ring solve a size, the portfolio's first solution is no slower
-than the ring's full run at the median.
+than the ring's at the median.
 """
 
 from conftest import emit

@@ -229,7 +229,7 @@ def island_study(
     *n_islands* ring-migrating islands and compares solve rate on the
     deceptive weighted-disk Hanoi fitness.
     """
-    from repro.core import IslandConfig, run_islands
+    from repro.core import ring_portfolio, run_portfolio
 
     s = scale or scale_from_env()
     root = make_rng(seed)
@@ -251,17 +251,16 @@ def island_study(
     )
 
     per_island = max(2, total_pop // n_islands)
-    island_cfg = IslandConfig(
-        n_islands=n_islands,
-        migration_interval=10,
+    ring = ring_portfolio(
+        single_cfg.replace(population_size=per_island),
+        n_islands,
         migration_size=max(1, per_island // 10),
-        island=single_cfg.replace(population_size=per_island),
     )
     goals, solved = [], 0
     for rng in spawn_many(root, s.runs_hanoi):
-        result = run_islands(domain, island_cfg, rng)
-        assert result.best.fitness is not None
-        goals.append(result.best.fitness.goal)
+        result = run_portfolio(domain, ring, rng, serial=True)
+        assert result.best is not None
+        goals.append(result.best.goal_fitness)
         solved += result.solved
     table.add_row(
         f"{n_islands} islands (ring migration)",

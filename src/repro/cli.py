@@ -600,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run mode (default: multiphase when --phases > 1, else single)",
     )
-    p.add_argument("--islands", type=int, default=4, help="island count for --mode islands")
+    p.add_argument("--islands", type=int, default=4, help="island count for --mode islands (a ring of GA islands raced serially)")
     p.add_argument(
         "--portfolio", metavar="SPEC", default="ga,ga:state-aware,search:gbfs",
         help="portfolio strategy list for --mode portfolio: comma-separated "

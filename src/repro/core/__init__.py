@@ -85,10 +85,6 @@ from repro.core.termination import (  # noqa: E402
 
 __all__ += ["Deadline", "FitnessTarget", "GenerationLimit", "Stagnation", "all_of", "any_of"]
 
-from repro.core.islands import IslandConfig, IslandResult, run_islands  # noqa: E402
-
-__all__ += ["IslandConfig", "IslandResult", "run_islands"]
-
 from repro.core.config import PortfolioSpec, StrategySpec, STRATEGY_KINDS  # noqa: E402
 from repro.core.parallel import build_evaluators  # noqa: E402
 from repro.core.planner import IncumbentStream  # noqa: E402
@@ -98,6 +94,7 @@ from repro.core.portfolio import (  # noqa: E402
     canonical_events,
     default_portfolio,
     parse_portfolio,
+    ring_portfolio,
     run_portfolio,
 )
 
@@ -112,6 +109,7 @@ __all__ += [
     "canonical_events",
     "default_portfolio",
     "parse_portfolio",
+    "ring_portfolio",
     "run_portfolio",
 ]
 

@@ -63,8 +63,7 @@ def build_evaluators(factory, n: int) -> list:
     If the k-th factory call raises, the k-1 evaluators already built are
     closed before the exception propagates — a bare list comprehension
     would leak their worker pools and shared-memory segments.  Used by the
-    island-model and portfolio drivers, which need one evaluator per
-    island.
+    portfolio driver, which needs one evaluator per GA island.
     """
     evaluators: list = []
     try:
@@ -214,7 +213,7 @@ class SerialEvaluator(Evaluator):
     :class:`~repro.core.decode_engine.DecodeEngine` — transition
     memoisation, dirty-prefix re-decode and fingerprint dedup (DESIGN.md
     §9).  A pre-built engine can be injected to share caches across
-    evaluators (the island model does this); otherwise one is created
+    evaluators (a serial portfolio race does this); otherwise one is created
     lazily and kept for the evaluator's lifetime.
     """
 

@@ -2,14 +2,16 @@
 
 Most users want "give me a plan for this domain"; :class:`GAPlanner` wraps
 configuration, seeding, run-mode dispatch and result packaging behind one
-call.  All three run modes — ``"single"`` (one GA run), ``"multiphase"``
-(the paper's Section 3.5 driver) and ``"islands"`` (the ring-migration
-island model) — return the same :class:`PlanningOutcome` with identical
-field semantics, so callers can switch modes without touching downstream
-code.  The lower-level :class:`~repro.core.ga.GARun`,
+call.  All four run modes — ``"single"`` (one GA run), ``"multiphase"``
+(the paper's Section 3.5 driver), ``"islands"`` (the ring-migration
+island model) and ``"portfolio"`` (a race of heterogeneous islands) —
+return the same :class:`PlanningOutcome` with identical field semantics,
+so callers can switch modes without touching downstream code.  The ring
+is a GA-only portfolio (:func:`~repro.core.portfolio.ring_portfolio`) run
+serially.  The lower-level :class:`~repro.core.ga.GARun`,
 :func:`~repro.core.multiphase.run_multiphase` and
-:func:`~repro.core.islands.run_islands` remain available for fine-grained
-control.
+:func:`~repro.core.portfolio.run_portfolio` remain available for
+fine-grained control.
 
 Evaluator lifetimes are explicit: the planner accepts an ``evaluator=``
 *specification* (``"serial"``, ``"process"``, or a zero-argument factory),
@@ -29,13 +31,13 @@ from repro.core.config import GAConfig, MultiPhaseConfig, PortfolioSpec
 from repro.core.encoding import encode_operations
 from repro.core.ga import GAResult, run_ga
 from repro.core.individual import Individual
-from repro.core.islands import IslandConfig, IslandResult, run_islands
 from repro.core.multiphase import MultiPhaseResult, run_multiphase
 from repro.core.parallel import Evaluator, ProcessPoolEvaluator
 from repro.core.portfolio import (
     Incumbent,
     PortfolioResult,
     default_portfolio,
+    ring_portfolio,
     run_portfolio,
 )
 from repro.core.rng import make_rng
@@ -76,10 +78,11 @@ class PlanningOutcome:
         Which run mode produced this outcome (``"single"``, ``"multiphase"``,
         ``"islands"`` or ``"portfolio"``).
     detail:
-        The underlying :class:`GAResult`, :class:`MultiPhaseResult`,
-        :class:`IslandResult` or :class:`PortfolioResult`.
+        The underlying :class:`GAResult`, :class:`MultiPhaseResult` or
+        :class:`PortfolioResult` (island and portfolio modes).
     incumbents:
-        Anytime best-so-far history (portfolio mode only; empty elsewhere).
+        Anytime best-so-far history (island and portfolio modes; empty
+        elsewhere).
         Each entry is an :class:`~repro.core.portfolio.Incumbent` recording
         which island improved the portfolio-wide best, at which logical
         tick, and after how much wall-clock time.
@@ -145,9 +148,10 @@ class GAPlanner:
         A :class:`MultiPhaseConfig`, or a phase count for convenience.
         Implies ``mode="multiphase"`` when *mode* is not given.
     islands:
-        An :class:`IslandConfig`, or an island count for convenience (ring
-        defaults, *config* as the per-island config).  Implies
-        ``mode="islands"`` when *mode* is not given.
+        An island count: a ring of that many GA islands around *config*
+        (:func:`~repro.core.portfolio.ring_portfolio`, run serially).
+        Implies ``mode="islands"`` when *mode* is not given; the mode alone
+        builds a ring of 4.
     portfolio:
         A :class:`~repro.core.config.PortfolioSpec`, or a GA-island count
         for convenience (crossover-diverse GA islands around *config* plus
@@ -182,7 +186,7 @@ class GAPlanner:
         multiphase: Optional[MultiPhaseConfig | int] = None,
         seed: Optional[int] = None,
         *,
-        islands: Optional[IslandConfig | int] = None,
+        islands: Optional[int] = None,
         portfolio: Optional[PortfolioSpec | int] = None,
         portfolio_serial: bool = False,
         mode: Optional[str] = None,
@@ -196,8 +200,8 @@ class GAPlanner:
             multiphase = MultiPhaseConfig(
                 max_phases=multiphase, phase=config.replace(stop_on_goal=False)
             )
-        if isinstance(islands, int):
-            islands = IslandConfig(n_islands=islands, island=config)
+        if islands is not None:
+            islands = ring_portfolio(config, islands)
         if isinstance(portfolio, int):
             portfolio = default_portfolio(config, n_ga=portfolio)
         given = [c for c in (multiphase, islands, portfolio) if c is not None]
@@ -217,7 +221,7 @@ class GAPlanner:
         if mode == "multiphase" and multiphase is None:
             multiphase = MultiPhaseConfig(phase=config.replace(stop_on_goal=False))
         if mode == "islands" and islands is None:
-            islands = IslandConfig(island=config)
+            islands = ring_portfolio(config, 4)
         if mode == "portfolio" and portfolio is None:
             portfolio = default_portfolio(config)
         if mode != "multiphase":
@@ -262,9 +266,7 @@ class GAPlanner:
             raise ValueError("on_incumbent= requires mode='portfolio'")
         if self.mode == "multiphase":
             return self._solve_multiphase(start_state, seeds)
-        if self.mode == "islands":
-            return self._solve_islands(start_state, seeds)
-        if self.mode == "portfolio":
+        if self.mode in ("islands", "portfolio"):
             return self._solve_portfolio(start_state, seeds, on_incumbent)
         return self._solve_single(start_state, seeds)
 
@@ -337,46 +339,21 @@ class GAPlanner:
             mode="multiphase",
         )
 
-    def _solve_islands(self, start_state, seeds) -> PlanningOutcome:
-        if seeds:
-            raise ValueError("seeding is only supported in single-phase mode")
-        assert self.islands is not None
-        result: IslandResult = run_islands(
-            self.domain,
-            self.islands,
-            self.rng,
-            start_state=start_state,
-            evaluator_factory=self._evaluator_factory,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        decoded = result.best.decoded
-        assert decoded is not None and result.best.fitness is not None
-        return PlanningOutcome(
-            plan=decoded.operations,
-            solved=result.best.fitness.goal_reached,
-            goal_fitness=result.best.fitness.goal,
-            plan_length=len(decoded.operations),
-            plan_cost=decoded.cost,
-            generations=result.generations_run * self.islands.n_islands,
-            elapsed_seconds=result.elapsed_seconds,
-            detail=result,
-            mode="islands",
-        )
-
     def _solve_portfolio(self, start_state, seeds, on_incumbent) -> PlanningOutcome:
         if seeds:
             raise ValueError("seeding is only supported in single-phase mode")
-        assert self.portfolio is not None
+        ring = self.mode == "islands"
+        spec = self.islands if ring else self.portfolio
+        assert spec is not None
         result: PortfolioResult = run_portfolio(
             self.domain,
-            self.portfolio,
+            spec,
             self.rng,
             start_state=start_state,
             evaluator_factory=self._evaluator_factory,
             tracer=self.tracer,
             metrics=self.metrics,
-            serial=self.portfolio_serial,
+            serial=ring or self.portfolio_serial,
             on_incumbent=on_incumbent,
         )
         best = result.best
@@ -390,7 +367,7 @@ class GAPlanner:
             generations=sum(result.ticks_run),
             elapsed_seconds=result.elapsed_seconds,
             detail=result,
-            mode="portfolio",
+            mode=self.mode,
             incumbents=tuple(result.incumbents),
         )
 

@@ -1,14 +1,15 @@
-"""Heterogeneous island portfolio: racing strategies with cancellation.
+"""Island portfolio: racing strategies with migration and cancellation.
 
-The island model in :mod:`repro.core.islands` runs one homogeneous GA
-config generation-by-generation in a single thread.  This module rebuilds
-it as a *portfolio engine* (DESIGN.md §14): each island is a
+This is the one island engine (DESIGN.md §14).  Each island is a
 :class:`~repro.core.config.StrategySpec` — a GA with its own
 crossover/mutation/engine settings, or a pure heuristic search built on
-:mod:`repro.planning.search.resumable` — and islands race concurrently on
-the same problem.  The first island to reach the goal wins and cancels the
-rest (optionally after an "improve-for-N-ms" grace window), and the driver
+:mod:`repro.planning.search.resumable` — and islands race on the same
+problem.  The first island to reach the goal wins and cancels the rest
+(optionally after an "improve-for-N-ms" grace window), and the driver
 streams an anytime best-so-far incumbent sequence while the race runs.
+The classic ring island model is one configuration of it
+(:func:`ring_portfolio`): GA-only islands, a fixed ring at the base
+migration rate, run serially.
 
 Determinism is the design constraint everything else bends around.  The
 race is decided in *logical time*, not wall-clock time: islands advance in
@@ -23,9 +24,11 @@ replays the exact same race the thread pool ran, producing the same
 winner, the same plans, and the same event log (modulo wall-clock
 ``seconds`` payloads — see :func:`canonical_events`).
 
-Each island gets its own evaluator, decode engine, metrics registry and
-buffering tracer, plus a ``copy.deepcopy`` of the domain so the vectorised
-decode path's per-domain kernel caches are never shared across threads.
+Each island gets its own evaluator, metrics registry and buffering
+tracer.  On threads each island also decodes a ``copy.deepcopy`` of the
+domain with its own decode engine, so per-domain kernel caches are never
+shared across threads; a serial race shares the caller's domain and one
+decode engine, whose transition tables every island then warms.
 Per-island events are re-emitted on the shared tracer in island order at
 every round boundary; per-island metrics merge into the run registry at
 the end (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).
@@ -67,6 +70,7 @@ __all__ = [
     "PortfolioResult",
     "run_portfolio",
     "default_portfolio",
+    "ring_portfolio",
     "parse_portfolio",
     "canonical_events",
 ]
@@ -119,10 +123,11 @@ class PortfolioResult:
     """Outcome of a portfolio race.
 
     ``histories`` aligns with the spec's strategies (``None`` for search
-    islands); ``winner`` is ``None`` when no island solved within its
-    budget, in which case ``best`` is the best unsolved incumbent (or
-    ``None`` when no island produced any evaluated candidate — possible
-    for search-only portfolios).
+    islands); ``winner`` is ``None`` when no island claimed a solution —
+    none solved within its budget, or the solving GA islands do not stop
+    on goal (``solved`` then still reports the best plan).  ``best`` is
+    ``None`` only when no island produced any evaluated candidate —
+    possible for search-only portfolios.
     """
 
     best: Optional[Incumbent]
@@ -140,8 +145,8 @@ class PortfolioResult:
 
     @property
     def solved(self) -> bool:
-        """True when some island reached the goal."""
-        return self.winner is not None
+        """True when the best plan found reaches the goal."""
+        return self.best is not None and self.best.solved
 
     @property
     def plan(self) -> tuple:
@@ -288,11 +293,11 @@ class _GAIsland(_IslandWorker):
                         wall_s=time.perf_counter() - t0,
                     )
                 )
-            if self.run.solved_at is not None:
+            if self.run.solved_at is not None and self.strategy.ga.stop_on_goal:
                 # A solved island rests: its claim is registered and any
                 # further polishing comes from the others' grace rounds.
-                if self.claim_tick is None:
-                    self.claim_tick = self.ticks
+                # Without stop_on_goal it runs on to its budget unclaimed.
+                self.claim_tick = self.ticks
                 self.active = False
                 return
             if self.ticks >= self.budget:
@@ -463,28 +468,35 @@ def _build_workers(
     start_state: Optional[object],
     evaluator_factory: Optional[Callable[[], Evaluator]],
     buffered: bool,
+    serial: bool,
 ) -> List[_IslandWorker]:
-    """Construct one worker per strategy, leak-free on factory failure."""
+    """Construct one worker per strategy, leak-free on factory failure.
+
+    On threads every island decodes its own domain copy with its own
+    engine, so kernel and transition caches stay thread-local; a serial
+    race shares the caller's domain and one engine across its islands.
+    """
     rngs = rng_mod.spawn_many(rng, len(spec.strategies))
     ga_indices = spec.ga_indices
     if evaluator_factory is not None:
         evaluators = build_evaluators(evaluator_factory, len(ga_indices))
     else:
-        # Unlike the serial island model, engines are NOT shared across
-        # islands: each worker runs on its own thread.
-        evaluators = [SerialEvaluator(engine=DecodeEngine()) for _ in ga_indices]
+        # Without a shared engine each evaluator builds its own on demand.
+        shared = DecodeEngine() if serial else None
+        evaluators = [SerialEvaluator(engine=shared) for _ in ga_indices]
     by_island = dict(zip(ga_indices, evaluators))
     budget = spec.tick_budget()
     workers: List[_IslandWorker] = []
     try:
         for i, strategy in enumerate(spec.strategies):
-            # Per-island domain copies keep kernel/transition caches
-            # thread-local; domains are plain picklable data, so deepcopy
-            # is cheap and yields an identical search space.
-            try:
-                dom = copy.deepcopy(domain)
-            except Exception:
-                dom = domain
+            dom = domain
+            if not serial:
+                # Domains are plain picklable data, so deepcopy is cheap
+                # and yields an identical search space.
+                try:
+                    dom = copy.deepcopy(domain)
+                except Exception:
+                    pass
             if strategy.kind == "ga":
                 workers.append(
                     _GAIsland(
@@ -565,7 +577,7 @@ def run_portfolio(
     metrics = metrics if metrics is not None else MetricsRegistry()
     buffered = tracer.enabled
     workers = _build_workers(
-        spec, domain, rng, start_state, evaluator_factory, buffered
+        spec, domain, rng, start_state, evaluator_factory, buffered, serial
     )
     token = _StopToken()
     controller = _MigrationController(spec)
@@ -689,12 +701,7 @@ def run_portfolio(
     for w in workers:
         metrics.merge(w.metrics)
 
-    first_wall = None
-    if winner is not None:
-        for inc in incumbents:
-            if inc.solved:
-                first_wall = inc.wall_s
-                break
+    first_wall = next((inc.wall_s for inc in incumbents if inc.solved), None)
     return PortfolioResult(
         best=best,
         winner=winner.index if winner is not None else None,
@@ -732,6 +739,29 @@ def default_portfolio(
     ]
     strategies += [StrategySpec(kind="search", algorithm=a) for a in search]
     return PortfolioSpec(strategies=tuple(strategies), **spec_kwargs)
+
+
+def ring_portfolio(
+    base: GAConfig, n_islands: int, interval: int = 10, migration_size: int = 2
+) -> PortfolioSpec:
+    """The classic island model as a portfolio: a fixed ring of GA islands.
+
+    *n_islands* copies of *base* trade their *migration_size* best
+    individuals for the next island's worst every *interval* generations,
+    at the base rate (``adaptive=False``).  Each island rests at its first
+    solution only when *base* sets ``stop_on_goal``; otherwise the ring
+    runs to the generation budget.  Run it with ``serial=True``: a GA-only
+    ring gains nothing from threads, and the serial race shares one domain
+    and one decode engine across its islands.
+    """
+    if n_islands < 2:
+        raise ValueError(f"a ring needs at least 2 islands, got {n_islands}")
+    return PortfolioSpec(
+        strategies=(StrategySpec(kind="ga", ga=base),) * n_islands,
+        interval=interval,
+        migration_size=migration_size,
+        adaptive=False,
+    )
 
 
 def parse_portfolio(text: str, base: GAConfig, **spec_kwargs) -> PortfolioSpec:

@@ -6,7 +6,7 @@ total population budget on n-disk Hanoi, compare
 
 - ``single`` — one panmictic GA population,
 - ``ring-islands`` — the homogeneous island model with ring migration
-  (:func:`repro.core.run_islands`),
+  (:func:`repro.core.ring_portfolio`, raced serially),
 - ``portfolio`` — the racing portfolio (:func:`repro.core.run_portfolio`):
   two GA strategies with different crossovers plus a greedy best-first
   search island, adaptive migration, first-solution cancellation.
@@ -20,7 +20,6 @@ strategies.
 from __future__ import annotations
 
 import statistics
-import time
 from typing import Dict, List, Sequence
 
 from repro.analysis.experiments import (
@@ -55,7 +54,7 @@ def _base_config(scale: ExperimentScale, n_disks: int):
 
 def portfolio_trial(cell: dict, seed: int, scale: ExperimentScale) -> Dict[str, object]:
     """One trial: run the cell's population structure on n-disk Hanoi."""
-    from repro.core import IslandConfig, PortfolioSpec, StrategySpec, run_islands, run_portfolio
+    from repro.core import PortfolioSpec, StrategySpec, ring_portfolio, run_portfolio
 
     n_disks = int(cell["disks"])
     domain, cfg = _base_config(scale, n_disks)
@@ -75,38 +74,23 @@ def portfolio_trial(cell: dict, seed: int, scale: ExperimentScale) -> Dict[str, 
     per_island = max(2, cfg.population_size // _N_ISLANDS)
     island_cfg = cfg.replace(population_size=per_island)
 
+    migration_size = max(1, per_island // 10)
     if structure == "ring-islands":
-        config = IslandConfig(
-            n_islands=_N_ISLANDS,
-            migration_interval=5,
-            migration_size=max(1, per_island // 10),
-            island=island_cfg,
+        spec = ring_portfolio(island_cfg, _N_ISLANDS, 5, migration_size)
+    else:
+        # portfolio: two GA strategies with different crossovers plus a
+        # racing greedy best-first search island, at the same per-island
+        # budget.
+        spec = PortfolioSpec(
+            strategies=(
+                StrategySpec(kind="ga", ga=island_cfg),
+                StrategySpec(kind="ga", ga=island_cfg.replace(crossover="state-aware")),
+                StrategySpec(kind="search", algorithm="gbfs", expansions_per_tick=64),
+            ),
+            interval=5,
+            migration_size=migration_size,
         )
-        t0 = time.perf_counter()
-        result = run_islands(domain, config, rng)
-        elapsed = time.perf_counter() - t0
-        assert result.best.fitness is not None
-        decoded = result.best.decoded
-        return {
-            "goal_fitness": result.best.fitness.goal,
-            "size": len(decoded.operations) if decoded else 0,
-            "solved": result.solved,
-            "ttfs_s": round(elapsed, 6) if result.solved else None,
-            "elapsed_seconds": round(elapsed, 6),
-        }
-
-    # portfolio: two GA strategies with different crossovers plus a racing
-    # greedy best-first search island, at the same per-island budget.
-    spec = PortfolioSpec(
-        strategies=(
-            StrategySpec(kind="ga", ga=island_cfg),
-            StrategySpec(kind="ga", ga=island_cfg.replace(crossover="state-aware")),
-            StrategySpec(kind="search", algorithm="gbfs", expansions_per_tick=64),
-        ),
-        interval=5,
-        migration_size=max(1, per_island // 10),
-    )
-    result = run_portfolio(domain, spec, rng)
+    result = run_portfolio(domain, spec, rng, serial=structure == "ring-islands")
     best = result.best
     return {
         "goal_fitness": best.goal_fitness if best else 0.0,

@@ -5,7 +5,7 @@ on the overall execution time of a GA"; this package is the instrument that
 makes such statements measurable in this codebase.  Two orthogonal pieces:
 
 - **Event stream** — every run layer (single-phase GA, multi-phase driver,
-  island model, evaluators, checkpointing, grid simulator, GA scheduler)
+  island portfolio, evaluators, checkpointing, grid simulator, GA scheduler)
   emits typed :class:`RunEvent` objects through a :class:`Tracer` with
   pluggable sinks: :class:`JsonlSink` (append-only traces),
   :class:`CsvSummarySink` (stable per-generation columns),
@@ -33,7 +33,6 @@ from repro.obs.events import (
     FaultInjected,
     GenerationComplete,
     IncumbentImproved,
-    IslandMigration,
     IslandVelocity,
     PhaseEnd,
     PhaseStart,
@@ -110,7 +109,6 @@ __all__ = [
     "Histogram",
     "IncumbentImproved",
     "InstrumentSpec",
-    "IslandMigration",
     "IslandVelocity",
     "JsonlSink",
     "MemoryRecorder",

@@ -26,7 +26,6 @@ __all__ = [
     "GenerationComplete",
     "PhaseStart",
     "PhaseEnd",
-    "IslandMigration",
     "IslandVelocity",
     "PortfolioMigration",
     "PortfolioCancelled",
@@ -118,17 +117,6 @@ class PhaseEnd(RunEvent):
     plan_length: int
     goal_fitness: float
     solved: bool
-
-
-@dataclass(frozen=True, kw_only=True)
-class IslandMigration(RunEvent):
-    """One ring migration happened across all islands."""
-
-    kind: ClassVar[str] = "island-migration"
-    generation: int
-    migration: int
-    n_islands: int
-    migrants_per_island: int
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -516,7 +504,6 @@ EVENT_KINDS: Dict[str, Type[RunEvent]] = {
         GenerationComplete,
         PhaseStart,
         PhaseEnd,
-        IslandMigration,
         IslandVelocity,
         PortfolioMigration,
         PortfolioCancelled,

@@ -18,9 +18,9 @@ from typing import IO, Callable, Deque, List, Optional, Union
 from repro.obs.events import (
     EvaluationBatch,
     GenerationComplete,
-    IslandMigration,
     PhaseEnd,
     PhaseStart,
+    PortfolioMigration,
     RunEvent,
     event_from_dict,
 )
@@ -203,10 +203,11 @@ class ProgressSink(Sink):
                 f"{prefix}phase {event.phase} done: {event.generations} generations, "
                 f"+{event.plan_length} ops, {status}"
             )
-        if isinstance(event, IslandMigration):
+        if isinstance(event, PortfolioMigration):
             return (
-                f"{prefix}migration {event.migration} at gen {event.generation} "
-                f"({event.migrants_per_island} × {event.n_islands} islands)"
+                f"{prefix}migration round {event.round_index}: island "
+                f"{event.source} → {event.dest} ({event.migrants} migrants, "
+                f"{event.reason})"
             )
         if isinstance(event, EvaluationBatch):
             return None  # too chatty for a progress feed

@@ -1,15 +1,15 @@
-"""Tests for evaluator-factory wiring in the multi-phase and island drivers."""
+"""Tests for evaluator-factory wiring in the multi-phase and portfolio drivers."""
 
 import pytest
 
 from repro.core import (
     GAConfig,
-    IslandConfig,
     MultiPhaseConfig,
     SerialEvaluator,
     make_rng,
-    run_islands,
+    ring_portfolio,
     run_multiphase,
+    run_portfolio,
 )
 from repro.domains import HanoiDomain
 
@@ -64,32 +64,32 @@ class TestMultiphaseEvaluatorFactory:
 
 class TestIslandEvaluatorFactory:
     def test_one_evaluator_per_island(self, hanoi3):
-        cfg = IslandConfig(
-            n_islands=3,
-            migration_interval=2,
-            migration_size=1,
-            island=GAConfig(
+        ring = ring_portfolio(
+            GAConfig(
                 population_size=8, generations=4, max_len=35, init_length=7,
                 stop_on_goal=False,
             ),
+            3, interval=2, migration_size=1,
         )
-        run_islands(hanoi3, cfg, make_rng(2), evaluator_factory=CountingEvaluator)
+        run_portfolio(
+            hanoi3, ring, make_rng(2), evaluator_factory=CountingEvaluator, serial=True
+        )
         assert CountingEvaluator.instances == 3
         assert CountingEvaluator.closed == 3
 
     def test_evaluators_closed_on_early_stop(self, hanoi3):
         # stop_on_goal lets the run exit before the generation budget; the
         # per-island evaluators must still be released.
-        cfg = IslandConfig(
-            n_islands=2,
-            migration_interval=5,
-            migration_size=1,
-            island=GAConfig(
+        ring = ring_portfolio(
+            GAConfig(
                 population_size=40, generations=60, max_len=35, init_length=7,
                 stop_on_goal=True,
             ),
+            2, interval=5, migration_size=1,
         )
-        run_islands(hanoi3, cfg, make_rng(3), evaluator_factory=CountingEvaluator)
+        run_portfolio(
+            hanoi3, ring, make_rng(3), evaluator_factory=CountingEvaluator, serial=True
+        )
         assert CountingEvaluator.instances == 2
         assert CountingEvaluator.closed == 2
 
@@ -98,15 +98,15 @@ class TestIslandEvaluatorFactory:
             def evaluate_buffer(self, buffer, context):
                 raise RuntimeError("boom")
 
-        cfg = IslandConfig(
-            n_islands=2,
-            migration_interval=2,
-            migration_size=1,
-            island=GAConfig(
+        ring = ring_portfolio(
+            GAConfig(
                 population_size=8, generations=2, max_len=35, init_length=7,
                 stop_on_goal=False,
             ),
+            2, interval=2, migration_size=1,
         )
         with pytest.raises(RuntimeError, match="boom"):
-            run_islands(hanoi3, cfg, make_rng(4), evaluator_factory=Exploding)
+            run_portfolio(
+                hanoi3, ring, make_rng(4), evaluator_factory=Exploding, serial=True
+            )
         assert CountingEvaluator.closed == CountingEvaluator.instances

@@ -6,12 +6,12 @@ from repro.core import (
     GAConfig,
     GAPlanner,
     GAResult,
-    IslandConfig,
-    IslandResult,
     MultiPhaseConfig,
     MultiPhaseResult,
     PlanningOutcome,
+    PortfolioResult,
     SerialEvaluator,
+    ring_portfolio,
 )
 from repro.domains import optimal_hanoi_moves
 
@@ -99,19 +99,19 @@ class TestModeDispatch:
         _assert_uniform_outcome(isl, "islands", hanoi3)
         assert isinstance(single.detail, GAResult)
         assert isinstance(multi.detail, MultiPhaseResult)
-        assert isinstance(isl.detail, IslandResult)
+        assert isinstance(isl.detail, PortfolioResult)
         # Field sets are literally identical across modes.
         assert set(single.__dict__) == set(multi.__dict__) == set(isl.__dict__)
 
     def test_islands_by_config(self, hanoi3):
-        cfg = IslandConfig(
-            n_islands=2, migration_interval=5, migration_size=1,
-            island=self._cfg(generations=10, stop_on_goal=False),
-        )
-        outcome = GAPlanner(hanoi3, self._cfg(), islands=cfg, seed=1).solve()
+        cfg = self._cfg(generations=10, stop_on_goal=False)
+        planner = GAPlanner(hanoi3, cfg, islands=2, seed=1)
+        assert planner.islands == ring_portfolio(cfg, 2)
+        outcome = planner.solve()
         assert outcome.mode == "islands"
         # generations is total search effort: per-island generations summed.
-        assert outcome.generations == outcome.detail.generations_run * 2
+        assert outcome.detail.ticks_run == [10, 10]
+        assert outcome.generations == 20
 
     def test_explicit_mode_builds_default_configs(self, hanoi3):
         multi = GAPlanner(hanoi3, self._cfg(generations=5), mode="multiphase", seed=2)
@@ -121,7 +121,7 @@ class TestModeDispatch:
         isl = GAPlanner(hanoi3, self._cfg(), mode="islands", seed=2)
         assert isl.mode == "islands"
         assert isl.islands is not None
-        assert isl.islands.island == self._cfg()
+        assert isl.islands == ring_portfolio(self._cfg(), 4)
 
     def test_explicit_single_mode_discards_subconfigs(self, hanoi3):
         planner = GAPlanner(hanoi3, self._cfg(), multiphase=3, mode="single", seed=3)

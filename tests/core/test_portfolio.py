@@ -24,6 +24,7 @@ from repro.core import (
 )
 import repro
 from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
+from repro.core.portfolio import _build_workers
 from repro.domains import HanoiDomain
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer
 from tests.core.test_shm_lifecycle import shm_entries
@@ -170,6 +171,46 @@ class TestRace:
         keys = [inc.sort_key() for inc in res.incumbents]
         assert keys == sorted(keys)
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+class TestStopOnGoal:
+    def test_islands_without_stop_on_goal_run_to_budget(self):
+        ga = _ga(pop=30, gens=40, stop_on_goal=False)
+        spec = _spec(*[StrategySpec(kind="ga", ga=ga)] * 4)
+        res = run_portfolio(HanoiDomain(4), spec, make_rng(0))
+        assert res.ticks_run == [40, 40, 40, 40]
+        assert res.solved and res.best.solved
+        assert res.winner is None and res.cancelled == 0
+        assert res.first_solution_wall_s is not None
+
+
+class TestSharedDomain:
+    """A serial race decodes the caller's domain with one engine; islands
+    on threads each decode their own copy."""
+
+    @staticmethod
+    def _workers(domain, serial):
+        spec = _spec(
+            StrategySpec(kind="ga", ga=_ga()),
+            StrategySpec(kind="ga", ga=_ga(crossover="state-aware")),
+            StrategySpec(kind="search", algorithm="gbfs"),
+        )
+        return _build_workers(spec, domain, make_rng(0), None, None, False, serial)
+
+    def test_serial_race_shares_the_callers_domain_and_engine(self, hanoi3):
+        workers = self._workers(hanoi3, serial=True)
+        ga = workers[:2]
+        assert all(w.run.domain is hanoi3 for w in ga)
+        assert workers[2].domain is hanoi3
+        assert ga[0].evaluator._engine is ga[1].evaluator._engine
+
+    def test_threaded_race_copies_the_domain_per_island(self, hanoi3):
+        workers = self._workers(hanoi3, serial=False)
+        domains = [w.run.domain for w in workers[:2]] + [workers[2].domain]
+        assert len({id(d) for d in domains}) == 3
+        assert all(d is not hanoi3 for d in domains)
+        # ... and each island builds its own engine on demand.
+        assert all(w.evaluator._engine is None for w in workers[:2])
 
 
 class TestDeterministicReplay:

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core import (
     GAConfig,
-    IslandConfig,
     MultiPhaseConfig,
     make_rng,
+    ring_portfolio,
     run_ga,
-    run_islands,
     run_multiphase,
+    run_portfolio,
 )
 from repro.core.parallel import ProcessPoolEvaluator
 from repro.domains import HanoiDomain, PocketCubeDomain, SlidingTileDomain
@@ -164,21 +164,19 @@ class TestVectorIslandsEquivalence:
             population_size=10, generations=12, max_len=40, init_length=10,
             crossover="state-aware",
         )
-        def island_config(vector):
-            return IslandConfig(
-                n_islands=3,
-                migration_interval=4,
-                migration_size=2,
-                island=base.replace(vector_decode=vector),
+        def ring(vector):
+            return ring_portfolio(
+                base.replace(vector_decode=vector), 3, interval=4, migration_size=2
             )
 
-        on = run_islands(domain, island_config(True), make_rng(5))
-        off = run_islands(
-            domain, island_config(None), make_rng(5), evaluator_factory=ReferenceEvaluator
+        on = run_portfolio(domain, ring(True), make_rng(5), serial=True)
+        off = run_portfolio(
+            domain, ring(None), make_rng(5), serial=True,
+            evaluator_factory=ReferenceEvaluator,
         )
         assert on.best.sort_key() == off.best.sort_key()
-        np.testing.assert_array_equal(on.best.genes, off.best.genes)
-        assert on.solved_at_generation == off.solved_at_generation
+        assert on.plan == off.plan
+        assert on.first_solution_tick == off.first_solution_tick
         assert on.migrations == off.migrations
         for ha, hb in zip(on.histories, off.histories):
             assert ha.generations == hb.generations

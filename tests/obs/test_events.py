@@ -14,7 +14,6 @@ from repro.obs import (
     FaultInjected,
     GenerationComplete,
     IncumbentImproved,
-    IslandMigration,
     IslandVelocity,
     PhaseEnd,
     PhaseStart,
@@ -45,7 +44,6 @@ SAMPLES = [
     ),
     PhaseStart(scope="phase-2", phase=2),
     PhaseEnd(scope="phase-2", phase=2, generations=100, plan_length=31, goal_fitness=1.0, solved=True),
-    IslandMigration(generation=9, migration=1, n_islands=4, migrants_per_island=2),
     IslandVelocity(
         round_index=3, island=1, strategy="ga:state-aware", velocity=0.02,
         best_total=0.71, stagnation=0,

@@ -10,13 +10,13 @@ from repro.core import (
     GAConfig,
     GARun,
     Individual,
-    IslandConfig,
     MultiPhaseConfig,
     ProcessPoolEvaluator,
     SerialEvaluator,
     make_rng,
-    run_islands,
+    ring_portfolio,
     run_multiphase,
+    run_portfolio,
 )
 from repro.core.checkpoint import load_checkpoint, restore_run, save_checkpoint
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer, observe
@@ -121,14 +121,16 @@ class TestDriverInstrumentation:
         assert scopes == {f"phase-{i}" for i in range(1, result.n_phases + 1)}
 
     def test_island_migration_events(self, hanoi3, tracer, recorder):
-        cfg = IslandConfig(
-            n_islands=3, migration_interval=2, migration_size=1,
-            island=_cfg(generations=6),
-        )
-        result = run_islands(hanoi3, cfg, make_rng(0), tracer=tracer)
-        migrations = recorder.of_kind("island-migration")
-        assert len(migrations) == result.migrations == 3
-        assert all(m.n_islands == 3 and m.migrants_per_island == 1 for m in migrations)
+        ring = ring_portfolio(_cfg(generations=6), 3, interval=2, migration_size=1)
+        result = run_portfolio(hanoi3, ring, make_rng(0), tracer=tracer, serial=True)
+        # Rounds end after generations 2, 4 and 6; the last round ends the
+        # run, so two migrations of one ring edge per island.
+        migrations = recorder.of_kind("portfolio-migration")
+        assert result.migrations == 2
+        assert [(m.round_index, m.source, m.dest) for m in migrations] == [
+            (r, (i - 1) % 3, i) for r in (1, 2) for i in range(3)
+        ]
+        assert all(m.migrants == 1 and m.reason == "ring" for m in migrations)
         scopes = {e.scope for e in recorder.of_kind("generation")}
         assert scopes == {"island-0", "island-1", "island-2"}
 

@@ -13,6 +13,7 @@ from repro.obs import (
     JsonlSink,
     MemoryRecorder,
     PhaseStart,
+    PortfolioMigration,
     ProgressSink,
     Tracer,
     read_trace,
@@ -122,6 +123,13 @@ class TestProgressSink:
         lines = buf.getvalue().splitlines()
         assert len(lines) == 3  # generations 0, 10 and the solved gen 5
         assert any("solved 1" in line for line in lines)
+
+    def test_writes_portfolio_migration_lines(self):
+        buf = io.StringIO()
+        ProgressSink(buf).write(
+            PortfolioMigration(round_index=2, source=3, dest=0, migrants=2, reason="ring")
+        )
+        assert buf.getvalue() == "migration round 2: island 3 → 0 (2 migrants, ring)\n"
 
     def test_every_validated(self):
         with pytest.raises(ValueError):

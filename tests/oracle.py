@@ -14,8 +14,13 @@ tournament selection — are the paper's Sections 3.4.1–3.4.3 written the
 plain way, drawing through the same samplers; :func:`reference_ga` chains
 them into the whole single-phase loop, so the replay suites hold
 :class:`~repro.core.ga.GARun` bit-identical to it (DESIGN.md §11).
+
+:func:`reference_islands` is the classic island model — a fixed ring
+stepped in lockstep — which a ring portfolio
+(:func:`repro.core.portfolio.ring_portfolio`) must replay.
 """
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,10 +29,11 @@ from repro.core.config import GAConfig
 from repro.core.crossover import sample_crossover_cuts
 from repro.core.encoding import DecodeCache, decode
 from repro.core.fitness import FitnessFunction
-from repro.core.ga import GAResult, initial_population
+from repro.core.ga import GAResult, GARun, initial_population
 from repro.core.individual import Individual
 from repro.core.mutation import _mutated_child, sample_uniform_reset
 from repro.core.parallel import EvaluationContext, Evaluator
+from repro.core.rng import spawn_many
 from repro.core.selection import tournament_winner_indices
 from repro.core.stats import GenerationStats, RunHistory
 
@@ -290,4 +296,70 @@ def reference_ga(
         solved_at_generation=solved_at,
         start_state=domain.initial_state,
         elapsed_seconds=0.0,
+    )
+
+
+# -- the island model ---------------------------------------------------------
+
+
+@dataclass
+class IslandsResult:
+    """What :func:`reference_islands` ran: one history per island, the
+    best Individual, and every migration edge as ``(generation, src, dst,
+    k)``."""
+
+    best: Individual
+    histories: List[RunHistory]
+    generations_run: int
+    solved_at_generation: Optional[int]
+    edges: List[Tuple[int, int, int, int]]
+
+
+def reference_islands(
+    domain,
+    configs: Sequence[GAConfig],
+    rng: np.random.Generator,
+    interval: int,
+    migration_size: int,
+) -> IslandsResult:
+    """The ring island model in lockstep, one :class:`GARun` per config.
+
+    Each generation every island is evaluated; the run stops there once
+    any island has solved, if the islands stop on goal.  Every *interval*
+    generations island i's *migration_size* best (a stable argsort, all
+    taken before any import) replace island i+1's worst.  Then every
+    island breeds.  Islands march to the tightest generation budget.
+    """
+    n = len(configs)
+    islands = [
+        GARun(domain, cfg, stream, evaluator=ReferenceEvaluator())
+        for cfg, stream in zip(configs, spawn_many(rng, n))
+    ]
+    edges: List[Tuple[int, int, int, int]] = []
+    solved_at: Optional[int] = None
+    generations = 0
+    for gen in range(min(cfg.generations for cfg in configs)):
+        for run in islands:
+            run._evaluate_and_record()
+        generations = gen + 1
+        if solved_at is None and any(run.solved_at is not None for run in islands):
+            solved_at = gen
+            if configs[0].stop_on_goal:
+                break
+        if generations % interval == 0:
+            emigrants = [
+                run.buffer.take(np.argsort(-run.buffer.total, kind="stable")[:migration_size])
+                for run in islands
+            ]
+            for i, run in enumerate(islands):
+                run.replace_worst(emigrants[i - 1])
+                edges.append((gen, (i - 1) % n, i, migration_size))
+        for run in islands:
+            run._next_generation()
+    return IslandsResult(
+        best=max((run.best for run in islands), key=Individual.sort_key),
+        histories=[run.history for run in islands],
+        generations_run=generations,
+        solved_at_generation=solved_at,
+        edges=edges,
     )
