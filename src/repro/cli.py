@@ -516,6 +516,8 @@ def _cmd_client(args) -> int:
         for name, value in stats["derived"].items():
             print(f"{name + ':':<24} {value}")
         print(f"cache:     {stats['cache']}")
+        memos = stats["cache"]["memos"]
+        print(f"memos:     {memos['trajectories']} trajectories, {memos['entries']} entries")
         return 0
     if args.domain is None:
         print("error: a domain argument is required unless --stats is given")

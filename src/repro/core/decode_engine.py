@@ -49,14 +49,25 @@ left-to-right in gene order, exactly as the naive decoder does.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.encoding import DecodedPlan
 from repro.protocol import PlanningDomain
 
-__all__ = ["TransitionCache", "DecodeEngine"]
+__all__ = ["TransitionCache", "DecodeEngine", "FitnessMemo"]
+
+
+class FitnessMemo(NamedTuple):
+    """A fitness memo detached from its engine (see :meth:`DecodeEngine.swap_memo`).
+
+    ``entries`` maps genome fingerprints to ``(decoded, fitness)``; ``sig``
+    is the bind signature they were scored under (``None`` when empty).
+    """
+
+    sig: Optional[tuple]
+    entries: dict
 
 
 class _NeedsFullWalk(Exception):
@@ -391,10 +402,10 @@ class DecodeEngine:
 
     ``adaptive_memo=False`` turns off the memo's low-hit-rate pause below:
     within one run duplicate genomes are rare early, so the probe window
-    rightly drops the memo — but an engine shared *across* runs (the
-    planning service's warm cross-request cache) sees repeated requests
-    replay whole genome populations, and pausing would discard exactly the
-    state that makes those repeats cheap.
+    rightly drops the memo — but a memo kept *across* runs (the planning
+    service retains one per request trajectory, see :meth:`swap_memo`)
+    lets a repeated request replay whole genome populations, and pausing
+    would discard exactly the state that makes those repeats cheap.
     """
 
     def __init__(
@@ -427,6 +438,7 @@ class DecodeEngine:
         self._domain: Optional[PlanningDomain] = None
         self._sig: Optional[tuple] = None
         self._memo: dict = {}
+        self._memo_sig: Optional[tuple] = None
         self._start_state: object = None
         self._start_key: Optional[Hashable] = None
         self._start_goal: bool = False
@@ -444,6 +456,8 @@ class DecodeEngine:
         """(Re)target the engine at *context*, invalidating what must be."""
         domain = context.domain
         if self._cache is None or self._domain is not domain:
+            if self._domain is not None:
+                self._memo_sig = None  # a memo never crosses domains
             self._cache = TransitionCache(domain, self.max_entries)
             self._domain = domain
             self._sig = None
@@ -451,17 +465,36 @@ class DecodeEngine:
         start_key = domain.state_key(start)
         fit = context.fitness
         sig = (start_key, context.truncate_at_goal, fit.goal_weight, fit.cost_weight)
-        if sig != self._sig:
+        if sig != self._memo_sig:
             self._memo.clear()
             self._memo_paused = False
             self._memo_window_hits = 0
             self._memo_window_stores = 0
+            self._memo_sig = sig
+        if sig != self._sig:
             self._sig = sig
             self._start_state = start
             self._start_key = start_key
             self._start_goal = bool(domain.is_goal(start))
             self._truncate = context.truncate_at_goal
             self._cache.pin(start_key, start)
+
+    def swap_memo(self, memo: Optional[FitnessMemo] = None) -> FitnessMemo:
+        """Install *memo* (a fresh one when ``None``); return the one replaced.
+
+        The planning service moves one request trajectory's memo between
+        engines this way.  The caller vouches that *memo* was scored on a
+        domain equal to the one this engine is (or will first be) bound to;
+        a memo scored under another signature is dropped at the next
+        :meth:`bind`, so every hit is still decided by the signature check
+        and the genome fingerprint alone.
+        """
+        old = FitnessMemo(self._memo_sig, self._memo)
+        self._memo_sig, self._memo = memo if memo is not None else (None, {})
+        self._memo_paused = False
+        self._memo_window_hits = 0
+        self._memo_window_stores = 0
+        return old
 
     # -- the layers -----------------------------------------------------------
 

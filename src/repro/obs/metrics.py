@@ -213,6 +213,10 @@ CANONICAL_INSTRUMENTS: Tuple[InstrumentSpec, ...] = (
         "idle engine pairs evicted past the cache's cross-key cap",
     ),
     InstrumentSpec(
+        "service_memo_evictions", "counter", "service",
+        "retained trajectory fitness memos evicted past the cache's cap",
+    ),
+    InstrumentSpec(
         "service_latency", "histogram", "service", "wall seconds from submit to final frame"
     ),
     InstrumentSpec(

@@ -8,57 +8,51 @@ control and per-tenant fair share (:mod:`~repro.service.scheduler`), and
 warm cross-request reuse of decode-engine state keyed by domain
 config-hash (:mod:`~repro.service.cache`).  ``docs/service.md`` is the
 operations guide; ``benchmarks/bench_service.py`` is the load harness.
+
+The package imports its submodules lazily (PEP 562): ``from repro.service
+import X`` loads only the module that defines ``X``, so a protocol-only
+client (:mod:`~repro.service.client`, :mod:`~repro.service.protocol`)
+starts without numpy or the GA stack.
 """
 
-from repro.service.cache import EngineCache, EngineLease, config_hash
-from repro.service.client import ServiceClient
-from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameReader,
-    PlanRequest,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-    parse_plan_request,
-)
-from repro.service.scheduler import (
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    SHED,
-    RunScheduler,
-    ServicePool,
-    ServiceRun,
-    default_max_len,
-    service_canonical_events,
-)
-from repro.service.server import PlanningServer, serve
+from importlib import import_module
 
-__all__ = [
-    "DONE",
-    "EngineCache",
-    "EngineLease",
-    "FAILED",
-    "FrameReader",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "PlanRequest",
-    "PlanningServer",
-    "ProtocolError",
-    "QUEUED",
-    "RUNNING",
-    "RunScheduler",
-    "SHED",
-    "ServiceClient",
-    "ServicePool",
-    "ServiceRun",
-    "config_hash",
-    "decode_frame",
-    "default_max_len",
-    "encode_frame",
-    "parse_plan_request",
-    "serve",
-    "service_canonical_events",
-]
+#: Public name → the submodule that defines it.
+_EXPORTS = {
+    "EngineCache": "cache",
+    "EngineLease": "cache",
+    "config_hash": "cache",
+    "ServiceClient": "client",
+    "MAX_FRAME_BYTES": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "FrameReader": "protocol",
+    "PlanRequest": "protocol",
+    "ProtocolError": "protocol",
+    "decode_frame": "protocol",
+    "encode_frame": "protocol",
+    "parse_plan_request": "protocol",
+    "DONE": "scheduler",
+    "FAILED": "scheduler",
+    "QUEUED": "scheduler",
+    "RUNNING": "scheduler",
+    "SHED": "scheduler",
+    "RunScheduler": "scheduler",
+    "ServicePool": "scheduler",
+    "ServiceRun": "scheduler",
+    "default_max_len": "scheduler",
+    "service_canonical_events": "scheduler",
+    "PlanningServer": "server",
+    "serve": "server",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule defining *name* on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -361,6 +361,12 @@ class RunScheduler:
         init_length = None
         if max_len is None:
             max_len = default_max_len(request.domain, request.size)
+        # Only a run with the same config hash, seed, population and
+        # max_len breeds the same genomes, so that is what the memo is
+        # retained under; a longer budget replays a shorter one's prefix.
+        self.engine_cache.attach_memo(
+            lease, (lease.key, request.seed, request.population, max_len)
+        )
         if request.domain == "hanoi":
             init_length = lease.domain.optimal_length
         elif request.domain == "tile":

@@ -288,6 +288,57 @@ class TestDedupAndMemo:
         assert engine.memo_evictions > 0
 
 
+class TestSwapMemo:
+    """A memo moved between engines keeps the signature check."""
+
+    def scored_memo(self, domain, genes, start_state=None):
+        engine = DecodeEngine()
+        ctx = make_context(domain)
+        if start_state is not None:
+            ctx = EvaluationContext(
+                domain=domain, start_state=start_state, fitness=FitnessFunction(domain)
+            )
+        engine.bind(ctx)
+        engine.evaluate_genes(genes, ctx.fitness)
+        return engine.swap_memo()
+
+    def test_memo_serves_a_fresh_engine_bound_to_an_equal_domain(self, rng):
+        genes = rng.random(12)
+        memo = self.scored_memo(HanoiDomain(3), genes)
+        assert len(memo.entries) == 1
+        domain = HanoiDomain(3)
+        engine = DecodeEngine()
+        assert len(engine.swap_memo(memo).entries) == 0
+        ctx = make_context(domain)
+        engine.bind(ctx)
+        decoded, _ = engine.evaluate_genes(genes, ctx.fitness)
+        assert engine.evals_skipped == 1
+        assert_plans_identical(decoded, decode(genes, domain, domain.initial_state))
+
+    def test_memo_scored_under_another_signature_is_dropped_at_bind(self, hanoi3, rng):
+        genes = rng.random(12)
+        start = hanoi3.initial_state
+        mid = hanoi3.apply(start, list(hanoi3.valid_operations(start))[0])
+        engine = DecodeEngine()
+        engine.swap_memo(self.scored_memo(hanoi3, genes, start_state=mid))
+        ctx = make_context(hanoi3)
+        engine.bind(ctx)
+        decoded, _ = engine.evaluate_genes(genes, ctx.fitness)
+        assert engine.evals_skipped == 0
+        assert_plans_identical(decoded, decode(genes, hanoi3, start))
+
+    def test_memo_is_dropped_when_a_bound_engine_changes_domain(self, hanoi3, rng):
+        genes = rng.random(12)
+        engine = DecodeEngine()
+        ctx = make_context(hanoi3)
+        engine.bind(ctx)
+        engine.evaluate_genes(genes, ctx.fitness)
+        other = make_context(HanoiDomain(3))
+        engine.bind(other)
+        engine.evaluate_genes(genes, other.fitness)
+        assert engine.evals_skipped == 0
+
+
 class TestOperatorLineage:
     """Crossover/mutation must hand children a *conservative* dirty_from."""
 

@@ -1,4 +1,4 @@
-"""Engine-cache tests: warm reuse, pooling bounds, the cold ablation."""
+"""Engine-cache tests: warm reuse, pooling bounds, memo lifetime, the cold ablation."""
 
 import gc
 import random
@@ -78,6 +78,7 @@ class TestEngineCache:
             "warm_misses": 2,
             "evictions": 0,
             "idle": {},
+            "memos": {"trajectories": 0, "entries": 0},
         }
 
     def test_metrics_tick_warm_counters(self):
@@ -177,3 +178,127 @@ class TestIdleCap:
         assert sum(releases) == 8 * 150
         assert sum(releases) == sum(warm) + stats["evictions"] + idle
         assert stats["evictions"] > 0
+
+
+def serve(cache, trajectory, fingerprints=(b"g",)):
+    """Lease a hanoi-3 pair, attach *trajectory*'s memo, and report hits.
+
+    Stores every fingerprint the memo misses (as a scored genome would be)
+    and returns the ones it already held, then releases the lease.
+    """
+    lease = cache.lease("hanoi", (3,))
+    cache.attach_memo(lease, trajectory)
+    hits = []
+    for fp in fingerprints:
+        if lease.engine.lookup(fp) is not None:
+            hits.append(fp)
+        else:
+            lease.engine.store(fp, "decoded", "fitness")
+    cache.release(lease)
+    return hits
+
+
+def held(cache, trajectory):
+    """Whether *trajectory*'s memo is retained (probing it stores nothing)."""
+    lease = cache.lease("hanoi", (3,))
+    cache.attach_memo(lease, trajectory)
+    hit = lease.engine.lookup(b"g") is not None
+    cache.release(lease)
+    return hit
+
+
+class TestTrajectoryMemos:
+    """Fitness memos live as long as a request trajectory, at most 32 of them."""
+
+    def test_memo_follows_its_trajectory_not_the_pair(self):
+        cache = EngineCache()
+        assert serve(cache, "a", (b"g1", b"g2")) == []
+        assert cache.stats()["memos"] == {"trajectories": 1, "entries": 2}
+        # The same warm pair serves another trajectory from a fresh memo ...
+        assert serve(cache, "b", (b"g1",)) == []
+        # ... and the first trajectory's memo comes back whole.
+        assert serve(cache, "a", (b"g1", b"g2")) == [b"g1", b"g2"]
+        assert cache.stats()["memos"] == {"trajectories": 2, "entries": 3}
+
+    def test_idle_pairs_hold_no_memo(self):
+        cache = EngineCache()
+        serve(cache, "a")
+        lease = cache.lease("hanoi", (3,))
+        assert lease.warm is True
+        assert lease.engine.lookup(b"g") is None
+
+    def test_distinct_trajectories_keep_the_last_32_least_recently_served_out(self):
+        metrics = MetricsRegistry()
+        cache = EngineCache(metrics=metrics)
+        assert metrics.counters["service_memo_evictions"].value == 0
+        for t in range(MAX_IDLE_PAIRS):
+            serve(cache, t)
+        serve(cache, 0)  # served again: now the most recent
+        for t in range(MAX_IDLE_PAIRS, 40):
+            serve(cache, t)
+        assert cache.stats()["memos"]["trajectories"] == MAX_IDLE_PAIRS
+        assert metrics.counters["service_memo_evictions"].value == 40 - MAX_IDLE_PAIRS
+        # Trajectories 1..8 were the least recently served; 0 and 9.. stay.
+        assert [t for t in range(40) if not held(cache, t)] == list(range(1, 9))
+
+    def test_empty_memos_are_not_kept(self):
+        cache = EngineCache()
+        serve(cache, "a", ())
+        assert cache.stats()["memos"] == {"trajectories": 0, "entries": 0}
+
+    def test_concurrent_same_trajectory_leases_never_share_a_memo(self):
+        cache = EngineCache()
+        serve(cache, "a")
+        first, second = cache.lease("hanoi", (3,)), cache.lease("hanoi", (3,))
+        cache.attach_memo(first, "a")
+        cache.attach_memo(second, "a")
+        assert first.engine.lookup(b"g") is not None
+        assert second.engine.lookup(b"g") is None
+        second.engine.store(b"h", "decoded", "fitness")
+        cache.release(first)
+        cache.release(second)
+        # The last release wins; both memos were scored on one trajectory.
+        assert cache.stats()["memos"] == {"trajectories": 1, "entries": 1}
+
+    def test_disabled_cache_retains_no_memo(self):
+        cache = EngineCache(enabled=False)
+        serve(cache, "a")
+        assert not held(cache, "a")
+        assert cache.stats()["memos"] == {"trajectories": 0, "entries": 0}
+
+    def test_concurrent_churn_never_shares_a_memo(self):
+        # More threads than cores and a tiny switch interval over 40
+        # trajectories: no two held leases may hold one memo, and the
+        # retained set stays within its bound.
+        cache = EngineCache()
+        held, held_lock, shared = set(), threading.Lock(), []
+
+        def churn(t):
+            rng = random.Random(t)
+            for i in range(150):
+                lease = cache.lease("hanoi", (3,))
+                cache.attach_memo(lease, rng.randrange(40))
+                memo = lease.engine.swap_memo()
+                lease.engine.swap_memo(memo)
+                with held_lock:
+                    if id(memo.entries) in held:
+                        shared.append(lease.trajectory)
+                    held.add(id(memo.entries))
+                lease.engine.store(f"{t}-{i}".encode(), "decoded", "fitness")
+                with held_lock:
+                    held.discard(id(memo.entries))
+                cache.release(lease)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert shared == []
+        assert cache.stats()["memos"]["trajectories"] == MAX_IDLE_PAIRS

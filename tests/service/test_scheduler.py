@@ -16,6 +16,7 @@ from repro.service import (
     ServicePool,
     default_max_len,
 )
+from repro.service.cache import MAX_IDLE_PAIRS
 
 
 class FakeClock:
@@ -262,6 +263,86 @@ class TestIntrospection:
         scheduler.drain()
         assert metrics.counters["service_warm_misses"].value == 2
         assert "service_warm_hits" not in metrics.counters
+
+
+def memo_share(run):
+    """Share of *run*'s evaluations served from the fitness memo."""
+    counters = run.metrics.counters
+    skipped = counters["evals_skipped"].value if "evals_skipped" in counters else 0
+    return skipped / counters["evals"].value
+
+
+def answer(run):
+    """The result frame without its per-request fields."""
+    return {k: v for k, v in run.result.items() if k not in ("id", "seconds", "warm")}
+
+
+class TestMemoLifetime:
+    """The fitness memo lives as long as a request trajectory."""
+
+    def test_repeats_replay_entirely_from_the_memo_with_cold_answers(self):
+        scheduler = make_scheduler()
+        runs = []
+        for _ in range(3):
+            runs.append(scheduler.submit(request()))
+            scheduler.drain()
+        cold = make_scheduler(engine_cache=EngineCache(enabled=False))
+        baseline = cold.submit(request())
+        cold.drain()
+        assert memo_share(runs[0]) < 1.0
+        assert [memo_share(run) for run in runs[1:]] == [1.0, 1.0]
+        assert [answer(run) for run in runs] == [answer(baseline)] * 3
+
+    def test_another_seed_between_repeats_does_not_disturb_the_replay(self):
+        scheduler = make_scheduler()
+        first = scheduler.submit(request(seed=3))
+        other = scheduler.submit(request(seed=4))
+        scheduler.drain()
+        again = scheduler.submit(request(seed=3))
+        scheduler.drain()
+        assert memo_share(again) == 1.0
+        assert memo_share(other) < 1.0
+        assert answer(again) == answer(first)
+
+    def test_distinct_seeds_keep_at_most_32_memos_least_recently_served_out(self):
+        metrics = MetricsRegistry()
+        scheduler = make_scheduler(metrics=metrics, queue_cap=64)
+        for seed in range(40):
+            scheduler.submit(request(seed=seed, budget=2, population=10))
+        scheduler.drain()
+        memos = scheduler.stats()["cache"]["memos"]
+        assert memos["trajectories"] == MAX_IDLE_PAIRS
+        assert metrics.counters["service_memo_evictions"].value == 40 - MAX_IDLE_PAIRS
+        newest = scheduler.submit(request(seed=39, budget=2, population=10))
+        oldest = scheduler.submit(request(seed=0, budget=2, population=10))
+        scheduler.drain()
+        assert memo_share(newest) == 1.0
+        assert memo_share(oldest) < 1.0
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(vector=True), dict(evaluator="resilient")], ids=["vector", "resilient"]
+    )
+    def test_requests_off_the_engine_memo_retain_nothing(self, overrides):
+        scheduler = make_scheduler()
+        run = scheduler.submit(request(budget=3, population=10, **overrides))
+        scheduler.drain()
+        assert run.state == DONE
+        assert scheduler.stats()["cache"]["memos"] == {"trajectories": 0, "entries": 0}
+
+    def test_concurrent_same_trajectory_requests_answer_identically(self):
+        cold = make_scheduler(engine_cache=EngineCache(enabled=False), slice_gens=1)
+        baseline = cold.submit(request(seed=5, budget=30))
+        cold.drain()
+        scheduler = make_scheduler(queue_cap=8, slice_gens=1)
+        runs = [scheduler.submit(request(seed=5, budget=30))]
+        scheduler.drain()
+        # One of these leases the retained memo, the others start fresh.
+        runs += [scheduler.submit(request(seed=5, budget=30)) for _ in range(4)]
+        with ServicePool(scheduler, workers=2):
+            assert scheduler.wait_idle(timeout=120)
+        assert all(run.state == DONE for run in runs)
+        assert [answer(run) for run in runs] == [answer(baseline)] * 5
+        assert scheduler.stats()["cache"]["memos"]["trajectories"] == 1
 
 
 class TestServicePool:

@@ -1,4 +1,4 @@
-"""Chaos tier: the service degrades gracefully when its pool dies mid-request.
+"""Chaos tier: the service degrades gracefully and keeps its memory bounded.
 
 Requests submitted with ``evaluator: "resilient"`` route evaluation
 through the :class:`~repro.core.resilient.ResilientEvaluator` retry
@@ -6,7 +6,16 @@ ladder.  These tests kill real worker processes (and simulate a
 permanently broken pool) under in-flight service requests and assert the
 requests still complete — pool death becomes a retry or a degradation to
 serial evaluation, never an error frame.
+
+A real-clock memory test drains a long run of distinct-seed requests in
+a fresh interpreter and reads its resident set as it goes: retained
+fitness memos are bounded, so memory stays flat once the bound is full.
 """
+
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +115,49 @@ class TestPoolDeathMidRequest:
             return [r for r in run.canonical_trace() if r["kind"] == "generation"]
 
         assert generations(chaotic) == generations(healthy)
+
+
+# 200 distinct-seed hanoi-4 requests, one at a time; VmRSS read after
+# requests 50 and 200.
+CHURN_DISTINCT_SEEDS = """
+import json
+from repro.service import DONE, PlanRequest, RunScheduler
+
+
+def vmrss_mb():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+
+
+scheduler = RunScheduler()
+rss = {}
+for i in range(1, 201):
+    run = scheduler.submit(
+        PlanRequest(domain="hanoi", size=4, seed=1000 + i, budget=30, population=30)
+    )
+    scheduler.drain()
+    assert run.state == DONE, run.state
+    if i in (50, 200):
+        rss[i] = vmrss_mb()
+print(json.dumps({"rss": rss, "memos": scheduler.engine_cache.stats().get("memos")}))
+"""
+
+
+@pytest.mark.chaos
+@pytest.mark.timeout(300)
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc")
+def test_rss_stays_flat_under_distinct_seed_churn():
+    proc = subprocess.run(
+        [sys.executable, "-c", CHURN_DISTINCT_SEEDS],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=280,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    growth = out["rss"]["200"] - out["rss"]["50"]
+    assert growth < 15.0, f"VmRSS grew {growth:.1f} MB over requests 50-200"
+    assert out["memos"]["trajectories"] <= 32

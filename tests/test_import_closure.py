@@ -1,5 +1,8 @@
 """The service starts without scipy; the grid and the soak run without networkx.
 
+``repro.service`` imports its submodules lazily, so a protocol-only client
+loads neither numpy nor the GA stack.
+
 scipy is imported only inside :func:`repro.analysis.stats_util.mean_ci` and
 :func:`repro.analysis.stats_util.mann_whitney`; loading it at import time
 made up most of the start-up time and memory of ``repro serve``.
@@ -62,6 +65,27 @@ def test_service_alone_loads_neither_scipy_nor_analysis():
     assert out["served"] is True
     assert out["scipy"] is False
     assert out["analysis"] is False
+
+
+def test_service_client_loads_neither_numpy_nor_core():
+    out = run_fresh(
+        """
+import json, sys
+import repro.service.client
+from repro.service import PlanRequest, ServiceClient
+
+print(json.dumps({
+    "client": ServiceClient.__module__,
+    "request": PlanRequest.__module__,
+    "numpy": "numpy" in sys.modules,
+    "core": sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "core"]),
+}))
+"""
+    )
+    assert out["client"] == "repro.service.client"
+    assert out["request"] == "repro.service.protocol"
+    assert out["numpy"] is False
+    assert out["core"] == []
 
 
 def test_stats_load_scipy_on_first_call():
