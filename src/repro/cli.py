@@ -317,7 +317,6 @@ def _cmd_soak(args) -> int:
         n_sites=args.sites,
         machines_per_site=args.machines_per_site,
         deadline_factor=args.deadline,
-        replan_mode=args.replan_mode,
         replan_budget_s=args.replan_budget,
         max_replans=args.max_replans,
     )
@@ -494,9 +493,7 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         queue_cap=args.queue_cap,
-        fair_share=not args.no_fair_share,
         slice_gens=args.slice_gens,
-        warm_cache=not args.no_warm_cache,
         metrics=default_metrics(),
         tracer=tracer if tracer is not None and tracer.enabled else None,
     )
@@ -535,7 +532,6 @@ def _cmd_client(args) -> int:
         portfolio=args.portfolio,
         stream=args.stream,
         evaluator=args.evaluator,
-        vector=args.vector,
     )
 
     def on_frame(frame: dict) -> None:
@@ -571,8 +567,6 @@ def _cmd_client(args) -> int:
     print(f"generations:   {final['generations']}")
     print(f"slices:        {final['slices']}")
     print(f"warm engine:   {final['warm']}")
-    if final.get("backend"):
-        print(f"backend:       {final['backend']}")
     print(f"wall clock:    {final['seconds']:.3f}s")
     if args.show_plan and final["plan"]:
         print("plan:")
@@ -707,10 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=3)
     p.add_argument("--machines-per-site", type=int, default=2)
     p.add_argument(
-        "--replan-mode", choices=("incremental", "cold"), default="incremental",
-        help="incremental = repair/warm-GA ladder; cold = from-scratch GA baseline",
-    )
-    p.add_argument(
         "--replan-budget", type=float, default=2.0, metavar="S",
         help="per-request wall-clock planning budget gating the GA rung",
     )
@@ -732,14 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--slice-gens", type=int, default=4, metavar="G",
         help="generations per scheduling slice (the fair-share tick size)",
-    )
-    p.add_argument(
-        "--no-fair-share", action="store_true",
-        help="pick runs global-FIFO instead of per-tenant deficit round-robin",
-    )
-    p.add_argument(
-        "--no-warm-cache", action="store_true",
-        help="disable cross-request engine reuse (every request cold-starts)",
     )
     p.set_defaults(func=_cmd_serve)
 
@@ -770,10 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--evaluator", choices=("serial", "resilient"), default="serial",
         help="serial shares the warm engine; resilient adds the retry/degrade ladder",
-    )
-    p.add_argument(
-        "--vector", action="store_true",
-        help="use the vectorised decode (faster cold, but skips warm-cache reuse)",
     )
     p.add_argument("--timeout", type=float, default=60.0, help="socket timeout in seconds")
     p.add_argument("--show-plan", action="store_true")

@@ -34,11 +34,8 @@ layers (DESIGN.md §9):
    when the start state or fitness signature changes, while the transition
    tables (keyed by state identity) survive.
 
-Every layer is individually switchable (``transitions`` / ``prefix`` /
-``dedup``) so ``benchmarks/bench_decode_engine.py`` can ablate them.
-
-Exactness contract: with all layers on, decoded plans, fitness values and
-whole GA trajectories are *bit-identical* to the reference decoder
+Exactness contract: decoded plans, fitness values and whole GA
+trajectories are *bit-identical* to the reference decoder
 (:func:`~repro.core.encoding.decode`, which the test suites run as an
 oracle).  This relies
 on (a) ``state_key`` being injective (see :class:`~repro.protocol.
@@ -395,11 +392,6 @@ class DecodeEngine:
     when the start state, truncation flag or fitness weights change (the
     memo's results depend on all of them; the transition tables do not).
 
-    Layers can be disabled individually (``transitions`` / ``prefix`` /
-    ``dedup``) for ablation benchmarks; a fully-disabled engine still
-    memoises valid-operation lists, matching the legacy ``DecodeCache``
-    behaviour.
-
     ``adaptive_memo=False`` turns off the memo's low-hit-rate pause below:
     within one run duplicate genomes are rare early, so the probe window
     rightly drops the memo — but a memo kept *across* runs (the planning
@@ -410,18 +402,12 @@ class DecodeEngine:
 
     def __init__(
         self,
-        transitions: bool = True,
-        prefix: bool = True,
-        dedup: bool = True,
         max_entries: int = 200_000,
         memo_entries: int = 100_000,
         adaptive_memo: bool = True,
     ) -> None:
         if memo_entries < 1:
             raise ValueError(f"memo_entries must be >= 1, got {memo_entries}")
-        self.transitions = transitions
-        self.prefix = prefix
-        self.dedup = dedup
         self.max_entries = max_entries
         self.memo_entries = memo_entries
         self.adaptive_memo = adaptive_memo
@@ -500,7 +486,7 @@ class DecodeEngine:
 
     def lookup(self, fingerprint: bytes):
         """Layer 3: memoised ``(decoded, fitness)`` for a genome, or None."""
-        if not self.dedup or self._memo_paused:
+        if self._memo_paused:
             return None
         hit = self._memo.get(fingerprint)
         if hit is not None:
@@ -509,7 +495,7 @@ class DecodeEngine:
         return hit
 
     def store(self, fingerprint: bytes, decoded: DecodedPlan, fitness) -> None:
-        if not self.dedup or self._memo_paused:
+        if self._memo_paused:
             return
         memo = self._memo
         if len(memo) >= self.memo_entries:
@@ -535,9 +521,6 @@ class DecodeEngine:
     ) -> DecodedPlan:
         """Layers 1+2: decode through the tables, resuming a prefix if given."""
         assert self._cache is not None, "DecodeEngine.bind() must run first"
-        if not self.prefix:
-            prefix_plan = None
-            dirty_from = None
         plan, reused = self._cache.decode(
             genes,
             self._start_state,
@@ -546,7 +529,6 @@ class DecodeEngine:
             dirty_from=dirty_from,
             start_key=self._start_key,
             start_goal=self._start_goal,
-            use_transitions=self.transitions,
         )
         self.genes_reused += reused
         return plan

@@ -415,10 +415,10 @@ _WORKER_VDEC: Optional[VectorDecoder] = None
 def _init_worker(context: EvaluationContext) -> None:
     global _WORKER_CONTEXT, _WORKER_ENGINE, _WORKER_VDEC
     _WORKER_CONTEXT = context
-    # Transition memoisation only: prefix plans live with the parent
-    # (shipping them per task would dwarf the savings), and dedup runs
-    # parent-side where the memo sees the whole population.
-    _WORKER_ENGINE = DecodeEngine(prefix=False, dedup=False)
+    # Workers use only the transition tables: they get no prefix plans
+    # (shipping them per task would dwarf the savings) and never touch the
+    # fitness memo, which runs parent-side where it sees the population.
+    _WORKER_ENGINE = DecodeEngine()
     _WORKER_ENGINE.bind(context)
     # Each worker builds its own kernel (tables never cross the process
     # boundary — the domain pickles without them) and keeps it warm for

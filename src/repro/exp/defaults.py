@@ -15,7 +15,6 @@ __all__ = [
     "ABLATION_SEEDS",
     "GRID_SEED",
     "SCHEDULE_SEED",
-    "DECODE_BENCH_SEED",
     "DEFAULT_RESULTS_ROOT",
     "default_out_dir",
 ]
@@ -41,9 +40,6 @@ GRID_SEED = 31
 
 #: Seed for the scheduling-heuristics table.
 SCHEDULE_SEED = 1
-
-#: Seed for the decode-engine ablation bench (paper submission date).
-DECODE_BENCH_SEED = 20030422
 
 #: Where sweeps record trials unless told otherwise, relative to the
 #: repository root (the committed sweeps under version control live here).

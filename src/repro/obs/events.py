@@ -350,7 +350,7 @@ class ReplanLatency(RunEvent):
     """One churn-triggered replanning round finished for a soak request.
 
     ``rung`` names the degradation-ladder step that produced the plan
-    (``repair``, ``ga-warm``, ``ga-cold``, ``greedy``) or ``none`` when
+    (``repair``, ``ga-warm``, ``greedy``) or ``none`` when
     every rung failed; ``reused``/``repaired`` count operations kept from
     the damaged plan vs newly planned; ``seconds`` is *wall-clock* replan
     latency (the one field excluded from determinism comparisons).

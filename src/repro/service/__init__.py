@@ -7,7 +7,8 @@ requests over a shared worker pool in tick-sized slices with admission
 control and per-tenant fair share (:mod:`~repro.service.scheduler`), and
 warm cross-request reuse of decode-engine state keyed by domain
 config-hash (:mod:`~repro.service.cache`).  ``docs/service.md`` is the
-operations guide; ``benchmarks/bench_service.py`` is the load harness.
+operations guide; the benchmark harness's ``service-repeat`` and
+``service-mixed`` workloads (``benchmarks/harness``) measure it under load.
 
 The package imports its submodules lazily (PEP 562): ``from repro.service
 import X`` loads only the module that defines ``X``, so a protocol-only

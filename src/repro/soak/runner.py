@@ -23,9 +23,9 @@ replan budget is exhausted, are shed rather than allowed to clog the loop.
 
 Determinism: everything on the simulated clock is a pure function of
 ``SoakConfig`` — the canonical :meth:`SoakReport.event_log` is
-byte-identical across same-seed runs (asserted by the hypothesis suite and
-``benchmarks/bench_soak.py``).  Wall-clock replan latency is observed into
-metrics/events but never feeds back into simulated time.
+byte-identical across same-seed runs (asserted by the hypothesis suite in
+``tests/soak/test_soak_determinism.py``).  Wall-clock replan latency is
+observed into metrics/events but never feeds back into simulated time.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from repro.obs.events import (
 from repro.obs.metrics import MetricsRegistry, soak_summary
 from repro.obs.tracer import Tracer, default_metrics, default_tracer
 from repro.soak.arrivals import ArrivalStream, WorkflowRequest, request_domain, soak_ontology
-from repro.soak.controller import REPLAN_MODES, ReplanController
+from repro.soak.controller import ReplanController
 
 __all__ = ["SoakConfig", "SoakReport", "SoakRunner", "run_soak"]
 
@@ -68,7 +68,6 @@ class SoakConfig:
     former must contain at least one ``arrival:`` clause; the latter may be
     ``None`` for a churn-free control run).  ``deadline_factor`` scales each
     request's initial makespan estimate into its completion deadline;
-    ``replan_mode`` selects the incremental ladder or the cold-GA baseline;
     ``replan_budget_s`` is the per-request wall-clock planning budget that
     gates the GA rung; ``max_replans`` caps churn-triggered rounds per
     request before it is shed.
@@ -82,7 +81,6 @@ class SoakConfig:
     machines_per_site: int = 2
     n_stages: int = 3
     deadline_factor: float = 4.0
-    replan_mode: str = "incremental"
     replan_budget_s: float = 2.0
     max_replans: int = 5
     ga_config: Optional[GAConfig] = None
@@ -92,10 +90,17 @@ class SoakConfig:
             raise ValueError("duration must be positive")
         if self.deadline_factor < 1.0:
             raise ValueError("deadline_factor must be >= 1")
-        if self.replan_mode not in REPLAN_MODES:
-            raise ValueError(f"replan_mode must be one of {REPLAN_MODES}")
         if self.max_replans < 0:
             raise ValueError("max_replans must be non-negative")
+
+    @property
+    def replan_mode(self) -> str:
+        """Always ``"incremental"``: replanning is the degradation ladder.
+
+        Not a setting; run records that name the replan mode (the
+        benchmark harness's soak-churn workload) read it here.
+        """
+        return "incremental"
 
 
 @dataclass
@@ -154,7 +159,8 @@ class SoakReport:
         """The canonical log: simulated-time events only, no wall-clock.
 
         Two same-seed soak runs produce byte-identical logs; the soak
-        determinism suite and ``bench_soak`` assert exactly this string.
+        determinism suite and the soak-churn benchmark workload assert
+        exactly this string.
         """
         return "\n".join(self.log) + "\n"
 
@@ -180,7 +186,6 @@ class SoakRunner:
         )
         self.controller = ReplanController(
             self.ontology,
-            mode=config.replan_mode,
             ga_config=config.ga_config,
             replan_budget_s=config.replan_budget_s,
             seed=config.seed,

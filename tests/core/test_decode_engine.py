@@ -230,15 +230,6 @@ class TestDedupAndMemo:
         assert engine.evals_skipped == 1
         assert r1 == r2  # same (decoded, fitness) objects from the memo
 
-    def test_dedup_off_decodes_every_time(self, hanoi3, rng):
-        engine = DecodeEngine(dedup=False)
-        engine.bind(make_context(hanoi3))
-        fitness = FitnessFunction(hanoi3)
-        genes = rng.random(12)
-        engine.evaluate_genes(genes, fitness)
-        engine.evaluate_genes(genes, fitness)
-        assert engine.evals_skipped == 0
-
     def test_memo_invalidated_on_start_state_change(self, hanoi3, rng):
         engine = DecodeEngine()
         ctx1 = make_context(hanoi3)

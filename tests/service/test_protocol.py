@@ -95,12 +95,11 @@ class TestParsePlanRequest:
                 portfolio="ga,search:gbfs",
                 stream=True,
                 evaluator="resilient",
-                vector=True,
             )
         )
         assert request.tenant == "t1" and request.seed == 9
         assert request.deadline_s == 2.0 and isinstance(request.deadline_s, float)
-        assert request.portfolio == "ga,search:gbfs" and request.vector is True
+        assert request.portfolio == "ga,search:gbfs" and request.evaluator == "resilient"
 
     @pytest.mark.parametrize(
         "overrides,match",
@@ -120,7 +119,7 @@ class TestParsePlanRequest:
             ({"portfolio": "ga"}, "portfolio"),  # portfolio without mode=portfolio
             ({"stream": 1}, "'stream'"),
             ({"evaluator": "gpu"}, "'evaluator'"),
-            ({"vector": "yes"}, "'vector'"),
+            ({"vector": True}, "unknown plan fields: vector"),
             ({"bogus": 1}, "unknown plan fields: bogus"),
         ],
     )
@@ -129,10 +128,9 @@ class TestParsePlanRequest:
             parse_plan_request(plan_frame(**overrides))
 
     def test_backend_field_is_unknown(self):
-        # The decode backend is not selectable over the wire; result frames
-        # still report which decode path ran.
+        # The decode path is the service's choice, not the client's.
         with pytest.raises(ProtocolError, match="unknown plan fields: backend"):
-            parse_plan_request(plan_frame(vector=True, backend="numpy"))
+            parse_plan_request(plan_frame(backend="numpy"))
 
     def test_parse_accepts_decoded_wire_frame(self):
         wire = encode_frame(plan_frame(seed=3, budget=12))

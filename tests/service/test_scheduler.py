@@ -10,7 +10,6 @@ from repro.service import (
     FAILED,
     QUEUED,
     SHED,
-    EngineCache,
     PlanRequest,
     RunScheduler,
     ServicePool,
@@ -53,6 +52,10 @@ class TestLifecycle:
         assert frames[0]["type"] == "accepted" and frames[0]["queue_depth"] == 1
         assert frames[-1]["type"] == "result"
         assert frames[-1]["solved"] is True and frames[-1]["plan_length"] == 7
+        assert set(frames[-1]) == {  # the result frame documented in docs/service.md
+            "type", "id", "solved", "timed_out", "plan", "plan_length",
+            "goal_fitness", "generations", "slices", "warm", "seconds",
+        }
         kinds = {f["type"] for f in frames[1:-1]}
         assert kinds <= {"incumbent"}  # no stream=True, so no event frames
 
@@ -157,8 +160,8 @@ class TestAdmission:
 
 
 class TestFairShare:
-    def completion_order(self, fair_share):
-        scheduler = make_scheduler(fair_share=fair_share, queue_cap=10)
+    def completion_order(self):
+        scheduler = make_scheduler(queue_cap=10)
         order = []
 
         def subscriber_for(name):
@@ -182,19 +185,11 @@ class TestFairShare:
 
     def test_deficit_round_robin_interleaves_tenants(self):
         # alpha arrived last but has no consumed slices, so it runs second.
-        assert self.completion_order(fair_share=True) == [
+        assert self.completion_order() == [
             "flood-0",
             "alpha",
             "flood-1",
             "flood-2",
-        ]
-
-    def test_fifo_ablation_starves_the_light_tenant(self):
-        assert self.completion_order(fair_share=False) == [
-            "flood-0",
-            "flood-1",
-            "flood-2",
-            "alpha",
         ]
 
 
@@ -253,17 +248,6 @@ class TestIntrospection:
         assert kinds[-1] == "service-completed"
         assert "service-slice" in kinds
 
-    def test_cold_cache_scheduler_never_warms(self):
-        metrics = MetricsRegistry()
-        scheduler = make_scheduler(
-            metrics=metrics, engine_cache=EngineCache(enabled=False, metrics=metrics)
-        )
-        for seed in (1, 1):
-            scheduler.submit(request(seed=seed))
-        scheduler.drain()
-        assert metrics.counters["service_warm_misses"].value == 2
-        assert "service_warm_hits" not in metrics.counters
-
 
 def memo_share(run):
     """Share of *run*'s evaluations served from the fitness memo."""
@@ -286,7 +270,7 @@ class TestMemoLifetime:
         for _ in range(3):
             runs.append(scheduler.submit(request()))
             scheduler.drain()
-        cold = make_scheduler(engine_cache=EngineCache(enabled=False))
+        cold = make_scheduler()  # a fresh scheduler's first request is cold
         baseline = cold.submit(request())
         cold.drain()
         assert memo_share(runs[0]) < 1.0
@@ -320,7 +304,9 @@ class TestMemoLifetime:
         assert memo_share(oldest) < 1.0
 
     @pytest.mark.parametrize(
-        "overrides", [dict(vector=True), dict(evaluator="resilient")], ids=["vector", "resilient"]
+        "overrides",
+        [dict(evaluator="resilient"), dict(mode="portfolio", portfolio="ga")],
+        ids=["resilient", "portfolio"],
     )
     def test_requests_off_the_engine_memo_retain_nothing(self, overrides):
         scheduler = make_scheduler()
@@ -330,7 +316,7 @@ class TestMemoLifetime:
         assert scheduler.stats()["cache"]["memos"] == {"trajectories": 0, "entries": 0}
 
     def test_concurrent_same_trajectory_requests_answer_identically(self):
-        cold = make_scheduler(engine_cache=EngineCache(enabled=False), slice_gens=1)
+        cold = make_scheduler(slice_gens=1)
         baseline = cold.submit(request(seed=5, budget=30))
         cold.drain()
         scheduler = make_scheduler(queue_cap=8, slice_gens=1)
@@ -383,19 +369,3 @@ class TestServicePool:
         pool.stop()
         assert time.monotonic() - t0 < 5.0  # wake_all, not idle_wait
 
-
-class TestDecodeBackendFrames:
-    def test_engine_path_tags_result_as_engine(self):
-        frames = []
-        scheduler = make_scheduler()
-        scheduler.submit(request(), subscriber=frames.append)
-        scheduler.drain()
-        assert frames[-1]["type"] == "result"
-        assert frames[-1]["backend"] == "engine"
-
-    def test_vector_request_reports_resolved_backend(self):
-        frames = []
-        scheduler = make_scheduler()
-        scheduler.submit(request(vector=True), subscriber=frames.append)
-        scheduler.drain()
-        assert frames[-1]["backend"] == "numpy"

@@ -1,12 +1,22 @@
-"""TCP front-end tests: framing over real sockets, disconnect semantics."""
+"""TCP front-end tests: framing over real sockets, disconnect semantics, shutdown."""
 
 import asyncio
+import gc
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+import weakref
+from pathlib import Path
 
 import pytest
 
 from repro.service import PlanRequest, PlanningServer, ServiceClient
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class ServerThread:
@@ -146,3 +156,77 @@ class TestDisconnect:
         sock.close()
         with ServiceClient(port=server.port) as client:  # server still serving
             assert client.ping()["type"] == "pong"
+
+
+class TestConnectionLifetime:
+    def test_finished_runs_leave_a_long_lived_connection(self, server):
+        # Every run submitted over one open connection must be freed once
+        # its final frame (result or error) is delivered, not when the
+        # connection closes.
+        scheduler = server.server.scheduler
+        submit, runs = scheduler.submit, []
+
+        def tracking_submit(*args, **kwargs):
+            run = submit(*args, **kwargs)
+            runs.append(weakref.ref(run))
+            return run
+
+        scheduler.submit = tracking_submit
+        with ServiceClient(port=server.port) as client:
+            kinds = [
+                client.plan(fast_request(seed=seed, budget=4, population=10))["type"]
+                for seed in range(20)
+            ]
+            kinds.append(client.plan(fast_request(domain="no-such-domain"))["type"])
+            assert kinds == ["result"] * 20 + ["error"]
+            assert scheduler.wait_idle(timeout=60)
+            deadline = time.monotonic() + 10
+            while any(ref() is not None for ref in runs) and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.05)
+            assert len(runs) == 21
+            assert [ref() for ref in runs if ref() is not None] == []
+            assert client.ping()["type"] == "pong"  # the connection is still open
+
+
+def _shm_entries():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+class TestShutdown:
+    @pytest.mark.parametrize(
+        "signum,preexec",
+        [(signal.SIGTERM, None), (signal.SIGINT, _ignore_sigint)],
+        ids=["sigterm", "sigint-ignored-at-start"],
+    )
+    def test_serve_exits_cleanly_on_signal(self, signum, preexec):
+        # A server started with SIGINT ignored is what a non-interactive
+        # shell launches with `&`; serve handles SIGINT itself regardless.
+        before = _shm_entries()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=preexec,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            port = int(line.rsplit(":", 1)[1])
+            with ServiceClient(port=port, timeout=60) as client:
+                reply = client.plan(fast_request(evaluator="resilient", budget=4))
+            assert reply["type"] == "result"
+            proc.send_signal(signum)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert _shm_entries() - before == set()

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from repro.obs import MetricsRegistry
 from repro.service import (
     DONE,
-    EngineCache,
     PlanRequest,
     RunScheduler,
     ServicePool,
@@ -20,12 +19,10 @@ from repro.service import (
 )
 
 
-def run_batch(seeds, budget, population, concurrent, workers=4, warm=True):
+def run_batch(seeds, budget, population, concurrent, workers=4):
     """Run one request per seed; return each run's canonical trace."""
-    metrics = MetricsRegistry()
     scheduler = RunScheduler(
-        engine_cache=EngineCache(enabled=warm, metrics=metrics),
-        metrics=metrics,
+        metrics=MetricsRegistry(),
         queue_cap=len(seeds) + 1,
         slice_gens=3,
     )
@@ -62,9 +59,24 @@ class TestSerialVsConcurrent:
         assert serial == concurrent
 
     def test_traces_identical_warm_vs_cold(self):
-        seeds = [7, 7, 7]
-        warm = run_batch(seeds, budget=12, population=20, concurrent=False, warm=True)
-        cold = run_batch(seeds, budget=12, population=20, concurrent=False, warm=False)
+        def traces(one_at_a_time):
+            scheduler = RunScheduler(metrics=MetricsRegistry(), slice_gens=3)
+            runs = []
+            for _ in range(3):
+                runs.append(scheduler.submit(
+                    PlanRequest(domain="hanoi", size=5, seed=7, budget=12, population=20)
+                ))
+                if one_at_a_time:
+                    scheduler.drain()
+            scheduler.drain()
+            return [run.warm for run in runs], [run.canonical_trace() for run in runs]
+
+        # One at a time, the 2nd and 3rd requests lease the released pair
+        # and replay the memo; submitted together, their first slices
+        # interleave, so each leases a cold pair and a fresh memo.
+        warm_flags, warm = traces(one_at_a_time=True)
+        cold_flags, cold = traces(one_at_a_time=False)
+        assert warm_flags == [False, True, True] and cold_flags == [False] * 3
         assert warm == cold
 
     def test_trace_contains_the_deterministic_event_kinds(self):

@@ -103,9 +103,10 @@ class TestRelaxedFeasible:
 
 class TestLadder:
     def test_modes_validated(self):
+        # The degradation ladder is the only replan mode.
         onto = soak_ontology(seed=0)
-        with pytest.raises(ValueError, match="mode"):
-            ReplanController(onto, mode="lukewarm")
+        with pytest.raises(TypeError, match="mode"):
+            ReplanController(onto, mode="cold")
         with pytest.raises(ValueError, match="budget"):
             ReplanController(onto, replan_budget_s=0.0)
 
@@ -132,18 +133,6 @@ class TestLadder:
         assert decision.rung == "none"
         assert decision.plan is None
         assert decision.seconds < 1.0  # no search budget burned
-
-    def test_cold_mode_never_repairs(self):
-        onto, req, domain, plan = _scenario()
-        metrics = MetricsRegistry()
-        controller = ReplanController(
-            onto, mode="cold", tracer=Tracer([]), metrics=metrics
-        )
-        decision = controller.replan(
-            domain, plan, req, now=1.0, round_index=0, wall_spent_s=0.0
-        )
-        assert decision.rung in ("ga-cold", "none")
-        assert metrics.counter("soak_repairs").value == 0
 
     def test_replan_ticks_metrics(self):
         onto, req, domain, plan = _scenario()
