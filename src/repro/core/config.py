@@ -65,14 +65,6 @@ class GAConfig:
     elitism:
         Number of best individuals copied unchanged into the next
         generation.  The paper uses none (0); exposed for ablations.
-    vector_decode:
-        Decode whole populations in numpy against the domain's array
-        kernel (DESIGN.md §12).  ``None`` (the default) auto-enables the
-        vector path when the domain exposes a kernel
-        (``domain.kernel() is not None``) and falls back to the object
-        decode engine otherwise; ``True`` demands it (evaluation raises if
-        the domain has no kernel); ``False`` forces the object path.
-        Results are bit-identical either way.
     """
 
     population_size: int = 200
@@ -88,7 +80,6 @@ class GAConfig:
     truncate_at_goal: bool = True
     stop_on_goal: bool = True
     elitism: int = 0
-    vector_decode: Optional[bool] = None
 
     def __post_init__(self) -> None:
         """Validate field ranges and cross-field invariants."""

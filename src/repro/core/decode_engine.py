@@ -20,19 +20,19 @@ layers (DESIGN.md §9):
    retained prefix instead of the start state.  ``dirty_from`` is
    *conservative*: genes before it are byte-identical to the parent's, so
    the resumed walk is exact, never approximate.
-3. **Phenotype dedup + fitness memo** — a ``genes.tobytes()``-fingerprint
-   memo scores each distinct genome once; clones, elites and within-batch
-   duplicates are served from the memo.  Admission is adaptive: when a
-   probe window shows (almost) no duplicates, the memo is dropped and
-   paused so non-duplicating workloads don't pay its time and heap cost.
-   Dedup is *exact* because decoding
-   and fitness are deterministic functions of the genome bytes (given a
-   fixed domain, start state, weights and truncation flag — all part of
-   the memo signature).
+3. **Fitness memo** — a ``genes.tobytes()``-fingerprint memo that the
+   planning service attaches per request trajectory
+   (:meth:`DecodeEngine.swap_memo`), so a repeated request replays whole
+   populations without decoding.  A GA run attaches none: breeding hands
+   unchanged clones and elites their parent's evaluation, so an evaluator
+   only ever receives new genomes.  A hit is *exact* because decoding and
+   fitness are deterministic functions of the genome bytes (given a fixed
+   domain, start state, weights and truncation flag — all part of the
+   memo signature).
 4. **Cache lifetime** — one :class:`DecodeEngine` persists across
-   generations, phases and islands; only the fitness memo is invalidated
-   when the start state or fitness signature changes, while the transition
-   tables (keyed by state identity) survive.
+   generations, phases and islands; an attached fitness memo is
+   invalidated when the start state or fitness signature changes, while
+   the transition tables (keyed by state identity) survive.
 
 Exactness contract: decoded plans, fitness values and whole GA
 trajectories are *bit-identical* to the reference decoder
@@ -136,6 +136,7 @@ class TransitionCache:
         return self._states.get(sid) if sid is not None else None
 
     def clear(self) -> None:
+        """Drop every table and representative state (pins are kept)."""
         self._ids.clear()
         self._tbl.clear()
         self._states.clear()
@@ -183,14 +184,14 @@ class TransitionCache:
         dirty_from: Optional[int] = None,
         start_key: Optional[Hashable] = None,
         start_goal: Optional[bool] = None,
-        use_transitions: bool = True,
     ) -> Tuple[DecodedPlan, int]:
         """Decode *genes*, reusing tables and an optional retained prefix.
 
         Returns ``(plan, genes_reused)`` where ``genes_reused`` counts the
         prefix genes whose decode was taken from *prefix_plan* instead of
         being re-walked.  The result is bit-identical to
-        :func:`repro.core.encoding.decode`.
+        :func:`repro.core.encoding.decode`.  A walk that needs a concrete
+        state the tables have evicted is redone uncached (``fallbacks``).
         """
         domain = self.domain
         if start_key is None:
@@ -211,9 +212,7 @@ class TransitionCache:
                 # the very same plan; the trailing genes are inert.
                 return prefix_plan, used_p
             try:
-                return self._resume(
-                    gene_list, prefix_plan, dirty, truncate_at_goal, use_transitions
-                )
+                return self._resume(gene_list, prefix_plan, dirty, truncate_at_goal)
             except _NeedsFullWalk:
                 self.fallbacks += 1
         if start_goal is None:
@@ -225,11 +224,10 @@ class TransitionCache:
                     [start_key], [start_dkey] if self._has_dkey else None, 0.0,
                     start_goal, truncate_at_goal)
 
-        if use_transitions:
-            try:
-                return self._walk(*fresh_args(), use_transitions=True), 0
-            except _NeedsFullWalk:
-                self.fallbacks += 1
+        try:
+            return self._walk(*fresh_args(), use_transitions=True), 0
+        except _NeedsFullWalk:
+            self.fallbacks += 1
         return self._walk(*fresh_args(), use_transitions=False), 0
 
     def _resume(
@@ -238,7 +236,6 @@ class TransitionCache:
         prefix_plan: DecodedPlan,
         p: int,
         truncate: bool,
-        use_transitions: bool,
     ) -> Tuple[DecodedPlan, int]:
         """Re-decode from gene *p*, keeping the parent's prefix intact."""
         domain = self.domain
@@ -269,7 +266,7 @@ class TransitionCache:
             for op in ops:
                 cost += opcost(op)
         plan = self._walk(gene_list, p, state, self._id_for(key_p), ops, keys, dkeys,
-                          cost, goal, truncate, use_transitions=use_transitions)
+                          cost, goal, truncate, use_transitions=True)
         return plan, p
 
     def _walk(
@@ -383,47 +380,30 @@ class TransitionCache:
 
 
 class DecodeEngine:
-    """The four memoisation layers behind one evaluator-facing object.
+    """The decode layers behind one evaluator-facing object.
 
     An engine outlives any single evaluation batch: :meth:`bind` is called
     once per batch with the current :class:`~repro.core.parallel.
     EvaluationContext` and rebuilds the transition tables only when the
-    *domain* changes, while the fitness memo is additionally invalidated
-    when the start state, truncation flag or fitness weights change (the
-    memo's results depend on all of them; the transition tables do not).
+    *domain* changes.
 
-    ``adaptive_memo=False`` turns off the memo's low-hit-rate pause below:
-    within one run duplicate genomes are rare early, so the probe window
-    rightly drops the memo — but a memo kept *across* runs (the planning
-    service retains one per request trajectory, see :meth:`swap_memo`)
-    lets a repeated request replay whole genome populations, and pausing
-    would discard exactly the state that makes those repeats cheap.
+    The engine holds no fitness memo until :meth:`swap_memo` installs one;
+    the planning service does, per request trajectory, so a repeated
+    request replays whole populations.  An installed memo is invalidated
+    when the start state, truncation flag or fitness weights change (its
+    results depend on all of them; the transition tables do not) and is
+    cleared wholesale once it holds :attr:`memo_entries` genomes.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 200_000,
-        memo_entries: int = 100_000,
-        adaptive_memo: bool = True,
-    ) -> None:
-        if memo_entries < 1:
-            raise ValueError(f"memo_entries must be >= 1, got {memo_entries}")
+    #: Bound on an installed memo; a full memo is cleared wholesale.
+    memo_entries = 100_000
+
+    def __init__(self, max_entries: int = 200_000) -> None:
         self.max_entries = max_entries
-        self.memo_entries = memo_entries
-        self.adaptive_memo = adaptive_memo
-        # Memo admission control: every `memo_probe_interval` stores the
-        # window hit rate is probed; under ~1% the memo is dropped and paused
-        # until the next signature change.  A memo that never hits only costs
-        # time and retained heap — every stored plan is container-heavy and
-        # gets scanned by full GC passes.
-        self.memo_probe_interval = 512
-        self._memo_paused = False
-        self._memo_window_hits = 0
-        self._memo_window_stores = 0
         self._cache: Optional[TransitionCache] = None
         self._domain: Optional[PlanningDomain] = None
         self._sig: Optional[tuple] = None
-        self._memo: dict = {}
+        self._memo: Optional[dict] = None
         self._memo_sig: Optional[tuple] = None
         self._start_state: object = None
         self._start_key: Optional[Hashable] = None
@@ -437,6 +417,11 @@ class DecodeEngine:
     def active(self) -> bool:
         """Whether the engine has been bound to a context at least once."""
         return self._cache is not None
+
+    @property
+    def memoizing(self) -> bool:
+        """Whether a fitness memo is installed (see :meth:`swap_memo`)."""
+        return self._memo is not None
 
     def bind(self, context) -> None:
         """(Re)target the engine at *context*, invalidating what must be."""
@@ -452,10 +437,8 @@ class DecodeEngine:
         fit = context.fitness
         sig = (start_key, context.truncate_at_goal, fit.goal_weight, fit.cost_weight)
         if sig != self._memo_sig:
-            self._memo.clear()
-            self._memo_paused = False
-            self._memo_window_hits = 0
-            self._memo_window_stores = 0
+            if self._memo is not None:
+                self._memo.clear()
             self._memo_sig = sig
         if sig != self._sig:
             self._sig = sig
@@ -465,8 +448,8 @@ class DecodeEngine:
             self._truncate = context.truncate_at_goal
             self._cache.pin(start_key, start)
 
-    def swap_memo(self, memo: Optional[FitnessMemo] = None) -> FitnessMemo:
-        """Install *memo* (a fresh one when ``None``); return the one replaced.
+    def swap_memo(self, memo: Optional[FitnessMemo] = None) -> Optional[FitnessMemo]:
+        """Install *memo* (``None`` detaches); return the one replaced, if any.
 
         The planning service moves one request trajectory's memo between
         engines this way.  The caller vouches that *memo* was scored on a
@@ -475,43 +458,32 @@ class DecodeEngine:
         :meth:`bind`, so every hit is still decided by the signature check
         and the genome fingerprint alone.
         """
-        old = FitnessMemo(self._memo_sig, self._memo)
-        self._memo_sig, self._memo = memo if memo is not None else (None, {})
-        self._memo_paused = False
-        self._memo_window_hits = 0
-        self._memo_window_stores = 0
+        old = FitnessMemo(self._memo_sig, self._memo) if self._memo is not None else None
+        if memo is None:
+            self._memo = None
+        else:
+            self._memo_sig, self._memo = memo
         return old
 
     # -- the layers -----------------------------------------------------------
 
     def lookup(self, fingerprint: bytes):
-        """Layer 3: memoised ``(decoded, fitness)`` for a genome, or None."""
-        if self._memo_paused:
-            return None
-        hit = self._memo.get(fingerprint)
+        """Memoised ``(decoded, fitness)`` for a genome, or None."""
+        memo = self._memo
+        hit = memo.get(fingerprint) if memo is not None else None
         if hit is not None:
             self.evals_skipped += 1
-            self._memo_window_hits += 1
         return hit
 
     def store(self, fingerprint: bytes, decoded: DecodedPlan, fitness) -> None:
-        if self._memo_paused:
-            return
+        """Memoise a genome's ``(decoded, fitness)``; a no-op without a memo."""
         memo = self._memo
+        if memo is None:
+            return
         if len(memo) >= self.memo_entries:
             self.memo_evictions += len(memo)
             memo.clear()
         memo[fingerprint] = (decoded, fitness)
-        self._memo_window_stores += 1
-        if self._memo_window_stores >= self.memo_probe_interval:
-            if self.adaptive_memo and self._memo_window_hits * 100 < self._memo_window_stores:
-                # Workload with (almost) no duplicate genomes: drop the memo
-                # and stop admitting until the next bind() signature change.
-                self._memo_paused = True
-                self.memo_evictions += len(memo)
-                memo.clear()
-            self._memo_window_hits = 0
-            self._memo_window_stores = 0
 
     def decode(
         self,
@@ -519,7 +491,7 @@ class DecodeEngine:
         prefix_plan: Optional[DecodedPlan] = None,
         dirty_from: Optional[int] = None,
     ) -> DecodedPlan:
-        """Layers 1+2: decode through the tables, resuming a prefix if given."""
+        """Decode through the tables, resuming a prefix if given."""
         assert self._cache is not None, "DecodeEngine.bind() must run first"
         plan, reused = self._cache.decode(
             genes,
@@ -532,17 +504,6 @@ class DecodeEngine:
         )
         self.genes_reused += reused
         return plan
-
-    def evaluate_genes(self, genes: np.ndarray, fitness_fn, prefix_plan=None, dirty_from=None):
-        """Full pipeline for one genome: memo → decode → score → store."""
-        fp = genes.tobytes()
-        hit = self.lookup(fp)
-        if hit is not None:
-            return hit
-        decoded = self.decode(genes, prefix_plan, dirty_from)
-        fitness = fitness_fn(decoded)
-        self.store(fp, decoded, fitness)
-        return decoded, fitness
 
     # -- introspection ---------------------------------------------------------
 

@@ -145,7 +145,6 @@ class GARun:
             start_state=self.start_state,
             fitness=FitnessFunction(domain, config.goal_weight, config.cost_weight),
             truncate_at_goal=config.truncate_at_goal,
-            vector=getattr(config, "vector_decode", None),
         )
         self.evaluator = evaluator if evaluator is not None else SerialEvaluator()
         self.tracer = tracer if tracer is not None else default_tracer()

@@ -116,10 +116,9 @@ def run_multiphase(
     solved_in_phase: Optional[int] = None
     total_generations = 0
 
-    # With no factory, one serial evaluator spans every phase: its decode
-    # engine's transition tables are keyed on state identity, so they stay
-    # valid (and warm) across phase boundaries; only the per-start-state
-    # fitness memo is invalidated when the phase's start state changes.
+    # With no factory, one serial evaluator spans every phase: its decoder's
+    # tables (kernel or engine transitions) are keyed on state identity, so
+    # they stay valid (and warm) across phase boundaries.
     shared = SerialEvaluator() if evaluator_factory is None else None
     try:
         for phase_index in range(1, config.max_phases + 1):

@@ -17,9 +17,9 @@ Evaluators are observable: :meth:`Evaluator.bind_observability` attaches a
 tracer and metrics registry (done automatically by :class:`~repro.core.ga.
 GARun`), after which every evaluated batch emits an ``evaluation-batch``
 event and feeds the canonical ``evals`` / ``eval_batch`` / ``decode`` /
-``dispatch`` / ``worker_eval`` / ``decode_cache_*`` instruments.  With the
-null tracer and no registry the instrumented branches are skipped, keeping
-the uninstrumented hot path at its old cost.
+``dispatch`` / ``worker_eval`` / ``decode_cache_*`` instruments.  Each
+decoder has one loop, which always takes its batch timings (a few
+``perf_counter`` calls per row) and records them only when instrumented.
 """
 
 from __future__ import annotations
@@ -90,14 +90,7 @@ class WorkerPoolError(RuntimeError):
 
 
 class EvaluationContext:
-    """Everything needed to evaluate a genome: domain, start state, options.
-
-    ``vector`` selects the whole-population vectorised decode (DESIGN.md
-    §12), wired from ``GAConfig.vector_decode``: ``None`` auto-enables it
-    when the domain exposes a kernel, ``True`` demands a kernel (raising
-    otherwise), ``False`` forces the object decode engine.  The serial
-    evaluator and the pool workers consult it for every batch.
-    """
+    """Everything needed to evaluate a genome: domain, start state, options."""
 
     def __init__(
         self,
@@ -105,27 +98,20 @@ class EvaluationContext:
         start_state: object,
         fitness: FitnessFunction,
         truncate_at_goal: bool = True,
-        vector: Optional[bool] = None,
     ) -> None:
         self.domain = domain
         self.start_state = start_state
         self.fitness = fitness
         self.truncate_at_goal = truncate_at_goal
-        self.vector = vector
 
     def resolve_vector(self) -> bool:
-        """Whether evaluation should run the vectorised decode path."""
-        if self.vector is False:
-            return False
-        if self.domain.kernel() is None:
-            if self.vector:
-                raise ValueError(
-                    f"vector_decode=True but domain {self.domain.name!r} has no "
-                    f"kernel (domain.kernel() returned None); use "
-                    f"vector_decode=None to fall back automatically"
-                )
-            return False
-        return True
+        """Whether the domain has a kernel, so the vectorised decode can run.
+
+        An evaluator without an injected decode engine (and every pool
+        worker) takes the vector path exactly when this holds (DESIGN.md
+        §12).
+        """
+        return self.domain.kernel() is not None
 
     def decode_genes(self, genes: np.ndarray):
         """Decode one genome with the reference decoder (no shared caches)."""
@@ -188,6 +174,7 @@ class Evaluator:
 
     @property
     def instrumented(self) -> bool:
+        """Whether a metrics registry or an enabled tracer is attached."""
         return self._metrics is not None or self._tracer.enabled
 
     def cache_info(self) -> Optional[Tuple[int, int]]:
@@ -195,53 +182,41 @@ class Evaluator:
         return None
 
     def close(self) -> None:  # pragma: no cover - default no-op
-        pass
+        """Release worker processes and shared memory (a no-op by default)."""
 
     def __enter__(self) -> "Evaluator":
+        """Use the evaluator as a context manager that closes it on exit."""
         return self
 
     def __exit__(self, *exc) -> None:
+        """Close the evaluator."""
         self.close()
 
 
 class SerialEvaluator(Evaluator):
     """Evaluate the population in-process.
 
-    When the context resolves the vectorised decode (DESIGN.md §12) the
-    pending rows are decoded whole by a :class:`~repro.core.vector_decode.
-    VectorDecoder`; otherwise row by row through a persistent
-    :class:`~repro.core.decode_engine.DecodeEngine` — transition
-    memoisation, dirty-prefix re-decode and fingerprint dedup (DESIGN.md
-    §9).  A pre-built engine can be injected to share caches across
-    evaluators (a serial portfolio race does this); otherwise one is created
-    lazily and kept for the evaluator's lifetime.
+    An injected :class:`~repro.core.decode_engine.DecodeEngine` decodes
+    every batch, row by row, with its transition tables, dirty-prefix
+    resume and whatever fitness memo is installed on it (DESIGN.md §9);
+    the planning service passes its leased engine this way, and a serial
+    portfolio race shares one across its islands.  Without one, the pending
+    rows are decoded whole by a :class:`~repro.core.vector_decode.
+    VectorDecoder` when the domain has a kernel (DESIGN.md §12), and
+    otherwise through an engine built on first use, which the evaluator
+    then keeps.
     """
 
     def __init__(self, engine: Optional[DecodeEngine] = None) -> None:
         self._engine = engine
         self._vdec: Optional[VectorDecoder] = None
 
-    def _vector_decoder(self, context: EvaluationContext) -> Optional[VectorDecoder]:
-        """The (cached) vector decoder for *context*, or None for the engine."""
-        resolve = getattr(context, "resolve_vector", None)
-        if resolve is None or not resolve():
-            return None
-        kernel = context.domain.kernel()
-        if self._vdec is None or self._vdec.kernel is not kernel:
-            self._vdec = VectorDecoder(kernel)
-        return self._vdec
-
-    def _bound_engine(self, context: EvaluationContext) -> DecodeEngine:
-        if self._engine is None:
-            self._engine = DecodeEngine()
-        self._engine.bind(context)
-        return self._engine
-
     def vector_counters(self) -> Optional[dict]:
         """Cumulative vector-decode counters, or ``None`` on the engine path."""
         return self._vdec.counters() if self._vdec is not None else None
 
     def cache_info(self) -> Optional[Tuple[int, int]]:
+        """Decode-engine valid-table ``(hits, misses)``, ``None`` before use."""
         if self._engine is None or not self._engine.active:
             return None
         return self._engine.cache_info()
@@ -255,49 +230,26 @@ class SerialEvaluator(Evaluator):
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
         """Array-native serial path: decode rows straight off the arena.
 
-        When the context resolves the vectorised decode (DESIGN.md §12),
-        the whole pending set is decoded in numpy by a
-        :class:`~repro.core.vector_decode.VectorDecoder` — bit-identical
-        results, no per-genome Python loop at all.  Otherwise each pending
-        row runs through the decode engine over a zero-copy genome view,
+        The vector path decodes the whole pending set in numpy — results
+        bit-identical to the engine's, with no per-genome Python loop.  The
+        engine path runs each pending row over a zero-copy genome view,
         resuming from its prefix hint.
         """
-        vdec = self._vector_decoder(context)
-        if vdec is not None:
-            # keep_plans=True regardless of the buffer's flag: in-process
-            # there is no shipping cost, and the stored plans feed the next
-            # generation's dirty-prefix hints (matching the engine path).
-            if not self.instrumented:
-                vdec.evaluate_pending(buffer, context, keep_plans=True)
-            else:
-                self._evaluate_buffer_vector_instrumented(buffer, context, vdec)
-            return
-        engine = self._bound_engine(context)
-        pending = np.flatnonzero(~buffer.evaluated)
-        if not self.instrumented:
-            fitness_fn = context.fitness
-            for i in pending:
-                i = int(i)
-                prefix, dirty = buffer.prefix_hint(i)
-                decoded, fitness = engine.evaluate_genes(
-                    buffer.view(i), fitness_fn, prefix, dirty
-                )
-                buffer.set_result(i, decoded, fitness)
-            return
-        self._evaluate_engine_instrumented(engine, context, buffer, pending)
+        if self._engine is None and context.resolve_vector():
+            self._evaluate_vector(buffer, context)
+        else:
+            self._evaluate_engine(buffer, context)
 
-    def _evaluate_buffer_vector_instrumented(
-        self,
-        buffer,
-        context: EvaluationContext,
-        vdec: VectorDecoder,
-    ) -> None:
-        """The vector path with batch timing and decoder counters."""
+    def _evaluate_vector(self, buffer, context: EvaluationContext) -> None:
+        kernel = context.domain.kernel()
+        if self._vdec is None or self._vdec.kernel is not kernel:
+            self._vdec = VectorDecoder(kernel)
+        vdec = self._vdec
         before = vdec.counters()
         t0 = time.perf_counter()
-        n = vdec.evaluate_pending(buffer, context, keep_plans=True)
+        n = vdec.evaluate_pending(buffer, context)
         seconds = time.perf_counter() - t0
-        if not n:
+        if not (n and self.instrumented):
             return
         after = vdec.counters()
         delta = {k: after[k] - before[k] for k in after}
@@ -324,17 +276,15 @@ class SerialEvaluator(Evaluator):
                 )
             )
 
-    def _evaluate_engine_instrumented(
-        self,
-        engine: DecodeEngine,
-        context: EvaluationContext,
-        buffer: PopulationBuffer,
-        rows: np.ndarray,
-    ) -> None:
-        """The engine path over *buffer*'s pending *rows*, with
-        decode/fitness split timing and counters."""
+    def _evaluate_engine(self, buffer, context: EvaluationContext) -> None:
+        if self._engine is None:
+            self._engine = DecodeEngine()
+        engine = self._engine
+        engine.bind(context)
+        rows = np.flatnonzero(~buffer.evaluated)
         if not rows.size:
             return
+        memoizing = engine.memoizing
         before = engine.counters()
         fitness_fn = context.fitness
         decode_s = 0.0
@@ -343,23 +293,27 @@ class SerialEvaluator(Evaluator):
         t0 = time.perf_counter()
         for row in rows.tolist():
             genes = buffer.view(row)
-            fp = genes.tobytes()
-            hit = engine.lookup(fp)
-            if hit is not None:
-                buffer.set_result(row, hit[0], hit[1])
-            else:
-                prefix, dirty = buffer.prefix_hint(row)
-                t1 = time.perf_counter()
-                decoded = engine.decode(genes, prefix, dirty)
-                t2 = time.perf_counter()
-                fitness = fitness_fn(decoded)
-                t3 = time.perf_counter()
+            if memoizing:
+                fp = genes.tobytes()
+                hit = engine.lookup(fp)
+                if hit is not None:
+                    buffer.set_result(row, hit[0], hit[1])
+                    continue
+            prefix, dirty = buffer.prefix_hint(row)
+            t1 = time.perf_counter()
+            decoded = engine.decode(genes, prefix, dirty)
+            t2 = time.perf_counter()
+            fitness = fitness_fn(decoded)
+            t3 = time.perf_counter()
+            if memoizing:
                 engine.store(fp, decoded, fitness)
-                buffer.set_result(row, decoded, fitness)
-                decode_s += t2 - t1
-                fitness_s += t3 - t2
-                n_decoded += 1
+            buffer.set_result(row, decoded, fitness)
+            decode_s += t2 - t1
+            fitness_s += t3 - t2
+            n_decoded += 1
         seconds = time.perf_counter() - t0
+        if not self.instrumented:
+            return
         after = engine.counters()
         delta = {k: after[k] - before[k] for k in after}
         if self._metrics is not None:
@@ -402,10 +356,11 @@ class SerialEvaluator(Evaluator):
 # -- process-pool machinery ---------------------------------------------------
 #
 # Worker state is installed once per process via the pool initializer, so the
-# domain is pickled once, not once per task.  Workers keep their decode
-# engine and vector decoder for the life of the process, so the transition
-# tables stay warm across batches; a pool restart rebuilds them through the
-# same initializer (cold but correct).
+# domain is pickled once, not once per task.  Each worker builds the one
+# decoder it uses (the vector decoder on a kernel domain, a decode engine
+# otherwise) and keeps it for the life of the process, so its tables stay
+# warm across batches; a pool restart rebuilds it through the same
+# initializer (cold but correct).
 
 _WORKER_CONTEXT: Optional[EvaluationContext] = None
 _WORKER_ENGINE: Optional[DecodeEngine] = None
@@ -415,15 +370,16 @@ _WORKER_VDEC: Optional[VectorDecoder] = None
 def _init_worker(context: EvaluationContext) -> None:
     global _WORKER_CONTEXT, _WORKER_ENGINE, _WORKER_VDEC
     _WORKER_CONTEXT = context
-    # Workers use only the transition tables: they get no prefix plans
-    # (shipping them per task would dwarf the savings) and never touch the
-    # fitness memo, which runs parent-side where it sees the population.
-    _WORKER_ENGINE = DecodeEngine()
-    _WORKER_ENGINE.bind(context)
-    # Each worker builds its own kernel (tables never cross the process
-    # boundary — the domain pickles without them) and keeps it warm for
-    # the life of the process, like the engine's transition tables.
-    _WORKER_VDEC = VectorDecoder(context.domain.kernel()) if context.resolve_vector() else None
+    if context.resolve_vector():
+        # Each worker builds its own kernel (tables never cross the process
+        # boundary — the domain pickles without them) and keeps it warm
+        # for the life of the process.
+        _WORKER_VDEC = VectorDecoder(context.domain.kernel())
+    else:
+        # Only the transition tables: workers get no prefix plans (shipping
+        # them per task would dwarf the savings) and no fitness memo.
+        _WORKER_ENGINE = DecodeEngine()
+        _WORKER_ENGINE.bind(context)
 
 
 # -- zero-copy shared-memory dispatch (DESIGN.md §11) --------------------------
@@ -518,8 +474,6 @@ def _evaluate_shm_chunk(name: str, start: int, stop: int):
     starts, lengths, genes, total, goal, cost, reached, plan_len = _shm_layout(
         shm.buf, n, genes_len
     )
-    engine = _WORKER_ENGINE
-    fitness_fn = context.fitness
     plans: Optional[list] = [] if need_plans else None
     t0 = time.perf_counter()
     vdec = _WORKER_VDEC
@@ -542,6 +496,8 @@ def _evaluate_shm_chunk(name: str, start: int, stop: int):
             plans.extend(v_plans)
         seconds = time.perf_counter() - t0
         return seconds, (0, 0, 0, 0), plans
+    engine = _WORKER_ENGINE
+    fitness_fn = context.fitness
     c0 = engine.counters()
     for j in range(start, stop):
         g = genes[starts[j] : starts[j] + lengths[j]]
@@ -610,14 +566,6 @@ class ProcessPoolEvaluator(Evaluator):
         self._epoch = 0
         self._cache_hits = 0
         self._cache_misses = 0
-        # Parent-side fingerprint memo (layer 3): duplicates within and
-        # across batches are never dispatched.  The pool is bound to one
-        # context for its whole life, so the memo never goes stale — it
-        # deliberately survives restart(), when the workers' transition
-        # tables are rebuilt cold.
-        self._memo: dict = {}
-        self._memo_max = 100_000
-        self._evals_skipped = 0
         if context is not None:
             self._start_pool(context)
 
@@ -743,8 +691,7 @@ class ProcessPoolEvaluator(Evaluator):
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
         """Evaluate a population buffer's pending rows across the pool.
 
-        Pending rows are deduplicated against the parent-side memo; the
-        survivors are published into the shared-memory segment, workers
+        Pending rows are published into the shared-memory segment; workers
         receive only row ranges and write packed fitness arrays in place.
         Decoded plans cross the boundary only when the buffer keeps them
         (state-matching crossovers); otherwise the generation best is
@@ -758,53 +705,25 @@ class ProcessPoolEvaluator(Evaluator):
         if not pending:
             return
         need_plans = buffer.keep_plans
-        # Dedup the batch before dispatch: each distinct genome crosses the
-        # process boundary (and is decoded) exactly once; memo hits from
-        # earlier batches are not dispatched at all.
-        fingerprints: List[bytes] = []
-        resolved: dict = {}
-        dispatch_fps: List[bytes] = []
-        dispatch_rows: List[int] = []
-        for row in pending:
-            fp = buffer.view(row).tobytes()
-            fingerprints.append(fp)
-            hit = self._memo.get(fp)
-            if hit is not None and hit[0] is None and need_plans:
-                hit = None  # packed result can't feed a plan-keeping buffer
-            if hit is not None:
-                resolved[fp] = hit
-            elif fp not in resolved:
-                resolved[fp] = None  # claimed; filled after dispatch
-                dispatch_fps.append(fp)
-                dispatch_rows.append(row)
-        skipped = len(pending) - len(dispatch_rows)
-        size = self._effective_chunk_size(len(dispatch_rows))
-        starts = list(range(0, len(dispatch_rows), size))
-        published = 0
-        outputs: list = []
-        results: List[tuple] = []
+        size = self._effective_chunk_size(len(pending))
+        starts = list(range(0, len(pending), size))
         t0 = time.perf_counter()
         try:
-            if dispatch_rows:
-                name, published, result_views = self._publish(
-                    buffer, dispatch_rows, need_plans
+            name, published, result_views = self._publish(buffer, pending, need_plans)
+            # ``timeout_s`` bounds the whole batch: map's iterator raises
+            # TimeoutError measured from the map() call, so one hung
+            # worker cannot wedge the run.  TimeoutError propagates
+            # as-is (the pool object itself is still consistent).
+            with _TRACKER_LOCK:  # map submits (and forks) eagerly
+                chunks = self._pool.map(
+                    _evaluate_shm_chunk,
+                    [name] * len(starts),
+                    starts,
+                    [min(s + size, len(pending)) for s in starts],
+                    timeout=self.timeout_s,
                 )
-                # ``timeout_s`` bounds the whole batch: map's iterator raises
-                # TimeoutError measured from the map() call, so one hung
-                # worker cannot wedge the run.  TimeoutError propagates
-                # as-is (the pool object itself is still consistent).
-                with _TRACKER_LOCK:  # map submits (and forks) eagerly
-                    chunks = self._pool.map(
-                        _evaluate_shm_chunk,
-                        [name] * len(starts),
-                        starts,
-                        [min(s + size, len(dispatch_rows)) for s in starts],
-                        timeout=self.timeout_s,
-                    )
-                outputs = list(chunks)
-                results = self._collect_shm_results(
-                    dispatch_rows, result_views, outputs, need_plans
-                )
+            outputs = list(chunks)
+            results = self._collect_shm_results(pending, result_views, outputs, need_plans)
         except BrokenProcessPool as exc:
             raise WorkerPoolError(
                 f"worker pool broke while evaluating {len(pending)} individuals on "
@@ -821,14 +740,7 @@ class ProcessPoolEvaluator(Evaluator):
         seconds = time.perf_counter() - t0
         # No partial writes: the buffer is only mutated after every chunk
         # returned, so a failed batch is safe to retry.
-        if len(self._memo) >= self._memo_max:
-            self._memo.clear()
-        for fp, result in zip(dispatch_fps, results):
-            resolved[fp] = result
-            self._memo[fp] = result
-        self._evals_skipped += skipped
-        for row, fp in zip(pending, fingerprints):
-            decoded, fitness = resolved[fp]
+        for row, (decoded, fitness) in zip(pending, results):
             buffer.set_result(row, decoded, fitness)
         if self.instrumented:
             self._record_batch_metrics(
@@ -836,7 +748,6 @@ class ProcessPoolEvaluator(Evaluator):
                 seconds=seconds,
                 outputs=outputs,
                 n_chunks=len(starts),
-                skipped=skipped,
                 published=published,
             )
 
@@ -888,7 +799,6 @@ class ProcessPoolEvaluator(Evaluator):
         seconds: float,
         outputs: List[tuple],
         n_chunks: int,
-        skipped: int,
         published: int,
     ) -> None:
         """Batch metrics and the ``evaluation-batch`` event."""
@@ -910,13 +820,10 @@ class ProcessPoolEvaluator(Evaluator):
             m.counter("decode_cache_misses").add(misses)
             m.counter("transition_cache_hits").add(trans_hits)
             m.counter("transition_cache_misses").add(trans_misses)
-            m.counter("evals_skipped").add(skipped)
-            if published:
-                m.counter("shm_bytes_published").add(published)
-                # Lower bound: the gene payload alone no longer crosses the
-                # pipe (index arrays and pickle framing are gravy on top).
-                genes_bytes = published - _SHM_HEADER_BYTES
-                m.counter("dispatch_bytes_saved").add(max(0, genes_bytes))
+            m.counter("shm_bytes_published").add(published)
+            # Lower bound: the gene payload alone no longer crosses the
+            # pipe (index arrays and pickle framing are gravy on top).
+            m.counter("dispatch_bytes_saved").add(max(0, published - _SHM_HEADER_BYTES))
         if self._tracer.enabled:
             self._tracer.emit(
                 EvaluationBatch(
@@ -927,11 +834,11 @@ class ProcessPoolEvaluator(Evaluator):
                     chunks=n_chunks,
                     cache_hits=hits,
                     cache_misses=misses,
-                    evals_skipped=skipped,
                 )
             )
 
     def close(self) -> None:
+        """Shut the worker pool down (waiting for it) and unlink the segment."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None

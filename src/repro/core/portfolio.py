@@ -27,8 +27,9 @@ winner, the same plans, and the same event log (modulo wall-clock
 Each island gets its own evaluator, metrics registry and buffering
 tracer.  On threads each island also decodes a ``copy.deepcopy`` of the
 domain with its own decode engine, so per-domain kernel caches are never
-shared across threads; a serial race shares the caller's domain and one
-decode engine, whose transition tables every island then warms.
+shared across threads; a serial race shares the caller's domain, and so
+its kernel, or, for a domain without a kernel, one decode engine whose
+transition tables every island then warms.
 Per-island events are re-emitted on the shared tracer in island order at
 every round boundary; per-island metrics merge into the run registry at
 the end (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).
@@ -474,15 +475,18 @@ def _build_workers(
 
     On threads every island decodes its own domain copy with its own
     engine, so kernel and transition caches stay thread-local; a serial
-    race shares the caller's domain and one engine across its islands.
+    race shares the caller's domain across its islands, and one engine
+    when that domain has no kernel.
     """
     rngs = rng_mod.spawn_many(rng, len(spec.strategies))
     ga_indices = spec.ga_indices
     if evaluator_factory is not None:
         evaluators = build_evaluators(evaluator_factory, len(ga_indices))
     else:
-        # Without a shared engine each evaluator builds its own on demand.
-        shared = DecodeEngine() if serial else None
+        # A shared engine would decode every batch, so a serial race shares
+        # one only where the vector decode cannot run; otherwise (and on
+        # threads) each evaluator picks its own decoder.
+        shared = DecodeEngine() if serial and domain.kernel() is None else None
         evaluators = [SerialEvaluator(engine=shared) for _ in ga_indices]
     by_island = dict(zip(ga_indices, evaluators))
     budget = spec.tick_budget()
@@ -752,7 +756,7 @@ def ring_portfolio(
     solution only when *base* sets ``stop_on_goal``; otherwise the ring
     runs to the generation budget.  Run it with ``serial=True``: a GA-only
     ring gains nothing from threads, and the serial race shares one domain
-    and one decode engine across its islands.
+    (with its kernel or decode engine) across its islands.
     """
     if n_islands < 2:
         raise ValueError(f"a ring needs at least 2 islands, got {n_islands}")

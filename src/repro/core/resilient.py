@@ -151,8 +151,7 @@ class ResilientEvaluator(Evaluator):
         Both sides can contribute within one run (per-batch fallbacks before
         degradation), so the totals are summed rather than switched.  Pool
         restarts rebuild worker caches through the pool initializer; the
-        inner evaluator's parent-side aggregates (and its fitness memo)
-        survive the restart.
+        inner evaluator's parent-side aggregates survive the restart.
         """
         infos = [info for info in (self.inner.cache_info(), self.fallback.cache_info()) if info]
         if not infos:

@@ -46,16 +46,11 @@ import numpy as np
 from repro.core.encoding import DecodedPlan
 from repro.protocol import DomainKernel, PlanningDomain
 
-__all__ = ["VectorDecoder", "vector_supported"]
+__all__ = ["VectorDecoder"]
 
 #: Sentinel for "key not yet memoised" in the sid→key caches (state keys
 #: themselves may be any hashable value, so ``None`` is not safe).
 _MISSING = object()
-
-
-def vector_supported(domain: PlanningDomain) -> bool:
-    """Whether *domain* exposes a kernel (i.e. the vector path can run)."""
-    return domain.kernel() is not None
 
 
 class VectorDecoder:
@@ -433,27 +428,25 @@ class VectorDecoder:
 
     # -- buffer-level entry point ---------------------------------------------
 
-    def evaluate_pending(self, buffer, context, keep_plans: Optional[bool] = None) -> int:
+    def evaluate_pending(self, buffer, context) -> int:
         """Evaluate every unevaluated row of *buffer* in place.
 
         Returns the number of rows decoded.  Fills the packed fitness
-        arrays and the ``plans`` list; prefix hints are consumed and
-        cleared either way.  *keep_plans* defaults to ``buffer.keep_plans``;
-        the serial evaluator forces it on so the next generation's breeding
-        can carry prefix hints even under the random crossover (only
-        shared-memory dispatch legitimately skips plans).
+        arrays and the ``plans`` list, whatever ``buffer.keep_plans`` says:
+        in-process a plan costs no shipping, and it lets the next
+        generation's breeding carry prefix hints even under the random
+        crossover (only shared-memory dispatch legitimately skips plans).
+        Prefix hints are consumed and cleared.
         """
         pending, hints = buffer.pending_hints()
         if pending.size == 0:
             return 0
-        if keep_plans is None:
-            keep_plans = buffer.keep_plans
         self.bind(context)
         total, gfit, costf, reached, used, plans = self.decode_rows(
             buffer.genes,
             buffer.offsets[pending],
             buffer.lengths[pending],
-            keep_plans,
+            True,
             hints,
         )
         buffer.total[pending] = total

@@ -73,7 +73,6 @@ from repro.obs.reference import (
     render_event_table,
     render_instrument_table,
 )
-from repro.obs.runlog import GenerationLogger, read_log
 from repro.obs.sinks import (
     CSV_COLUMNS,
     CsvSummarySink,
@@ -105,7 +104,6 @@ __all__ = [
     "EvaluatorDegraded",
     "FaultInjected",
     "GenerationComplete",
-    "GenerationLogger",
     "Histogram",
     "IncumbentImproved",
     "InstrumentSpec",
@@ -143,7 +141,6 @@ __all__ = [
     "event_from_dict",
     "observe",
     "planner_summary",
-    "read_log",
     "read_trace",
     "render_derived_table",
     "render_event_table",

@@ -199,7 +199,7 @@ class EvaluationBatch(RunEvent):
     chunks: int = 1
     cache_hits: int = 0
     cache_misses: int = 0
-    evals_skipped: int = 0  # fitness-memo / batch-dedup hits (no decode ran)
+    evals_skipped: int = 0  # service fitness-memo hits (no decode ran)
     genes_reused: int = 0  # genes satisfied from a retained parent prefix
 
 

@@ -88,7 +88,7 @@ CANONICAL_INSTRUMENTS: Tuple[InstrumentSpec, ...] = (
         "transition_cache_evictions", "counter", "core", "transition entries dropped by resets"
     ),
     InstrumentSpec(
-        "evals_skipped", "counter", "core", "evaluations satisfied by the fitness memo / dedup"
+        "evals_skipped", "counter", "core", "evaluations served from the service's fitness memo"
     ),
     InstrumentSpec(
         "genes_reused", "counter", "core", "genes satisfied from retained parent prefixes"

@@ -2,8 +2,7 @@
 
 All file-backed sinks accept either a path (parent directories are created,
 file opened in append mode, closed on ``close()``) or an open text stream
-(left open — the caller owns it), matching the contract
-:class:`repro.obs.runlog.GenerationLogger` established.
+(left open — the caller owns it).
 """
 
 from __future__ import annotations

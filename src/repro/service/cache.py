@@ -136,11 +136,7 @@ class EngineCache:
         self.warm_misses += 1
         if self.metrics is not None:
             self.metrics.counter("service_warm_misses").add(1)
-        # adaptive_memo=False: a retained memo must survive its request —
-        # a repeated request replays whole populations out of it (see
-        # DecodeEngine's docstring).
-        engine = DecodeEngine(adaptive_memo=False)
-        return EngineLease(key=key, domain=domain, engine=engine, warm=False)
+        return EngineLease(key=key, domain=domain, engine=DecodeEngine(), warm=False)
 
     def attach_memo(self, lease: EngineLease, trajectory: Hashable) -> None:
         """Give *lease*'s engine the retained memo of *trajectory*, or a fresh one.
@@ -154,7 +150,7 @@ class EngineCache:
         with self._lock:
             memo = self._memos.pop(trajectory, None)
         lease.trajectory = trajectory
-        lease.engine.swap_memo(memo)
+        lease.engine.swap_memo(memo if memo is not None else FitnessMemo(None, {}))
 
     def release(self, lease: EngineLease) -> None:
         """Return a lease's pair to the idle pool and its memo to the cache.
@@ -170,7 +166,7 @@ class EngineCache:
             return
         lease.released = True
         memo = lease.engine.swap_memo()
-        if lease.trajectory is not None and memo.entries:
+        if lease.trajectory is not None and memo is not None and memo.entries:
             self._retain_memo(lease.trajectory, memo)
         with self._lock:
             idle = self._idle

@@ -367,16 +367,13 @@ class RunScheduler:
         if init_length is not None:
             kwargs["init_length"] = init_length
         config = GAConfig(
-            population_size=request.population,
-            generations=request.budget,
-            # The decode engine, never the vector decode: at service
-            # populations (30-40 rows) the vector walk cannot amortise its
-            # per-gene numpy steps and is slower even cold (hanoi-6, pop 40,
-            # 15 generations: 71 ms engine vs 157 ms vector, 2 cores), and
-            # only the engine keeps its tables and memo across requests.
-            vector_decode=False,
-            **kwargs,
+            population_size=request.population, generations=request.budget, **kwargs
         )
+        # The leased engine decodes, never the vector decode: at service
+        # populations (30-40 rows) the vector walk cannot amortise its
+        # per-gene numpy steps and is slower even cold (hanoi-6, pop 40,
+        # 15 generations: 71 ms engine vs 157 ms vector, 2 cores), and only
+        # the engine keeps its tables and memo across requests.
         evaluator = SerialEvaluator(engine=lease.engine)
         if request.evaluator == "resilient":
             from repro.core.resilient import ResiliencePolicy, ResilientEvaluator
@@ -640,6 +637,26 @@ class RunScheduler:
             self.engine_cache.release(run._lease)
             run._lease = None
 
+    def close(self) -> None:
+        """Shed every queued run as ``cancelled`` and release what it holds.
+
+        For shutdown, once nothing steps the scheduler any more (after
+        :meth:`ServicePool.stop`): every unfinished run is then queued
+        between slices, and one that has started holds a leased engine and
+        an evaluator — for a ``resilient`` request a process pool and a
+        shared-memory segment, which would otherwise be left to the
+        multiprocessing resource tracker at exit.
+        """
+        with self._work:
+            runs = [run for queue in self._queues.values() for run in queue]
+            for queue in self._queues.values():
+                queue.clear()
+            self._queued = 0
+            for run in runs:
+                self._shed_locked(run, "cancelled", self._running)
+        for run in runs:
+            self._release(run)
+
     # -- introspection --------------------------------------------------------
 
     def cancel(self, run: ServiceRun) -> None:
@@ -712,7 +729,8 @@ class ServicePool:
     interval — a submitted request is picked up at notification time, not
     after sleeping out the bound).  ``stop()`` wakes parked workers
     through :meth:`RunScheduler.wake_all` and joins every worker;
-    in-flight slices finish, queued work stays queued.
+    in-flight slices finish, queued work stays queued (until
+    :meth:`RunScheduler.close` sheds it).
     """
 
     def __init__(

@@ -9,7 +9,10 @@ drained by a sender task — the only thread/event-loop boundary in the
 system.  A run is live on its connection from submit until its final
 frame is delivered; a client disconnecting mid-stream cancels every live
 run it submitted, so abandoned work stops consuming slices at the next
-boundary.  :func:`serve` stops gracefully on SIGINT and SIGTERM alike.
+boundary.  :func:`serve` stops gracefully on SIGINT and SIGTERM alike:
+the workers finish their slices, every unfinished run is shed and its
+evaluator closed, and open connections receive their queued frames before
+they are closed.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from repro.service.cache import EngineCache
 from repro.service.scheduler import RunScheduler, ServicePool, ServiceRun
 
 __all__ = ["PlanningServer", "serve"]
+
+#: Seconds :meth:`PlanningServer.close` lets open connections flush their
+#: last frames before it aborts them.
+_CLOSE_GRACE_S = 5.0
 
 
 class PlanningServer:
@@ -67,6 +74,8 @@ class PlanningServer:
         )
         self.pool = ServicePool(self.scheduler, workers=workers)
         self._server: Optional[asyncio.base_events.Server] = None
+        # Open connections: handler task -> (reader, writer).
+        self._connections: Dict[asyncio.Task, tuple] = {}
 
     async def start(self) -> "PlanningServer":
         """Bind the listening socket and start the worker pool."""
@@ -76,18 +85,38 @@ class PlanningServer:
         return self
 
     async def serve_forever(self) -> None:
-        """Serve until cancelled (``start()`` must have completed)."""
+        """Serve until cancelled (``start()`` must have completed).
+
+        The socket accepts from :meth:`start` on; this only waits.  Not
+        ``Server.serve_forever()``: cancelled, that waits for every open
+        connection to close (Python >= 3.12.1), which only :meth:`close`
+        brings about.
+        """
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def close(self) -> None:
-        """Stop accepting, join the worker pool, release the socket."""
+        """Stop accepting, join the workers, shed what is left, hang up.
+
+        Unfinished runs are shed as ``cancelled`` and their evaluators
+        closed (:meth:`RunScheduler.close`).  Each open connection then
+        ends as if its client had sent EOF: its handler flushes the frames
+        still queued and closes it.  A connection whose client stopped
+        reading is aborted after :data:`_CLOSE_GRACE_S` seconds.
+        """
         if self._server is not None:
             self._server.close()
+        self.pool.stop()
+        self.scheduler.close()
+        for reader, _ in self._connections.values():
+            reader.feed_eof()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=_CLOSE_GRACE_S)
+        for _, writer in list(self._connections.values()):
+            writer.transport.abort()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        self.pool.stop()
 
     # -- connection handling --------------------------------------------------
 
@@ -108,6 +137,8 @@ class PlanningServer:
             # Called from worker threads; hop onto the loop thread.
             loop.call_soon_threadsafe(deliver, frame)
 
+        task = asyncio.current_task()
+        self._connections[task] = (reader, writer)
         sender = asyncio.ensure_future(self._send_loop(outbox, writer))
         try:
             while True:
@@ -120,6 +151,7 @@ class PlanningServer:
                 except ProtocolError as exc:
                     outbox.put_nowait({"type": "error", "id": None, "message": str(exc)})
         finally:
+            del self._connections[task]
             for run in live.values():
                 if not run.finished:
                     self.scheduler.cancel(run)

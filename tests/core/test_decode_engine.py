@@ -2,19 +2,20 @@
 
 The engine's contract is *bit-identical* equivalence with the naive decode
 path; these tests pin that down layer by layer (transition memoisation,
-dirty-prefix resume, phenotype dedup, cache lifetime) plus the eviction /
-pinning behaviour of the bounded tables.
+dirty-prefix resume, the installed fitness memo, cache lifetime) plus the
+eviction / pinning behaviour of the bounded tables.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import GAConfig, Individual, make_rng, run_ga
-from repro.core.decode_engine import DecodeEngine, TransitionCache
+from repro.core.decode_engine import DecodeEngine, FitnessMemo, TransitionCache
 from repro.core.encoding import DecodeCache, decode
 from repro.core.fitness import FitnessFunction
 from repro.core.mutation import deletion_mutation, insertion_mutation
 from repro.core.parallel import EvaluationContext, SerialEvaluator
+from repro.core.popbuffer import PopulationBuffer
 from repro.domains import HanoiDomain, SlidingTileDomain
 from tests.oracle import ReferenceEvaluator, random_crossover, uniform_reset_mutation
 
@@ -37,6 +38,20 @@ def make_context(domain, truncate=True):
         fitness=FitnessFunction(domain),
         truncate_at_goal=truncate,
     )
+
+
+def evaluate(engine, genes, context):
+    """Score one genome the way ``SerialEvaluator(engine=engine)`` does."""
+    buffer = PopulationBuffer.from_individuals([Individual(genes=genes)], keep_plans=True)
+    SerialEvaluator(engine=engine).evaluate_buffer(buffer, context)
+    return buffer.plans[0], buffer.fitness_result(0)
+
+
+def memo_engine():
+    """An engine with an empty fitness memo installed, as the service leases it."""
+    engine = DecodeEngine()
+    engine.swap_memo(FitnessMemo(None, {}))
+    return engine
 
 
 class TestTransitionCacheEquivalence:
@@ -73,12 +88,17 @@ class TestTransitionCacheEquivalence:
         assert cache.trans_hits >= 15 - 1
 
     def test_transitions_off_still_correct(self, hanoi3, rng):
+        # A fresh walk whose cached transitions land on an evicted state is
+        # redone uncached; that walk fills no transition entries.
         cache = TransitionCache(hanoi3)
         genes = rng.random(12)
-        naive = decode(genes, hanoi3, hanoi3.initial_state)
-        plan, _ = cache.decode(genes, hanoi3.initial_state, use_transitions=False)
-        assert_plans_identical(plan, naive)
-        assert cache.trans_hits == 0 and cache.trans_misses == 0
+        cache.decode(genes, hanoi3.initial_state)
+        cache._states.clear()  # every transition entry now lands on a lost state
+        hits, misses = cache.trans_hits, cache.trans_misses
+        plan, _ = cache.decode(genes, hanoi3.initial_state)
+        assert_plans_identical(plan, decode(genes, hanoi3, hanoi3.initial_state))
+        assert cache.fallbacks == 1
+        assert cache.trans_misses == misses and cache.trans_hits > hits
 
     def test_one_valid_lookup_per_consumed_gene(self, hanoi3, rng):
         # The engine walk must generate the same valid-table traffic as the
@@ -221,29 +241,34 @@ class TestDecodeCachePinning:
 
 class TestDedupAndMemo:
     def test_duplicate_genomes_evaluated_once(self, hanoi3, rng):
-        engine = DecodeEngine()
-        engine.bind(make_context(hanoi3))
-        fitness = FitnessFunction(hanoi3)
+        engine = memo_engine()
+        ctx = make_context(hanoi3)
         genes = rng.random(12)
-        r1 = engine.evaluate_genes(genes, fitness)
-        r2 = engine.evaluate_genes(genes.copy(), fitness)
+        r1 = evaluate(engine, genes, ctx)
+        r2 = evaluate(engine, genes.copy(), ctx)
         assert engine.evals_skipped == 1
-        assert r1 == r2  # same (decoded, fitness) objects from the memo
+        assert r1[0] is r2[0] and r1[1] == r2[1]  # the memo's plan, same fitness
+
+    def test_engine_holds_no_memo_until_one_is_installed(self, hanoi3, rng):
+        engine = DecodeEngine()
+        ctx = make_context(hanoi3)
+        genes = rng.random(12)
+        evaluate(engine, genes, ctx)
+        evaluate(engine, genes.copy(), ctx)
+        assert not engine.memoizing and engine.swap_memo() is None
+        assert engine.evals_skipped == 0
 
     def test_memo_invalidated_on_start_state_change(self, hanoi3, rng):
-        engine = DecodeEngine()
-        ctx1 = make_context(hanoi3)
-        engine.bind(ctx1)
+        engine = memo_engine()
         genes = rng.random(8)
-        engine.evaluate_genes(genes, ctx1.fitness)
+        evaluate(engine, genes, make_context(hanoi3))
         mid = hanoi3.apply(
             hanoi3.initial_state, list(hanoi3.valid_operations(hanoi3.initial_state))[0]
         )
         ctx2 = EvaluationContext(
             domain=hanoi3, start_state=mid, fitness=FitnessFunction(hanoi3)
         )
-        engine.bind(ctx2)
-        decoded, _ = engine.evaluate_genes(genes, ctx2.fitness)
+        decoded, _ = evaluate(engine, genes, ctx2)
         naive = decode(genes, hanoi3, mid)
         assert_plans_identical(decoded, naive)  # memo did not serve stale plan
         assert engine.evals_skipped == 0
@@ -251,8 +276,7 @@ class TestDedupAndMemo:
     def test_transition_tables_survive_rebind_same_domain(self, hanoi3, rng):
         engine = DecodeEngine()
         ctx = make_context(hanoi3)
-        engine.bind(ctx)
-        engine.evaluate_genes(rng.random(15), ctx.fitness)
+        evaluate(engine, rng.random(15), ctx)
         warm = engine.counters()["transition_cache_misses"]
         engine.bind(ctx)  # per-batch rebind must not clear the tables
         assert engine.counters()["transition_cache_misses"] == warm
@@ -260,21 +284,18 @@ class TestDedupAndMemo:
 
     def test_tables_rebuilt_on_domain_change(self, hanoi3, tile3, rng):
         engine = DecodeEngine()
-        engine.bind(make_context(hanoi3))
-        engine.evaluate_genes(rng.random(10), FitnessFunction(hanoi3))
-        ctx = make_context(tile3)
-        engine.bind(ctx)
-        decoded, _ = engine.evaluate_genes(rng.random(10), ctx.fitness)
+        evaluate(engine, rng.random(10), make_context(hanoi3))
+        decoded, _ = evaluate(engine, rng.random(10), make_context(tile3))
         naive = decode(rng.random(0), tile3, tile3.initial_state)  # smoke: domain works
         assert decoded.state_keys[0] == tile3.state_key(tile3.initial_state)
         assert naive is not None
 
     def test_memo_bounded(self, hanoi3, rng):
-        engine = DecodeEngine(memo_entries=4)
+        engine = memo_engine()
+        engine.memo_entries = 4
         ctx = make_context(hanoi3)
-        engine.bind(ctx)
         for _ in range(10):
-            engine.evaluate_genes(rng.random(6), ctx.fitness)
+            evaluate(engine, rng.random(6), ctx)
         assert len(engine._memo) <= 4
         assert engine.memo_evictions > 0
 
@@ -283,14 +304,13 @@ class TestSwapMemo:
     """A memo moved between engines keeps the signature check."""
 
     def scored_memo(self, domain, genes, start_state=None):
-        engine = DecodeEngine()
+        engine = memo_engine()
         ctx = make_context(domain)
         if start_state is not None:
             ctx = EvaluationContext(
                 domain=domain, start_state=start_state, fitness=FitnessFunction(domain)
             )
-        engine.bind(ctx)
-        engine.evaluate_genes(genes, ctx.fitness)
+        evaluate(engine, genes, ctx)
         return engine.swap_memo()
 
     def test_memo_serves_a_fresh_engine_bound_to_an_equal_domain(self, rng):
@@ -299,10 +319,8 @@ class TestSwapMemo:
         assert len(memo.entries) == 1
         domain = HanoiDomain(3)
         engine = DecodeEngine()
-        assert len(engine.swap_memo(memo).entries) == 0
-        ctx = make_context(domain)
-        engine.bind(ctx)
-        decoded, _ = engine.evaluate_genes(genes, ctx.fitness)
+        assert engine.swap_memo(memo) is None
+        decoded, _ = evaluate(engine, genes, make_context(domain))
         assert engine.evals_skipped == 1
         assert_plans_identical(decoded, decode(genes, domain, domain.initial_state))
 
@@ -312,21 +330,15 @@ class TestSwapMemo:
         mid = hanoi3.apply(start, list(hanoi3.valid_operations(start))[0])
         engine = DecodeEngine()
         engine.swap_memo(self.scored_memo(hanoi3, genes, start_state=mid))
-        ctx = make_context(hanoi3)
-        engine.bind(ctx)
-        decoded, _ = engine.evaluate_genes(genes, ctx.fitness)
+        decoded, _ = evaluate(engine, genes, make_context(hanoi3))
         assert engine.evals_skipped == 0
         assert_plans_identical(decoded, decode(genes, hanoi3, start))
 
     def test_memo_is_dropped_when_a_bound_engine_changes_domain(self, hanoi3, rng):
         genes = rng.random(12)
-        engine = DecodeEngine()
-        ctx = make_context(hanoi3)
-        engine.bind(ctx)
-        engine.evaluate_genes(genes, ctx.fitness)
-        other = make_context(HanoiDomain(3))
-        engine.bind(other)
-        engine.evaluate_genes(genes, other.fitness)
+        engine = memo_engine()
+        evaluate(engine, genes, make_context(hanoi3))
+        evaluate(engine, genes, make_context(HanoiDomain(3)))
         assert engine.evals_skipped == 0
 
 
@@ -407,13 +419,28 @@ class TestEvaluatorIntegration:
     def test_serial_engine_matches_naive_evaluator(self, hanoi3, rng):
         pop = [Individual.random(16, rng) for _ in range(20)]
         pop_naive = [ind.copy() for ind in pop]
-        with SerialEvaluator() as ev:
+        engine = DecodeEngine()
+        with SerialEvaluator(engine=engine) as ev:
             ev.evaluate(pop, make_context(hanoi3))
+        assert engine.active
         ReferenceEvaluator().evaluate(pop_naive, make_context(hanoi3))
         for a, b in zip(pop, pop_naive):
             assert_plans_identical(a.decoded, b.decoded)
             assert a.fitness.total == b.fitness.total
             assert a.fitness.goal == b.fitness.goal
+
+    def test_injected_engine_decodes_on_a_kernel_domain(self, hanoi3, rng):
+        # Hanoi has a kernel, so only the injected engine keeps the
+        # evaluator off the vector path.
+        assert hanoi3.kernel() is not None
+        engine = DecodeEngine()
+        with SerialEvaluator(engine=engine) as ev:
+            ev.evaluate([Individual.random(12, rng) for _ in range(6)], make_context(hanoi3))
+            assert engine.active and ev.vector_counters() is None
+            assert ev.engine_counters()["transition_cache_misses"] > 0
+        with SerialEvaluator() as ev:
+            ev.evaluate([Individual.random(12, rng) for _ in range(6)], make_context(hanoi3))
+            assert ev.engine_counters() is None and ev.vector_counters() is not None
 
     def test_prefix_fields_cleared_after_evaluation(self, hanoi3, rng):
         parent = Individual.random(16, rng)
@@ -443,7 +470,9 @@ class TestEvaluatorIntegration:
         pop = [Individual.random(12, rng) for _ in range(10)]
         with SerialEvaluator(engine=engine) as e1:
             e1.evaluate(pop, ctx)
+        assert engine.active
         warm_misses = engine.counters()["transition_cache_misses"]
+        assert warm_misses > 0
         pop2 = [ind.copy() for ind in pop]
         for ind in pop2:
             ind.decoded = None

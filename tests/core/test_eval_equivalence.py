@@ -14,14 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GAConfig, MultiPhaseConfig, make_rng, run_ga, run_multiphase
-from repro.core.parallel import ProcessPoolEvaluator
+from repro.core.decode_engine import DecodeEngine
+from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
 from repro.domains import BlocksWorldDomain, HanoiDomain, SlidingTileDomain
 from tests.oracle import ReferenceEvaluator
 
 
 def run_pair(domain, config, seed):
     """Run the same GA on the decode engine and on the oracle."""
-    on = run_ga(domain, config.replace(vector_decode=False), make_rng(seed))
+    on = run_ga(domain, config, make_rng(seed), evaluator=SerialEvaluator(engine=DecodeEngine()))
     off = run_ga(domain, config, make_rng(seed), evaluator=ReferenceEvaluator())
     return on, off
 
@@ -89,10 +90,12 @@ class TestMultiphaseEquivalence:
         base = GAConfig(
             population_size=16, generations=8, max_len=40, init_length=12
         )
+        engine = DecodeEngine()  # one engine spans the phases
         on = run_multiphase(
             domain,
-            MultiPhaseConfig(phase=base.replace(vector_decode=False), max_phases=3),
+            MultiPhaseConfig(phase=base, max_phases=3),
             make_rng(99),
+            evaluator_factory=lambda: SerialEvaluator(engine=engine),
         )
         off = run_multiphase(
             domain,

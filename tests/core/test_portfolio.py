@@ -23,6 +23,7 @@ from repro.core import (
     run_portfolio,
 )
 import repro
+from repro.core.decode_engine import DecodeEngine
 from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
 from repro.core.portfolio import _build_workers
 from repro.domains import HanoiDomain
@@ -59,22 +60,23 @@ MIXES = {
     ),
     "engines": _spec(
         StrategySpec(kind="ga", ga=_ga()),
-        StrategySpec(kind="ga", ga=_ga(vector_decode=False)),
+        StrategySpec(kind="ga", ga=_ga()),
         StrategySpec(kind="search", algorithm="astar", expansions_per_tick=16),
     ),
 }
 
-#: Per-mix GA-island evaluator classes, in island order: the "engines" mix
-#: runs its first GA on the reference oracle, its second on the default
-#: serial evaluator.
-MIX_EVALUATORS = {"engines": (ReferenceEvaluator, SerialEvaluator)}
+#: Per-mix GA-island evaluator factories, in island order: the "engines" mix
+#: runs its first GA on the reference oracle, its second on the decode engine.
+MIX_EVALUATORS = {
+    "engines": (ReferenceEvaluator, lambda: SerialEvaluator(engine=DecodeEngine())),
+}
 
 
 def _evaluator_factory(mix):
-    classes = MIX_EVALUATORS.get(mix)
-    if classes is None:
+    factories = MIX_EVALUATORS.get(mix)
+    if factories is None:
         return None
-    remaining = iter(classes)
+    remaining = iter(factories)
     return lambda: next(remaining)()
 
 

@@ -4,8 +4,8 @@ The trajectory-level bit-identity suites live in
 ``test_vector_equivalence.py``; this file drives :class:`VectorDecoder`
 directly into its corners — empty rows, dead-end (zero-valid-op) states,
 non-unit operation costs, dirty-prefix resume exactly at row boundaries,
-evicted-transition fallback after a kernel reset — and checks the
-configuration guard rails.
+evicted-transition fallback after a kernel reset — and checks that a
+domain without a kernel runs on the decode engine.
 """
 
 import numpy as np
@@ -15,7 +15,8 @@ from repro.core import GAConfig, Individual, make_rng, run_ga
 from repro.core.fitness import FitnessFunction
 from repro.core.parallel import EvaluationContext, SerialEvaluator
 from repro.core.popbuffer import PopulationBuffer
-from repro.core.vector_decode import VectorDecoder, vector_supported
+from repro.core.decode_engine import DecodeEngine
+from repro.core.vector_decode import VectorDecoder
 from repro.domains import GridNavigationDomain, HanoiDomain
 from repro.domains.kernels import TableKernel, cached_kernel
 from repro.protocol import PlanningDomain
@@ -84,14 +85,18 @@ class WeightedTrapDomain(TrapChainDomain):
         return super().goal_fitness(state)
 
 
-def _context(domain, vector=True, truncate=True):
+def _context(domain, truncate=True):
     return EvaluationContext(
         domain=domain,
         start_state=domain.initial_state,
         fitness=FitnessFunction(domain, 0.7, 0.3),
         truncate_at_goal=truncate,
-        vector=vector,
     )
+
+
+def _engine_evaluator():
+    """A serial evaluator held on the object path by its injected engine."""
+    return SerialEvaluator(engine=DecodeEngine())
 
 
 def _buffer_of(genes_rows):
@@ -127,8 +132,8 @@ class TestDeadEnds:
         rng = make_rng(0)
         rows = [rng.random(8) for _ in range(32)]  # many rows walk into the trap
         vec, obj = _buffer_of(rows), _buffer_of(rows)
-        SerialEvaluator().evaluate_buffer(vec, _context(domain, vector=True))
-        SerialEvaluator().evaluate_buffer(obj, _context(domain, vector=False))
+        SerialEvaluator().evaluate_buffer(vec, _context(domain))
+        _engine_evaluator().evaluate_buffer(obj, _context(domain))
         assert_buffers_identical(vec, obj)
         # The trap is reachable: at least one row must have stopped early.
         assert any(p.used_genes < 8 and not p.goal_reached for p in vec.plans)
@@ -152,8 +157,8 @@ class TestDeadEnds:
         config = GAConfig(
             population_size=12, generations=6, max_len=16, init_length=6
         )
-        on = run_ga(domain, config.replace(vector_decode=True), make_rng(3))
-        off = run_ga(domain, config.replace(vector_decode=False), make_rng(3))
+        on = run_ga(domain, config, make_rng(3))
+        off = run_ga(domain, config, make_rng(3), evaluator=_engine_evaluator())
         assert on.history.generations == off.history.generations
         np.testing.assert_array_equal(on.best.genes, off.best.genes)
 
@@ -297,28 +302,20 @@ class TestEvictedTransitionFallback:
         config = GAConfig(
             population_size=10, generations=5, max_len=12, init_length=6
         )
-        on = run_ga(domain, config.replace(vector_decode=True), make_rng(11))
-        off = run_ga(
-            TrapChainDomain(30), config.replace(vector_decode=False), make_rng(11)
-        )
+        on = run_ga(domain, config, make_rng(11))
+        off = run_ga(TrapChainDomain(30), config, make_rng(11), evaluator=_engine_evaluator())
         assert on.history.generations == off.history.generations
 
 
 class TestConfigGuards:
-    def test_vector_true_without_kernel_raises(self):
-        domain = GridNavigationDomain(4, 4, [(0, 0)], [(3, 3)])
-        assert not vector_supported(domain)
-        config = GAConfig(
-            population_size=6, generations=2, max_len=8, init_length=4,
-            vector_decode=True,
-        )
-        with pytest.raises(ValueError, match="kernel"):
-            run_ga(domain, config, make_rng(0))
-
     def test_vector_none_falls_back_without_kernel(self):
         domain = GridNavigationDomain(4, 4, [(0, 0)], [(3, 3)])
+        assert domain.kernel() is None
         config = GAConfig(
             population_size=6, generations=2, max_len=8, init_length=4
         )
-        result = run_ga(domain, config, make_rng(0))  # auto-probe: object path
+        evaluator = SerialEvaluator()
+        result = run_ga(domain, config, make_rng(0), evaluator=evaluator)
         assert result.generations_run == 2
+        assert evaluator.vector_counters() is None  # the object path ran
+        assert evaluator.engine_counters() is not None

@@ -1,8 +1,8 @@
 """Vector-vs-oracle decode equivalence: trajectories must be bit-identical.
 
-``GAConfig.vector_decode`` runs evaluation on the whole-population numpy
-decoder (:mod:`repro.core.vector_decode`, gathering transitions from the
-domain kernel's int tables).  The kernel ABI's exactness contract
+On a domain with a kernel the default evaluators run the whole-population
+numpy decoder (:mod:`repro.core.vector_decode`, gathering transitions from
+the domain kernel's int tables).  The kernel ABI's exactness contract
 (DESIGN.md §12) makes it *unobservable* in results: against the reference
 evaluator (``tests/oracle.py``), same seed → same per-generation
 statistics, same best genome, fitness, decoded plan and match keys, to the
@@ -24,7 +24,7 @@ from repro.core import (
     run_multiphase,
     run_portfolio,
 )
-from repro.core.parallel import ProcessPoolEvaluator
+from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
 from repro.domains import HanoiDomain, PocketCubeDomain, SlidingTileDomain
 from repro.domains.pocket_cube import scrambled_state
 from tests.oracle import ReferenceEvaluator
@@ -32,9 +32,7 @@ from tests.oracle import ReferenceEvaluator
 
 def run_pair(domain, config, seed, on_evaluator=None):
     """Run the same GA with vector decode and on the oracle."""
-    on = run_ga(
-        domain, config.replace(vector_decode=True), make_rng(seed), evaluator=on_evaluator
-    )
+    on = run_ga(domain, config, make_rng(seed), evaluator=on_evaluator)
     off = run_ga(domain, config, make_rng(seed), evaluator=ReferenceEvaluator())
     return on, off
 
@@ -108,14 +106,14 @@ class TestVectorTrajectoryEquivalence:
         assert_results_identical(on, off)
 
     def test_auto_probe_equals_explicit_on(self):
-        # vector_decode=None (the default) must auto-enable where a kernel
-        # exists and produce the same trajectory as an explicit True.
+        # The default serial evaluator must pick the vector decode where a
+        # kernel exists and produce the oracle's trajectory.
         config = GAConfig(population_size=12, generations=5, max_len=32, init_length=10)
-        auto = run_ga(HanoiDomain(3), config, make_rng(8))
-        explicit = run_ga(
-            HanoiDomain(3), config.replace(vector_decode=True), make_rng(8)
-        )
-        assert_results_identical(auto, explicit)
+        evaluator = SerialEvaluator()
+        on, off = run_pair(HanoiDomain(3), config, 8, on_evaluator=evaluator)
+        assert evaluator.vector_counters()["vector_rows"] > 0
+        assert evaluator.engine_counters() is None
+        assert_results_identical(on, off)
 
 
 class TestVectorProcessPoolEquivalence:
@@ -140,7 +138,7 @@ class TestVectorMultiphaseEquivalence:
         base = GAConfig(population_size=16, generations=8, max_len=40, init_length=12)
         on = run_multiphase(
             domain,
-            MultiPhaseConfig(phase=base.replace(vector_decode=True), max_phases=3),
+            MultiPhaseConfig(phase=base, max_phases=3),
             make_rng(99),
         )
         off = run_multiphase(
@@ -164,15 +162,10 @@ class TestVectorIslandsEquivalence:
             population_size=10, generations=12, max_len=40, init_length=10,
             crossover="state-aware",
         )
-        def ring(vector):
-            return ring_portfolio(
-                base.replace(vector_decode=vector), 3, interval=4, migration_size=2
-            )
-
-        on = run_portfolio(domain, ring(True), make_rng(5), serial=True)
+        ring = ring_portfolio(base, 3, interval=4, migration_size=2)
+        on = run_portfolio(domain, ring, make_rng(5), serial=True)
         off = run_portfolio(
-            domain, ring(None), make_rng(5), serial=True,
-            evaluator_factory=ReferenceEvaluator,
+            domain, ring, make_rng(5), serial=True, evaluator_factory=ReferenceEvaluator
         )
         assert on.best.sort_key() == off.best.sort_key()
         assert on.plan == off.plan

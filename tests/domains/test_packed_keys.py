@@ -102,7 +102,7 @@ def test_tile5_vector_plans_match_oracle():
     domain = SlidingTileDomain(5, initial=random_solvable_start(5, make_rng(5)))
     config = GAConfig(
         population_size=12, max_len=200, init_length=50,
-        crossover="state-aware", vector_decode=True,
+        crossover="state-aware",
     )
     runs = [
         GARun(domain, config, make_rng(9)),

@@ -19,6 +19,7 @@ from repro.core import (
     run_portfolio,
 )
 from repro.core.checkpoint import load_checkpoint, restore_run, save_checkpoint
+from repro.core.decode_engine import DecodeEngine
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer, observe
 from repro.scheduling import ETCParams, GASchedulerConfig, ga_schedule, generate_etc
 
@@ -29,6 +30,10 @@ def _cfg(**overrides):
     )
     base.update(overrides)
     return GAConfig(**base)
+
+
+def _engine_evaluator():
+    return SerialEvaluator(engine=DecodeEngine())
 
 
 @pytest.fixture
@@ -48,9 +53,9 @@ class TestGARunInstrumentation:
         assert [e.generation for e in gens] == [0, 1, 2, 3]
 
     def test_evaluation_batches_and_cache_snapshot(self, hanoi3, tracer, recorder):
-        # vector_decode=False exercises the object decode engine, whose
+        # An injected engine exercises the object decode path, whose
         # decode cache backs the end-of-run snapshot event.
-        GARun(hanoi3, _cfg(vector_decode=False), make_rng(0), tracer=tracer).run()
+        GARun(hanoi3, _cfg(), make_rng(0), evaluator=_engine_evaluator(), tracer=tracer).run()
         batches = recorder.of_kind("evaluation-batch")
         # One batch per generation with pending work; untouched copies keep
         # their fitness, so later generations may evaluate fewer than pop.
@@ -74,7 +79,7 @@ class TestGARunInstrumentation:
 
     def test_metrics_timers_and_counters(self, hanoi3):
         metrics = MetricsRegistry()
-        GARun(hanoi3, _cfg(vector_decode=False), make_rng(1), metrics=metrics).run()
+        GARun(hanoi3, _cfg(), make_rng(1), evaluator=_engine_evaluator(), metrics=metrics).run()
         assert 10 <= metrics.counters["evals"].value <= 40
         for name in ("eval_batch", "decode", "fitness", "selection", "variation"):
             assert metrics.timers[name].count > 0, name
@@ -208,17 +213,14 @@ class TestSerialVsProcessEquivalence:
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_aggregate_metrics_equivalent(self, seed):
-        from repro.domains import HanoiDomain
+        from repro.domains import BlocksWorldDomain
 
-        domain = HanoiDomain(3)
+        # No kernel, so both sides decode on the engine (the vector walk
+        # has no decode-cache traffic to compare).
+        domain = BlocksWorldDomain([["a", "b", "c"]], [["c", "b", "a"]])
         rng = make_rng(seed)
         population = [Individual.random(int(rng.integers(1, 20)), rng) for _ in range(12)]
-        # vector=False: pool workers would otherwise take the vector walk
-        # (no decode-cache traffic), while the serial list API always runs
-        # the engine.
-        context = EvaluationContext(
-            domain, domain.initial_state, FitnessFunction(domain), vector=False
-        )
+        context = EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
 
         serial_metrics = MetricsRegistry()
         serial = SerialEvaluator()

@@ -268,7 +268,6 @@ def reference_ga(
         domain.initial_state,
         FitnessFunction(domain, config.goal_weight, config.cost_weight),
         truncate_at_goal=config.truncate_at_goal,
-        vector=config.vector_decode,
     )
     evaluator = evaluator if evaluator is not None else ReferenceEvaluator()
     population = initial_population(config, rng)

@@ -86,9 +86,17 @@ class TestEngineCache:
             EngineCache().lease("no-such-domain", ())
 
     def test_cache_engines_keep_their_memo_unconditionally(self):
-        # The adaptive low-hit-rate pause is wrong for shared-lifetime
-        # engines: cross-request warmth is the whole point of the pool.
-        assert EngineCache().lease("hanoi", (3,)).engine.adaptive_memo is False
+        # No hit-rate admission control: a memo that has not hit yet still
+        # keeps every genome, because a repeated request replays them all.
+        cache = EngineCache()
+        lease = cache.lease("hanoi", (3,))
+        assert not lease.engine.memoizing
+        cache.attach_memo(lease, "t")
+        fingerprints = [i.to_bytes(4, "little") for i in range(2000)]
+        for fp in fingerprints:
+            assert lease.engine.lookup(fp) is None
+            lease.engine.store(fp, "decoded", "fitness")
+        assert all(lease.engine.lookup(fp) is not None for fp in fingerprints)
 
     def test_bad_pool_bound_rejected(self):
         with pytest.raises(ValueError, match="max_idle_per_key"):

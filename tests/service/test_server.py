@@ -2,6 +2,7 @@
 
 import asyncio
 import gc
+import json
 import os
 import signal
 import socket
@@ -229,4 +230,44 @@ class TestShutdown:
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
+        assert _shm_entries() - before == set()
+
+    def test_signal_mid_request_releases_the_resilient_pool(self):
+        # The server, not multiprocessing's resource tracker, must release
+        # a running resilient request's pool and shared-memory segment, and
+        # the connection still open at shutdown must close without a
+        # traceback in the server log.
+        before = _shm_entries()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        sock = None
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            port = int(line.rsplit(":", 1)[1])
+            sock = socket.create_connection(("127.0.0.1", port), timeout=60)
+            sock.sendall(
+                b'{"type":"plan","domain":"hanoi","size":6,"budget":5000,'
+                b'"population":40,"evaluator":"resilient","stream":true}\n'
+            )
+            frames = sock.makefile("rb")
+            # The first slice event: the run has built its pool and segment.
+            while json.loads(frames.readline())["type"] != "event":
+                pass
+            proc.send_signal(signal.SIGTERM)
+            output, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0, output
+        finally:
+            if sock is not None:
+                sock.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert "leaked shared_memory" not in output
+        assert "Traceback" not in output, output
         assert _shm_entries() - before == set()
