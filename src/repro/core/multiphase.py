@@ -92,9 +92,11 @@ def run_multiphase(
         Called once per phase to build an evaluator (process pools are bound
         to a start state, so they cannot be reused across phases).  ``None``
         means serial evaluation through one shared :class:`~repro.core.
-        parallel.SerialEvaluator`, whose decode engine keeps its transition
-        tables warm across phase boundaries (phases share a domain, so
-        state transitions memoised in phase *n* pay off in phase *n+1*).
+        parallel.SerialEvaluator`.  On a domain without a kernel its decode
+        engine keeps its transition tables warm across phase boundaries
+        (phases share a domain, so state transitions memoised in phase *n*
+        pay off in phase *n+1*); on a kernel domain it decodes with the
+        vector decoder, whose kernel has no tables to warm.
     tracer / metrics:
         Observability: phase-start/end events bracket each phase's
         generation stream (phase events and the phase's generation events
@@ -116,9 +118,9 @@ def run_multiphase(
     solved_in_phase: Optional[int] = None
     total_generations = 0
 
-    # With no factory, one serial evaluator spans every phase: its decoder's
-    # tables (kernel or engine transitions) are keyed on state identity, so
-    # they stay valid (and warm) across phase boundaries.
+    # With no factory, one serial evaluator spans every phase: its decoder
+    # (a kernel's codes, or engine transitions) is keyed on state identity,
+    # so it stays valid across phase boundaries.
     shared = SerialEvaluator() if evaluator_factory is None else None
     try:
         for phase_index in range(1, config.max_phases + 1):

@@ -261,9 +261,6 @@ class SerialEvaluator(Evaluator):
             m.counter("vector_rows").add(delta["vector_rows"])
             m.counter("vector_genes").add(delta["vector_genes"])
             m.counter("genes_reused").add(delta["vector_genes_reused"])
-            for name in ("vector_prefix_fallbacks", "vector_kernel_resets"):
-                if delta[name]:
-                    m.counter(name).add(delta[name])
         if self._tracer.enabled:
             self._tracer.emit(
                 EvaluationBatch(
@@ -358,8 +355,8 @@ class SerialEvaluator(Evaluator):
 # Worker state is installed once per process via the pool initializer, so the
 # domain is pickled once, not once per task.  Each worker builds the one
 # decoder it uses (the vector decoder on a kernel domain, a decode engine
-# otherwise) and keeps it for the life of the process, so its tables stay
-# warm across batches; a pool restart rebuilds it through the same
+# otherwise) and keeps it for the life of the process, so an engine's
+# tables stay warm across batches; a pool restart rebuilds it through the same
 # initializer (cold but correct).
 
 _WORKER_CONTEXT: Optional[EvaluationContext] = None
@@ -371,9 +368,9 @@ def _init_worker(context: EvaluationContext) -> None:
     global _WORKER_CONTEXT, _WORKER_ENGINE, _WORKER_VDEC
     _WORKER_CONTEXT = context
     if context.resolve_vector():
-        # Each worker builds its own kernel (tables never cross the process
-        # boundary — the domain pickles without them) and keeps it warm
-        # for the life of the process.
+        # Each worker builds its own kernel (it never crosses the process
+        # boundary — the domain pickles without it) and keeps it for the
+        # life of the process.
         _WORKER_VDEC = VectorDecoder(context.domain.kernel())
     else:
         # Only the transition tables: workers get no prefix plans (shipping

@@ -406,6 +406,7 @@ class IncumbentStream:
         self._thread.start()
 
     def __iter__(self):
+        """Yield each incumbent as reported; re-raise the solve's error at the end."""
         while True:
             item = self._queue.get()
             if item is self._DONE:

@@ -26,7 +26,7 @@ winner, the same plans, and the same event log (modulo wall-clock
 
 Each island gets its own evaluator, metrics registry and buffering
 tracer.  On threads each island also decodes a ``copy.deepcopy`` of the
-domain with its own decode engine, so per-domain kernel caches are never
+domain with its own decoder, so per-domain kernel caches are never
 shared across threads; a serial race shares the caller's domain, and so
 its kernel, or, for a domain without a kernel, one decode engine whose
 transition tables every island then warms.

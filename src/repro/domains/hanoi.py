@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Largest instance the dense kernel tabulates (3^12 states ≈ 20 MB of
-#: tables); bigger domains fall back to the object decode path.
+#: tables); bigger domains decode on the engine.
 _MAX_KERNEL_DISKS = 12
 
 STAKES = ("A", "B", "C")
@@ -59,6 +59,7 @@ class HanoiMove:
     dst: int
 
     def __str__(self) -> str:
+        """``move(A->B)`` style."""
         return f"move({STAKES[self.src]}->{STAKES[self.dst]})"
 
 
@@ -83,9 +84,11 @@ class HanoiDomain(PlanningDomain):
 
     @property
     def initial_state(self):
+        """All disks on stake A."""
         return self._initial
 
     def valid_operations(self, state) -> Sequence[HanoiMove]:
+        """Moves of a top disk onto an empty stake or a larger disk, in ``_MOVES`` order."""
         ops = []
         for mv in self._moves:
             src_stack = state[mv.src]
@@ -98,6 +101,7 @@ class HanoiDomain(PlanningDomain):
         return ops
 
     def apply(self, state, op: HanoiMove):
+        """Move the top disk of ``op.src`` onto ``op.dst``."""
         stacks = list(state)
         src = stacks[op.src]
         disk = src[-1]
@@ -111,9 +115,11 @@ class HanoiDomain(PlanningDomain):
         return weight_on_goal / self._total_weight
 
     def is_goal(self, state) -> bool:
+        """Every disk on the goal stake."""
         return len(state[self.goal_stake]) == self.n_disks
 
     def state_key(self, state) -> Hashable:
+        """The state tuple itself."""
         return state
 
     def kernel(self) -> Optional["HanoiKernel"]:
@@ -134,12 +140,15 @@ class HanoiKernel(DomainKernel):
     """Fully precompiled array kernel for the n-disk Towers of Hanoi.
 
     A Hanoi state is exactly "which stake is each disk on" — the stacking
-    order within a stake is forced by disk size — so the state id *is* the
-    base-3 code ``sum_i stake(disk i+1) * 3**i`` and the whole transition
-    system (``3**n`` states × 6 moves) is tabulated vectorised at
-    construction.  ``fill_transitions`` is therefore a no-op and the decode
-    loop never misses.
+    order within a stake is forced by disk size — so a state's code is the
+    base-3 number ``sum_i stake(disk i+1) * 3**i``, and the whole
+    transition system (``3**n`` states × up to 6 moves) is tabulated
+    vectorised at construction; every question is one gather.  State
+    tuples are built once per code on first request and served from one
+    list, so plans share their key objects.
     """
+
+    code_dtype = "int32"
 
     def __init__(self, domain: HanoiDomain) -> None:
         n = domain.n_disks
@@ -149,15 +158,12 @@ class HanoiKernel(DomainKernel):
                 f"{_MAX_KERNEL_DISKS}-disk budget"
             )
         self.domain = domain
-        self.max_ops = 6
-        self.unit_cost = True
-        self.epoch = 0
         self._n = n
-        self._pow3 = 3 ** np.arange(n, dtype=np.int64)
+        self._pow3 = [3**i for i in range(n)]
         m = int(3**n)
-        ids = np.arange(m, dtype=np.int64)
+        codes = np.arange(m, dtype=np.int64)
         # stakes[s, i] = stake of disk i+1 in state s (its base-3 digit i).
-        stakes = (ids[:, None] // self._pow3[None, :]) % 3
+        stakes = (codes[:, None] // np.asarray(self._pow3, dtype=np.int64)[None, :]) % 3
         # top[s, t] = index of the smallest (= movable) disk on stake t, n if
         # empty; filled largest-disk-first so smaller disks overwrite.
         top = np.full((m, 3), n, dtype=np.int64)
@@ -165,75 +171,79 @@ class HanoiKernel(DomainKernel):
         for i in range(n - 1, -1, -1):
             top[rows, stakes[:, i]] = i
         vc = np.zeros(m, dtype=np.int32)
-        succ = np.full((m, 6), -1, dtype=np.int32)
-        slot = np.zeros(m, dtype=np.int64)
+        succ = np.zeros((m, 6), dtype=np.int32)
+        move = np.zeros((m, 6), dtype=np.int8)  # slot -> index into _MOVES
         for mi, (src, dst) in enumerate(_MOVES):
             movable = top[:, src]
             ok = (movable < n) & (movable < top[:, dst])
-            target = ids[ok] + (dst - src) * self._pow3[movable[ok]]
-            succ[ids[ok], slot[ok]] = target
-            slot[ok] += 1
+            target = codes[ok] + (dst - src) * 3 ** movable[ok]
+            succ[codes[ok], vc[ok]] = target
+            move[codes[ok], vc[ok]] = mi
             vc[ok] += 1
         self._vc = vc
         self._succ = succ
+        self._move = move
         # Exact goal fitness: integer disk-weight sums, one float division —
         # the same arithmetic (and rounding) as HanoiDomain.goal_fitness.
         weights = 2 ** np.arange(n, dtype=np.int64)  # weight of disk i+1
-        on_goal = (stakes == domain.goal_stake) * weights[None, :]
-        won = on_goal.sum(axis=1)
+        won = ((stakes == domain.goal_stake) * weights[None, :]).sum(axis=1)
         self._gfit = won / np.float64(domain._total_weight)
         self._gmask = won == domain._total_weight
+        # code -> state tuple, built on first request; _built mirrors it.
+        self._states = np.full(m, None, dtype=object)
+        self._built = np.zeros(m, dtype=bool)
+        self._moves = np.array(domain._moves, dtype=object)
 
     # -- DomainKernel surface -------------------------------------------------
 
-    @property
-    def n_states(self) -> int:
-        return int(self._vc.shape[0])
-
-    @property
-    def valid_count(self) -> np.ndarray:
-        return self._vc
-
-    @property
-    def succ(self) -> np.ndarray:
-        return self._succ
-
-    @property
-    def goal_fit(self) -> np.ndarray:
-        return self._gfit
-
-    @property
-    def goal_mask(self) -> np.ndarray:
-        return self._gmask
-
-    def intern(self, state) -> int:
-        sid = 0
-        for t, stack in enumerate(state):
+    def code_of_key(self, key: Hashable) -> int:
+        """The base-3 code of a state (the state is its own key)."""
+        code = 0
+        for t, stack in enumerate(key):
             for disk in stack:
-                sid += t * int(self._pow3[disk - 1])
-        return sid
+                code += t * self._pow3[disk - 1]
+        return code
 
-    def id_for_key(self, key: Hashable) -> Optional[int]:
-        return self.intern(key)  # state_key is the state itself
+    def valid_count(self, codes) -> np.ndarray:
+        """Valid-move counts, one gather."""
+        return self._vc[codes]
 
-    def fill_transitions(self, ids, slots) -> None:  # pragma: no cover - dense
-        raise AssertionError("dense kernel has no unfilled transitions")
+    def advance(self, codes, idx) -> np.ndarray:
+        """Successor codes, one gather."""
+        return self._succ[codes, idx]
 
-    def reset(self) -> None:
-        """No-op: the dense tables are the whole (bounded) state space."""
+    def goal_mask(self, codes) -> np.ndarray:
+        """All disks on the goal stake, one gather."""
+        return self._gmask[codes]
+
+    def goal_fit(self, codes) -> np.ndarray:
+        """Equation 5's weighted fraction, one gather."""
+        return self._gfit[codes]
 
     # -- reconstruction -------------------------------------------------------
 
-    def state_of(self, sid: int):
-        stacks: list = [[], [], []]
-        for i in range(self._n - 1, -1, -1):
-            stacks[(sid // int(self._pow3[i])) % 3].append(i + 1)
-        return tuple(tuple(s) for s in stacks)
+    def state_of(self, code: int):
+        """The state tuple for *code*, one shared object per code."""
+        state = self._states[code]
+        if state is None:
+            stacks: list = [[], [], []]
+            for i in range(self._n - 1, -1, -1):
+                stacks[(code // self._pow3[i]) % 3].append(i + 1)
+            state = self._states[code] = tuple(tuple(s) for s in stacks)
+        return state
 
-    def operations_of(self, sid: int) -> Sequence[HanoiMove]:
-        # Slot order is the _MOVES order filtered to valid — exactly what
-        # valid_operations returns, so delegate.
-        return tuple(self.domain.valid_operations(self.state_of(sid)))
+    def state_keys_of(self, codes) -> list:
+        """The shared state tuples (a Hanoi state is its own key)."""
+        missing = codes[~self._built[codes]]
+        if missing.size:
+            for code in np.unique(missing).tolist():
+                self.state_of(code)
+            self._built[missing] = True
+        return self._states[codes].tolist()
+
+    def operations_of(self, codes, slots) -> list:
+        """The domain's own :class:`HanoiMove` objects, by a table gather."""
+        return self._moves[self._move[codes, slots]].tolist()
 
 
 def hanoi_max_len(n_disks: int) -> int:

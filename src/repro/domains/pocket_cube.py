@@ -10,9 +10,8 @@ held fixed — only U, R and F face turns are generated, which never move it
 — so whole-cube rotations are modded out and the solved state is unique.
 
 State: ``(cp, co)`` — two 8-tuples (corner permutation and orientation).
-Its key is the 16 values ``cp ‖ co`` packed one byte each into a Python
-int, ``int.from_bytes(bytes((*cp, *co)), "little")`` — the same int the
-kernel computes from its packed ``uint8`` rows.
+Its key is one 40-bit int, the kernel's code: ``cp[i]`` at 3 bits from
+bit ``3i``, ``co[i]`` at 2 bits from bit ``24 + 2i``.
 Moves: U, U', U2, R, R', R2, F, F', F2 — all nine valid in every state, so
 the gene→operation mapping is state-independent (``decode_key`` is
 constant and state-aware crossover always finds matches).
@@ -25,7 +24,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.domains.kernels import cached_kernel, grow, intern_rows
+from repro.domains.kernels import cached_kernel
 from repro.protocol import DomainKernel, PlanningDomain
 
 __all__ = ["CubeMove", "CubeKernel", "PocketCubeDomain", "scrambled_state"]
@@ -51,6 +50,7 @@ class CubeMove:
     turns: int
 
     def __str__(self) -> str:
+        """Singmaster notation: ``U``, ``U2``, ``U'``."""
         suffix = {1: "", 2: "2", 3: "'"}[self.turns]
         return f"{self.face}{suffix}"
 
@@ -113,15 +113,19 @@ class PocketCubeDomain(PlanningDomain):
 
     @property
     def initial_state(self):
+        """The start ``(cp, co)``."""
         return self._initial
 
     def valid_operations(self, state) -> Sequence[CubeMove]:
+        """All nine face turns, always."""
         return MOVES  # every face turn is always legal
 
     def apply(self, state, op: CubeMove):
+        """The cube after the face turn *op*."""
         return _apply_move(state, op)
 
     def goal_fitness(self, state) -> float:
+        """Placed-and-oriented movable corners over 7."""
         cp, co = state
         correct = sum(
             1 for i in range(8) if i != 6 and cp[i] == i and co[i] == 0
@@ -129,171 +133,114 @@ class PocketCubeDomain(PlanningDomain):
         return correct / 7.0
 
     def is_goal(self, state) -> bool:
+        """The solved cube."""
         return state == (_SOLVED_CP, _SOLVED_CO)
 
     def state_key(self, state) -> int:
-        """``cp ‖ co`` packed one byte per value into an int (little-endian)."""
+        """The 40-bit cubie word: ``cp[i]`` at bit ``3i``, ``co[i]`` at ``24 + 2i``."""
         cp, co = state
-        return int.from_bytes(bytes((*cp, *co)), "little")
+        code = 0
+        for c in reversed(co):
+            code = (code << 2) | c
+        for p in reversed(cp):
+            code = (code << 3) | p
+        return code
 
     def decode_key(self, state) -> Hashable:
-        # The move set is state-independent: all states decode identically.
+        """Constant: the move set is state-independent, so every state decodes alike."""
         return 0
 
     def kernel(self) -> "CubeKernel":
-        """Lazy packed kernel over composed per-move permutation tables."""
+        """The cubie-word kernel over composed per-move permutation tables."""
         return cached_kernel(self, CubeKernel)
 
     @staticmethod
     def solved_state() -> Tuple[tuple, tuple]:
+        """The solved ``(cp, co)``."""
         return (_SOLVED_CP, _SOLVED_CO)
 
 
 class CubeKernel(DomainKernel):
-    """Packed cubie kernel: one composed (perm, twist) table per move.
+    """Cubie kernel on the 40-bit state word: no tables of states.
 
-    A state packs into 16 ``uint8`` values (8 corner positions + 8
-    orientations).  Each of the nine moves — including half and
-    counter-turns — collapses to a single permutation/twist pair obtained
-    by applying the move to an identity-labelled cube, so a batch of
-    states advances with two gathers and a mod-3 add.  All nine moves are
-    always valid (``valid_count`` ≡ 9); only successor interning is lazy.
-    States are indexed by their packed int key, held once and served as
-    the state key (:func:`~repro.domains.kernels.intern_rows`).
+    A state's code packs the 8 corner positions at 3 bits each (bits
+    ``3i``) and the 8 orientations at 2 bits each (bits ``24 + 2i``) into
+    one int, which is also the domain's state key.  Each of the nine moves
+    — including half and counter-turns — collapses to a single
+    permutation/twist pair obtained by applying the move to an
+    identity-labelled cube, so a batch of codes advances by unpacking,
+    two row-wise gathers and a mod-3 add.  All nine moves are always valid
+    (``valid_count`` ≡ 9).
     """
 
-    def __init__(self, domain: PocketCubeDomain, max_states: int = 400_000) -> None:
+    def __init__(self, domain: PocketCubeDomain) -> None:
         self.domain = domain
-        self.max_ops = 9
-        self.unit_cost = True
-        self.epoch = 0
-        self.max_states = max_states
         # Composed tables: applying MOVES[m] maps cp -> cp[P[m]] and
         # co -> (co[P[m]] + T[m]) % 3 — read off by moving an
         # identity-labelled cube (cp = 0..7, co = 0).
         perms = np.empty((9, 8), dtype=np.int64)
-        twists = np.empty((9, 8), dtype=np.uint8)
+        twists = np.empty((9, 8), dtype=np.int64)
         identity = (tuple(range(8)), (0,) * 8)
         for m, move in enumerate(MOVES):
-            cp, co = _apply_move(identity, move)
-            perms[m] = cp
-            twists[m] = co
+            perms[m], twists[m] = _apply_move(identity, move)
         self._perms = perms
         self._twists = twists
-        self._solved = np.concatenate(
-            [np.arange(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8)]
-        )
-        self._corner_idx = np.arange(8, dtype=np.uint8)
-        self._init_tables()
+        self._moves = np.array(MOVES, dtype=object)
+        self._cp_shift = 3 * np.arange(8, dtype=np.int64)
+        self._co_shift = 24 + 2 * np.arange(8, dtype=np.int64)
+        self._corners = np.arange(8, dtype=np.int64)
+        self._solved = domain.state_key((_SOLVED_CP, _SOLVED_CO))
 
-    def _init_tables(self) -> None:
-        cap = 1024
-        self._ids: dict = {}  # packed int key -> id
-        self._keys: list = []  # id -> packed int key
-        self._packed = np.zeros((cap, 16), dtype=np.uint8)  # cp ‖ co
-        self._vc = np.full(cap, 9, dtype=np.int32)
-        self._succ = np.full((cap, 9), -1, dtype=np.int32)
-        self._gfit = np.zeros(cap, dtype=np.float64)
-        self._gmask = np.zeros(cap, dtype=bool)
+    def _unpack(self, codes):
+        col = codes[:, None]
+        return (col >> self._cp_shift) & 7, (col >> self._co_shift) & 3
 
     # -- DomainKernel surface -------------------------------------------------
 
-    @property
-    def n_states(self) -> int:
-        return len(self._keys)
+    def code_of_key(self, key: Hashable) -> int:
+        """The state key is the cubie word."""
+        return key
 
-    @property
-    def valid_count(self) -> np.ndarray:
-        return self._vc
+    def valid_count(self, codes) -> np.ndarray:
+        """Always 9."""
+        return np.full(codes.shape, 9, dtype=np.int64)
 
-    @property
-    def succ(self) -> np.ndarray:
-        return self._succ
+    def advance(self, codes, idx) -> np.ndarray:
+        """Apply move ``idx[i]`` to cube ``codes[i]``."""
+        cp, co = self._unpack(codes)
+        perm = self._perms[idx]
+        cp = np.take_along_axis(cp, perm, axis=1)
+        co = (np.take_along_axis(co, perm, axis=1) + self._twists[idx]) % 3
+        return (cp << self._cp_shift).sum(axis=1) | (co << self._co_shift).sum(axis=1)
 
-    @property
-    def goal_fit(self) -> np.ndarray:
-        return self._gfit
+    def goal_mask(self, codes) -> np.ndarray:
+        """One comparison with the solved word."""
+        return codes == self._solved
 
-    @property
-    def goal_mask(self) -> np.ndarray:
-        return self._gmask
-
-    @property
-    def overflowed(self) -> bool:
-        return len(self._keys) > self.max_states
-
-    def reset(self) -> None:
-        self._init_tables()
-        self.epoch += 1
-
-    @staticmethod
-    def _pack(state) -> np.ndarray:
-        cp, co = state
-        return np.asarray(tuple(cp) + tuple(co), dtype=np.uint8)
-
-    def intern(self, state) -> int:
-        return int(intern_rows(self._ids, self._keys, self._pack(state)[None, :], self._admit)[0])
-
-    def id_for_key(self, key: Hashable) -> Optional[int]:
-        return self._ids.get(key)
-
-    def _admit(self, rows: np.ndarray) -> None:
-        needed = len(self._keys)
-        start = needed - rows.shape[0]
-        self._packed = grow(self._packed, needed)
-        self._vc = grow(self._vc, needed, fill=9)
-        self._succ = grow(self._succ, needed, fill=-1)
-        self._gfit = grow(self._gfit, needed)
-        self._gmask = grow(self._gmask, needed)
-        sl = slice(start, needed)
-        self._packed[sl] = rows
-        self._vc[sl] = 9
-        self._succ[sl] = -1
-        cp = rows[:, :8]
-        co = rows[:, 8:]
-        placed = (cp == self._corner_idx[None, :]) & (co == 0)
+    def goal_fit(self, codes) -> np.ndarray:
+        """Placed-and-oriented movable corners over 7."""
+        cp, co = self._unpack(codes)
+        placed = (cp == self._corners) & (co == 0)
         placed[:, 6] = False  # DBL is fixed and excluded from the count
-        correct = placed.sum(axis=1).astype(np.int64)
-        self._gfit[sl] = correct / 7.0
-        self._gmask[sl] = (rows == self._solved[None, :]).all(axis=1)
-
-    def fill_transitions(self, ids, slots) -> None:
-        code = ids.astype(np.int64) * 9 + slots
-        code = np.unique(code)
-        uids = code // 9
-        uslots = code % 9
-        fresh = self._succ[uids, uslots] < 0
-        uids, uslots = uids[fresh], uslots[fresh]
-        if uids.size == 0:
-            return
-        out = np.empty((uids.size, 16), dtype=np.uint8)
-        src = self._packed[uids]
-        for m in range(9):
-            sel = uslots == m
-            if not sel.any():
-                continue
-            perm = self._perms[m]
-            cp = src[sel, :8]
-            co = src[sel, 8:]
-            out[sel, :8] = cp[:, perm]
-            out[sel, 8:] = (co[:, perm] + self._twists[m][None, :]) % 3
-        nids = intern_rows(self._ids, self._keys, out, self._admit)
-        self._succ[uids, uslots] = nids
+        return placed.sum(axis=1) / 7.0
 
     # -- reconstruction -------------------------------------------------------
 
-    def state_of(self, sid: int):
-        row = self._packed[sid].tolist()
-        return (tuple(row[:8]), tuple(row[8:]))
+    def state_of(self, code: int):
+        """The ``(cp, co)`` tuple pair."""
+        return (
+            tuple((code >> (3 * i)) & 7 for i in range(8)),
+            tuple((code >> (24 + 2 * i)) & 3 for i in range(8)),
+        )
 
-    def state_key_of(self, sid: int) -> int:
-        return self._keys[sid]
+    def state_keys_of(self, codes) -> list:
+        """The codes themselves."""
+        return codes.tolist()
 
-    def state_keys_of(self, sids) -> list:
-        return list(map(self._keys.__getitem__, np.asarray(sids, dtype=np.int64).tolist()))
+    def decode_keys_of(self, codes) -> list:
+        """Constant: every state decodes alike."""
+        return [0] * len(codes)
 
-    def decode_key_of(self, sid: int) -> Hashable:
-        return 0
-
-    def operations_of(self, sid: int) -> Sequence[CubeMove]:
-        return MOVES
+    def operations_of(self, codes, slots) -> list:
+        """Slot ``j`` is always ``MOVES[j]``."""
+        return self._moves[slots].tolist()

@@ -8,7 +8,9 @@ can do, so new domains become available everywhere by registering once:
 - ``has_kernel`` — the domain type implements :meth:`PlanningDomain.kernel`
   and so supports the array-native vector decode path (DESIGN.md §12).
   The flag describes the *type*; an individual instance may still decline
-  (``HanoiDomain(13).kernel() is None`` above the dense-table size cap).
+  and decode on the engine: ``HanoiDomain(13).kernel() is None`` above the
+  dense-table size cap, and ``SlidingTileDomain(5).kernel() is None``
+  above the 4×4 boards whose 4-bit cells fit the 64-bit board word.
 - ``strips`` — a grounded STRIPS formulation exists for the domain
   (usable with the classical-planner baselines in :mod:`repro.planning`).
 

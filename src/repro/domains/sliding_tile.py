@@ -15,9 +15,9 @@ even-width boards.
 
 State representation: a flat tuple of length ``n²`` in row-major order, with
 ``0`` denoting the blank; the goal is ``(1, 2, ..., n²-1, 0)``.  The state
-key is that tuple packed one byte per cell into a Python int,
-``int.from_bytes(bytes(state), "little")`` — the same int the kernel
-computes from its ``uint8`` board rows, so boards go up to 16×16.
+key is that tuple packed into a Python int, 4 bits per cell up to 4×4 —
+the kernel's board word, so a key *is* a kernel code — and a byte per
+cell on larger boards, which go up to 16×16 and decode on the engine.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.domains.kernels import cached_kernel, grow, intern_rows
+from repro.domains.kernels import cached_kernel
 from repro.protocol import DomainKernel, PlanningDomain
 
 __all__ = [
@@ -59,10 +59,15 @@ class TileMove:
     direction: str
 
     def __str__(self) -> str:
+        """``slide(up)`` style."""
         return f"slide({self.direction})"
 
 
 _MOVES = {name: TileMove(name) for name, _, _ in DIRECTIONS}
+_MOVE_ARRAY = np.array([_MOVES[name] for name, _, _ in DIRECTIONS], dtype=object)
+
+#: Widest board the kernel's 64-bit word holds (16 cells × 4 bits).
+_MAX_KERNEL_N = 4
 
 
 def goal_tuple(n: int) -> tuple:
@@ -170,17 +175,21 @@ class SlidingTileDomain(PlanningDomain):
 
     @property
     def initial_state(self) -> tuple:
+        """The start board."""
         return self._initial
 
     @property
     def goal_state(self) -> tuple:
+        """The goal board."""
         return self._goal
 
     @property
     def tile_count(self) -> int:
+        """``n² - 1``."""
         return self.n * self.n - 1
 
     def valid_operations(self, state) -> Sequence[TileMove]:
+        """Blank moves that stay on the board, in ``DIRECTIONS`` order."""
         n = self.n
         blank = state.index(0)
         r, c = divmod(blank, n)
@@ -191,6 +200,7 @@ class SlidingTileDomain(PlanningDomain):
         return ops
 
     def apply(self, state, op: TileMove) -> tuple:
+        """Swap the blank with the tile in ``op.direction``."""
         n = self.n
         blank = state.index(0)
         r, c = divmod(blank, n)
@@ -208,6 +218,7 @@ class SlidingTileDomain(PlanningDomain):
         return tuple(board)
 
     def manhattan(self, state) -> int:
+        """Total Manhattan distance of all tiles from their goal cells."""
         dist = 0
         n = self.n
         for i, tile in enumerate(state):
@@ -223,11 +234,20 @@ class SlidingTileDomain(PlanningDomain):
         return 1.0 - self.manhattan(state) / self.distance_bound
 
     def is_goal(self, state) -> bool:
+        """The board equals the goal board."""
         return state == self._goal
 
     def state_key(self, state) -> int:
-        """The board packed one byte per cell into an int (little-endian)."""
-        return int.from_bytes(bytes(state), "little")
+        """The board packed into an int, cell ``i`` at bit ``4i``.
+
+        On boards up to 4×4 this is the kernel's board word; larger boards
+        pack a byte per cell (cell ``i`` at bit ``8i``).
+        """
+        if self.n > _MAX_KERNEL_N:
+            return int.from_bytes(bytes(state), "little")
+        # Cells < 16 print as "0x" hex pairs; the low digits, last cell
+        # first, read as one hex number put cell i at bit 4i.
+        return int(bytes(state).hex()[::-2], 16)
 
     def decode_key(self, state) -> Hashable:
         """Gene→operation mapping depends only on the blank position.
@@ -239,180 +259,120 @@ class SlidingTileDomain(PlanningDomain):
         """
         return state.index(0)
 
-    def kernel(self) -> "TileKernel":
-        """Lazy packed-board kernel (any board size)."""
+    def kernel(self) -> Optional["TileKernel"]:
+        """The board-word kernel (None above 4×4)."""
+        if self.n > _MAX_KERNEL_N:
+            return None
         return cached_kernel(self, TileKernel)
 
 
 class TileKernel(DomainKernel):
-    """Packed-board kernel for the sliding tile: lazy, vectorised expansion.
+    """Sliding-tile kernel on the board word: 4 bits per cell, no state tables.
 
-    States intern to rows of a ``uint8`` board matrix.  Each state's one
-    Python object is its packed int key (:func:`~repro.domains.kernels.
-    intern_rows`): the index dict maps it to the id, and the id-indexed
-    ``_keys`` list hands that same object out as the state key, so the
-    decoder's memo and every plan share it.  Ints are GC-untrackable,
-    unlike tuples, so the hundreds of thousands of keys a tile4 run keeps
-    add nothing to cyclic-GC scans.  The valid-operation *count* and goal
-    arrays are filled at intern time from the blank position alone;
-    successors materialise in bulk only for the ``(state, slot)`` pairs
-    genes actually select, via row copies and a vectorised Manhattan
-    recomputation — no per-state Python in the steady state.
+    A state's code is its board packed 4 bits per cell into one
+    ``uint64`` (cell ``i`` at bits ``4i .. 4i+3``), which is also the
+    domain's state key, so boards up to 4×4 fit.  Every question is
+    arithmetic on that word.  The blank is the one zero nibble, found by
+    a SWAR zero-nibble test; a move XORs the tile out of its cell and
+    into the blank's; the goal test is one comparison; and goal fitness
+    sums an exact integer Manhattan distance per cell, fed to equation 6
+    as ``1.0 - m / float64(bound)``, the same arithmetic as the domain.
     """
 
-    def __init__(self, domain: SlidingTileDomain, max_states: int = 400_000) -> None:
-        self.domain = domain
-        self.max_ops = 4
-        self.unit_cost = True
-        self.epoch = 0
-        self.max_states = max_states
+    code_dtype = "uint64"
+
+    def __init__(self, domain: SlidingTileDomain) -> None:
         n = domain.n
-        self._n = n
+        if n > _MAX_KERNEL_N:
+            raise ValueError(f"a {n}x{n} board does not fit the 64-bit board word")
+        self.domain = domain
         cells = n * n
         self._cells = cells
         # Per blank position b: the valid directions in DIRECTIONS order,
-        # their count, and the target cell of each slot.
-        self._k_of_blank = np.zeros(cells, dtype=np.int32)
-        self._slot_target = np.full((cells, 4), -1, dtype=np.int32)
-        ops_of_blank = []
+        # their count, and each slot's target cell (as a shift) and move.
+        self._k_of_blank = np.zeros(cells, dtype=np.int64)
+        self._target_shift = np.zeros((cells, 4), dtype=np.uint64)
+        self._move_of = np.zeros((cells, 4), dtype=np.int64)
         for b in range(cells):
             r, c = divmod(b, n)
             k = 0
-            ops = []
-            for name, dr, dc in DIRECTIONS:
+            for d, (_, dr, dc) in enumerate(DIRECTIONS):
                 if 0 <= r + dr < n and 0 <= c + dc < n:
-                    self._slot_target[b, k] = (r + dr) * n + (c + dc)
-                    ops.append(_MOVES[name])
+                    self._target_shift[b, k] = 4 * ((r + dr) * n + (c + dc))
+                    self._move_of[b, k] = d
                     k += 1
             self._k_of_blank[b] = k
-            ops_of_blank.append(tuple(ops))
-        self._ops_of_blank = tuple(ops_of_blank)
-        # Goal row/col per tile value (tile 0 masked out of the distance).
-        self._goal_r = np.zeros(cells, dtype=np.int64)
-        self._goal_c = np.zeros(cells, dtype=np.int64)
-        for pos, tile in enumerate(domain.goal_state):
-            self._goal_r[tile], self._goal_c[tile] = divmod(pos, n)
-        self._cell_r = np.arange(cells, dtype=np.int64) // n
-        self._cell_c = np.arange(cells, dtype=np.int64) % n
-        self._goal_board = np.asarray(domain.goal_state, dtype=np.uint8)
-        self._distance_bound = domain.distance_bound
-        self._init_tables()
+        self._blank_shift = 4 * np.arange(cells, dtype=np.uint64)
+        # SWAR constants; the nibbles above the board are filled with 1s
+        # so that only the blank reads as a zero nibble.
+        self._low = np.uint64(0x1111_1111_1111_1111)
+        self._high = np.uint64(0x8888_8888_8888_8888)
+        self._fill = np.uint64(sum(1 << (4 * i) for i in range(cells, 16)))
+        # dist[t, i]: Manhattan distance of tile t from its goal when on
+        # cell i (0 for the blank).
+        goal_pos = {tile: divmod(i, n) for i, tile in enumerate(domain.goal_state)}
+        self._dist = np.zeros((16, cells), dtype=np.int64)
+        for t in range(1, cells):
+            gr, gc = goal_pos[t]
+            for i in range(cells):
+                r, c = divmod(i, n)
+                self._dist[t, i] = abs(r - gr) + abs(c - gc)
+        self._goal = np.uint64(domain.state_key(domain.goal_state))
+        self._bound = np.float64(domain.distance_bound)
 
-    def _init_tables(self) -> None:
-        cap = 1024
-        self._ids: dict = {}  # packed int key -> id
-        self._keys: list = []  # id -> packed int key
-        self._boards = np.zeros((cap, self._cells), dtype=np.uint8)
-        self._blank = np.zeros(cap, dtype=np.int32)
-        self._vc = np.zeros(cap, dtype=np.int32)
-        self._succ = np.full((cap, 4), -1, dtype=np.int32)
-        self._gfit = np.zeros(cap, dtype=np.float64)
-        self._gmask = np.zeros(cap, dtype=bool)
+    def _blank(self, codes) -> np.ndarray:
+        """Blank cell per code: the lowest zero nibble, by SWAR."""
+        x = codes | self._fill
+        t = (x - self._low) & ~x & self._high  # exact at the lowest zero
+        lowest = t & (~t + np.uint64(1))  # 1 << (4 * blank + 3)
+        _, e = np.frexp(lowest.astype(np.float64))
+        return (e >> 2) - 1
 
     # -- DomainKernel surface -------------------------------------------------
 
-    @property
-    def n_states(self) -> int:
-        return len(self._keys)
+    def code_of_key(self, key: Hashable) -> int:
+        """The state key is the board word."""
+        return key
 
-    @property
-    def valid_count(self) -> np.ndarray:
-        return self._vc
+    def valid_count(self, codes) -> np.ndarray:
+        """2, 3 or 4 moves, by the blank's cell."""
+        return self._k_of_blank[self._blank(codes)]
 
-    @property
-    def succ(self) -> np.ndarray:
-        return self._succ
+    def advance(self, codes, idx) -> np.ndarray:
+        """Slide: the target cell's tile moves into the blank nibble."""
+        blank = self._blank(codes)
+        shift = self._target_shift[blank, idx]
+        tile = (codes >> shift) & np.uint64(15)
+        return codes ^ (tile << shift) ^ (tile << self._blank_shift[blank])
 
-    @property
-    def goal_fit(self) -> np.ndarray:
-        return self._gfit
+    def goal_mask(self, codes) -> np.ndarray:
+        """One comparison with the goal word."""
+        return codes == self._goal
 
-    @property
-    def goal_mask(self) -> np.ndarray:
-        return self._gmask
-
-    @property
-    def overflowed(self) -> bool:
-        return len(self._keys) > self.max_states
-
-    def reset(self) -> None:
-        self._init_tables()
-        self.epoch += 1
-
-    def intern(self, state) -> int:
-        board = np.asarray(state, dtype=np.uint8)
-        return int(intern_rows(self._ids, self._keys, board[None, :], self._admit)[0])
-
-    def id_for_key(self, key: Hashable) -> Optional[int]:
-        return self._ids.get(key)
-
-    def _admit(self, new_boards: np.ndarray) -> None:
-        """Append a block of distinct boards, computing their row data."""
-        needed = len(self._keys)
-        start = needed - new_boards.shape[0]
-        self._boards = grow(self._boards, needed)
-        self._blank = grow(self._blank, needed)
-        self._vc = grow(self._vc, needed)
-        self._succ = grow(self._succ, needed, fill=-1)
-        self._gfit = grow(self._gfit, needed)
-        self._gmask = grow(self._gmask, needed)
-        sl = slice(start, needed)
-        self._boards[sl] = new_boards
-        blank = np.argmin(new_boards, axis=1)
-        self._blank[sl] = blank
-        self._vc[sl] = self._k_of_blank[blank]
-        self._succ[sl] = -1
-        # Vectorised equation 6: positions of each tile vs its goal cell.
-        # tile t sits at cell j  →  |r_j - gr_t| + |c_j - gc_t|, blank masked.
-        tiles = new_boards.astype(np.int64)
-        dist = (
-            np.abs(self._cell_r[None, :] - self._goal_r[tiles])
-            + np.abs(self._cell_c[None, :] - self._goal_c[tiles])
-        )
-        dist[tiles == 0] = 0
-        manhattan = dist.sum(axis=1)
-        self._gfit[sl] = 1.0 - manhattan / np.float64(self._distance_bound)
-        self._gmask[sl] = (new_boards == self._goal_board[None, :]).all(axis=1)
-
-    def fill_transitions(self, ids, slots) -> None:
-        # Dedup (id, slot) pairs: the same miss can appear on many rows.
-        code = ids.astype(np.int64) * 4 + slots
-        code = np.unique(code)
-        uids = code // 4
-        uslots = code % 4
-        fresh = self._succ[uids, uslots] < 0
-        uids, uslots = uids[fresh], uslots[fresh]
-        if uids.size == 0:
-            return
-        src = self._boards[uids].copy()
-        blank = self._blank[uids].astype(np.int64)
-        target = self._slot_target[blank, uslots].astype(np.int64)
-        rows = np.arange(uids.size)
-        src[rows, blank] = src[rows, target]
-        src[rows, target] = 0
-        nids = intern_rows(self._ids, self._keys, src, self._admit)
-        # Admitting new boards may reallocate the tables; index fresh.
-        self._succ[uids, uslots] = nids
+    def goal_fit(self, codes) -> np.ndarray:
+        """Equation 6 from the exact per-cell Manhattan sum."""
+        m = np.zeros(codes.shape, dtype=np.int64)
+        for i in range(self._cells):
+            m += self._dist[(codes >> self._blank_shift[i]) & np.uint64(15), i]
+        return 1.0 - m / self._bound
 
     # -- reconstruction -------------------------------------------------------
 
-    def state_of(self, sid: int) -> tuple:
-        return tuple(self._boards[sid].tolist())
+    def state_of(self, code: int) -> tuple:
+        """The board tuple, one nibble per cell."""
+        return tuple((code >> (4 * i)) & 15 for i in range(self._cells))
 
-    def state_key_of(self, sid: int) -> int:
-        return self._keys[sid]
+    def state_keys_of(self, codes) -> list:
+        """The codes themselves."""
+        return codes.tolist()
 
-    def decode_key_of(self, sid: int) -> Hashable:
-        return int(self._blank[sid])
+    def decode_keys_of(self, codes) -> list:
+        """The blank cells."""
+        return self._blank(codes).tolist()
 
-    def state_keys_of(self, sids) -> list:
-        return list(map(self._keys.__getitem__, np.asarray(sids, dtype=np.int64).tolist()))
-
-    def decode_keys_of(self, sids) -> list:
-        return self._blank[np.asarray(sids, dtype=np.int64)].tolist()
-
-    def operations_of(self, sid: int) -> Sequence[TileMove]:
-        return self._ops_of_blank[int(self._blank[sid])]
+    def operations_of(self, codes, slots) -> list:
+        """The domain's own :class:`TileMove` objects, by blank and slot."""
+        return _MOVE_ARRAY[self._move_of[self._blank(codes), slots]].tolist()
 
 
 def random_solvable_start(

@@ -22,14 +22,14 @@ the meaning of a genome between evaluations.
 The kernel ABI
 --------------
 Regular domains can additionally expose a :class:`DomainKernel` — an
-array-level view of the same transition system (interned integer state
-ids, per-state valid-operation *counts*, an int successor table, packed
-goal-fitness/goal-mask arrays) that lets ``repro.core.vector_decode``
-decode a whole population in numpy instead of walking Python objects
-gene by gene.  The kernel is strictly optional: :meth:`PlanningDomain.
-kernel` returns ``None`` by default and every consumer falls back to the
-object path, so the two APIs coexist and must agree bit-for-bit wherever
-both exist.
+array-level view of the same transition system, in which a state is a
+fixed-width integer code and the valid-operation count, successor, goal
+flag and goal fitness are vectorised functions of codes — that lets
+``repro.core.vector_decode`` decode a whole population in numpy instead
+of walking Python objects gene by gene.  The kernel is strictly
+optional: :meth:`PlanningDomain.kernel` returns ``None`` by default and
+every consumer falls back to the object path, so the two APIs coexist
+and must agree bit-for-bit wherever both exist.
 """
 
 from __future__ import annotations
@@ -99,13 +99,11 @@ class PlanningDomain(abc.ABC, Generic[S, O]):
         states would silently corrupt every cached evaluation.  The default
         (the state itself) is always correct for hashable immutable states.
 
-        Domains with a packed kernel key states by the packed row as one
-        Python int (the sliding tile and the pocket cube use
-        ``int.from_bytes(row, "little")`` of their ``uint8`` cells): the
-        kernel indexes states by that int and serves it back from
-        ``state_key_of``, so plans and memos share one small object per
-        state, and int hashes do not vary between processes as ``bytes``
-        hashes do.
+        The sliding tile and the pocket cube key a state by its
+        :class:`DomainKernel` code, one Python int (the board at 4 bits
+        per cell, the cube's 40-bit cubie word), so a kernel resumes from
+        a plan's keys without a lookup, and int hashes do not vary between
+        processes as ``bytes`` hashes do.
         """
         return state
 
@@ -136,8 +134,8 @@ class PlanningDomain(abc.ABC, Generic[S, O]):
         ``None``.  Implementations should return a *cached* kernel (one per
         domain instance — see ``repro.domains.kernels.cached_kernel``) so
         repeated probes are free and concurrent consumers (islands, phases)
-        share warm tables.  A domain may also return ``None`` selectively,
-        e.g. when the instance is too large to tabulate.
+        share one.  A domain may also return ``None`` selectively, e.g.
+        when the instance's states do not fit the kernel's code.
         """
         return None
 
@@ -157,50 +155,43 @@ class PlanningDomain(abc.ABC, Generic[S, O]):
         return state
 
     def plan_cost(self, ops: Sequence[O]) -> float:
+        """Total :meth:`operation_cost` of the operation sequence *ops*."""
         return float(sum(self.operation_cost(op) for op in ops))
 
 
 class DomainKernel(abc.ABC, Generic[S, O]):
-    """Array-level ABI over a domain's transition system.
+    """Array-level ABI over a domain's transition system, on state codes.
 
-    A kernel interns states to dense integer ids and exposes the decode
-    loop's per-gene questions — "how many valid operations here?", "which
-    successor does slot ``j`` lead to?", "is this a goal state, and how
-    fit?" — as numpy arrays indexed by id, so
-    :class:`repro.core.vector_decode.VectorDecoder` can advance *every*
-    genome of a population by one gene with a handful of array gathers.
+    A kernel names every state by a fixed-width integer *code* that is the
+    state itself: equal codes mean equal states, and the code alone
+    answers the decode loop's per-gene questions — "how many valid
+    operations here?", "which state does slot ``j`` lead to?", "is this a
+    goal, and how fit?" — vectorised over an array of codes, so
+    :class:`repro.core.vector_decode.VectorDecoder` advances *every*
+    genome of a population by one gene with one call per question.  There
+    are no ids to intern, no tables that fill up and nothing to reset:
+    a code stays valid for the life of the kernel.
 
-    Exactness contract (the whole point): for every interned id the arrays
-    must agree bit-for-bit with the object API —
+    Exactness contract (the whole point): for the code ``c`` of any state
+    ``s`` reachable in the domain,
 
-    - ``valid_count[i] == len(domain.valid_operations(state_of(i)))``,
-    - slot ``j`` of ``succ[i]`` is the state reached by
-      ``domain.apply(state, valid_operations(state)[j])``,
-    - ``goal_fit[i] == float(domain.goal_fitness(state_of(i)))`` (the very
-      same IEEE double, not merely close),
-    - ``goal_mask[i] == domain.is_goal(state_of(i))``,
-    - with ``unit_cost`` False, ``op_cost[i, j] ==
-      float(domain.operation_cost(valid_operations(state)[j]))``.
-
-    Invariants: *interned* ids (rows of the arrays) always have
-    ``valid_count`` / ``goal_fit`` / ``goal_mask`` filled; ``succ`` entries
-    are filled lazily — ``-1`` marks a transition not yet computed, and
-    :meth:`fill_transitions` materialises requested ``(id, slot)`` pairs in
-    bulk.  Dense kernels (precompiled tables) simply never contain ``-1``.
-    Arrays may be *reallocated* by growth or :meth:`reset`; consumers must
-    re-read the properties after any call that can intern states and must
-    re-intern ids after a reset (``epoch`` changes).
+    - ``valid_count(c) == len(domain.valid_operations(s)) >= 1`` — kernel
+      domains have no dead ends;
+    - ``advance(c, j)`` is the code of
+      ``domain.apply(s, domain.valid_operations(s)[j])``;
+    - ``goal_fit(c) == float(domain.goal_fitness(s))`` (the very same IEEE
+      double, not merely close) and ``goal_mask(c) == domain.is_goal(s)``;
+    - ``code_of_key(domain.state_key(s)) == c`` and ``state_of(c) == s``;
+    - every operation costs 1.0 (the domain keeps the default
+      :meth:`PlanningDomain.operation_cost`), so a plan's cost is its
+      length.
 
     Lifetime: the kernel holds its domain *weakly* (see :attr:`domain`),
     so a kernel cached per domain instance dies with that instance.
     """
 
-    #: Width of the ``succ`` table (max valid operations in any state).
-    max_ops: int
-    #: True when every operation costs exactly 1.0 (no ``op_cost`` table).
-    unit_cost: bool = True
-    #: Incremented by :meth:`reset`; interned ids are invalid across epochs.
-    epoch: int = 0
+    #: numpy dtype of the code arrays the kernel reads and returns.
+    code_dtype = "int64"
 
     @property
     def domain(self) -> "PlanningDomain[S, O]":
@@ -222,98 +213,54 @@ class DomainKernel(abc.ABC, Generic[S, O]):
     def domain(self, domain: "PlanningDomain[S, O]") -> None:
         self._domain_ref = weakref.ref(domain)
 
-    @property
     @abc.abstractmethod
-    def n_states(self) -> int:
-        """Number of interned states (ids are ``0 .. n_states-1``)."""
-
-    @property
-    @abc.abstractmethod
-    def valid_count(self):
-        """int array, ``valid_count[i]`` = number of valid ops in state i."""
-
-    @property
-    @abc.abstractmethod
-    def succ(self):
-        """int32 ``(capacity, max_ops)`` successor table; ``-1`` = unfilled."""
-
-    @property
-    @abc.abstractmethod
-    def goal_fit(self):
-        """float64 array of exact ``goal_fitness`` values per id."""
-
-    @property
-    @abc.abstractmethod
-    def goal_mask(self):
-        """bool array, ``goal_mask[i]`` = ``is_goal(state_of(i))``."""
-
-    @property
-    def op_cost(self):
-        """float64 ``(capacity, max_ops)`` cost table; ``None`` if unit-cost."""
-        return None
+    def code_of_key(self, key: Hashable) -> int:
+        """The code of the state whose ``domain.state_key`` is *key*."""
 
     @abc.abstractmethod
-    def intern(self, state: S) -> int:
-        """Id for *state*, interning it (and its row data) on first sight."""
+    def valid_count(self, codes):
+        """Number of valid operations in each code's state (all ``>= 1``)."""
 
     @abc.abstractmethod
-    def id_for_key(self, key: Hashable) -> Optional[int]:
-        """Id previously interned under ``domain.state_key`` *key*, or None.
+    def advance(self, codes, idx):
+        """Codes reached by taking slot ``idx[i]`` from state ``codes[i]``.
 
-        Used by dirty-prefix resume to re-enter the tables from a parent
-        plan's ``state_keys``; ``None`` (evicted or never seen) makes the
-        caller fall back to a full decode.
+        Every ``idx[i]`` is in ``[0, valid_count(codes)[i])``.
         """
 
     @abc.abstractmethod
-    def fill_transitions(self, ids, slots) -> None:
-        """Materialise ``succ`` (and ``op_cost``) for the given pairs.
+    def goal_mask(self, codes):
+        """bool array: whether each code's state is a goal (``is_goal``)."""
 
-        *ids*/*slots* are parallel int arrays of ``(state id, slot)`` pairs
-        whose ``succ`` entry is ``-1``; duplicates allowed.  Successor
-        states are interned as a side effect (arrays may reallocate).
-        """
-
-    def reset(self) -> None:
-        """Drop interned state (bounded-memory escape hatch); bumps epoch.
-
-        Dense kernels may keep their precompiled tables and make this a
-        no-op as long as ids remain stable (then ``epoch`` must not change).
-        """
-
-    @property
-    def overflowed(self) -> bool:
-        """Whether the table grew past its budget and wants a :meth:`reset`."""
-        return False
+    @abc.abstractmethod
+    def goal_fit(self, codes):
+        """float64 array of each code's exact ``goal_fitness``."""
 
     # -- reconstruction hooks (plan-keeping decodes) --------------------------
 
     @abc.abstractmethod
-    def state_of(self, sid: int) -> S:
-        """The concrete state object for an interned id."""
+    def state_of(self, code: int) -> S:
+        """The concrete state object a code stands for."""
 
     @abc.abstractmethod
-    def operations_of(self, sid: int) -> Sequence[O]:
-        """``domain.valid_operations(state_of(sid))`` as a cached tuple."""
+    def operations_of(self, codes, slots) -> list:
+        """The operation slot ``slots[i]`` selects in state ``codes[i]``.
 
-    def state_key_of(self, sid: int) -> Hashable:
-        """``domain.state_key(state_of(sid))`` (override to serve cached)."""
-        return self.domain.state_key(self.state_of(sid))
-
-    def decode_key_of(self, sid: int) -> Hashable:
-        """``domain.decode_key(state_of(sid))`` (override to serve cached)."""
-        return self.domain.decode_key(self.state_of(sid))
-
-    def state_keys_of(self, sids) -> list:
-        """State keys for an int array of ids, in order.
-
-        Bulk form of :meth:`state_key_of` — plan reconstruction asks for
-        a whole batch's worth of keys at once, and kernels whose keys
-        derive from packed rows can build them vectorised (one ``tolist``
-        instead of one genexpr per state).  The default just loops.
+        That is ``domain.valid_operations(state_of(codes[i]))[slots[i]]``,
+        the very objects the domain hands out, for parallel int arrays.
         """
-        return [self.state_key_of(int(s)) for s in sids]
 
-    def decode_keys_of(self, sids) -> list:
-        """Decode keys for an int array of ids, in order (bulk form)."""
-        return [self.decode_key_of(int(s)) for s in sids]
+    def state_keys_of(self, codes) -> list:
+        """``domain.state_key`` of each code's state, in order.
+
+        Plan reconstruction asks for a whole batch's keys at once; kernels
+        whose state key is the code itself return ``codes.tolist()``.  The
+        default goes through :meth:`state_of`.
+        """
+        key = self.domain.state_key
+        return [key(self.state_of(c)) for c in codes.tolist()]
+
+    def decode_keys_of(self, codes) -> list:
+        """``domain.decode_key`` of each code's state, in order."""
+        key = self.domain.decode_key
+        return [key(self.state_of(c)) for c in codes.tolist()]

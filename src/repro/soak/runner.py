@@ -86,6 +86,7 @@ class SoakConfig:
     ga_config: Optional[GAConfig] = None
 
     def __post_init__(self) -> None:
+        """Reject out-of-range parameters with a :class:`ValueError`."""
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.deadline_factor < 1.0:

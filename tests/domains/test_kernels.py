@@ -1,9 +1,10 @@
-"""Unit tests for the domain kernels (the array-native ABI, DESIGN.md §12).
+"""Unit tests for the domain kernels (the code ABI, DESIGN.md §12).
 
-Every kernel must agree with its domain's object API on every exposed
-table entry — the exactness contract the vector decoder builds on.  The
-specialised kernels (Hanoi, sliding tile, pocket cube) are checked by
-random walks through the object API; Hanoi's dense table exhaustively.
+Every kernel must agree with its domain's object API on every question,
+for the code of every state it can reach — the exactness contract the
+vector decoder builds on.  One hypothesis suite holds each kernel against
+the object API on the states of random walks; Hanoi's dense table is
+also checked exhaustively.
 """
 
 import gc
@@ -11,12 +12,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import make_rng
 from repro.domains import HanoiDomain, PocketCubeDomain, SlidingTileDomain
 from repro.domains.hanoi import _MAX_KERNEL_DISKS
-from repro.domains.kernels import _KERNEL_CACHE, TableKernel, cached_kernel, grow
+from repro.domains.kernels import _KERNEL_CACHE, cached_kernel
 from repro.domains.pocket_cube import scrambled_state
+from repro.domains.sliding_tile import goal_tuple, random_solvable_start
 
 
 def random_walk_states(domain, steps, seed):
@@ -26,47 +30,83 @@ def random_walk_states(domain, steps, seed):
     out = [state]
     for _ in range(steps):
         ops = domain.valid_operations(state)
-        if not ops:
-            break
         state = domain.apply(state, ops[int(rng.integers(0, len(ops)))])
         out.append(state)
     return out
 
 
 def assert_kernel_matches_domain(domain, states):
-    """Every table entry for *states* equals the object API's answer."""
+    """Every kernel answer for *states* equals the object API's."""
     kernel = domain.kernel()
     assert kernel is not None
-    for state in states:
-        sid = kernel.intern(state)
-        ops = tuple(domain.valid_operations(state))
-        assert int(kernel.valid_count[sid]) == len(ops)
-        assert tuple(kernel.operations_of(sid)) == ops
-        assert float(kernel.goal_fit[sid]) == float(domain.goal_fitness(state))
-        assert bool(kernel.goal_mask[sid]) == domain.is_goal(state)
-        assert kernel.state_key_of(sid) == domain.state_key(state)
-        assert kernel.decode_key_of(sid) == domain.decode_key(state)
-        assert kernel.id_for_key(domain.state_key(state)) == sid
-        if ops:
-            slots = np.arange(len(ops), dtype=np.int64)
-            ids = np.full(len(ops), sid, dtype=np.int64)
-            if (kernel.succ[sid, : len(ops)] < 0).any():
-                kernel.fill_transitions(ids, slots)
-            for slot, op in enumerate(ops):
-                nid = int(kernel.succ[sid, slot])
-                assert nid >= 0
-                assert kernel.state_key_of(nid) == domain.state_key(
-                    domain.apply(state, op)
-                )
+    codes = np.array(
+        [kernel.code_of_key(domain.state_key(s)) for s in states], dtype=kernel.code_dtype
+    )
+    counts = kernel.valid_count(codes).tolist()
+    fits = kernel.goal_fit(codes)
+    goals = kernel.goal_mask(codes).tolist()
+    assert kernel.state_keys_of(codes) == [domain.state_key(s) for s in states]
+    assert kernel.decode_keys_of(codes) == [domain.decode_key(s) for s in states]
+    for j, (code, state) in enumerate(zip(codes.tolist(), states)):
+        ops = list(domain.valid_operations(state))
+        assert counts[j] == len(ops) >= 1
+        # Bit-equal, not merely close.
+        assert fits[j].tobytes() == np.float64(domain.goal_fitness(state)).tobytes()
+        assert goals[j] == domain.is_goal(state)
+        assert kernel.state_of(code) == state
+        same = np.full(len(ops), code, dtype=kernel.code_dtype)
+        slots = np.arange(len(ops))
+        assert all(a is b for a, b in zip(kernel.operations_of(same, slots), ops))
+        assert kernel.advance(same, slots).tolist() == [
+            kernel.code_of_key(domain.state_key(domain.apply(state, op))) for op in ops
+        ]
+
+
+def _hanoi(n):
+    return lambda seed: HanoiDomain(n)
+
+
+def _tile(n):
+    return lambda seed: SlidingTileDomain(n, initial=random_solvable_start(n, make_rng(seed)))
+
+
+KERNEL_DOMAINS = {
+    **{f"hanoi-{n}": _hanoi(n) for n in range(1, 9)},
+    **{f"tile-{n}": _tile(n) for n in (2, 3, 4)},
+    "cube": lambda seed: PocketCubeDomain(scrambled_state(8, make_rng(seed))),
+}
+
+
+class TestKernelContract:
+    @given(
+        st.sampled_from(sorted(KERNEL_DOMAINS)),
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=0, max_value=80),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_object_api(self, name, seed, steps):
+        domain = KERNEL_DOMAINS[name](seed)
+        assert_kernel_matches_domain(domain, random_walk_states(domain, steps, seed + 1))
+
+    @pytest.mark.parametrize(
+        "domain, goal",
+        [(HanoiDomain(3), ((), (3, 2, 1), ())), (SlidingTileDomain(4), goal_tuple(4))],
+        ids=["hanoi", "tile"],
+    )
+    def test_goal_state_is_goal(self, domain, goal):
+        assert_kernel_matches_domain(domain, [goal])
+        kernel = domain.kernel()
+        code = np.array([kernel.code_of_key(domain.state_key(goal))], dtype=kernel.code_dtype)
+        assert kernel.goal_mask(code)[0] and kernel.goal_fit(code)[0] == 1.0
 
 
 class TestHanoiKernel:
     def test_exhaustive_table_matches_domain(self):
         domain = HanoiDomain(3)
         kernel = domain.kernel()
-        # Dense: every one of the 3^n states is pre-tabulated.
-        assert kernel.n_states == 3**3
-        states = [kernel.state_of(sid) for sid in range(kernel.n_states)]
+        # Dense: the codes 0 .. 3^n - 1 are exactly the states.
+        states = [kernel.state_of(code) for code in range(3**3)]
+        assert len(set(states)) == 3**3
         assert_kernel_matches_domain(domain, states)
 
     def test_size_cap_returns_none(self):
@@ -78,6 +118,14 @@ class TestHanoiKernel:
         assert domain.kernel() is domain.kernel()
         assert HanoiDomain(4).kernel() is not domain.kernel()
 
+    def test_plans_share_state_objects(self):
+        domain = HanoiDomain(4)
+        kernel = domain.kernel()
+        codes = np.array([5, 5, 7], dtype=kernel.code_dtype)
+        keys = kernel.state_keys_of(codes)
+        assert keys[0] is keys[1] is kernel.state_of(5)
+        assert kernel.state_keys_of(codes[2:])[0] is keys[2]
+
 
 class TestTileKernel:
     def test_random_walk_matches_domain(self):
@@ -85,20 +133,15 @@ class TestTileKernel:
         assert_kernel_matches_domain(domain, random_walk_states(domain, 200, 0))
 
     def test_decode_key_is_blank_position(self):
-        domain = SlidingTileDomain(3)
+        domain = SlidingTileDomain(4)
         kernel = domain.kernel()
-        state = domain.initial_state
-        sid = kernel.intern(state)
-        assert kernel.decode_key_of(sid) == domain.decode_key(state)
+        states = random_walk_states(domain, 40, 2)
+        codes = np.array([domain.state_key(s) for s in states], dtype=kernel.code_dtype)
+        assert kernel.decode_keys_of(codes) == [s.index(0) for s in states]
 
-    def test_reset_bumps_epoch_and_clears(self):
-        domain = SlidingTileDomain(3)
-        kernel = domain.kernel()
-        kernel.intern(domain.initial_state)
-        epoch = kernel.epoch
-        kernel.reset()
-        assert kernel.epoch == epoch + 1
-        assert kernel.id_for_key(domain.state_key(domain.initial_state)) is None
+    def test_boards_above_4x4_have_no_kernel(self):
+        assert SlidingTileDomain(4).kernel() is not None
+        assert SlidingTileDomain(5).kernel() is None
 
 
 class TestCubeKernel:
@@ -109,42 +152,11 @@ class TestCubeKernel:
     def test_solved_state_is_goal(self):
         domain = PocketCubeDomain()
         kernel = domain.kernel()
-        sid = kernel.intern(domain.initial_state)
-        assert bool(kernel.goal_mask[sid]) and float(kernel.goal_fit[sid]) == 1.0
-
-
-class TestTableKernel:
-    def test_matches_any_domain(self):
-        # The generic kernel against a specialised domain: same contract.
-        domain = HanoiDomain(3)
-        kernel = TableKernel(domain)
-        states = random_walk_states(domain, 60, 4)
-        for state in states:
-            sid = kernel.intern(state)
-            assert int(kernel.valid_count[sid]) == len(domain.valid_operations(state))
-            assert float(kernel.goal_fit[sid]) == float(domain.goal_fitness(state))
-
-    def test_overflow_flag(self):
-        domain = HanoiDomain(3)
-        kernel = TableKernel(domain, max_states=2)
-        for state in random_walk_states(domain, 10, 5):
-            kernel.intern(state)
-        assert kernel.overflowed
-        kernel.reset()
-        assert not kernel.overflowed
-
-    def test_rejects_bad_max_states(self):
-        with pytest.raises(ValueError):
-            TableKernel(HanoiDomain(3), max_states=0)
+        code = np.array([kernel.code_of_key(domain.state_key(domain.initial_state))])
+        assert bool(kernel.goal_mask(code)[0]) and float(kernel.goal_fit(code)[0]) == 1.0
 
 
 class TestHelpers:
-    def test_grow_doubles_and_fills(self):
-        arr = np.zeros((4, 2), dtype=np.int32)
-        out = grow(arr, 5, fill=-1)
-        assert out.shape[0] >= 5 and (out[4:] == -1).all()
-        assert grow(out, 3) is out  # no-op when capacity suffices
-
     def test_cached_kernel_negative_result(self):
         domain = HanoiDomain(3)
         calls = []
@@ -158,21 +170,13 @@ class TestHelpers:
         assert len(calls) == 1  # the negative probe is cached too
 
 
-class _TableHanoi(HanoiDomain):
-    """Hanoi served by the generic object-backed kernel."""
-
-    def kernel(self):
-        return cached_kernel(self, TableKernel)
-
-
 class TestKernelLifetime:
     """A kernel dies with its domain, freed by refcount alone (no GC pass)."""
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: HanoiDomain(5), lambda: SlidingTileDomain(3), PocketCubeDomain,
-         lambda: _TableHanoi(4)],
-        ids=["hanoi", "tile", "cube", "table"],
+        [lambda: HanoiDomain(5), lambda: SlidingTileDomain(3), PocketCubeDomain],
+        ids=["hanoi", "tile", "cube"],
     )
     def test_kernel_freed_with_domain(self, make):
         gc.collect()
@@ -180,7 +184,7 @@ class TestKernelLifetime:
         gc.disable()
         try:
             domain = make()
-            # Warm the tables through the object API's states first.
+            # Exercise the kernel through the object API's states first.
             assert_kernel_matches_domain(domain, random_walk_states(domain, 20, 1))
             assert len(_KERNEL_CACHE) == before + 1
             ref = weakref.ref(domain)

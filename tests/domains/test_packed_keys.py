@@ -1,11 +1,10 @@
 """The packed-int state keys of the sliding tile and the pocket cube.
 
-Both domains key a state by its cells packed one byte each into a Python
-int, and their kernels index states by that same int and hand it out as
-the state key (DESIGN.md §12).  These tests hold the key contract the
-decoders rely on — injective, shared between domain and kernel, and
-round-tripping through ids — and bound the memory one interned state
-costs, which is what the single key object buys.
+Both domains key a state by one Python int that is also its kernel code
+(DESIGN.md §12): the tile board at 4 bits per cell up to 4×4 (a byte per
+cell above), the cube's 40-bit cubie word.  These tests hold the key
+contract the decoders rely on — injective, and round-tripping through the
+kernel's codes — and check that a kernel walk keeps no memory per state.
 """
 
 import tracemalloc
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GAConfig, GARun, SerialEvaluator, make_rng, run_ga
+from repro.core import GAConfig, GARun, make_rng, run_ga
 from repro.domains import PocketCubeDomain, SlidingTileDomain
 from repro.domains.pocket_cube import scrambled_state
 from repro.domains.sliding_tile import random_solvable_start
@@ -27,16 +26,16 @@ def boards(n, count, seed):
     return [random_solvable_start(n, rng) for _ in range(count)]
 
 
-def assert_key_contract(domain, kernel, states):
+def assert_key_contract(domain, states):
     keys = [domain.state_key(s) for s in states]
     assert len(set(keys)) == len(set(states))  # distinct states, distinct keys
-    for state, key in zip(states, keys):
-        sid = kernel.intern(state)
-        assert kernel.id_for_key(key) == sid
-        assert kernel.state_key_of(sid) == key
-        assert kernel.state_of(sid) == state
-    sids = [kernel.id_for_key(k) for k in keys]
-    assert kernel.state_keys_of(np.asarray(sids)) == keys
+    kernel = domain.kernel()
+    if kernel is None:
+        return
+    codes = np.array([kernel.code_of_key(k) for k in keys], dtype=kernel.code_dtype)
+    assert codes.tolist() == keys  # the key is the code
+    assert kernel.state_keys_of(codes) == keys
+    assert [kernel.state_of(c) for c in keys] == states
 
 
 class TestTileKeys:
@@ -45,26 +44,14 @@ class TestTileKeys:
     def test_key_contract(self, n, seed):
         states = boards(n, 12, seed)
         domain = SlidingTileDomain(n, initial=states[0])
-        assert_key_contract(domain, domain.kernel(), states)
+        assert_key_contract(domain, states)
 
     def test_key_is_the_packed_board(self):
-        domain = SlidingTileDomain(3)
-        state = domain.initial_state
-        assert domain.state_key(state) == int.from_bytes(bytes(state), "little")
-
-    def test_kernel_serves_its_interned_key(self):
-        domain = SlidingTileDomain(4)
-        kernel = domain.kernel()
-        sid = kernel.intern(domain.initial_state)
-        assert kernel.state_key_of(sid) is kernel.state_keys_of(np.array([sid]))[0]
-
-    def test_foreign_key_misses(self):
-        domain = SlidingTileDomain(3)
-        kernel = domain.kernel()
-        state = domain.initial_state
-        kernel.intern(state)
-        assert kernel.id_for_key(state) is None  # the old tuple form
-        assert kernel.id_for_key(bytes(state)) is None
+        for n, bits in ((3, 4), (4, 4), (5, 8)):
+            domain = SlidingTileDomain(n)
+            state = domain.initial_state
+            want = sum(tile << (bits * i) for i, tile in enumerate(state))
+            assert domain.state_key(state) == want
 
     def test_board_wider_than_a_byte_per_cell_rejected(self):
         SlidingTileDomain(16, check_solvable=False)  # cells 0..255 still fit
@@ -85,21 +72,20 @@ class TestCubeKeys:
         rng = make_rng(seed)
         states = [scrambled_state(int(rng.integers(0, 12)), rng) for _ in range(12)]
         domain = PocketCubeDomain(states[0])
-        assert_key_contract(domain, domain.kernel(), states)
+        assert_key_contract(domain, states)
 
     def test_key_is_the_packed_cubies(self):
         cp, co = state = scrambled_state(6, make_rng(3))
-        assert PocketCubeDomain().state_key(state) == int.from_bytes(bytes(cp + co), "little")
-
-    def test_foreign_key_misses(self):
-        domain = PocketCubeDomain()
-        kernel = domain.kernel()
-        kernel.intern(domain.initial_state)
-        assert kernel.id_for_key(domain.initial_state) is None
+        want = sum(p << (3 * i) for i, p in enumerate(cp))
+        want |= sum(o << (24 + 2 * i) for i, o in enumerate(co))
+        assert PocketCubeDomain().state_key(state) == want
+        assert want < 2**40
 
 
-def test_tile5_vector_plans_match_oracle():
+def test_tile5_engine_plans_match_oracle():
+    # Boards above 4×4 have no kernel and decode on the engine.
     domain = SlidingTileDomain(5, initial=random_solvable_start(5, make_rng(5)))
+    assert domain.kernel() is None
     config = GAConfig(
         population_size=12, max_len=200, init_length=50,
         crossover="state-aware",
@@ -109,12 +95,13 @@ def test_tile5_vector_plans_match_oracle():
         GARun(domain, config, make_rng(9), evaluator=ReferenceEvaluator()),
     ]
     for _ in range(3):
-        vec_stats, ref_stats = (run.step() for run in runs)
-        assert vec_stats == ref_stats
+        eng_stats, ref_stats = (run.step() for run in runs)
+        assert eng_stats == ref_stats
+    assert runs[0].evaluator.vector_counters() is None
     for run in runs:
         run.evaluator.evaluate_buffer(run.buffer, run.context)
-    vec, ref = (run.population for run in runs)
-    for a, b in zip(vec, ref):
+    eng, ref = (run.population for run in runs)
+    for a, b in zip(eng, ref):
         assert a.decoded.operations == b.decoded.operations
         assert a.decoded.state_keys == b.decoded.state_keys
         assert a.decoded.match_keys == b.decoded.match_keys
@@ -122,24 +109,25 @@ def test_tile5_vector_plans_match_oracle():
         assert a.fitness == b.fitness
 
 
-def test_tile4_bytes_per_interned_state():
-    """One packed int per state: ≤ 360 traced bytes per interned state.
+def test_tile4_kernel_keeps_no_per_state_memory():
+    """A long tile4 walk leaves nothing behind in the kernel.
 
-    Traced memory covers the kernel's tables, its index dict and key
-    list, and the decoder's memo; this shape interns about 34.5k states.
-    A second per-state key object (a 16-int tuple is 168 B) breaks it.
+    Codes are the states, so the kernel has no table that grows with the
+    states reached; 2000 rows × 300 genes reach about 600k boards.
     """
-    config = GAConfig(population_size=100, max_len=512, init_length=128, stop_on_goal=False)
+    domain = SlidingTileDomain(4)
+    kernel = domain.kernel()
+    rng = make_rng(3)
+    codes = np.full(2000, domain.state_key(domain.initial_state), dtype=kernel.code_dtype)
     tracemalloc.start()
     try:
-        domain = SlidingTileDomain(4)
-        with SerialEvaluator() as evaluator:
-            run = GARun(domain, config, make_rng(7), evaluator=evaluator)
-            for _ in range(6):
-                run.step()
-            traced, _ = tracemalloc.get_traced_memory()
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(300):
+            k = kernel.valid_count(codes)
+            codes = kernel.advance(codes, (rng.random(codes.size) * k).astype(np.int64))
+        kernel.goal_fit(codes)
+        after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    states = domain.kernel().n_states
-    assert states > 30_000
-    assert traced / states <= 360, f"{traced / states:.0f} B per state over {states} states"
+    assert len(set(codes.tolist())) > 1000
+    assert after - before < 64 * 1024  # about one code array
