@@ -153,7 +153,7 @@ class GARun:
         self.evaluator.bind_observability(self.tracer, self.metrics, scope=scope)
         # The state-matching crossovers read parents' match_keys, so the
         # buffer must keep decoded plans; random crossover does not, which
-        # lets shared-memory dispatch skip shipping plans back.
+        # lets the process pool skip shipping plans back.
         self._keep_plans = config.crossover != "random"
         self.population = initial_population(config, rng, seeds=seeds)
         self.history = RunHistory()
@@ -181,7 +181,7 @@ class GARun:
         The population must be evaluated.  Survivors keep their order and
         the migrants follow; a stable argsort picks the same victims as a
         stable sort by total fitness.  A migrant that arrives evaluated but
-        without its plan (shared-memory dispatch under random crossover
+        without its plan (the process pool under random crossover
         ships fitness only) is decoded here when this run keeps plans,
         because the state-matching crossovers read parents' plans.
         """

@@ -4,11 +4,11 @@ Fitness evaluation dominates GA runtime (the paper calls it out: "The
 fitness evaluation time has a significant impact on the overall execution
 time of a GA"), and individuals are independent, so the population is an
 embarrassingly parallel workload.  The :class:`ProcessPoolEvaluator`
-decomposes it SPMD-style across worker processes — each worker holds its own
-copy of the (picklable) domain, reads its row range of a generation from a
-shared-memory segment and writes fitness values back in place; only row
-ranges, timings and (when the crossover needs them) decoded plans are
-pickled.
+decomposes it master–slave style across worker processes: each worker
+holds its own copy of the (picklable) domain, and each task carries one
+chunk of a generation's genomes as a single pickled array and returns the
+chunk's fitness columns, plus decoded plans only when the crossover needs
+them.
 
 On a single-core box (or for small populations, where dispatch dominates)
 use the default :class:`SerialEvaluator`.
@@ -27,11 +27,9 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,8 +60,8 @@ def build_evaluators(factory, n: int) -> list:
 
     If the k-th factory call raises, the k-1 evaluators already built are
     closed before the exception propagates — a bare list comprehension
-    would leak their worker pools and shared-memory segments.  Used by the
-    portfolio driver, which needs one evaluator per GA island.
+    would leak their worker pools.  Used by the portfolio driver, which
+    needs one evaluator per GA island.
     """
     evaluators: list = []
     try:
@@ -182,7 +180,7 @@ class Evaluator:
         return None
 
     def close(self) -> None:  # pragma: no cover - default no-op
-        """Release worker processes and shared memory (a no-op by default)."""
+        """Release worker processes (a no-op by default)."""
 
     def __enter__(self) -> "Evaluator":
         """Use the evaluator as a context manager that closes it on exit."""
@@ -379,132 +377,44 @@ def _init_worker(context: EvaluationContext) -> None:
         _WORKER_ENGINE.bind(context)
 
 
-# -- zero-copy shared-memory dispatch (DESIGN.md §11) --------------------------
-#
-# The parent publishes one generation's pending genomes into a shared-memory
-# segment — header, per-row start/length index arrays, the packed gene arena,
-# and result arrays the workers fill in place — and ships each worker only a
-# (segment name, row range) pair.  Segment layout, all 8-byte aligned:
-#
-#   int64[4]   header: n_rows, genes_len, need_plans, epoch
-#   int64[n]   starts   (row i's genes begin at genes[starts[i]])
-#   int64[n]   lengths
-#   f64[L]     genes    (L = genes_len)
-#   f64[n]     total    ┐
-#   f64[n]     goal     │ written by workers, disjoint row ranges
-#   f64[n]     cost     │
-#   int64[n]   reached  │
-#   int64[n]   plan_len ┘
-#
-# Workers attach by name once and cache the mapping; results cross back as
-# in-place array writes, so the only pickled return is the per-chunk timing
-# tuple (plus decoded plans when the crossover needs them).
+def _evaluate_chunk(genes: np.ndarray, starts: np.ndarray, lengths: np.ndarray, need_plans: bool):
+    """Decode one chunk's rows inside a worker.
 
-_SHM_HEADER_BYTES = 32
-
-_WORKER_SHM: dict = {}
-
-# Creating or unlinking a segment takes multiprocessing's resource-tracker
-# lock.  A worker forked while another thread holds that lock inherits it
-# locked, and then blocks forever when its own attach registers with the
-# tracker (Python < 3.13).  Threads racing one pool each (the portfolio's
-# GA islands) therefore create/unlink segments and submit work — which is
-# when the executor forks its workers — only under this one lock.
-_TRACKER_LOCK = threading.Lock()
-
-
-def _shm_layout(buf, n: int, genes_len: int) -> tuple:
-    """Numpy views over one segment's regions (shared parent/worker logic)."""
-    starts = np.frombuffer(buf, np.int64, n, offset=_SHM_HEADER_BYTES)
-    lengths = np.frombuffer(buf, np.int64, n, offset=_SHM_HEADER_BYTES + 8 * n)
-    genes = np.frombuffer(buf, np.float64, genes_len, offset=_SHM_HEADER_BYTES + 16 * n)
-    base = _SHM_HEADER_BYTES + 16 * n + 8 * genes_len
-    total = np.frombuffer(buf, np.float64, n, offset=base)
-    goal = np.frombuffer(buf, np.float64, n, offset=base + 8 * n)
-    cost = np.frombuffer(buf, np.float64, n, offset=base + 16 * n)
-    reached = np.frombuffer(buf, np.int64, n, offset=base + 24 * n)
-    plan_len = np.frombuffer(buf, np.int64, n, offset=base + 32 * n)
-    return starts, lengths, genes, total, goal, cost, reached, plan_len
-
-
-def _shm_segment_bytes(n: int, genes_len: int) -> int:
-    return _SHM_HEADER_BYTES + 16 * n + 8 * genes_len + 40 * n
-
-
-def _attach_worker_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to (and cache) the parent's segment inside a worker process.
-
-    The attachment should not register with the resource tracker: the
-    parent owns the segment's lifetime.  Python 3.13 has ``track=False``
-    for this; on older versions the attach-side registration lands in the
-    tracker the worker inherited by fork, where it is a duplicate of the
-    parent's own registration (set semantics) and therefore harmless — the
-    parent's ``unlink()`` clears it.  Deliberately no ``unregister()``
-    workaround: with a fork-shared tracker that would remove the *parent's*
-    registration and make the later unlink complain.
-    """
-    shm = _WORKER_SHM.get(name)
-    if shm is None:
-        # A new name means the parent recreated the segment (capacity growth
-        # or restart); stale attachments can be dropped.
-        for old_name in list(_WORKER_SHM):
-            _WORKER_SHM.pop(old_name).close()
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # pragma: no cover - Python < 3.13
-            shm = shared_memory.SharedMemory(name=name)
-        _WORKER_SHM[name] = shm
-    return shm
-
-
-def _evaluate_shm_chunk(name: str, start: int, stop: int):
-    """Evaluate rows ``[start, stop)`` of the published generation in place.
-
-    Results go straight into the segment's packed arrays; the return value
-    carries only ``(seconds, cache-stats, plans-or-None)``.
+    Row ``j`` of the chunk is ``genes[starts[j] : starts[j] + lengths[j]]``.
+    Returns ``(seconds, cache-stats, (total, goal, cost, reached),
+    plans-or-None)``, the fitness columns as arrays in chunk row order.
     """
     assert _WORKER_CONTEXT is not None, "worker not initialised"
     context = _WORKER_CONTEXT
-    shm = _attach_worker_shm(name)
-    header = np.frombuffer(shm.buf, np.int64, 4)
-    n, genes_len, need_plans = int(header[0]), int(header[1]), bool(header[2])
-    starts, lengths, genes, total, goal, cost, reached, plan_len = _shm_layout(
-        shm.buf, n, genes_len
-    )
-    plans: Optional[list] = [] if need_plans else None
     t0 = time.perf_counter()
     vdec = _WORKER_VDEC
     if vdec is not None:
-        # Vectorised decode of this worker's whole row range in one shot.
-        # Prefix hints never reach workers (plans live with the parent), so
-        # every row decodes from gene 0; plan objects are built only when
-        # the crossover needs them shipped back.
+        # Vectorised decode of the whole chunk in one shot.  Prefix hints
+        # never reach workers (plans live with the parent), so every row
+        # decodes from gene 0; plan objects are built only when the
+        # crossover needs them shipped back.
         vdec.bind(context)
-        v_total, v_goal, v_costf, v_reached, v_used, v_plans = vdec.decode_rows(
-            genes, starts[start:stop], lengths[start:stop], need_plans, None
+        total, goal, cost, reached, _used, plans = vdec.decode_rows(
+            genes, starts, lengths, need_plans, None
         )
-        sl = slice(start, stop)
-        total[sl] = v_total
-        goal[sl] = v_goal
-        cost[sl] = v_costf
-        reached[sl] = v_reached
-        plan_len[sl] = v_used  # every consumed gene is one operation
-        if plans is not None:
-            plans.extend(v_plans)
         seconds = time.perf_counter() - t0
-        return seconds, (0, 0, 0, 0), plans
+        return seconds, (0, 0, 0, 0), (total, goal, cost, reached), plans if need_plans else None
     engine = _WORKER_ENGINE
     fitness_fn = context.fitness
+    n = len(starts)
+    total = np.empty(n, dtype=np.float64)
+    goal = np.empty(n, dtype=np.float64)
+    cost = np.empty(n, dtype=np.float64)
+    reached = np.empty(n, dtype=bool)
+    plans: Optional[list] = [] if need_plans else None
     c0 = engine.counters()
-    for j in range(start, stop):
-        g = genes[starts[j] : starts[j] + lengths[j]]
-        decoded = engine.decode(g)
+    for j in range(n):
+        decoded = engine.decode(genes[starts[j] : starts[j] + lengths[j]])
         fit = fitness_fn(decoded)
         total[j] = fit.total
         goal[j] = fit.goal
         cost[j] = fit.cost
-        reached[j] = 1 if fit.goal_reached else 0
-        plan_len[j] = len(decoded.operations)
+        reached[j] = fit.goal_reached
         if plans is not None:
             plans.append(decoded)
     seconds = time.perf_counter() - t0
@@ -515,7 +425,16 @@ def _evaluate_shm_chunk(name: str, start: int, stop: int):
         c1["transition_cache_hits"] - c0["transition_cache_hits"],
         c1["transition_cache_misses"] - c0["transition_cache_misses"],
     )
-    return seconds, stats, plans
+    return seconds, stats, (total, goal, cost, reached), plans
+
+
+def _pack_rows(buffer: PopulationBuffer, rows: np.ndarray) -> tuple:
+    """``(genes, starts, lengths)`` of *rows*, packed back to back in order."""
+    lengths = buffer.lengths[rows]
+    starts = np.zeros(len(rows), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    genes = np.concatenate([buffer.view(int(r)) for r in rows])
+    return genes, starts, lengths
 
 
 class ProcessPoolEvaluator(Evaluator):
@@ -531,36 +450,27 @@ class ProcessPoolEvaluator(Evaluator):
     workers would silently use stale state otherwise; build one evaluator
     per phase/start-state instead.
 
-    ``processes=None`` (the default) uses one worker per CPU.
-    ``chunk_size=None`` (the default) derives the chunk size per batch as
-    ``ceil(pending / (processes * 4))`` — four waves per worker, so small
-    populations stop paying one-genome-per-chunk dispatch overhead while
-    load balancing survives uneven chunks; pass an int to pin it.  Every
-    batch publishes its genomes through one shared-memory segment and
-    workers receive only row ranges (DESIGN.md §11).
+    ``processes=None`` (the default) uses one worker per CPU.  Each batch is
+    cut into ``ceil(pending / (processes * 4))``-row chunks — four waves per
+    worker, so small populations stop paying one-genome-per-chunk dispatch
+    overhead while load balancing survives uneven chunks.  A chunk's genes
+    travel to its worker as one pickled array (DESIGN.md §11).
     """
 
     def __init__(
         self,
         context: Optional[EvaluationContext] = None,
         processes: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         timeout_s: Optional[float] = None,
     ) -> None:
         if processes is not None and processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
         self.context = context
-        self.chunk_size = chunk_size
         self.timeout_s = timeout_s
         self.processes = processes if processes is not None else max(1, os.cpu_count() or 1)
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._segment: Optional[shared_memory.SharedMemory] = None
-        self._zombie_segments: List[shared_memory.SharedMemory] = []
-        self._epoch = 0
         self._cache_hits = 0
         self._cache_misses = 0
         if context is not None:
@@ -610,56 +520,8 @@ class ProcessPoolEvaluator(Evaluator):
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-        # The old segment may hold garbage from the failed batch (and dead
-        # workers' attachments die with them); publish into a fresh one.
-        self._release_segment()
         if self.context is not None:
             self._start_pool(self.context)
-
-    def _effective_chunk_size(self, count: int) -> int:
-        """Explicit ``chunk_size`` if given, else auto-size to 4 waves/worker."""
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, math.ceil(count / (self.processes * 4)))
-
-    def _ensure_segment(self, nbytes: int) -> shared_memory.SharedMemory:
-        """The publish target, recreated (fresh name) when capacity is short."""
-        if self._segment is not None and self._segment.size >= nbytes:
-            return self._segment
-        self._release_segment()
-        # Over-allocate so genome-length drift doesn't recreate every
-        # generation; names are kernel-generated, so never reused.
-        with _TRACKER_LOCK:
-            self._segment = shared_memory.SharedMemory(
-                create=True, size=max(64, nbytes + nbytes // 4)
-            )
-        return self._segment
-
-    def _release_segment(self) -> None:
-        # Zombies are already-unlinked segments whose mapping was pinned by
-        # numpy views at release time (a failed batch's traceback keeps the
-        # evaluate_buffer frame alive); retry closing them now that the
-        # pinning frames have likely died.
-        for zombie in self._zombie_segments[:]:
-            try:
-                zombie.close()
-                self._zombie_segments.remove(zombie)
-            except BufferError:  # pragma: no cover - still pinned
-                pass
-        if self._segment is None:
-            return
-        segment, self._segment = self._segment, None
-        try:
-            with _TRACKER_LOCK:
-                segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - views pinned by a traceback
-            # Unlinked already (no /dev/shm leak), so just park it; closing
-            # here would also fail again in __del__ as an unraisable error.
-            self._zombie_segments.append(segment)
 
     def submit(self, fn: Callable, *args) -> Future:
         """Run *fn(*args)* on one worker — health probes and fault injection.
@@ -671,8 +533,7 @@ class ProcessPoolEvaluator(Evaluator):
         if self._pool is None:
             raise RuntimeError("pool not started; evaluate once or call ensure_started()")
         try:
-            with _TRACKER_LOCK:
-                return self._pool.submit(fn, *args)
+            return self._pool.submit(fn, *args)
         except BrokenProcessPool as exc:
             raise WorkerPoolError(
                 "worker pool is broken: a worker process died since the last batch; "
@@ -688,122 +549,69 @@ class ProcessPoolEvaluator(Evaluator):
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
         """Evaluate a population buffer's pending rows across the pool.
 
-        Pending rows are published into the shared-memory segment; workers
-        receive only row ranges and write packed fitness arrays in place.
-        Decoded plans cross the boundary only when the buffer keeps them
-        (state-matching crossovers); otherwise the generation best is
-        decoded lazily by the caller.  Rows are only written after every
-        chunk returned, so a failed batch leaves the buffer un-evaluated and
-        safe to retry.
+        The pending rows are cut into chunks, and each chunk's genes are
+        packed into one array for its worker, which returns the chunk's
+        fitness columns.  Decoded plans cross the boundary only when the
+        buffer keeps them (state-matching crossovers); otherwise the
+        generation best is decoded lazily by the caller.  Rows are only
+        written after every chunk returned, so a failed batch leaves the
+        buffer un-evaluated and safe to retry.
         """
         self.ensure_started(context)
         assert self._pool is not None
-        pending = [int(i) for i in np.flatnonzero(~buffer.evaluated)]
-        if not pending:
+        pending = np.flatnonzero(~buffer.evaluated)
+        if not pending.size:
             return
         need_plans = buffer.keep_plans
-        size = self._effective_chunk_size(len(pending))
-        starts = list(range(0, len(pending), size))
+        size = math.ceil(pending.size / (self.processes * 4))
+        chunks = [pending[s : s + size] for s in range(0, pending.size, size)]
         t0 = time.perf_counter()
+        genes, starts, lengths = zip(*(_pack_rows(buffer, rows) for rows in chunks))
         try:
-            name, published, result_views = self._publish(buffer, pending, need_plans)
             # ``timeout_s`` bounds the whole batch: map's iterator raises
             # TimeoutError measured from the map() call, so one hung
             # worker cannot wedge the run.  TimeoutError propagates
             # as-is (the pool object itself is still consistent).
-            with _TRACKER_LOCK:  # map submits (and forks) eagerly
-                chunks = self._pool.map(
-                    _evaluate_shm_chunk,
-                    [name] * len(starts),
+            outputs = list(
+                self._pool.map(
+                    _evaluate_chunk,
+                    genes,
                     starts,
-                    [min(s + size, len(pending)) for s in starts],
+                    lengths,
+                    [need_plans] * len(chunks),
                     timeout=self.timeout_s,
                 )
-            outputs = list(chunks)
-            results = self._collect_shm_results(pending, result_views, outputs, need_plans)
+            )
         except BrokenProcessPool as exc:
             raise WorkerPoolError(
-                f"worker pool broke while evaluating {len(pending)} individuals on "
+                f"worker pool broke while evaluating {pending.size} individuals on "
                 f"domain {type(context.domain).__name__}: worker process(es) died "
                 f"(crash, OOM kill, or an initializer error); call restart() and "
                 f"retry, or fall back to SerialEvaluator — ResilientEvaluator "
                 f"automates both"
             ) from exc
-        finally:
-            # Drop our views into the segment before the exception (whose
-            # traceback pins this frame) propagates — otherwise restart()
-            # cannot unmap the segment and close() degrades to a zombie.
-            result_views = None  # noqa: F841
         seconds = time.perf_counter() - t0
         # No partial writes: the buffer is only mutated after every chunk
         # returned, so a failed batch is safe to retry.
-        for row, (decoded, fitness) in zip(pending, results):
-            buffer.set_result(row, decoded, fitness)
+        for rows, (_, _, (total, goal, cost, reached), plans) in zip(chunks, outputs):
+            for j, row in enumerate(rows.tolist()):
+                fitness = FitnessResult(
+                    goal=float(goal[j]),
+                    cost=float(cost[j]),
+                    total=float(total[j]),
+                    goal_reached=bool(reached[j]),
+                )
+                buffer.set_result(row, plans[j] if plans is not None else None, fitness)
         if self.instrumented:
-            self._record_batch_metrics(
-                n_pending=len(pending),
-                seconds=seconds,
-                outputs=outputs,
-                n_chunks=len(starts),
-                published=published,
-            )
+            self._record_batch_metrics(pending.size, seconds, outputs)
 
-    def _publish(self, buffer, rows: List[int], need_plans: bool):
-        """Write the pending rows into the segment; returns name, bytes, views."""
-        n = len(rows)
-        lengths = np.fromiter((int(buffer.lengths[r]) for r in rows), np.int64, n)
-        starts = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.cumsum(lengths[:-1], out=starts[1:])
-        genes_len = int(lengths.sum())
-        segment = self._ensure_segment(_shm_segment_bytes(n, genes_len))
-        self._epoch += 1
-        header = np.frombuffer(segment.buf, np.int64, 4)
-        header[:] = (n, genes_len, 1 if need_plans else 0, self._epoch)
-        views = _shm_layout(segment.buf, n, genes_len)
-        shm_starts, shm_lengths, shm_genes = views[0], views[1], views[2]
-        shm_starts[:] = starts
-        shm_lengths[:] = lengths
-        for s, length, r in zip(starts, lengths, rows):
-            shm_genes[s : s + length] = buffer.view(r)
-        published = _SHM_HEADER_BYTES + 16 * n + 8 * genes_len
-        return segment.name, published, views[3:]
-
-    @staticmethod
-    def _collect_shm_results(
-        rows: List[int], result_views, outputs, need_plans: bool
-    ) -> List[tuple]:
-        """Rebuild ``(plan, FitnessResult)`` pairs from the packed arrays."""
-        total, goal, cost, reached, _plan_len = result_views
-        if need_plans:
-            plans: List[object] = []
-            for _, _, chunk_plans in outputs:
-                plans.extend(chunk_plans)
-        results = []
-        for j in range(len(rows)):
-            fitness = FitnessResult(
-                goal=float(goal[j]),
-                cost=float(cost[j]),
-                total=float(total[j]),
-                goal_reached=bool(reached[j]),
-            )
-            results.append((plans[j] if need_plans else None, fitness))
-        return results
-
-    def _record_batch_metrics(
-        self,
-        n_pending: int,
-        seconds: float,
-        outputs: List[tuple],
-        n_chunks: int,
-        published: int,
-    ) -> None:
+    def _record_batch_metrics(self, n_pending: int, seconds: float, outputs: List[tuple]) -> None:
         """Batch metrics and the ``evaluation-batch`` event."""
-        worker_s = sum(s for s, _, _ in outputs)
-        hits = sum(st[0] for _, st, _ in outputs)
-        misses = sum(st[1] for _, st, _ in outputs)
-        trans_hits = sum(st[2] for _, st, _ in outputs)
-        trans_misses = sum(st[3] for _, st, _ in outputs)
+        worker_s = sum(out[0] for out in outputs)
+        hits = sum(out[1][0] for out in outputs)
+        misses = sum(out[1][1] for out in outputs)
+        trans_hits = sum(out[1][2] for out in outputs)
+        trans_misses = sum(out[1][3] for out in outputs)
         self._cache_hits += hits
         self._cache_misses += misses
         if self._metrics is not None:
@@ -811,16 +619,11 @@ class ProcessPoolEvaluator(Evaluator):
             m.counter("evals").add(n_pending)
             m.timer("eval_batch").record(seconds)
             m.timer("dispatch").record(max(0.0, seconds - worker_s / self.processes))
-            if n_chunks:
-                m.timer("worker_eval").record(worker_s, count=n_chunks)
+            m.timer("worker_eval").record(worker_s, count=len(outputs))
             m.counter("decode_cache_hits").add(hits)
             m.counter("decode_cache_misses").add(misses)
             m.counter("transition_cache_hits").add(trans_hits)
             m.counter("transition_cache_misses").add(trans_misses)
-            m.counter("shm_bytes_published").add(published)
-            # Lower bound: the gene payload alone no longer crosses the
-            # pipe (index arrays and pickle framing are gravy on top).
-            m.counter("dispatch_bytes_saved").add(max(0, published - _SHM_HEADER_BYTES))
         if self._tracer.enabled:
             self._tracer.emit(
                 EvaluationBatch(
@@ -828,15 +631,14 @@ class ProcessPoolEvaluator(Evaluator):
                     n_evaluated=n_pending,
                     seconds=seconds,
                     mode="process",
-                    chunks=n_chunks,
+                    chunks=len(outputs),
                     cache_hits=hits,
                     cache_misses=misses,
                 )
             )
 
     def close(self) -> None:
-        """Shut the worker pool down (waiting for it) and unlink the segment."""
+        """Shut the worker pool down, waiting for its workers to exit."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._release_segment()

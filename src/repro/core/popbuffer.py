@@ -70,13 +70,12 @@ class PopulationBuffer:
         ``prefix_plans``.
     plans:
         Decoded phenotype per evaluated row, or ``None`` when the evaluator
-        skipped shipping plans (shared-memory dispatch with
-        ``keep_plans=False``).
+        built none (``keep_plans=False``).
     keep_plans:
         Whether evaluators must populate ``plans``.  Required by the
         state-matching crossovers (they read parents' ``match_keys``); the
-        random crossover leaves it off so shared-memory dispatch can return
-        packed fitness arrays only.
+        random crossover leaves it off so pool workers return fitness
+        columns only.
     """
 
     __slots__ = (
@@ -186,7 +185,7 @@ class PopulationBuffer:
         )
 
     def set_result(self, i: int, decoded, fitness) -> None:
-        """Record row *i*'s evaluation (plan may be None under shm dispatch)."""
+        """Record row *i*'s evaluation (plan may be None when plans are not kept)."""
         self.plans[i] = decoded
         self.total[i] = fitness.total
         self.goal[i] = fitness.goal

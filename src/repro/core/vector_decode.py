@@ -296,7 +296,7 @@ class VectorDecoder:
         arrays and the ``plans`` list, whatever ``buffer.keep_plans`` says:
         in-process a plan costs no shipping, and it lets the next
         generation's breeding carry prefix hints even under the random
-        crossover (only shared-memory dispatch legitimately skips plans).
+        crossover (only the process pool legitimately skips plans).
         Prefix hints are consumed and cleared.
         """
         pending, hints = buffer.pending_hints()

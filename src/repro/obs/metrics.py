@@ -97,18 +97,6 @@ CANONICAL_INSTRUMENTS: Tuple[InstrumentSpec, ...] = (
         "decode_fallbacks", "counter", "core", "prefix resumes abandoned for a full decode"
     ),
     InstrumentSpec("memo_evictions", "counter", "core", "fitness-memo entries dropped by resets"),
-    InstrumentSpec(
-        "shm_bytes_published",
-        "counter",
-        "core",
-        "bytes written into the shared-memory segment per batch",
-    ),
-    InstrumentSpec(
-        "dispatch_bytes_saved",
-        "counter",
-        "core",
-        "gene-payload bytes that skipped pickling via shared-memory dispatch",
-    ),
     InstrumentSpec("vector_rows", "counter", "core", "population rows decoded by the vector path"),
     InstrumentSpec("vector_genes", "counter", "core", "genes consumed by the vector decode path"),
     InstrumentSpec("checkpoints_recovered", "counter", "core", "corrupt checkpoints skipped"),

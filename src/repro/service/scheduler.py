@@ -643,9 +643,8 @@ class RunScheduler:
         For shutdown, once nothing steps the scheduler any more (after
         :meth:`ServicePool.stop`): every unfinished run is then queued
         between slices, and one that has started holds a leased engine and
-        an evaluator — for a ``resilient`` request a process pool and a
-        shared-memory segment, which would otherwise be left to the
-        multiprocessing resource tracker at exit.
+        an evaluator — for a ``resilient`` request a process pool, which
+        would otherwise be left to the executor's interpreter-exit hook.
         """
         with self._work:
             runs = [run for queue in self._queues.values() for run in queue]

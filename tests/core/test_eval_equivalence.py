@@ -117,7 +117,7 @@ class TestProcessPoolEquivalence:
         config = GAConfig(
             population_size=16, generations=6, max_len=32, init_length=10
         )
-        with ProcessPoolEvaluator(processes=2, chunk_size=4) as pool:
+        with ProcessPoolEvaluator(processes=2) as pool:
             on = run_ga(domain, config, make_rng(7), evaluator=pool)
         off = run_ga(domain, config, make_rng(7), evaluator=ReferenceEvaluator())
         assert_results_identical(on, off)

@@ -10,8 +10,10 @@ from repro.core import (
     Individual,
     ProcessPoolEvaluator,
     SerialEvaluator,
+    make_rng,
 )
-from repro.domains import HanoiDomain
+from repro.core.popbuffer import PopulationBuffer
+from repro.domains import BlocksWorldDomain, HanoiDomain
 
 
 def _context(domain):
@@ -86,11 +88,43 @@ class TestProcessPoolEvaluator:
             ind.fitness = None
         ctx = _context(hanoi3)
         SerialEvaluator().evaluate(pop_a, ctx)
-        with ProcessPoolEvaluator(ctx, processes=2, chunk_size=3) as ev:
+        with ProcessPoolEvaluator(ctx, processes=2) as ev:
             ev.evaluate(pop_b, ctx)
         for a, b in zip(pop_a, pop_b):
-            assert a.fitness.total == pytest.approx(b.fitness.total)
+            assert a.fitness == b.fitness
             assert a.decoded.operations == b.decoded.operations
+
+    @pytest.mark.parametrize("keep_plans", [True, False])
+    @pytest.mark.parametrize("domain_name", ["hanoi3", "blocks"])
+    def test_scattered_pending_rows_land_on_their_rows(self, domain_name, keep_plans):
+        # Hanoi-3 decodes on the workers' vector decoder, Blocks World on
+        # their engine.  Pending rows are scattered and of mixed length, so
+        # every chunk packs rows from non-adjacent arena slices.
+        domain = (
+            HanoiDomain(3)
+            if domain_name == "hanoi3"
+            else BlocksWorldDomain([["a", "b", "c"]], [["c", "b", "a"]])
+        )
+        ctx = _context(domain)
+        rng = make_rng(31)
+        pop = [Individual.random(int(rng.integers(1, 20)), rng) for _ in range(30)]
+        buffer = PopulationBuffer.from_individuals(pop, keep_plans=keep_plans)
+        done = [i for i in range(30) if i % 3 == 1]
+        for i in done:
+            decoded = ctx.decode_genes(buffer.view(i))
+            buffer.set_result(i, "kept", ctx.fitness(decoded))
+        with ProcessPoolEvaluator(ctx, processes=2) as ev:
+            ev.evaluate_buffer(buffer, ctx)
+        assert buffer.evaluated.all()
+        for i in range(30):
+            decoded = ctx.decode_genes(buffer.view(i))
+            assert buffer.fitness_result(i) == ctx.fitness(decoded)
+            if i in done:
+                assert buffer.plans[i] == "kept"
+            elif keep_plans:
+                assert buffer.plans[i].operations == decoded.operations
+            else:
+                assert buffer.plans[i] is None
 
     def test_rejects_foreign_context(self, hanoi3, rng):
         ctx = _context(hanoi3)
@@ -107,10 +141,6 @@ class TestProcessPoolEvaluator:
             ev.evaluate([], ctx)
             ev.evaluate(pop, ctx)  # nothing pending
         assert pop[0].is_evaluated
-
-    def test_bad_chunk_size(self, hanoi3):
-        with pytest.raises(ValueError):
-            ProcessPoolEvaluator(_context(hanoi3), chunk_size=0)
 
     @pytest.mark.parametrize("processes", [0, -2])
     def test_bad_process_count(self, processes):

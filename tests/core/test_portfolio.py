@@ -28,7 +28,7 @@ from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
 from repro.core.portfolio import _build_workers
 from repro.domains import HanoiDomain
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer
-from tests.core.test_shm_lifecycle import shm_entries
+from tests.core.test_pool_lifecycle import shm_entries
 from tests.oracle import ReferenceEvaluator
 
 

@@ -229,7 +229,7 @@ class TestSerialVsProcessEquivalence:
 
         pool_metrics = MetricsRegistry()
         pool_recorder = MemoryRecorder()
-        with ProcessPoolEvaluator(processes=2, chunk_size=4) as pool:
+        with ProcessPoolEvaluator(processes=2) as pool:
             pool.bind_observability(Tracer([pool_recorder]), pool_metrics)
             pool.evaluate([ind.copy() for ind in population], context)
 
@@ -249,4 +249,5 @@ class TestSerialVsProcessEquivalence:
         assert len(batches) == 1
         assert batches[0].mode == "process"
         assert batches[0].n_evaluated == len(population)
-        assert batches[0].chunks == 3
+        # 12 rows over 2 processes: chunks of ceil(12 / 8) = 2 rows.
+        assert batches[0].chunks == 6
