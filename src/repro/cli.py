@@ -751,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print per-slice progress events as they happen")
     p.add_argument(
         "--evaluator", choices=("serial", "resilient"), default="serial",
-        help="serial shares the warm engine; resilient adds the retry/degrade ladder",
+        help="serial decodes on the warm pair's decoder; resilient adds the retry/degrade ladder",
     )
     p.add_argument("--timeout", type=float, default=60.0, help="socket timeout in seconds")
     p.add_argument("--show-plan", action="store_true")

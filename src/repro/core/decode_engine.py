@@ -4,7 +4,7 @@ Decoding dominates GA runtime (the paper: "the fitness evaluation time has
 a significant impact on the overall execution time of a GA"), and most of
 that work is redundant — the whole population re-walks heavily overlapping
 state trajectories from one start state every generation.  This module
-makes evaluation cost proportional to *what changed*, via four composable
+makes evaluation cost proportional to *what changed*, via three composable
 layers (DESIGN.md §9):
 
 1. **Transition memoisation** (:class:`TransitionCache`) — extends the
@@ -20,19 +20,14 @@ layers (DESIGN.md §9):
    retained prefix instead of the start state.  ``dirty_from`` is
    *conservative*: genes before it are byte-identical to the parent's, so
    the resumed walk is exact, never approximate.
-3. **Fitness memo** — a ``genes.tobytes()``-fingerprint memo that the
-   planning service attaches per request trajectory
-   (:meth:`DecodeEngine.swap_memo`), so a repeated request replays whole
-   populations without decoding.  A GA run attaches none: breeding hands
-   unchanged clones and elites their parent's evaluation, so an evaluator
-   only ever receives new genomes.  A hit is *exact* because decoding and
-   fitness are deterministic functions of the genome bytes (given a fixed
-   domain, start state, weights and truncation flag — all part of the
-   memo signature).
-4. **Cache lifetime** — one :class:`DecodeEngine` persists across
-   generations, phases and islands; an attached fitness memo is
-   invalidated when the start state or fitness signature changes, while
-   the transition tables (keyed by state identity) survive.
+3. **Cache lifetime** — one :class:`DecodeEngine` persists across
+   generations, phases and islands; the transition tables (keyed by state
+   identity) survive a change of start state or fitness weights.
+
+The engine serves domains without a :class:`~repro.protocol.DomainKernel`;
+a domain with one decodes on its codes (DESIGN.md §12).  The planning
+service's fitness memo sits in front of either decoder
+(:class:`~repro.core.parallel.FitnessMemo`).
 
 Exactness contract: decoded plans, fitness values and whole GA
 trajectories are *bit-identical* to the reference decoder
@@ -46,25 +41,14 @@ left-to-right in gene order, exactly as the naive decoder does.
 
 from __future__ import annotations
 
-from typing import Hashable, NamedTuple, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.encoding import DecodedPlan
 from repro.protocol import PlanningDomain
 
-__all__ = ["TransitionCache", "DecodeEngine", "FitnessMemo"]
-
-
-class FitnessMemo(NamedTuple):
-    """A fitness memo detached from its engine (see :meth:`DecodeEngine.swap_memo`).
-
-    ``entries`` maps genome fingerprints to ``(decoded, fitness)``; ``sig``
-    is the bind signature they were scored under (``None`` when empty).
-    """
-
-    sig: Optional[tuple]
-    entries: dict
+__all__ = ["TransitionCache", "DecodeEngine"]
 
 
 class _NeedsFullWalk(Exception):
@@ -386,49 +370,28 @@ class DecodeEngine:
     once per batch with the current :class:`~repro.core.parallel.
     EvaluationContext` and rebuilds the transition tables only when the
     *domain* changes.
-
-    The engine holds no fitness memo until :meth:`swap_memo` installs one;
-    the planning service does, per request trajectory, so a repeated
-    request replays whole populations.  An installed memo is invalidated
-    when the start state, truncation flag or fitness weights change (its
-    results depend on all of them; the transition tables do not) and is
-    cleared wholesale once it holds :attr:`memo_entries` genomes.
     """
-
-    #: Bound on an installed memo; a full memo is cleared wholesale.
-    memo_entries = 100_000
 
     def __init__(self, max_entries: int = 200_000) -> None:
         self.max_entries = max_entries
         self._cache: Optional[TransitionCache] = None
         self._domain: Optional[PlanningDomain] = None
         self._sig: Optional[tuple] = None
-        self._memo: Optional[dict] = None
-        self._memo_sig: Optional[tuple] = None
         self._start_state: object = None
         self._start_key: Optional[Hashable] = None
         self._start_goal: bool = False
         self._truncate: bool = True
-        self.evals_skipped = 0
         self.genes_reused = 0
-        self.memo_evictions = 0
 
     @property
     def active(self) -> bool:
         """Whether the engine has been bound to a context at least once."""
         return self._cache is not None
 
-    @property
-    def memoizing(self) -> bool:
-        """Whether a fitness memo is installed (see :meth:`swap_memo`)."""
-        return self._memo is not None
-
     def bind(self, context) -> None:
         """(Re)target the engine at *context*, invalidating what must be."""
         domain = context.domain
         if self._cache is None or self._domain is not domain:
-            if self._domain is not None:
-                self._memo_sig = None  # a memo never crosses domains
             self._cache = TransitionCache(domain, self.max_entries)
             self._domain = domain
             self._sig = None
@@ -436,10 +399,6 @@ class DecodeEngine:
         start_key = domain.state_key(start)
         fit = context.fitness
         sig = (start_key, context.truncate_at_goal, fit.goal_weight, fit.cost_weight)
-        if sig != self._memo_sig:
-            if self._memo is not None:
-                self._memo.clear()
-            self._memo_sig = sig
         if sig != self._sig:
             self._sig = sig
             self._start_state = start
@@ -447,43 +406,6 @@ class DecodeEngine:
             self._start_goal = bool(domain.is_goal(start))
             self._truncate = context.truncate_at_goal
             self._cache.pin(start_key, start)
-
-    def swap_memo(self, memo: Optional[FitnessMemo] = None) -> Optional[FitnessMemo]:
-        """Install *memo* (``None`` detaches); return the one replaced, if any.
-
-        The planning service moves one request trajectory's memo between
-        engines this way.  The caller vouches that *memo* was scored on a
-        domain equal to the one this engine is (or will first be) bound to;
-        a memo scored under another signature is dropped at the next
-        :meth:`bind`, so every hit is still decided by the signature check
-        and the genome fingerprint alone.
-        """
-        old = FitnessMemo(self._memo_sig, self._memo) if self._memo is not None else None
-        if memo is None:
-            self._memo = None
-        else:
-            self._memo_sig, self._memo = memo
-        return old
-
-    # -- the layers -----------------------------------------------------------
-
-    def lookup(self, fingerprint: bytes):
-        """Memoised ``(decoded, fitness)`` for a genome, or None."""
-        memo = self._memo
-        hit = memo.get(fingerprint) if memo is not None else None
-        if hit is not None:
-            self.evals_skipped += 1
-        return hit
-
-    def store(self, fingerprint: bytes, decoded: DecodedPlan, fitness) -> None:
-        """Memoise a genome's ``(decoded, fitness)``; a no-op without a memo."""
-        memo = self._memo
-        if memo is None:
-            return
-        if len(memo) >= self.memo_entries:
-            self.memo_evictions += len(memo)
-            memo.clear()
-        memo[fingerprint] = (decoded, fitness)
 
     def decode(
         self,
@@ -524,7 +446,5 @@ class DecodeEngine:
             "transition_cache_misses": c.trans_misses if c else 0,
             "transition_cache_evictions": c.trans_evictions if c else 0,
             "decode_fallbacks": c.fallbacks if c else 0,
-            "evals_skipped": self.evals_skipped,
             "genes_reused": self.genes_reused,
-            "memo_evictions": self.memo_evictions,
         }

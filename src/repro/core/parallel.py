@@ -30,13 +30,13 @@ import pickle
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.decode_engine import DecodeEngine
 from repro.core.encoding import decode
-from repro.core.fitness import FitnessFunction, FitnessResult
+from repro.core.fitness import FitnessFunction
 from repro.core.popbuffer import PopulationBuffer
 from repro.core.vector_decode import VectorDecoder
 from repro.obs.events import EvaluationBatch
@@ -50,6 +50,7 @@ __all__ = [
     "SerialEvaluator",
     "ProcessPoolEvaluator",
     "EvaluationContext",
+    "FitnessMemo",
     "WorkerPoolError",
     "build_evaluators",
 ]
@@ -103,22 +104,33 @@ class EvaluationContext:
         self.truncate_at_goal = truncate_at_goal
 
     def resolve_vector(self) -> bool:
-        """Whether the domain has a kernel, so the vectorised decode can run.
+        """Whether the domain has a kernel, so the code decoder can run.
 
-        An evaluator without an injected decode engine (and every pool
-        worker) takes the vector path exactly when this holds (DESIGN.md
-        §12).
+        An evaluator handed no decoder (and every pool worker) decodes on
+        the code decoder exactly when this holds (DESIGN.md §12).
         """
         return self.domain.kernel() is not None
 
     def decode_genes(self, genes: np.ndarray):
-        """Decode one genome with the reference decoder (no shared caches)."""
-        return decode(
-            genes,
-            self.domain,
-            self.start_state,
-            truncate_at_goal=self.truncate_at_goal,
-        )
+        """Decode one genome (no shared caches): the generation best, a migrant.
+
+        On a domain with a kernel the genome goes through a fresh code
+        decoder, where one row takes the scalar walk; otherwise through
+        the reference decoder.  Both give the same plan.
+        """
+        kernel = self.domain.kernel()
+        if kernel is None:
+            return decode(
+                genes,
+                self.domain,
+                self.start_state,
+                truncate_at_goal=self.truncate_at_goal,
+            )
+        decoder = VectorDecoder(kernel)
+        decoder.bind(self)
+        genes = np.ascontiguousarray(genes, dtype=np.float64)
+        lengths = np.array([genes.size], dtype=np.int64)
+        return decoder.decode_rows(genes, np.zeros(1, dtype=np.int64), lengths, True)[5][0]
 
 
 class Evaluator:
@@ -191,74 +203,273 @@ class Evaluator:
         self.close()
 
 
+class FitnessMemo:
+    """Genome bytes to fitness, for one planning-service request trajectory.
+
+    The planning service keeps one memo per request trajectory and hands
+    it to that request's :class:`SerialEvaluator`, which looks every
+    pending genome up before decoding and sends only the misses to its
+    decoder; a repeated request so replays whole populations without
+    decoding (DESIGN.md §15).  An entry holds a row's ``(total, goal,
+    cost, goal_reached)`` and no plan: a hit writes fitness only, as the
+    process pool does under the random crossover.  A hit is exact because
+    fitness is a deterministic function of the genome bytes given the
+    domain, start state, truncation flag and weights; the last three are
+    the memo's signature (:meth:`check` clears the memo when it changes),
+    and whoever hands a memo to an evaluator vouches for the domain.  A
+    memo holding :attr:`max_entries` genomes is cleared wholesale.
+    """
+
+    #: Bound on the entries; a full memo is cleared wholesale.
+    max_entries = 100_000
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.sig: Optional[tuple] = None
+        self.hits = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        """The number of memoised genomes."""
+        return len(self.entries)
+
+    def check(self, context: "EvaluationContext") -> None:
+        """Clear the memo unless it was scored under *context*'s signature."""
+        fit = context.fitness
+        sig = (
+            context.domain.state_key(context.start_state),
+            context.truncate_at_goal,
+            fit.goal_weight,
+            fit.cost_weight,
+        )
+        if sig != self.sig:
+            self.entries.clear()
+            self.sig = sig
+
+    def lookup(self, fingerprint: bytes) -> Optional[tuple]:
+        """The memoised ``(total, goal, cost, goal_reached)``, or ``None``."""
+        hit = self.entries.get(fingerprint)
+        if hit is not None:
+            self.hits += 1
+        return hit
+
+    def store(self, fingerprint: bytes, fitness: tuple) -> None:
+        """Memoise a genome's ``(total, goal, cost, goal_reached)``."""
+        entries = self.entries
+        if len(entries) >= self.max_entries:
+            self.evictions += len(entries)
+            entries.clear()
+        entries[fingerprint] = fitness
+
+
 class SerialEvaluator(Evaluator):
     """Evaluate the population in-process.
 
-    An injected :class:`~repro.core.decode_engine.DecodeEngine` decodes
-    every batch, row by row, with its transition tables, dirty-prefix
-    resume and whatever fitness memo is installed on it (DESIGN.md §9);
-    the planning service passes its leased engine this way, and a serial
-    portfolio race shares one across its islands.  Without one, the pending
-    rows are decoded whole by a :class:`~repro.core.vector_decode.
-    VectorDecoder` when the domain has a kernel (DESIGN.md §12), and
-    otherwise through an engine built on first use, which the evaluator
-    then keeps.
+    One decoder decodes every batch: *engine*, when given — a
+    :class:`~repro.core.vector_decode.VectorDecoder` (the code decoder,
+    for a domain with a kernel) or a :class:`~repro.core.decode_engine.
+    DecodeEngine` (row by row through transition tables, DESIGN.md §9) —
+    and otherwise one picked per domain on first use and kept: the code
+    decoder when the domain has a kernel (DESIGN.md §12), an engine when
+    it has none.  The planning service hands its leased decoder this way,
+    and a serial portfolio race shares one engine across its islands.
+
+    With a *memo* (:class:`FitnessMemo`), every pending genome of a
+    buffer that keeps no plans is looked up first; hits get their
+    fitness and no plan, and the misses go to the decoder as one batch
+    and are memoised.  A plan-keeping buffer (the state-matching
+    crossovers read parents' plans) never consults the memo.
     """
 
-    def __init__(self, engine: Optional[DecodeEngine] = None) -> None:
+    def __init__(
+        self,
+        engine: Optional[Union[VectorDecoder, DecodeEngine]] = None,
+        memo: Optional[FitnessMemo] = None,
+    ) -> None:
         self._engine = engine
-        self._vdec: Optional[VectorDecoder] = None
+        self._handed = engine is not None
+        self.memo = memo
+        self._memo_domain: Optional[PlanningDomain] = None
+
+    def _decoder_for(self, context: EvaluationContext):
+        """The handed decoder, or the one kept for *context*'s domain."""
+        decoder = self._engine
+        if self._handed:
+            return decoder
+        kernel = context.domain.kernel()
+        if kernel is not None:
+            if not (isinstance(decoder, VectorDecoder) and decoder.kernel is kernel):
+                decoder = VectorDecoder(kernel)
+        elif not isinstance(decoder, DecodeEngine):
+            decoder = DecodeEngine()
+        self._engine = decoder
+        return decoder
 
     def vector_counters(self) -> Optional[dict]:
-        """Cumulative vector-decode counters, or ``None`` on the engine path."""
-        return self._vdec.counters() if self._vdec is not None else None
+        """Cumulative code-decoder counters, or ``None`` off the code decoder."""
+        if isinstance(self._engine, VectorDecoder):
+            return self._engine.counters()
+        return None
 
     def cache_info(self) -> Optional[Tuple[int, int]]:
         """Decode-engine valid-table ``(hits, misses)``, ``None`` before use."""
-        if self._engine is None or not self._engine.active:
+        if not isinstance(self._engine, DecodeEngine) or not self._engine.active:
             return None
         return self._engine.cache_info()
 
     def engine_counters(self) -> Optional[dict]:
         """Cumulative decode-engine counters, or ``None`` before first use."""
-        if self._engine is None or not self._engine.active:
+        if not isinstance(self._engine, DecodeEngine) or not self._engine.active:
             return None
         return self._engine.counters()
 
     def evaluate_buffer(self, buffer, context: EvaluationContext) -> None:
         """Array-native serial path: decode rows straight off the arena.
 
-        The vector path decodes the whole pending set in numpy — results
-        bit-identical to the engine's, with no per-genome Python loop.  The
-        engine path runs each pending row over a zero-copy genome view,
-        resuming from its prefix hint.
+        Memo hits are written first; the remaining pending rows go to the
+        decoder as one batch — the code decoder decodes them whole, the
+        engine row by row over zero-copy genome views, each resuming from
+        its prefix hint.
         """
-        if self._engine is None and context.resolve_vector():
-            self._evaluate_vector(buffer, context)
-        else:
-            self._evaluate_engine(buffer, context)
-
-    def _evaluate_vector(self, buffer, context: EvaluationContext) -> None:
-        kernel = context.domain.kernel()
-        if self._vdec is None or self._vdec.kernel is not kernel:
-            self._vdec = VectorDecoder(kernel)
-        vdec = self._vdec
-        before = vdec.counters()
-        t0 = time.perf_counter()
-        n = vdec.evaluate_pending(buffer, context)
-        seconds = time.perf_counter() - t0
-        if not (n and self.instrumented):
+        rows = np.flatnonzero(~buffer.evaluated)
+        if not rows.size:
             return
-        after = vdec.counters()
-        delta = {k: after[k] - before[k] for k in after}
+        decoder = self._decoder_for(context)
+        n = int(rows.size)
+        memo = None if buffer.keep_plans else self.memo
+        before = decoder.counters()
+        hits = evictions = 0
+        t0 = time.perf_counter()
+        if memo is not None:
+            if context.domain is not self._memo_domain:
+                if self._memo_domain is not None:
+                    memo.entries.clear()  # a memo never crosses domains
+                self._memo_domain = context.domain
+            memo.check(context)
+            hits, evictions = memo.hits, memo.evictions
+            rows, fingerprints = self._replay(memo, buffer, rows)
+        t1 = time.perf_counter()
+        fitness_s = None
+        if isinstance(decoder, VectorDecoder):
+            decoder.evaluate_pending(buffer, context, rows)
+        else:
+            fitness_s = self._decode_on_engine(decoder, buffer, context, rows)
+        decode_s = time.perf_counter() - t1
+        if memo is not None:
+            fitness = zip(
+                buffer.total[rows].tolist(),
+                buffer.goal[rows].tolist(),
+                buffer.cost[rows].tolist(),
+                buffer.goal_reached[rows].tolist(),
+            )
+            for fp, fit in zip(fingerprints, fitness):
+                memo.store(fp, fit)
+            hits, evictions = memo.hits - hits, memo.evictions - evictions
+        seconds = time.perf_counter() - t0
+        if self.instrumented:
+            after = decoder.counters()
+            delta = {k: after[k] - before[k] for k in after}
+            self._record_batch(
+                n, int(rows.size), seconds, decode_s, fitness_s, hits, evictions, delta
+            )
+
+    @staticmethod
+    def _replay(memo: FitnessMemo, buffer, rows: np.ndarray):
+        """Write *rows*' memo hits; return the misses and their fingerprints."""
+        hit_rows, hit_fits, miss_rows, fingerprints = [], [], [], []
+        for row in rows.tolist():
+            fp = buffer.view(row).tobytes()
+            hit = memo.lookup(fp)
+            if hit is None:
+                miss_rows.append(row)
+                fingerprints.append(fp)
+            else:
+                hit_rows.append(row)
+                hit_fits.append(hit)
+        if hit_rows:
+            total, goal, cost, reached = zip(*hit_fits)
+            buffer.write_results(hit_rows, total, goal, cost, reached)
+        return np.asarray(miss_rows, dtype=np.int64), fingerprints
+
+    @staticmethod
+    def _decode_on_engine(engine: DecodeEngine, buffer, context, rows: np.ndarray) -> float:
+        """Decode *rows* one by one on *engine*; return the seconds spent scoring."""
+        if not rows.size:
+            return 0.0
+        engine.bind(context)
+        fitness_fn = context.fitness
+        n = int(rows.size)
+        total = np.empty(n, dtype=np.float64)
+        goal = np.empty(n, dtype=np.float64)
+        cost = np.empty(n, dtype=np.float64)
+        reached = np.empty(n, dtype=bool)
+        plans = []
+        fitness_s = 0.0
+        for j, row in enumerate(rows.tolist()):
+            prefix, dirty = buffer.prefix_hint(row)
+            decoded = engine.decode(buffer.view(row), prefix, dirty)
+            t = time.perf_counter()
+            fit = fitness_fn(decoded)
+            fitness_s += time.perf_counter() - t
+            total[j], goal[j], cost[j], reached[j] = (
+                fit.total, fit.goal, fit.cost, fit.goal_reached
+            )
+            plans.append(decoded)
+        buffer.write_results(rows, total, goal, cost, reached, plans)
+        return fitness_s
+
+    def _record_batch(
+        self,
+        n: int,
+        n_decoded: int,
+        seconds: float,
+        decode_s: float,
+        fitness_s: Optional[float],
+        skipped: int,
+        evictions: int,
+        delta: dict,
+    ) -> None:
+        """Batch metrics and the ``evaluation-batch`` event.
+
+        *delta* is the decoder's counter growth over the batch; an engine
+        reports ``fitness_s`` (scoring, part of ``decode_s``) and its cache
+        traffic, the code decoder its rows and genes.
+        """
+        engine = fitness_s is not None
+        reused = delta["genes_reused"] if engine else delta["vector_genes_reused"]
         if self._metrics is not None:
             m = self._metrics
             m.counter("evals").add(n)
             m.timer("eval_batch").record(seconds)
-            m.timer("decode").record(seconds, count=n)
-            m.counter("vector_rows").add(delta["vector_rows"])
-            m.counter("vector_genes").add(delta["vector_genes"])
-            m.counter("genes_reused").add(delta["vector_genes_reused"])
+            if n_decoded:
+                if engine:
+                    m.timer("decode").record(decode_s - fitness_s, count=n_decoded)
+                    m.timer("fitness").record(fitness_s, count=n_decoded)
+                else:
+                    m.timer("decode").record(decode_s, count=n_decoded)
+            if self.memo is not None:
+                m.counter("evals_skipped").add(skipped)
+            if evictions:
+                m.counter("memo_evictions").add(evictions)
+            m.counter("genes_reused").add(reused)
+            if engine:
+                for name in (
+                    "decode_cache_hits",
+                    "decode_cache_misses",
+                    "transition_cache_hits",
+                    "transition_cache_misses",
+                ):
+                    m.counter(name).add(delta[name])
+                for name in (
+                    "decode_cache_evictions",
+                    "transition_cache_evictions",
+                    "decode_fallbacks",
+                ):
+                    if delta[name]:
+                        m.counter(name).add(delta[name])
+            else:
+                m.counter("vector_rows").add(delta["vector_rows"])
+                m.counter("vector_genes").add(delta["vector_genes"])
         if self._tracer.enabled:
             self._tracer.emit(
                 EvaluationBatch(
@@ -267,83 +478,10 @@ class SerialEvaluator(Evaluator):
                     seconds=seconds,
                     mode="serial",
                     chunks=1,
-                    genes_reused=delta["vector_genes_reused"],
-                )
-            )
-
-    def _evaluate_engine(self, buffer, context: EvaluationContext) -> None:
-        if self._engine is None:
-            self._engine = DecodeEngine()
-        engine = self._engine
-        engine.bind(context)
-        rows = np.flatnonzero(~buffer.evaluated)
-        if not rows.size:
-            return
-        memoizing = engine.memoizing
-        before = engine.counters()
-        fitness_fn = context.fitness
-        decode_s = 0.0
-        fitness_s = 0.0
-        n_decoded = 0
-        t0 = time.perf_counter()
-        for row in rows.tolist():
-            genes = buffer.view(row)
-            if memoizing:
-                fp = genes.tobytes()
-                hit = engine.lookup(fp)
-                if hit is not None:
-                    buffer.set_result(row, hit[0], hit[1])
-                    continue
-            prefix, dirty = buffer.prefix_hint(row)
-            t1 = time.perf_counter()
-            decoded = engine.decode(genes, prefix, dirty)
-            t2 = time.perf_counter()
-            fitness = fitness_fn(decoded)
-            t3 = time.perf_counter()
-            if memoizing:
-                engine.store(fp, decoded, fitness)
-            buffer.set_result(row, decoded, fitness)
-            decode_s += t2 - t1
-            fitness_s += t3 - t2
-            n_decoded += 1
-        seconds = time.perf_counter() - t0
-        if not self.instrumented:
-            return
-        after = engine.counters()
-        delta = {k: after[k] - before[k] for k in after}
-        if self._metrics is not None:
-            m = self._metrics
-            m.counter("evals").add(len(rows))
-            m.timer("eval_batch").record(seconds)
-            if n_decoded:
-                m.timer("decode").record(decode_s, count=n_decoded)
-                m.timer("fitness").record(fitness_s, count=n_decoded)
-            m.counter("decode_cache_hits").add(delta["decode_cache_hits"])
-            m.counter("decode_cache_misses").add(delta["decode_cache_misses"])
-            m.counter("transition_cache_hits").add(delta["transition_cache_hits"])
-            m.counter("transition_cache_misses").add(delta["transition_cache_misses"])
-            m.counter("evals_skipped").add(delta["evals_skipped"])
-            m.counter("genes_reused").add(delta["genes_reused"])
-            for name in (
-                "decode_cache_evictions",
-                "transition_cache_evictions",
-                "decode_fallbacks",
-                "memo_evictions",
-            ):
-                if delta[name]:
-                    m.counter(name).add(delta[name])
-        if self._tracer.enabled:
-            self._tracer.emit(
-                EvaluationBatch(
-                    scope=self._scope,
-                    n_evaluated=len(rows),
-                    seconds=seconds,
-                    mode="serial",
-                    chunks=1,
-                    cache_hits=delta["decode_cache_hits"],
-                    cache_misses=delta["decode_cache_misses"],
-                    evals_skipped=delta["evals_skipped"],
-                    genes_reused=delta["genes_reused"],
+                    cache_hits=delta.get("decode_cache_hits", 0),
+                    cache_misses=delta.get("decode_cache_misses", 0),
+                    evals_skipped=skipped,
+                    genes_reused=reused,
                 )
             )
 
@@ -593,15 +731,9 @@ class ProcessPoolEvaluator(Evaluator):
         seconds = time.perf_counter() - t0
         # No partial writes: the buffer is only mutated after every chunk
         # returned, so a failed batch is safe to retry.
-        for rows, (_, _, (total, goal, cost, reached), plans) in zip(chunks, outputs):
-            for j, row in enumerate(rows.tolist()):
-                fitness = FitnessResult(
-                    goal=float(goal[j]),
-                    cost=float(cost[j]),
-                    total=float(total[j]),
-                    goal_reached=bool(reached[j]),
-                )
-                buffer.set_result(row, plans[j] if plans is not None else None, fitness)
+        columns = [np.concatenate(col) for col in zip(*(out[2] for out in outputs))]
+        plans = [plan for out in outputs for plan in out[3]] if need_plans else None
+        buffer.write_results(np.concatenate(chunks), *columns, plans)
         if self.instrumented:
             self._record_batch_metrics(pending.size, seconds, outputs)
 

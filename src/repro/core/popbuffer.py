@@ -169,11 +169,19 @@ class PopulationBuffer:
         one call.
         """
         pending = np.flatnonzero(~self.evaluated)
-        hints = []
-        for i in pending:
-            plan, dirty = self.prefix_hint(int(i))
-            hints.append((plan, dirty) if plan is not None else None)
-        return pending, hints
+        return pending, self.hints(pending)
+
+    def hints(self, rows: np.ndarray) -> list:
+        """Resume hints of *rows*, in order.
+
+        Each is a ``(prefix_plan, dirty_from)`` pair, or ``None`` where the
+        row has no usable hint.
+        """
+        out = []
+        for i in rows.tolist():
+            plan, dirty = self.prefix_hint(i)
+            out.append((plan, dirty) if plan is not None else None)
+        return out
 
     def fitness_result(self, i: int) -> FitnessResult:
         """Rebuild the row's :class:`FitnessResult` from the packed arrays."""
@@ -194,6 +202,30 @@ class PopulationBuffer:
         self.evaluated[i] = True
         self.prefix_plans[i] = None
         self.dirty_from[i] = -1
+
+    def write_results(self, rows, total, goal, cost, reached, plans=None) -> None:
+        """Record the evaluation of *rows* in one write.
+
+        The fitness columns are arrays in *rows* order; *plans* is a list
+        parallel to *rows*, or ``None`` when no plans were built.  Every
+        written row loses its resume hint.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        self.total[rows] = total
+        self.goal[rows] = goal
+        self.cost[rows] = cost
+        self.goal_reached[rows] = reached
+        self.evaluated[rows] = True
+        self.dirty_from[rows] = -1
+        out, prefix = self.plans, self.prefix_plans
+        if plans is None:
+            for i in rows.tolist():
+                out[i] = None
+                prefix[i] = None
+        else:
+            for i, plan in zip(rows.tolist(), plans):
+                out[i] = plan
+                prefix[i] = None
 
     def materialize(self, i: int) -> Individual:
         """Row *i* as an :class:`Individual` (genes shared with the arena)."""

@@ -11,6 +11,12 @@ stop (goal reached, genome exhausted) are compressed out of the active
 set, so the loop runs ``max(used_genes)`` iterations over ever-shrinking
 arrays, and ``goal_fit`` runs once, on the final codes.
 
+That loop pays a fixed numpy cost per gene position, however few rows
+are live, so a batch of fewer than :data:`SCALAR_ROWS` rows (a service
+request's population, a pool chunk, one lazily decoded plan) walks row
+by row in plain Python instead, one :meth:`~repro.protocol.DomainKernel.
+step` per gene; both walks hand the same trace to the same plan rebuild.
+
 The dirty-prefix machinery carries over at row granularity: a row with a
 ``(prefix_plan, dirty_from)`` hint re-enters at the code of the parent
 plan's ``state_keys[dirty]`` (:meth:`~repro.protocol.DomainKernel.
@@ -31,7 +37,8 @@ kernel buys: a resumed row never needs the parent's goal flag, because
 ``goal_mask`` of the resumed code *is* that flag — the engine's careful
 ``p == used_genes`` case collapses into the uniform stop test.  The suites
 in ``tests/core/test_vector_equivalence.py`` enforce bit-identity against
-whole GA trajectories; ``tests/core/test_vector_decode.py`` covers the
+whole GA trajectories and both walks row by row on either side of
+:data:`SCALAR_ROWS`; ``tests/core/test_vector_decode.py`` covers the
 edges (empty genomes, row-boundary resumes, a parent that stopped inside
 the prefix).
 """
@@ -45,10 +52,14 @@ import numpy as np
 from repro.core.encoding import DecodedPlan
 from repro.protocol import DomainKernel, PlanningDomain
 
-__all__ = ["VectorDecoder"]
+__all__ = ["VectorDecoder", "SCALAR_ROWS"]
 
 #: Rows whose plans are rebuilt from one bulk gather of the trace.
 _PLAN_BLOCK = 64
+
+#: Batches of fewer rows walk row by row in plain Python; larger batches
+#: walk together in numpy.  The crossover measured in DESIGN.md §12.
+SCALAR_ROWS = 96
 
 
 class VectorDecoder:
@@ -108,7 +119,9 @@ class VectorDecoder:
         :class:`DecodedPlan` for every row when *keep_plans* is true, and
         otherwise only for rows fully served by their parent prefix (whose
         plan already exists); remaining entries are ``None``.  ``hints[i]``
-        may hold a ``(prefix_plan, dirty_from)`` pair for resume.
+        may hold a ``(prefix_plan, dirty_from)`` pair for resume.  Fewer
+        than :data:`SCALAR_ROWS` rows walk one by one through
+        :meth:`~repro.protocol.DomainKernel.step`; more walk together.
         """
         kernel = self.kernel
         assert self._start_code is not None, "VectorDecoder.bind() must run first"
@@ -118,8 +131,6 @@ class VectorDecoder:
 
         cur = np.full(n, self._start_code, dtype=kernel.code_dtype)
         pos = np.zeros(n, dtype=np.int64)
-        # Per-row resume point: walked genes start there.
-        resume_at = np.zeros(n, dtype=np.int64)
         prefix_of: List[Optional[DecodedPlan]] = [None] * n
         plans: List[Optional[DecodedPlan]] = [None] * n
         walk = np.ones(n, dtype=bool)
@@ -145,17 +156,10 @@ class VectorDecoder:
                 else:
                     prefix_of[i] = plan
                 cur[i] = kernel.code_of_key(plan.state_keys[d])
-                pos[i] = resume_at[i] = d
+                pos[i] = d
                 self.genes_reused += d
-
-        # Code/slot trace for plan reconstruction: code_tr[i, p] is the
-        # state before gene p (the final state sits at column used).
-        if keep_plans:
-            width = int(lengths.max()) + 1 if n else 1
-            code_tr = np.zeros((n, width), dtype=kernel.code_dtype)
-            slot_tr = np.zeros((n, width - 1), dtype=np.int8)
-        else:
-            code_tr = slot_tr = None
+        # Per-row resume point: walked genes start there.
+        resume_at = pos.copy()
 
         # Initial stop test.  Resumed rows need no special goal handling:
         # the engine's "carry the parent's goal flag" case is subsumed by
@@ -165,8 +169,11 @@ class VectorDecoder:
         if self._truncate:
             stop |= kernel.goal_mask(cur[active])
         active = active[~stop]
-        if active.size:
-            self._walk(arena, offsets, lengths, cur, pos, active, code_tr, slot_tr)
+        steps = None
+        if n < SCALAR_ROWS:
+            steps = self._walk_scalar(arena, offsets, lengths, cur, pos, active, keep_plans)
+        elif active.size:
+            steps = self._walk(arena, offsets, lengths, cur, pos, active, keep_plans)
 
         # Fitness from the kernel, vectorised with FitnessFunction's exact
         # arithmetic (validate range, clamp, combine).  Every operation
@@ -185,10 +192,73 @@ class VectorDecoder:
         total = self._gw * gfit + self._cw * costf
 
         if keep_plans and n:
-            code_tr[np.arange(n), pos] = cur
-            self._rebuild_plans(plans, prefix_of, resume_at, pos, reached, code_tr, slot_tr)
+            finals = cur.tolist()
+            # No walked steps at all: every plan is its head alone.
+            for block in steps or [(0, n, None, None, None)]:
+                self._fill_plans(plans, block, prefix_of, resume_at, pos, reached, finals)
         self.vector_rows += n
         return total, gfit, costf, reached, pos, plans
+
+    def _walk_scalar(
+        self,
+        arena: np.ndarray,
+        offsets: np.ndarray,
+        lengths: np.ndarray,
+        cur: np.ndarray,
+        pos: np.ndarray,
+        rows: np.ndarray,
+        keep_plans: bool,
+    ):
+        """Advance each row in *rows* to its stopping point, one at a time.
+
+        The row-by-row twin of :meth:`_walk`, on Python ints through
+        :meth:`~repro.protocol.DomainKernel.step`: ``cur`` / ``pos`` get
+        each row's final code and position.  With *keep_plans* it returns
+        the walked steps in the form :meth:`_fill_plans` reads, as one
+        block of every row.
+        """
+        step = self.kernel.step
+        truncate = self._truncate
+        walked = 0
+        seq: list = []  # per walked row: its codes from resume point to end
+        slots: list = []
+        firsts: list = []  # index into seq of each walked row's first code
+        seq_append, slot_append = seq.append, slots.append
+        for i in rows.tolist():
+            code = int(cur[i])
+            at = int(pos[i])
+            o = int(offsets[i])
+            genes = arena[o + at : o + int(lengths[i])].tolist()
+            if keep_plans:
+                firsts.append(len(seq))
+                seq_append(code)
+                for gene in genes:
+                    slot, code, goal = step(code, gene)
+                    seq_append(code)
+                    slot_append(slot)
+                    if goal and truncate:
+                        break
+                taken = len(seq) - 1 - firsts[-1]
+            else:
+                taken = 0
+                for gene in genes:
+                    _, code, goal = step(code, gene)
+                    taken += 1
+                    if goal and truncate:
+                        break
+            cur[i] = code
+            pos[i] = at + taken
+            walked += taken
+        self.vector_genes += walked
+        if not keep_plans:
+            return None
+        codes = np.array(seq, dtype=self.kernel.code_dtype)
+        first = np.zeros(len(seq), dtype=bool)
+        first[firsts] = True
+        # A row's last code precedes the next row's first; the final row's
+        # wraps round to row 0's.
+        last = np.roll(first, -1)
+        return [(0, int(cur.shape[0]), codes[~last], np.array(slots, dtype=np.int64), codes[~first])]
 
     def _walk(
         self,
@@ -198,19 +268,25 @@ class VectorDecoder:
         cur: np.ndarray,
         pos: np.ndarray,
         rows: np.ndarray,
-        code_tr: Optional[np.ndarray],
-        slot_tr: Optional[np.ndarray],
-    ) -> None:
-        """Advance every row in *rows* to its stopping point.
+        keep_plans: bool,
+    ):
+        """Advance every row in *rows* to its stopping point, all together.
 
         ``cur`` / ``pos`` are the per-row code and position arrays, written
-        back as rows stop; ``code_tr`` / ``slot_tr`` are the trace matrices
-        to fill when plans are kept (``None`` otherwise).  Rows enter
-        having already passed the initial stop test; the whole active set
-        advances one gene per iteration, on compacted per-row arrays.
+        back as rows stop.  Rows enter having already passed the initial
+        stop test; the whole active set advances one gene per iteration,
+        on compacted per-row arrays.  With *keep_plans* a code/slot trace
+        is kept (``code_tr[i, p]`` is the state before gene ``p``) and
+        returned as :meth:`_fill_plans` blocks.
         """
         kernel = self.kernel
         truncate = self._truncate
+        n = int(cur.shape[0])
+        resume_at = pos.copy()
+        if keep_plans:
+            width = int(lengths.max()) + 1
+            code_tr = np.zeros((n, width), dtype=kernel.code_dtype)
+            slot_tr = np.zeros((n, width - 1), dtype=np.int8)
         codes = cur[rows]
         at = pos[rows]
         end = lengths[rows]
@@ -219,7 +295,7 @@ class VectorDecoder:
             k = kernel.valid_count(codes)
             idx = (arena[base + at] * k).astype(np.int64)
             np.minimum(idx, k - 1, out=idx)
-            if code_tr is not None:
+            if keep_plans:
                 code_tr[rows, at] = codes
                 slot_tr[rows, at] = idx
             codes = kernel.advance(codes, idx)
@@ -234,63 +310,77 @@ class VectorDecoder:
                 pos[done] = at[stop]
                 go = ~stop
                 rows, codes, at, end, base = rows[go], codes[go], at[go], end[go], base[go]
+        if not keep_plans:
+            return None
+        # The walked steps of a block of rows are gathered at once; blocks
+        # bound the flat arrays' memory.
+        code_tr[np.arange(n), pos] = cur
+        cols = np.arange(width - 1)
+        blocks = []
+        for first in range(0, n, _PLAN_BLOCK):
+            blk = slice(first, first + _PLAN_BLOCK)
+            walked = (cols >= resume_at[blk, None]) & (cols < pos[blk, None])
+            blocks.append((
+                first, min(first + _PLAN_BLOCK, n),
+                code_tr[blk, :-1][walked], slot_tr[blk][walked], code_tr[blk, 1:][walked],
+            ))
+        return blocks
 
-    def _rebuild_plans(
+    def _fill_plans(
         self,
         plans: List[Optional[DecodedPlan]],
+        block: tuple,
         prefix_of: List[Optional[DecodedPlan]],
         resume_at: np.ndarray,
         used: np.ndarray,
         reached: np.ndarray,
-        code_tr: np.ndarray,
-        slot_tr: np.ndarray,
+        finals: list,
     ) -> None:
-        """Fill every ``None`` entry of *plans* from the code/slot trace.
+        """Fill the ``None`` plans of one block of rows from its walked steps.
 
-        The walked steps of a block of rows are gathered at once, so the
-        kernel is asked for their operations, state keys and decode keys
-        in one bulk call each; rows then slice their runs out of the flat
-        lists.  Blocks bound the flat lists' memory.
+        *block* is ``(first, stop, before, slots, after)``: rows ``first``
+        to ``stop`` and every step they walked, back to back in row order
+        (row ``i`` has ``used[i] - resume_at[i]`` of them) as code, slot
+        and next-code arrays, or ``None`` when no row walked.  The kernel
+        is asked for the steps' operations, state keys and decode keys in
+        one bulk call each, and rows slice their runs out of the flat lists.
         """
         kernel = self.kernel
         has_dkey = self._has_dkey
-        n = len(plans)
-        cols = np.arange(slot_tr.shape[1])
-        finals = code_tr[np.arange(n), used].tolist()
-        for first in range(0, n, _PLAN_BLOCK):
-            blk = slice(first, first + _PLAN_BLOCK)
-            steps = (cols >= resume_at[blk, None]) & (cols < used[blk, None])
-            after = code_tr[blk, 1:][steps]
-            ops = kernel.operations_of(code_tr[blk, :-1][steps], slot_tr[blk][steps])
+        first, stop, before, slots, after = block
+        if before is None or not before.size:
+            ops = keys = dkeys = []
+        else:
+            ops = kernel.operations_of(before, slots)
             keys = kernel.state_keys_of(after)
             dkeys = kernel.decode_keys_of(after) if has_dkey else None
-            lo = 0
-            for i in range(first, min(first + _PLAN_BLOCK, n)):
-                if plans[i] is not None:
-                    continue
-                e, u = int(resume_at[i]), int(used[i])
-                hi = lo + u - e
-                prefix = prefix_of[i]
-                if prefix is not None:
-                    head = (prefix.operations[:e], prefix.state_keys[: e + 1], prefix.match_keys[: e + 1])
-                else:
-                    head = ((), (self._start_key,), (self._start_dkey,))
-                row_keys = head[1] + tuple(keys[lo:hi])
-                plans[i] = DecodedPlan(
-                    operations=head[0] + tuple(ops[lo:hi]),
-                    state_keys=row_keys,
-                    match_keys=head[2] + tuple(dkeys[lo:hi]) if has_dkey else row_keys,
-                    final_state=kernel.state_of(finals[i]),
-                    used_genes=u,
-                    goal_reached=bool(reached[i]),
-                    cost=float(u),
-                )
-                lo = hi
+        lo = 0
+        for i in range(first, stop):
+            if plans[i] is not None:
+                continue
+            e, u = int(resume_at[i]), int(used[i])
+            hi = lo + u - e
+            prefix = prefix_of[i]
+            if prefix is not None:
+                head = (prefix.operations[:e], prefix.state_keys[: e + 1], prefix.match_keys[: e + 1])
+            else:
+                head = ((), (self._start_key,), (self._start_dkey,))
+            row_keys = head[1] + tuple(keys[lo:hi])
+            plans[i] = DecodedPlan(
+                operations=head[0] + tuple(ops[lo:hi]),
+                state_keys=row_keys,
+                match_keys=head[2] + tuple(dkeys[lo:hi]) if has_dkey else row_keys,
+                final_state=kernel.state_of(finals[i]),
+                used_genes=u,
+                goal_reached=bool(reached[i]),
+                cost=float(u),
+            )
+            lo = hi
 
     # -- buffer-level entry point ---------------------------------------------
 
-    def evaluate_pending(self, buffer, context) -> int:
-        """Evaluate every unevaluated row of *buffer* in place.
+    def evaluate_pending(self, buffer, context, rows: Optional[np.ndarray] = None) -> int:
+        """Evaluate *rows* of *buffer* (default: every unevaluated row) in place.
 
         Returns the number of rows decoded.  Fills the packed fitness
         arrays and the ``plans`` list, whatever ``buffer.keep_plans`` says:
@@ -299,28 +389,20 @@ class VectorDecoder:
         crossover (only the process pool legitimately skips plans).
         Prefix hints are consumed and cleared.
         """
-        pending, hints = buffer.pending_hints()
-        if pending.size == 0:
+        if rows is None:
+            rows = np.flatnonzero(~buffer.evaluated)
+        if rows.size == 0:
             return 0
         self.bind(context)
-        total, gfit, costf, reached, used, plans = self.decode_rows(
+        total, gfit, costf, reached, _used, plans = self.decode_rows(
             buffer.genes,
-            buffer.offsets[pending],
-            buffer.lengths[pending],
+            buffer.offsets[rows],
+            buffer.lengths[rows],
             True,
-            hints,
+            buffer.hints(rows),
         )
-        buffer.total[pending] = total
-        buffer.goal[pending] = gfit
-        buffer.cost[pending] = costf
-        buffer.goal_reached[pending] = reached
-        buffer.evaluated[pending] = True
-        for j, i in enumerate(pending):
-            i = int(i)
-            buffer.plans[i] = plans[j]
-            buffer.prefix_plans[i] = None
-            buffer.dirty_from[i] = -1
-        return int(pending.size)
+        buffer.write_results(rows, total, gfit, costf, reached, plans)
+        return int(rows.size)
 
     def counters(self) -> dict:
         """Decoder counters, flat, using canonical metric names."""

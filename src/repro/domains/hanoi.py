@@ -193,6 +193,10 @@ class HanoiKernel(DomainKernel):
         self._states = np.full(m, None, dtype=object)
         self._built = np.zeros(m, dtype=bool)
         self._moves = np.array(domain._moves, dtype=object)
+        # The scalar step's list table (code -> tuple of successor codes),
+        # built on the first step; the goal is the one all-on-goal code.
+        self._next: Optional[list] = None
+        self._goal_code = int(np.flatnonzero(self._gmask)[0])
 
     # -- DomainKernel surface -------------------------------------------------
 
@@ -220,6 +224,34 @@ class HanoiKernel(DomainKernel):
         """Equation 5's weighted fraction, one gather."""
         return self._gfit[codes]
 
+    def step(self, code: int, gene: float):
+        """One gene on the list table: a tuple index and a comparison.
+
+        A Hanoi state has two or three moves, and ``gene * k < k`` for
+        every gene below 1 when ``k <= 3``, so ``int(gene * k)`` is found
+        by two comparisons.
+        """
+        try:
+            succ = self._next[code]
+        except TypeError:  # no table yet: built on the first step
+            self._next = self._next_table()
+            succ = self._next[code]
+        x = gene * len(succ)
+        slot = 0 if x < 1.0 else 1 if x < 2.0 else 2
+        code = succ[slot]
+        return slot, code, code == self._goal_code
+
+    def _next_table(self) -> list:
+        """Per code, the tuple of its two or three successor codes in slot order."""
+        codes = list(range(self._succ.shape[0]))  # one shared int per code
+        first, second, third = (
+            [codes[c] for c in self._succ[:, j].tolist()] for j in range(3)
+        )
+        return [
+            (a, b) if k == 2 else (a, b, c)
+            for k, a, b, c in zip(self._vc.tolist(), first, second, third)
+        ]
+
     # -- reconstruction -------------------------------------------------------
 
     def state_of(self, code: int):
@@ -236,7 +268,8 @@ class HanoiKernel(DomainKernel):
         """The shared state tuples (a Hanoi state is its own key)."""
         missing = codes[~self._built[codes]]
         if missing.size:
-            for code in np.unique(missing).tolist():
+            # A set, not np.unique: that imports numpy.ma (~1 MB) on first use.
+            for code in set(missing.tolist()):
                 self.state_of(code)
             self._built[missing] = True
         return self._states[codes].tolist()

@@ -190,6 +190,8 @@ class CubeKernel(DomainKernel):
         self._co_shift = 24 + 2 * np.arange(8, dtype=np.int64)
         self._corners = np.arange(8, dtype=np.int64)
         self._solved = domain.state_key((_SOLVED_CP, _SOLVED_CO))
+        # The scalar step's tables, built on the first step.
+        self._chunks: Optional[list] = None
 
     def _unpack(self, codes):
         col = codes[:, None]
@@ -223,6 +225,49 @@ class CubeKernel(DomainKernel):
         placed = (cp == self._corners) & (co == 0)
         placed[:, 6] = False  # DBL is fixed and excluded from the count
         return placed.sum(axis=1) / 7.0
+
+    def step(self, code: int, gene: float):
+        """One gene on the cubie word: four table lookups, OR-ed together.
+
+        Corners ``2c`` and ``2c+1`` form chunk ``c``: their two positions
+        (bits ``6c`` up) and two orientations (bits ``24 + 4c`` up) make a
+        10-bit index into the move's table for that chunk, whose entry is
+        the two corners' fields already permuted and twisted into place.
+        """
+        chunks = self._chunks
+        if chunks is None:
+            chunks = self._chunks = self._chunk_tables()
+        slot = int(gene * 9)
+        if slot >= 9:
+            slot = 8
+        t0, t1, t2, t3 = chunks[slot]
+        code = (
+            t0[(code & 63) | ((code >> 18) & 960)]
+            | t1[((code >> 6) & 63) | ((code >> 22) & 960)]
+            | t2[((code >> 12) & 63) | ((code >> 26) & 960)]
+            | t3[((code >> 18) & 63) | ((code >> 30) & 960)]
+        )
+        return slot, code, code == self._solved
+
+    def _chunk_tables(self) -> list:
+        """Per move, four 1024-entry lists: a chunk's fields moved into place."""
+        idx = np.arange(1024, dtype=np.int64)
+        tables = []
+        for m in range(9):
+            # Source corner s lands on the slot d with perms[m, d] == s.
+            dest = np.argsort(self._perms[m])
+            per_move = []
+            for c in range(4):
+                word = np.zeros(1024, dtype=np.int64)
+                for half in range(2):
+                    s = 2 * c + half
+                    d = int(dest[s])
+                    cp = (idx >> (3 * half)) & 7
+                    co = ((idx >> (6 + 2 * half)) & 3) + self._twists[m, d]
+                    word |= (cp << (3 * d)) | ((co % 3) << (24 + 2 * d))
+                per_move.append(word.tolist())
+            tables.append(tuple(per_move))
+        return tables
 
     # -- reconstruction -------------------------------------------------------
 

@@ -319,6 +319,19 @@ class TileKernel(DomainKernel):
                 self._dist[t, i] = abs(r - gr) + abs(c - gc)
         self._goal = np.uint64(domain.state_key(domain.goal_state))
         self._bound = np.float64(domain.distance_bound)
+        # The scalar step's constants, as Python ints: the SWAR words, the
+        # goal word, and per blank cell (keyed by the blank's SWAR bit) its
+        # nibble shift and the target shifts of its valid slots.
+        self._scalar = (
+            int(self._fill),
+            int(self._low),
+            int(self._high),
+            int(self._goal),
+            {
+                1 << (4 * b + 3): (4 * b, tuple(self._target_shift[b, :k].tolist()))
+                for b, k in enumerate(self._k_of_blank.tolist())
+            },
+        )
 
     def _blank(self, codes) -> np.ndarray:
         """Blank cell per code: the lowest zero nibble, by SWAR."""
@@ -355,6 +368,21 @@ class TileKernel(DomainKernel):
         for i in range(self._cells):
             m += self._dist[(codes >> self._blank_shift[i]) & np.uint64(15), i]
         return 1.0 - m / self._bound
+
+    def step(self, code: int, gene: float):
+        """One gene on the board word: the same SWAR blank and XOR slide."""
+        fill, low, high, goal, moves = self._scalar
+        x = code | fill
+        t = (x - low) & ~x & high
+        blank, targets = moves[t & -t]
+        k = len(targets)
+        slot = int(gene * k)
+        if slot >= k:
+            slot = k - 1
+        shift = targets[slot]
+        tile = (code >> shift) & 15
+        code ^= (tile << shift) ^ (tile << blank)
+        return slot, code, code == goal
 
     # -- reconstruction -------------------------------------------------------
 

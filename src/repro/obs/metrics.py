@@ -191,10 +191,10 @@ CANONICAL_INSTRUMENTS: Tuple[InstrumentSpec, ...] = (
         "service_slices", "counter", "service", "tick-sized slices executed by the run scheduler"
     ),
     InstrumentSpec(
-        "service_warm_hits", "counter", "service", "runs served a pre-warmed decode engine"
+        "service_warm_hits", "counter", "service", "runs served a warm (domain, decoder) pair"
     ),
     InstrumentSpec(
-        "service_warm_misses", "counter", "service", "runs that had to build a cold decode engine"
+        "service_warm_misses", "counter", "service", "runs that had to build a cold (domain, decoder) pair"
     ),
     InstrumentSpec(
         "service_cache_evictions", "counter", "service",

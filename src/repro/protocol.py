@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import abc
 import weakref
-from typing import Generic, Hashable, Optional, Sequence, TypeVar
+from typing import Generic, Hashable, Optional, Sequence, Tuple, TypeVar
 
 __all__ = ["PlanningDomain", "DomainKernel"]
 
@@ -235,6 +235,19 @@ class DomainKernel(abc.ABC, Generic[S, O]):
     @abc.abstractmethod
     def goal_fit(self, codes):
         """float64 array of each code's exact ``goal_fitness``."""
+
+    @abc.abstractmethod
+    def step(self, code: int, gene: float) -> Tuple[int, int, bool]:
+        """One gene of a scalar walk, on plain Python values.
+
+        Returns ``(slot, next_code, next_is_goal)``: ``slot`` is
+        ``min(int(gene * k), k - 1)`` for ``k = valid_count(code)`` (the
+        same float64 multiply and truncation as the vector walk),
+        ``next_code`` is ``advance(code, slot)`` as a Python int and
+        ``next_is_goal`` is its ``goal_mask``.  Short batches walk row by
+        row through this call, where a numpy call per gene would cost
+        more than the gene.
+        """
 
     # -- reconstruction hooks (plan-keeping decodes) --------------------------
 

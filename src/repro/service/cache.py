@@ -1,33 +1,37 @@
-"""Warm cross-request engine reuse, keyed by domain config-hash.
+"""Warm cross-request decoder reuse, keyed by domain config-hash.
 
-:class:`~repro.core.decode_engine.DecodeEngine` binds by domain
-*identity*: rebinding the same domain instance keeps its transition tables
-hot, while a structurally-equal but fresh instance silently cold-starts.
-The cache therefore stores the ``(domain, engine)`` pair together, keyed
-by :func:`config_hash` over the domain name and constructor args, and
-leases whole pairs for a run's lifetime — two concurrent same-domain
+A request decodes on one decoder per domain: the code decoder
+(:class:`~repro.core.vector_decode.VectorDecoder`) when the domain has a
+kernel, and otherwise a :class:`~repro.core.decode_engine.DecodeEngine`,
+whose transition tables are what a warm start keeps.  Both bind by domain
+*identity*, so the cache stores the ``(domain, decoder)`` pair together,
+keyed by :func:`config_hash` over the domain name and constructor args,
+and leases whole pairs for a run's lifetime — two concurrent same-domain
 requests get *separate* pairs (no shared mutable state mid-run), and a
 released pair is the next same-domain request's warm start.  At most
 :data:`MAX_IDLE_PAIRS` idle pairs are kept across all keys; past that the
 least recently released pair is evicted, and its domain (with the kernel
-tables that die with it) is freed.
+that dies with it) is freed.  A code decoder holds no table of states, so
+an idle kernel-domain pair costs the domain and its kernel only.
 
-The fitness memo has the lifetime of a request *trajectory*, not of a
-pair: a GA run's genomes depend on its config hash, seed, population and
-plan-length bound, so only a request with all four equal can hit another
-request's memo entries (the budget is left out because a longer budget
-replays a prefix of a shorter one).  :meth:`EngineCache.attach_memo`
-hands that trajectory's retained memo (or a fresh one) to the leased
-engine and :meth:`EngineCache.release` takes it back; idle pairs hold no
-memo.  At most :data:`MAX_IDLE_PAIRS` memos are retained, the least
-recently served evicted first (``service_memo_evictions``), and empty
-ones (resilient requests never touch the engine's memo) are not kept.
-So a repeated request replays from its memo from its second arrival on,
-distinct-seed traffic stops piling up genomes, and the worst case stays
-:data:`MAX_IDLE_PAIRS` × ``memo_entries`` entries.
+The fitness memo (:class:`~repro.core.parallel.FitnessMemo`) has the
+lifetime of a request *trajectory*, not of a pair: a GA run's genomes
+depend on its config hash, seed, population and plan-length bound, so only
+a request with all four equal can hit another request's memo entries (the
+budget is left out because a longer budget replays a prefix of a shorter
+one).  :meth:`EngineCache.attach_memo` hands the lease that trajectory's
+retained memo (or a fresh one) and :meth:`EngineCache.release` takes it
+back; idle pairs hold no memo.  An entry maps a genome's bytes to its
+fitness, never to a plan.  At most :data:`MAX_IDLE_PAIRS` memos are
+retained, the least recently served evicted first
+(``service_memo_evictions``), and empty ones (resilient requests never
+consult the memo) are not kept.  So a repeated request replays from its
+memo from its second arrival on, distinct-seed traffic stops piling up
+genomes, and the worst case stays :data:`MAX_IDLE_PAIRS` ×
+``FitnessMemo.max_entries`` entries.
 
-Warmth never changes results: the decode engine's exactness contract means
-a warm request computes bit-identical fitness to a cold one, just faster.
+Warmth never changes results: both decoders are exact, so a warm request
+computes bit-identical fitness to a cold one, just faster.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.decode_engine import DecodeEngine, FitnessMemo
+from repro.core.decode_engine import DecodeEngine
+from repro.core.parallel import FitnessMemo
+from repro.core.vector_decode import VectorDecoder
 from repro.domains import registry as domain_registry
 from repro.domains.base import PlanningDomain
 from repro.obs.metrics import MetricsRegistry
@@ -49,6 +55,9 @@ __all__ = ["config_hash", "EngineLease", "EngineCache", "MAX_IDLE_PAIRS"]
 #: Idle pairs kept across all keys, and fitness memos kept across all
 #: trajectories; the least recently released goes first.
 MAX_IDLE_PAIRS = 32
+
+#: The one decoder a domain decodes on.
+Decoder = Union[VectorDecoder, DecodeEngine]
 
 
 def config_hash(domain: str, args: Sequence[object] = ()) -> str:
@@ -64,23 +73,36 @@ def config_hash(domain: str, args: Sequence[object] = ()) -> str:
 
 @dataclass
 class EngineLease:
-    """One checked-out ``(domain, engine)`` pair; hold for the run's lifetime.
+    """One checked-out ``(domain, decoder)`` pair; hold for the run's lifetime.
 
     ``warm`` records whether the pair came from the idle pool (a previous
-    request's caches intact) or was built cold for this lease;
-    ``trajectory`` is the memo key set by :meth:`EngineCache.attach_memo`.
+    request's caches intact) or was built cold for this lease; ``memo``
+    and ``trajectory`` are set by :meth:`EngineCache.attach_memo`.
     """
 
     key: str
     domain: PlanningDomain
-    engine: DecodeEngine
     warm: bool
+    memo: Optional[FitnessMemo] = None
     trajectory: Optional[Hashable] = None
     released: bool = field(default=False, repr=False)
+    _decoder: Optional[Decoder] = field(default=None, repr=False)
+
+    @property
+    def decoder(self) -> Decoder:
+        """The pair's decoder, built on first use (building a kernel costs).
+
+        The code decoder when the domain has a kernel, a
+        :class:`~repro.core.decode_engine.DecodeEngine` otherwise.
+        """
+        if self._decoder is None:
+            kernel = self.domain.kernel()
+            self._decoder = VectorDecoder(kernel) if kernel is not None else DecodeEngine()
+        return self._decoder
 
 
 class EngineCache:
-    """Pool of idle ``(domain, engine)`` pairs per domain config-hash.
+    """Pool of idle ``(domain, decoder)`` pairs per domain config-hash.
 
     Thread-safe: the run scheduler's worker threads lease and release
     concurrently.  ``max_idle_per_key`` bounds retained pairs per key
@@ -108,8 +130,9 @@ class EngineCache:
             metrics.counter("service_cache_evictions")
             metrics.counter("service_memo_evictions")
         self._lock = threading.Lock()
-        # Idle (key, domain, engine) triples, least recently released first.
-        self._idle: List[Tuple[str, PlanningDomain, DecodeEngine]] = []
+        # Idle (key, domain, decoder) triples, least recently released first;
+        # the decoder is None when the lease never decoded.
+        self._idle: List[Tuple[str, PlanningDomain, Optional[Decoder]]] = []
         # Retained memos by trajectory, least recently served first.
         self._memos: "OrderedDict[Hashable, FitnessMemo]" = OrderedDict()
 
@@ -120,7 +143,7 @@ class EngineCache:
         scheduler turns that into an ``error`` frame.
         """
         key = config_hash(domain_name, args)
-        entry: Optional[Tuple[str, PlanningDomain, DecodeEngine]] = None
+        entry: Optional[Tuple[str, PlanningDomain, Optional[Decoder]]] = None
         with self._lock:
             idle = self._idle
             for i in range(len(idle) - 1, -1, -1):
@@ -131,15 +154,15 @@ class EngineCache:
             self.warm_hits += 1
             if self.metrics is not None:
                 self.metrics.counter("service_warm_hits").add(1)
-            return EngineLease(key=key, domain=entry[1], engine=entry[2], warm=True)
+            return EngineLease(key=key, domain=entry[1], warm=True, _decoder=entry[2])
         domain = domain_registry.create(domain_name, *args)
         self.warm_misses += 1
         if self.metrics is not None:
             self.metrics.counter("service_warm_misses").add(1)
-        return EngineLease(key=key, domain=domain, engine=DecodeEngine(), warm=False)
+        return EngineLease(key=key, domain=domain, warm=False)
 
     def attach_memo(self, lease: EngineLease, trajectory: Hashable) -> None:
-        """Give *lease*'s engine the retained memo of *trajectory*, or a fresh one.
+        """Give *lease* the retained memo of *trajectory*, or a fresh one.
 
         *trajectory* must determine the run's genomes given the lease's
         config hash (the scheduler passes ``(key, seed, population,
@@ -150,12 +173,12 @@ class EngineCache:
         with self._lock:
             memo = self._memos.pop(trajectory, None)
         lease.trajectory = trajectory
-        lease.engine.swap_memo(memo if memo is not None else FitnessMemo(None, {}))
+        lease.memo = memo if memo is not None else FitnessMemo()
 
     def release(self, lease: EngineLease) -> None:
         """Return a lease's pair to the idle pool and its memo to the cache.
 
-        Idempotent.  The engine's memo is always detached, so idle pairs
+        Idempotent.  The lease's memo is always detached, so idle pairs
         hold none; a non-empty memo of an attached trajectory is retained
         as the most recently served, evicting the least recently served
         past :data:`MAX_IDLE_PAIRS`.  When the per-key idle pool is full the
@@ -165,14 +188,14 @@ class EngineCache:
         if lease.released:
             return
         lease.released = True
-        memo = lease.engine.swap_memo()
-        if lease.trajectory is not None and memo is not None and memo.entries:
+        memo, lease.memo = lease.memo, None
+        if lease.trajectory is not None and memo is not None and len(memo):
             self._retain_memo(lease.trajectory, memo)
         with self._lock:
             idle = self._idle
             if sum(1 for entry in idle if entry[0] == lease.key) >= self.max_idle_per_key:
                 return
-            idle.append((lease.key, lease.domain, lease.engine))
+            idle.append((lease.key, lease.domain, lease._decoder))
             evicted = len(idle) > MAX_IDLE_PAIRS
             if evicted:
                 del idle[0]
@@ -197,11 +220,11 @@ class EngineCache:
         """Warm hit/miss and eviction totals, idle-pool and memo occupancy."""
         idle: Dict[str, int] = {}
         with self._lock:
-            for key, _domain, _engine in self._idle:
+            for key, _domain, _decoder in self._idle:
                 idle[key] = idle.get(key, 0) + 1
             memos = {
                 "trajectories": len(self._memos),
-                "entries": sum(len(memo.entries) for memo in self._memos.values()),
+                "entries": sum(len(memo) for memo in self._memos.values()),
             }
         return {
             "warm_hits": self.warm_hits,

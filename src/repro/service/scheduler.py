@@ -1,4 +1,4 @@
-"""Run scheduler: admission control, fair-share slicing, warm engines.
+"""Run scheduler: admission control, fair-share slicing, warm decoders.
 
 The scheduler multiplexes concurrent :class:`~repro.service.protocol.
 PlanRequest`\\ s over a bounded worker pool in *tick-sized slices* — each
@@ -369,12 +369,10 @@ class RunScheduler:
         config = GAConfig(
             population_size=request.population, generations=request.budget, **kwargs
         )
-        # The leased engine decodes, never the vector decode: at service
-        # populations (30-40 rows) the vector walk cannot amortise its
-        # per-gene numpy steps and is slower even cold (hanoi-6, pop 40,
-        # 15 generations: 71 ms engine vs 157 ms vector, 2 cores), and only
-        # the engine keeps its tables and memo across requests.
-        evaluator = SerialEvaluator(engine=lease.engine)
+        # One decoder per domain: the pair's code decoder on a kernel
+        # domain (a request's 30-40 rows take its scalar walk), its engine
+        # otherwise, behind the trajectory's fitness-only memo.
+        evaluator = SerialEvaluator(engine=lease.decoder, memo=lease.memo)
         if request.evaluator == "resilient":
             from repro.core.resilient import ResiliencePolicy, ResilientEvaluator
 
@@ -642,7 +640,7 @@ class RunScheduler:
 
         For shutdown, once nothing steps the scheduler any more (after
         :meth:`ServicePool.stop`): every unfinished run is then queued
-        between slices, and one that has started holds a leased engine and
+        between slices, and one that has started holds a leased pair and
         an evaluator — for a ``resilient`` request a process pool, which
         would otherwise be left to the executor's interpreter-exit hook.
         """

@@ -2,19 +2,20 @@
 
 The engine's contract is *bit-identical* equivalence with the naive decode
 path; these tests pin that down layer by layer (transition memoisation,
-dirty-prefix resume, the installed fitness memo, cache lifetime) plus the
-eviction / pinning behaviour of the bounded tables.
+dirty-prefix resume, cache lifetime) plus the eviction / pinning
+behaviour of the bounded tables, and the service's fitness memo in front
+of an engine.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import GAConfig, Individual, make_rng, run_ga
-from repro.core.decode_engine import DecodeEngine, FitnessMemo, TransitionCache
+from repro.core.decode_engine import DecodeEngine, TransitionCache
 from repro.core.encoding import DecodeCache, decode
 from repro.core.fitness import FitnessFunction
 from repro.core.mutation import deletion_mutation, insertion_mutation
-from repro.core.parallel import EvaluationContext, SerialEvaluator
+from repro.core.parallel import EvaluationContext, FitnessMemo, SerialEvaluator
 from repro.core.popbuffer import PopulationBuffer
 from repro.domains import HanoiDomain, SlidingTileDomain
 from tests.oracle import ReferenceEvaluator, random_crossover, uniform_reset_mutation
@@ -40,18 +41,19 @@ def make_context(domain, truncate=True):
     )
 
 
-def evaluate(engine, genes, context):
-    """Score one genome the way ``SerialEvaluator(engine=engine)`` does."""
-    buffer = PopulationBuffer.from_individuals([Individual(genes=genes)], keep_plans=True)
-    SerialEvaluator(engine=engine).evaluate_buffer(buffer, context)
+def evaluate(evaluator, genes, context):
+    """Score one genome on *evaluator*, in a plan-less buffer as the service does.
+
+    A memo hit writes no plan; the plan returned is then ``None``.
+    """
+    buffer = PopulationBuffer.from_individuals([Individual(genes=genes)], keep_plans=False)
+    evaluator.evaluate_buffer(buffer, context)
     return buffer.plans[0], buffer.fitness_result(0)
 
 
-def memo_engine():
-    """An engine with an empty fitness memo installed, as the service leases it."""
-    engine = DecodeEngine()
-    engine.swap_memo(FitnessMemo(None, {}))
-    return engine
+def memo_evaluator(memo=None):
+    """An engine evaluator with a fitness memo, as the service builds it."""
+    return SerialEvaluator(engine=DecodeEngine(), memo=memo if memo is not None else FitnessMemo())
 
 
 class TestTransitionCacheEquivalence:
@@ -241,105 +243,108 @@ class TestDecodeCachePinning:
 
 class TestDedupAndMemo:
     def test_duplicate_genomes_evaluated_once(self, hanoi3, rng):
-        engine = memo_engine()
+        # A hit returns the same fitness and no plan.
+        ev = memo_evaluator()
         ctx = make_context(hanoi3)
         genes = rng.random(12)
-        r1 = evaluate(engine, genes, ctx)
-        r2 = evaluate(engine, genes.copy(), ctx)
-        assert engine.evals_skipped == 1
-        assert r1[0] is r2[0] and r1[1] == r2[1]  # the memo's plan, same fitness
+        r1 = evaluate(ev, genes, ctx)
+        r2 = evaluate(ev, genes.copy(), ctx)
+        assert ev.memo.hits == 1
+        assert r1[0] is not None and r2[0] is None
+        assert r1[1] == r2[1]
 
     def test_engine_holds_no_memo_until_one_is_installed(self, hanoi3, rng):
-        engine = DecodeEngine()
+        ev = SerialEvaluator(engine=DecodeEngine())
         ctx = make_context(hanoi3)
         genes = rng.random(12)
-        evaluate(engine, genes, ctx)
-        evaluate(engine, genes.copy(), ctx)
-        assert not engine.memoizing and engine.swap_memo() is None
-        assert engine.evals_skipped == 0
+        first = evaluate(ev, genes, ctx)
+        second = evaluate(ev, genes.copy(), ctx)
+        assert ev.memo is None
+        assert first[0] is not None and second[0] is not None  # both decoded
 
     def test_memo_invalidated_on_start_state_change(self, hanoi3, rng):
-        engine = memo_engine()
+        ev = memo_evaluator()
         genes = rng.random(8)
-        evaluate(engine, genes, make_context(hanoi3))
+        evaluate(ev, genes, make_context(hanoi3))
         mid = hanoi3.apply(
             hanoi3.initial_state, list(hanoi3.valid_operations(hanoi3.initial_state))[0]
         )
         ctx2 = EvaluationContext(
             domain=hanoi3, start_state=mid, fitness=FitnessFunction(hanoi3)
         )
-        decoded, _ = evaluate(engine, genes, ctx2)
+        decoded, _ = evaluate(ev, genes, ctx2)
         naive = decode(genes, hanoi3, mid)
-        assert_plans_identical(decoded, naive)  # memo did not serve stale plan
-        assert engine.evals_skipped == 0
+        assert_plans_identical(decoded, naive)  # memo did not serve stale fitness
+        assert ev.memo.hits == 0
 
     def test_transition_tables_survive_rebind_same_domain(self, hanoi3, rng):
         engine = DecodeEngine()
         ctx = make_context(hanoi3)
-        evaluate(engine, rng.random(15), ctx)
+        evaluate(SerialEvaluator(engine=engine), rng.random(15), ctx)
         warm = engine.counters()["transition_cache_misses"]
         engine.bind(ctx)  # per-batch rebind must not clear the tables
         assert engine.counters()["transition_cache_misses"] == warm
         assert engine._cache._tbl  # still warm
 
     def test_tables_rebuilt_on_domain_change(self, hanoi3, tile3, rng):
-        engine = DecodeEngine()
-        evaluate(engine, rng.random(10), make_context(hanoi3))
-        decoded, _ = evaluate(engine, rng.random(10), make_context(tile3))
+        ev = SerialEvaluator(engine=DecodeEngine())
+        evaluate(ev, rng.random(10), make_context(hanoi3))
+        decoded, _ = evaluate(ev, rng.random(10), make_context(tile3))
         naive = decode(rng.random(0), tile3, tile3.initial_state)  # smoke: domain works
         assert decoded.state_keys[0] == tile3.state_key(tile3.initial_state)
         assert naive is not None
 
     def test_memo_bounded(self, hanoi3, rng):
-        engine = memo_engine()
-        engine.memo_entries = 4
+        memo = FitnessMemo()
+        memo.max_entries = 4
+        ev = memo_evaluator(memo)
         ctx = make_context(hanoi3)
         for _ in range(10):
-            evaluate(engine, rng.random(6), ctx)
-        assert len(engine._memo) <= 4
-        assert engine.memo_evictions > 0
+            evaluate(ev, rng.random(6), ctx)
+        assert len(memo) <= 4
+        assert memo.evictions > 0
 
 
 class TestSwapMemo:
-    """A memo moved between engines keeps the signature check."""
+    """A memo moved between evaluators keeps the signature check."""
 
     def scored_memo(self, domain, genes, start_state=None):
-        engine = memo_engine()
+        ev = memo_evaluator()
         ctx = make_context(domain)
         if start_state is not None:
             ctx = EvaluationContext(
                 domain=domain, start_state=start_state, fitness=FitnessFunction(domain)
             )
-        evaluate(engine, genes, ctx)
-        return engine.swap_memo()
+        evaluate(ev, genes, ctx)
+        return ev.memo
 
     def test_memo_serves_a_fresh_engine_bound_to_an_equal_domain(self, rng):
+        # The hit returns the fitness a decode would, and no plan.
         genes = rng.random(12)
         memo = self.scored_memo(HanoiDomain(3), genes)
         assert len(memo.entries) == 1
         domain = HanoiDomain(3)
-        engine = DecodeEngine()
-        assert engine.swap_memo(memo) is None
-        decoded, _ = evaluate(engine, genes, make_context(domain))
-        assert engine.evals_skipped == 1
-        assert_plans_identical(decoded, decode(genes, domain, domain.initial_state))
+        ev = memo_evaluator(memo)
+        decoded, fitness = evaluate(ev, genes, make_context(domain))
+        assert memo.hits == 1 and decoded is None
+        naive = decode(genes, domain, domain.initial_state)
+        assert fitness == FitnessFunction(domain)(naive)
 
     def test_memo_scored_under_another_signature_is_dropped_at_bind(self, hanoi3, rng):
         genes = rng.random(12)
         start = hanoi3.initial_state
         mid = hanoi3.apply(start, list(hanoi3.valid_operations(start))[0])
-        engine = DecodeEngine()
-        engine.swap_memo(self.scored_memo(hanoi3, genes, start_state=mid))
-        decoded, _ = evaluate(engine, genes, make_context(hanoi3))
-        assert engine.evals_skipped == 0
+        ev = memo_evaluator(self.scored_memo(hanoi3, genes, start_state=mid))
+        decoded, _ = evaluate(ev, genes, make_context(hanoi3))
+        assert ev.memo.hits == 0
         assert_plans_identical(decoded, decode(genes, hanoi3, start))
 
     def test_memo_is_dropped_when_a_bound_engine_changes_domain(self, hanoi3, rng):
         genes = rng.random(12)
-        engine = memo_engine()
-        evaluate(engine, genes, make_context(hanoi3))
-        evaluate(engine, genes, make_context(HanoiDomain(3)))
-        assert engine.evals_skipped == 0
+        ev = memo_evaluator()
+        evaluate(ev, genes, make_context(hanoi3))
+        evaluate(ev, genes, make_context(HanoiDomain(3)))
+        assert ev.memo.hits == 0
 
 
 class TestOperatorLineage:

@@ -24,7 +24,12 @@ from repro.core import (
     run_multiphase,
     run_portfolio,
 )
-from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
+from repro.core import vector_decode
+from repro.core.encoding import decode
+from repro.core.fitness import FitnessFunction
+from repro.core.parallel import EvaluationContext, ProcessPoolEvaluator, SerialEvaluator
+from repro.core.popbuffer import PopulationBuffer
+from repro.core.vector_decode import VectorDecoder
 from repro.domains import HanoiDomain, PocketCubeDomain, SlidingTileDomain
 from repro.domains.pocket_cube import scrambled_state
 from tests.oracle import ReferenceEvaluator
@@ -173,3 +178,130 @@ class TestVectorIslandsEquivalence:
         assert on.migrations == off.migrations
         for ha, hb in zip(on.histories, off.histories):
             assert ha.generations == hb.generations
+
+
+def _near_goal_tile(n):
+    """An n×n tile one move from its goal, so random genomes reach it."""
+    domain = SlidingTileDomain(n)
+    goal = domain.goal_state
+    return SlidingTileDomain(n, initial=domain.apply(goal, domain.valid_operations(goal)[0]))
+
+
+#: Every kernel domain the walks must agree on.
+WALK_DOMAINS = {
+    **{f"hanoi-{n}": (lambda n=n: HanoiDomain(n)) for n in range(1, 9)},
+    **{f"tile-{n}": (lambda n=n: SlidingTileDomain(n)) for n in (2, 3, 4)},
+    **{f"tile-{n}-near-goal": (lambda n=n: _near_goal_tile(n)) for n in (3, 4)},
+    "cube": lambda: PocketCubeDomain(scrambled_state(6, make_rng(5))),
+    "cube-near-goal": lambda: PocketCubeDomain(scrambled_state(1, make_rng(5))),
+}
+
+
+def _walk_batch(domain, n_rows, truncate, seed):
+    """*n_rows* genomes with resume hints, as breeding makes them.
+
+    Parents are decoded with the reference decoder; each child keeps a
+    parent's first ``dirty`` genes and carries ``(parent plan, dirty)``.
+    The dirty points cover gene 0 (no hint), the parent's ``used_genes``
+    (a row boundary), the child's whole length (nothing left to walk) and
+    points past the parent's stop (a parent that stopped inside the
+    prefix); a few rows carry no hint at all.
+    """
+    rng = make_rng(seed)
+    start = domain.initial_state
+    genomes, hints = [], []
+    for i in range(n_rows):
+        parent = rng.random(int(rng.integers(1, 40)))
+        plan = decode(parent, domain, start, truncate_at_goal=truncate)
+        kind = i % 5
+        if kind == 0:
+            genomes.append(rng.random(int(rng.integers(0, 40))))
+            hints.append(None)
+            continue
+        if kind == 1:
+            dirty = plan.used_genes
+        elif kind == 2:
+            dirty = parent.size
+        elif kind == 3:
+            dirty = int(rng.integers(0, parent.size + 1))
+        else:
+            dirty = min(parent.size, plan.used_genes + int(rng.integers(1, 4)))
+        tail = rng.random(int(rng.integers(0, 20))) if kind != 2 else np.empty(0)
+        genomes.append(np.concatenate([parent[:dirty], tail]))
+        hints.append((plan, dirty))
+    lengths = np.array([g.size for g in genomes], dtype=np.int64)
+    offsets = np.zeros(n_rows, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    arena = np.concatenate(genomes) if lengths.sum() else np.empty(0)
+    return genomes, arena, offsets, lengths, hints
+
+
+class TestScalarAndVectorWalks:
+    """Both walks decode every row exactly as the reference decoder does.
+
+    A batch of ``SCALAR_ROWS - 1`` rows walks row by row and one of
+    ``SCALAR_ROWS`` rows walks in numpy; each is also forced through the
+    other walk, so every row is decoded both ways on both sides of the
+    constant and held to ``tests/oracle.py``'s decode and fitness.
+    """
+
+    @pytest.mark.parametrize("truncate", [True, False], ids=["truncate", "full"])
+    @pytest.mark.parametrize("name", sorted(WALK_DOMAINS))
+    def test_walks_match_the_oracle(self, name, truncate, monkeypatch):
+        domain = WALK_DOMAINS[name]()
+        context = EvaluationContext(
+            domain, domain.initial_state, FitnessFunction(domain, 0.7, 0.3), truncate
+        )
+        for n_rows in (vector_decode.SCALAR_ROWS - 1, vector_decode.SCALAR_ROWS):
+            genomes, arena, offsets, lengths, hints = _walk_batch(domain, n_rows, truncate, n_rows)
+            oracle = ReferenceEvaluator()
+            buffer = PopulationBuffer(arena, offsets, lengths)
+            oracle.evaluate_buffer(buffer, context)
+            for threshold in (vector_decode.SCALAR_ROWS, 0, 10**9):
+                monkeypatch.setattr(vector_decode, "SCALAR_ROWS", threshold)
+                for keep_plans in (True, False):
+                    decoder = VectorDecoder(domain.kernel())
+                    decoder.bind(context)
+                    total, goal, cost, reached, used, plans = decoder.decode_rows(
+                        arena, offsets, lengths, keep_plans, hints
+                    )
+                    assert total.tolist() == buffer.total.tolist()
+                    assert goal.tolist() == buffer.goal.tolist()
+                    assert cost.tolist() == buffer.cost.tolist()
+                    assert reached.tolist() == buffer.goal_reached.tolist()
+                    assert used.tolist() == [p.used_genes for p in buffer.plans]
+                    for i, want in enumerate(buffer.plans):
+                        got = plans[i]
+                        if got is None:
+                            assert not keep_plans
+                            continue
+                        assert got.operations == want.operations
+                        assert got.state_keys == want.state_keys
+                        assert got.match_keys == want.match_keys
+                        assert got.final_state == want.final_state
+                        assert got.used_genes == want.used_genes
+                        assert got.goal_reached == want.goal_reached
+                        assert got.cost == want.cost
+                monkeypatch.undo()
+
+    def test_the_batches_straddle_the_constant(self):
+        # The suite above is only as good as its batch sizes: one below
+        # the constant, one at it.
+        assert 1 < vector_decode.SCALAR_ROWS < 190  # a GA cell's pending rows
+
+
+class TestLazyPlans:
+    @pytest.mark.parametrize("name", ["hanoi-5", "tile-3", "cube"])
+    def test_decode_genes_equals_the_reference_decode(self, name, rng):
+        domain = WALK_DOMAINS[name]()
+        context = EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
+        for _ in range(20):
+            genes = rng.random(int(rng.integers(0, 60)))
+            got = context.decode_genes(genes)
+            want = decode(genes, domain, domain.initial_state)
+            assert (got.operations, got.state_keys, got.match_keys) == (
+                want.operations, want.state_keys, want.match_keys
+            )
+            assert (got.final_state, got.used_genes, got.goal_reached, got.cost) == (
+                want.final_state, want.used_genes, want.goal_reached, want.cost
+            )

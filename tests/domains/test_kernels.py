@@ -19,7 +19,7 @@ from repro.core import make_rng
 from repro.domains import HanoiDomain, PocketCubeDomain, SlidingTileDomain
 from repro.domains.hanoi import _MAX_KERNEL_DISKS
 from repro.domains.kernels import _KERNEL_CACHE, cached_kernel
-from repro.domains.pocket_cube import scrambled_state
+from repro.domains.pocket_cube import _SOLVED_CO, _SOLVED_CP, scrambled_state
 from repro.domains.sliding_tile import goal_tuple, random_solvable_start
 
 
@@ -60,6 +60,29 @@ def assert_kernel_matches_domain(domain, states):
         assert kernel.advance(same, slots).tolist() == [
             kernel.code_of_key(domain.state_key(domain.apply(state, op))) for op in ops
         ]
+        assert_step_matches(domain, code, state)
+
+
+def slot_genes(k):
+    """Genes reaching every slot of a k-way choice, and both ends of [0, 1)."""
+    return [0.0] + [(j + 0.5) / k for j in range(k)] + [float(np.nextafter(1.0, 0.0))]
+
+
+def assert_step_matches(domain, code, state):
+    """The scalar step from *state* equals the vector walk and the object API."""
+    kernel = domain.kernel()
+    ops = list(domain.valid_operations(state))
+    k = len(ops)
+    for gene in slot_genes(k):
+        slot, nxt, goal = kernel.step(code, float(gene))
+        want = min(int(np.float64(gene) * k), k - 1)
+        codes = np.array([code], dtype=kernel.code_dtype)
+        assert slot == want
+        assert type(nxt) is int
+        assert nxt == int(kernel.advance(codes, np.array([want]))[0])
+        after = domain.apply(state, ops[slot])
+        assert nxt == kernel.code_of_key(domain.state_key(after))
+        assert goal == domain.is_goal(after)
 
 
 def _hanoi(n):
@@ -98,6 +121,31 @@ class TestKernelContract:
         kernel = domain.kernel()
         code = np.array([kernel.code_of_key(domain.state_key(goal))], dtype=kernel.code_dtype)
         assert kernel.goal_mask(code)[0] and kernel.goal_fit(code)[0] == 1.0
+
+
+    @pytest.mark.parametrize(
+        "domain, goal",
+        [
+            (HanoiDomain(1), ((), (1,), ())),
+            (HanoiDomain(3), ((), (3, 2, 1), ())),
+            (SlidingTileDomain(2), goal_tuple(2)),
+            (SlidingTileDomain(3), goal_tuple(3)),
+            (SlidingTileDomain(4), goal_tuple(4)),
+            (PocketCubeDomain(), (_SOLVED_CP, _SOLVED_CO)),
+        ],
+        ids=["hanoi-1", "hanoi-3", "tile-2", "tile-3", "tile-4", "cube"],
+    )
+    def test_step_lands_on_the_goal(self, domain, goal):
+        # From every neighbour of the goal, some gene steps back onto it,
+        # and the step reports the goal.
+        assert domain.is_goal(goal)
+        kernel = domain.kernel()
+        for op in domain.valid_operations(goal):
+            near = domain.apply(goal, op)
+            code = kernel.code_of_key(domain.state_key(near))
+            assert_step_matches(domain, code, near)
+            k = len(domain.valid_operations(near))
+            assert any(kernel.step(code, g)[2] for g in slot_genes(k))
 
 
 class TestHanoiKernel:

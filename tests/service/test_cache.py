@@ -8,6 +8,8 @@ import weakref
 
 import pytest
 
+from repro.core.decode_engine import DecodeEngine
+from repro.core.vector_decode import VectorDecoder
 from repro.obs import MetricsRegistry
 from repro.service import EngineCache, config_hash
 from repro.service.cache import MAX_IDLE_PAIRS
@@ -43,16 +45,17 @@ class TestEngineCache:
     def test_release_then_lease_is_warm_with_same_pair(self):
         cache = EngineCache()
         first = cache.lease("hanoi", (3,))
+        decoder = first.decoder  # built on first use, then kept by the pair
         cache.release(first)
         second = cache.lease("hanoi", (3,))
         assert second.warm is True
-        assert second.domain is first.domain and second.engine is first.engine
+        assert second.domain is first.domain and second.decoder is decoder
 
     def test_concurrent_leases_get_distinct_pairs(self):
         cache = EngineCache()
         a = cache.lease("hanoi", (3,))
         b = cache.lease("hanoi", (3,))
-        assert a.engine is not b.engine and a.domain is not b.domain
+        assert a.decoder is not b.decoder and a.domain is not b.domain
 
     def test_different_configs_never_share(self):
         cache = EngineCache()
@@ -90,13 +93,24 @@ class TestEngineCache:
         # keeps every genome, because a repeated request replays them all.
         cache = EngineCache()
         lease = cache.lease("hanoi", (3,))
-        assert not lease.engine.memoizing
+        assert lease.memo is None
         cache.attach_memo(lease, "t")
         fingerprints = [i.to_bytes(4, "little") for i in range(2000)]
         for fp in fingerprints:
-            assert lease.engine.lookup(fp) is None
-            lease.engine.store(fp, "decoded", "fitness")
-        assert all(lease.engine.lookup(fp) is not None for fp in fingerprints)
+            assert lease.memo.lookup(fp) is None
+            lease.memo.store(fp, "fitness")
+        assert all(lease.memo.lookup(fp) is not None for fp in fingerprints)
+
+    def test_kernel_domains_lease_the_code_decoder(self):
+        # One decoder per domain: a code decoder holds no table of states.
+        cache = EngineCache()
+        for name, args in (("hanoi", (3,)), ("tile", (3,))):
+            lease = cache.lease(name, args)
+            assert isinstance(lease.decoder, VectorDecoder)
+            assert lease.decoder.domain is lease.domain
+        lease = cache.lease("hanoi", (13,))  # past the kernel's disk budget
+        assert lease.domain.kernel() is None
+        assert isinstance(lease.decoder, DecodeEngine)
 
     def test_bad_pool_bound_rejected(self):
         with pytest.raises(ValueError, match="max_idle_per_key"):
@@ -151,12 +165,12 @@ class TestIdleCap:
             for _ in range(150):
                 lease = cache.lease("hanoi", rng.choice(self.CONFIGS))
                 with held_lock:
-                    if id(lease.engine) in held:
+                    if id(lease.domain) in held:
                         shared.append(lease.key)
-                    held.add(id(lease.engine))
+                    held.add(id(lease.domain))
                 warm[t] += lease.warm
                 with held_lock:
-                    held.discard(id(lease.engine))
+                    held.discard(id(lease.domain))
                 cache.release(lease)
                 releases[t] += 1
 
@@ -190,10 +204,10 @@ def serve(cache, trajectory, fingerprints=(b"g",)):
     cache.attach_memo(lease, trajectory)
     hits = []
     for fp in fingerprints:
-        if lease.engine.lookup(fp) is not None:
+        if lease.memo.lookup(fp) is not None:
             hits.append(fp)
         else:
-            lease.engine.store(fp, "decoded", "fitness")
+            lease.memo.store(fp, "fitness")
     cache.release(lease)
     return hits
 
@@ -202,7 +216,7 @@ def held(cache, trajectory):
     """Whether *trajectory*'s memo is retained (probing it stores nothing)."""
     lease = cache.lease("hanoi", (3,))
     cache.attach_memo(lease, trajectory)
-    hit = lease.engine.lookup(b"g") is not None
+    hit = lease.memo.lookup(b"g") is not None
     cache.release(lease)
     return hit
 
@@ -225,7 +239,7 @@ class TestTrajectoryMemos:
         serve(cache, "a")
         lease = cache.lease("hanoi", (3,))
         assert lease.warm is True
-        assert lease.engine.lookup(b"g") is None
+        assert lease.memo is None
 
     def test_distinct_trajectories_keep_the_last_32_least_recently_served_out(self):
         metrics = MetricsRegistry()
@@ -252,9 +266,9 @@ class TestTrajectoryMemos:
         first, second = cache.lease("hanoi", (3,)), cache.lease("hanoi", (3,))
         cache.attach_memo(first, "a")
         cache.attach_memo(second, "a")
-        assert first.engine.lookup(b"g") is not None
-        assert second.engine.lookup(b"g") is None
-        second.engine.store(b"h", "decoded", "fitness")
+        assert first.memo.lookup(b"g") is not None
+        assert second.memo.lookup(b"g") is None
+        second.memo.store(b"h", "fitness")
         cache.release(first)
         cache.release(second)
         # The last release wins; both memos were scored on one trajectory.
@@ -272,15 +286,14 @@ class TestTrajectoryMemos:
             for i in range(150):
                 lease = cache.lease("hanoi", (3,))
                 cache.attach_memo(lease, rng.randrange(40))
-                memo = lease.engine.swap_memo()
-                lease.engine.swap_memo(memo)
+                memo = lease.memo
                 with held_lock:
-                    if id(memo.entries) in held:
+                    if id(memo) in held:
                         shared.append(lease.trajectory)
-                    held.add(id(memo.entries))
-                lease.engine.store(f"{t}-{i}".encode(), "decoded", "fitness")
+                    held.add(id(memo))
+                memo.store(f"{t}-{i}".encode(), "fitness")
                 with held_lock:
-                    held.discard(id(memo.entries))
+                    held.discard(id(memo))
                 cache.release(lease)
 
         interval = sys.getswitchinterval()

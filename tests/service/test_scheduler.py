@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.core.encoding import decode
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer
 from repro.service import (
     DONE,
@@ -276,6 +277,25 @@ class TestMemoLifetime:
         assert memo_share(runs[0]) < 1.0
         assert [memo_share(run) for run in runs[1:]] == [1.0, 1.0]
         assert [answer(run) for run in runs] == [answer(baseline)] * 3
+
+    @pytest.mark.parametrize("domain, size", [("hanoi", 5), ("tile", 3)])
+    def test_a_replay_answers_like_a_cold_run_with_the_reference_best_plan(self, domain, size):
+        # Memo hits write fitness and no plan, so the replay's best plan is
+        # decoded lazily; it must be the reference decoder's plan.
+        shape = dict(domain=domain, size=size, seed=9, budget=8, population=30)
+        cold = make_scheduler()
+        baseline = cold.submit(request(**shape))
+        cold.drain()
+        scheduler = make_scheduler()
+        runs = [scheduler.submit(request(**shape))]
+        scheduler.drain()
+        runs.append(scheduler.submit(request(**shape)))
+        scheduler.drain()
+        assert memo_share(runs[1]) == 1.0
+        assert answer(runs[1]) == answer(baseline)
+        best = runs[1]._ga.best
+        start = runs[1]._ga.start_state
+        assert best.decoded == decode(best.genes, runs[1]._ga.domain, start)
 
     def test_another_seed_between_repeats_does_not_disturb_the_replay(self):
         scheduler = make_scheduler()
