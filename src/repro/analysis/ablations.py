@@ -258,7 +258,7 @@ def island_study(
     )
     goals, solved = [], 0
     for rng in spawn_many(root, s.runs_hanoi):
-        result = run_portfolio(domain, ring, rng, serial=True)
+        result = run_portfolio(domain, ring, rng)
         assert result.best is not None
         goals.append(result.best.goal_fitness)
         solved += result.solved

@@ -170,7 +170,6 @@ def _cmd_solve(args) -> int:
         seed=args.seed,
         islands=islands,
         portfolio=portfolio,
-        portfolio_serial=args.portfolio_serial,
         mode=mode,
         evaluator=_resolve_solve_evaluator(args),
     ).solve()
@@ -596,16 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run mode (default: multiphase when --phases > 1, else single)",
     )
-    p.add_argument("--islands", type=int, default=4, help="island count for --mode islands (a ring of GA islands raced serially)")
+    p.add_argument("--islands", type=int, default=4, help="island count for --mode islands (a ring of GA islands)")
     p.add_argument(
         "--portfolio", metavar="SPEC", default="ga,ga:state-aware,search:gbfs",
         help="portfolio strategy list for --mode portfolio: comma-separated "
         "ga[:crossover] and search[:algorithm] items",
-    )
-    p.add_argument(
-        "--portfolio-serial", action="store_true",
-        help="run portfolio islands serially (deterministic replay "
-        "verification mode; same race outcome as the concurrent run)",
     )
     p.add_argument(
         "--grace-ms", type=float, default=0.0, metavar="MS",

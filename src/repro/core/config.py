@@ -259,9 +259,8 @@ class PortfolioSpec:
     grace_ms:
         After the first island solves, let the *other* islands keep
         improving the incumbent for this many wall-clock milliseconds
-        before cancelling them.  ``0`` cancels at the next round boundary
-        — the deterministic setting used by ``--portfolio-serial``
-        verification.
+        before cancelling them.  ``0`` cancels at the next round boundary,
+        so the race's outcome depends on nothing but the seed.
     max_ticks:
         Overall tick budget per island; ``None`` derives it from the GA
         generation budgets (or the search budgets when no GA island

@@ -272,7 +272,8 @@ class SerialEvaluator(Evaluator):
     and otherwise one picked per domain on first use and kept: the code
     decoder when the domain has a kernel (DESIGN.md §12), an engine when
     it has none.  The planning service hands its leased decoder this way,
-    and a serial portfolio race shares one engine across its islands.
+    and a portfolio race over a kernel-less domain shares one engine
+    across its islands.
 
     With a *memo* (:class:`FitnessMemo`), every pending genome of a
     buffer that keeps no plans is looked up first; hits get their

@@ -7,8 +7,8 @@ call.  All four run modes — ``"single"`` (one GA run), ``"multiphase"``
 island model) and ``"portfolio"`` (a race of heterogeneous islands) —
 return the same :class:`PlanningOutcome` with identical field semantics,
 so callers can switch modes without touching downstream code.  The ring
-is a GA-only portfolio (:func:`~repro.core.portfolio.ring_portfolio`) run
-serially.  The lower-level :class:`~repro.core.ga.GARun`,
+is a GA-only portfolio (:func:`~repro.core.portfolio.ring_portfolio`).
+The lower-level :class:`~repro.core.ga.GARun`,
 :func:`~repro.core.multiphase.run_multiphase` and
 :func:`~repro.core.portfolio.run_portfolio` remain available for
 fine-grained control.
@@ -149,7 +149,7 @@ class GAPlanner:
         Implies ``mode="multiphase"`` when *mode* is not given.
     islands:
         An island count: a ring of that many GA islands around *config*
-        (:func:`~repro.core.portfolio.ring_portfolio`, run serially).
+        (:func:`~repro.core.portfolio.ring_portfolio`).
         Implies ``mode="islands"`` when *mode* is not given; the mode alone
         builds a ring of 4.
     portfolio:
@@ -157,10 +157,6 @@ class GAPlanner:
         for convenience (crossover-diverse GA islands around *config* plus
         one greedy-search island).  Implies ``mode="portfolio"`` when
         *mode* is not given.
-    portfolio_serial:
-        Run the portfolio islands serially on one thread instead of a
-        thread pool — the deterministic ``--portfolio-serial``
-        verification mode (identical race outcome, no wall-clock overlap).
     mode:
         Explicit run mode: ``"single"``, ``"multiphase"``, ``"islands"`` or
         ``"portfolio"``.  Defaults to whichever of
@@ -188,7 +184,6 @@ class GAPlanner:
         *,
         islands: Optional[int] = None,
         portfolio: Optional[PortfolioSpec | int] = None,
-        portfolio_serial: bool = False,
         mode: Optional[str] = None,
         evaluator: EvaluatorSpec = None,
         tracer: Optional[Tracer] = None,
@@ -234,7 +229,6 @@ class GAPlanner:
         self.multiphase = multiphase
         self.islands = islands
         self.portfolio = portfolio
-        self.portfolio_serial = portfolio_serial
         self.rng = make_rng(seed)
         self._evaluator_factory = _resolve_evaluator_factory(evaluator)
         self.tracer = tracer
@@ -342,8 +336,7 @@ class GAPlanner:
     def _solve_portfolio(self, start_state, seeds, on_incumbent) -> PlanningOutcome:
         if seeds:
             raise ValueError("seeding is only supported in single-phase mode")
-        ring = self.mode == "islands"
-        spec = self.islands if ring else self.portfolio
+        spec = self.islands if self.mode == "islands" else self.portfolio
         assert spec is not None
         result: PortfolioResult = run_portfolio(
             self.domain,
@@ -353,7 +346,6 @@ class GAPlanner:
             evaluator_factory=self._evaluator_factory,
             tracer=self.tracer,
             metrics=self.metrics,
-            serial=ring or self.portfolio_serial,
             on_incumbent=on_incumbent,
         )
         best = result.best

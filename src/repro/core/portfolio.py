@@ -9,39 +9,31 @@ problem.  The first island to reach the goal wins and cancels the rest
 streams an anytime best-so-far incumbent sequence while the race runs.
 The classic ring island model is one configuration of it
 (:func:`ring_portfolio`): GA-only islands, a fixed ring at the base
-migration rate, run serially.
+migration rate.
 
 Determinism is the design constraint everything else bends around.  The
-race is decided in *logical time*, not wall-clock time: islands advance in
-fork-join rounds of ``spec.interval`` ticks (one GA generation or one
-search slice per tick), each island consumes only its own
-SeedSequence-spawned RNG stream, and all cross-island decisions — winner
-selection, adaptive migration, incumbent updates — happen single-threaded
-at round boundaries.  The winner is the island with the smallest
-``(first-solution tick, island index)`` pair, so a run with
-``serial=True`` (the CLI's ``--portfolio-serial`` verification mode)
-replays the exact same race the thread pool ran, producing the same
-winner, the same plans, and the same event log (modulo wall-clock
-``seconds`` payloads — see :func:`canonical_events`).
+race is decided in *logical time*, not wall-clock time: islands advance
+on the calling thread, in island order, in rounds of ``spec.interval``
+ticks (one GA generation or one search slice per tick), each island
+consumes only its own SeedSequence-spawned RNG stream, and all
+cross-island decisions — winner selection, adaptive migration, incumbent
+updates — happen at round boundaries.  The winner is the island with the
+smallest ``(first-solution tick, island index)`` pair, so two runs with
+the same seed produce the same winner, the same plans, and the same event
+log (modulo wall-clock ``seconds`` payloads — see
+:func:`canonical_events`).
 
-Each island gets its own evaluator, metrics registry and buffering
-tracer.  On threads each island also decodes a ``copy.deepcopy`` of the
-domain with its own decoder, so per-domain kernel caches are never
-shared across threads; a serial race shares the caller's domain, and so
-its kernel, or, for a domain without a kernel, one decode engine whose
-transition tables every island then warms.
-Per-island events are re-emitted on the shared tracer in island order at
-every round boundary; per-island metrics merge into the run registry at
-the end (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).
+Each island gets its own evaluator and metrics registry and emits on the
+run's tracer.  The islands share the caller's domain, and so its kernel,
+or, for a domain without a kernel, one decode engine whose transition
+tables every island then warms.  Per-island metrics merge into the run
+registry at the end (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).
 """
 
 from __future__ import annotations
 
-import copy
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from threading import Event
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -61,8 +53,7 @@ from repro.obs.events import (
     PortfolioMigration,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import MemoryRecorder
-from repro.obs.tracer import NULL_TRACER, Tracer, default_metrics, default_tracer
+from repro.obs.tracer import Tracer, default_metrics, default_tracer
 from repro.planning.search.resumable import ResumableSearch, make_resumable_search
 from repro.protocol import PlanningDomain
 
@@ -77,7 +68,7 @@ __all__ = [
 ]
 
 #: Event payload keys holding wall-clock measurements, masked by
-#: :func:`canonical_events` when comparing serial vs concurrent traces.
+#: :func:`canonical_events` when comparing the traces of same-seed runs.
 _WALL_CLOCK_KEYS = ("seconds",)
 
 
@@ -155,44 +146,19 @@ class PortfolioResult:
         return self.best.plan if self.best is not None else ()
 
 
-class _StopToken:
-    """Shared cancellation flag checked by every island between ticks.
-
-    The deterministic race is decided at round boundaries by the driver;
-    this token exists for *hard* stops — cancelling islands mid-round once
-    a winner is final (no grace budget left) so threads do not burn a full
-    round of work that cannot change the outcome.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self) -> None:
-        self._event = Event()
-
-    @property
-    def stop_requested(self) -> bool:
-        return self._event.is_set()
-
-    def request_stop(self) -> None:
-        self._event.set()
-
-
 class _IslandWorker:
-    """Base island: owns its RNG stream, tracer buffer and metrics.
+    """Base island: owns its RNG stream and metrics.
 
-    ``run_round`` is the only method executed off the driver thread; it
-    touches exclusively worker-local state, which is what makes the
-    serial and concurrent schedules produce identical trajectories.
+    ``run_round`` touches only island-local state, so the race depends on
+    nothing but the seed and the island order.
     """
 
-    def __init__(self, index: int, strategy: StrategySpec, buffered: bool) -> None:
+    def __init__(self, index: int, strategy: StrategySpec) -> None:
         self.index = index
         self.strategy = strategy
         self.label = strategy.label
         self.scope = f"island-{index}"
         self.metrics = MetricsRegistry()
-        self.recorder = MemoryRecorder() if buffered else None
-        self.tracer = Tracer([self.recorder]) if buffered else NULL_TRACER
         self.ticks = 0
         self.budget = 0
         self.active = True
@@ -200,21 +166,13 @@ class _IslandWorker:
         self.candidates: List[Incumbent] = []
         self._best_key: Optional[tuple] = None
 
-    def run_round(self, n_ticks: int, token: _StopToken, t0: float) -> None:
-        """Advance up to *n_ticks* ticks (or until solved/stopped)."""
+    def run_round(self, n_ticks: int, t0: float) -> None:
+        """Advance up to *n_ticks* ticks (or until solved or out of budget)."""
         raise NotImplementedError
 
     def best_total(self) -> float:
         """Current best combined fitness (velocity signal; GA islands only)."""
         return -np.inf
-
-    def flush_events(self, tracer: Tracer) -> None:
-        """Re-emit this round's buffered events on the shared tracer."""
-        if self.recorder is None:
-            return
-        for event in self.recorder.events:
-            tracer.emit(event)
-        self.recorder.clear()
 
     def drain_candidates(self) -> List[Incumbent]:
         """This round's own-best improvements, oldest first."""
@@ -247,17 +205,17 @@ class _GAIsland(_IslandWorker):
         rng: np.random.Generator,
         start_state: Optional[object],
         evaluator: Evaluator,
-        buffered: bool,
+        tracer: Tracer,
         budget: int,
     ) -> None:
-        super().__init__(index, strategy, buffered)
+        super().__init__(index, strategy)
         self.run = GARun(
             domain,
             strategy.ga,
             rng,
             start_state=start_state,
             evaluator=evaluator,
-            tracer=self.tracer,
+            tracer=tracer,
             metrics=self.metrics,
             scope=self.scope,
         )
@@ -265,10 +223,8 @@ class _GAIsland(_IslandWorker):
         self.budget = min(strategy.ga.generations, budget)
         self._needs_breed = False
 
-    def run_round(self, n_ticks: int, token: _StopToken, t0: float) -> None:
+    def run_round(self, n_ticks: int, t0: float) -> None:
         for _ in range(n_ticks):
-            if not self.active or token.stop_requested:
-                return
             if self._needs_breed:
                 self.run._next_generation()
             self.run._evaluate_and_record()
@@ -322,10 +278,9 @@ class _SearchIsland(_IslandWorker):
         strategy: StrategySpec,
         domain: PlanningDomain,
         start_state: Optional[object],
-        buffered: bool,
         budget: int,
     ) -> None:
-        super().__init__(index, strategy, buffered)
+        super().__init__(index, strategy)
         self.domain = domain
         self.search: ResumableSearch = make_resumable_search(
             domain,
@@ -338,10 +293,8 @@ class _SearchIsland(_IslandWorker):
         own = -(-strategy.max_expansions // strategy.expansions_per_tick)
         self.budget = min(own, budget)
 
-    def run_round(self, n_ticks: int, token: _StopToken, t0: float) -> None:
+    def run_round(self, n_ticks: int, t0: float) -> None:
         for _ in range(n_ticks):
-            if not self.active or token.stop_requested:
-                return
             plan = self.search.step(self.strategy.expansions_per_tick)
             self.ticks += 1
             if plan is not None:
@@ -377,7 +330,7 @@ class _MigrationController:
     two stagnant rounds on, it pulls an extra "boost" edge from the
     current leader — stagnant islands import more, improving islands
     (the leader first among them) export more.  All decisions are pure
-    functions of island state, so serial replay reproduces them exactly.
+    functions of island state, so a same-seed run reproduces them exactly.
     """
 
     _EPS = 1e-12
@@ -468,49 +421,38 @@ def _build_workers(
     rng: np.random.Generator,
     start_state: Optional[object],
     evaluator_factory: Optional[Callable[[], Evaluator]],
-    buffered: bool,
-    serial: bool,
+    tracer: Tracer,
 ) -> List[_IslandWorker]:
     """Construct one worker per strategy, leak-free on factory failure.
 
-    On threads every island decodes its own domain copy with its own
-    engine, so kernel and transition caches stay thread-local; a serial
-    race shares the caller's domain across its islands, and one engine
-    when that domain has no kernel.
+    Every island decodes the caller's domain, and the islands share one
+    engine when that domain has no kernel.
     """
     rngs = rng_mod.spawn_many(rng, len(spec.strategies))
     ga_indices = spec.ga_indices
     if evaluator_factory is not None:
         evaluators = build_evaluators(evaluator_factory, len(ga_indices))
     else:
-        # A shared engine would decode every batch, so a serial race shares
-        # one only where the vector decode cannot run; otherwise (and on
-        # threads) each evaluator picks its own decoder.
-        shared = DecodeEngine() if serial and domain.kernel() is None else None
+        # A shared engine would decode every batch, so the islands share
+        # one only where the vector decode cannot run; otherwise each
+        # evaluator picks its own decoder.
+        shared = DecodeEngine() if domain.kernel() is None else None
         evaluators = [SerialEvaluator(engine=shared) for _ in ga_indices]
     by_island = dict(zip(ga_indices, evaluators))
     budget = spec.tick_budget()
     workers: List[_IslandWorker] = []
     try:
         for i, strategy in enumerate(spec.strategies):
-            dom = domain
-            if not serial:
-                # Domains are plain picklable data, so deepcopy is cheap
-                # and yields an identical search space.
-                try:
-                    dom = copy.deepcopy(domain)
-                except Exception:
-                    pass
             if strategy.kind == "ga":
                 workers.append(
                     _GAIsland(
-                        i, strategy, dom, rngs[i], start_state,
-                        by_island[i], buffered, budget,
+                        i, strategy, domain, rngs[i], start_state,
+                        by_island[i], tracer, budget,
                     )
                 )
             else:
                 workers.append(
-                    _SearchIsland(i, strategy, dom, start_state, buffered, budget)
+                    _SearchIsland(i, strategy, domain, start_state, budget)
                 )
     except BaseException:
         for evaluator in evaluators:
@@ -522,32 +464,15 @@ def _build_workers(
     return workers
 
 
-def _run_round(
-    workers: List[_IslandWorker],
-    executor: Optional[ThreadPoolExecutor],
-    interval: int,
-    token: _StopToken,
-    t0: float,
-) -> None:
-    """Advance every active worker by one round, serially or on threads."""
-    active = []
+def _run_round(workers: List[_IslandWorker], interval: int, t0: float) -> None:
+    """Advance every active worker by one round, in island order."""
     for w in workers:
         if not w.active:
             continue
         if w.budget - w.ticks <= 0:
             w.active = False
             continue
-        active.append(w)
-    if executor is None:
-        for w in active:
-            w.run_round(min(interval, w.budget - w.ticks), token, t0)
-    else:
-        futures = [
-            executor.submit(w.run_round, min(interval, w.budget - w.ticks), token, t0)
-            for w in active
-        ]
-        for future in futures:
-            future.result()
+        w.run_round(min(interval, w.budget - w.ticks), t0)
 
 
 def run_portfolio(
@@ -558,19 +483,17 @@ def run_portfolio(
     evaluator_factory: Optional[Callable[[], Evaluator]] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    serial: bool = False,
     on_incumbent: Optional[Callable[[Incumbent], None]] = None,
 ) -> PortfolioResult:
     """Race the spec's strategies on *domain*; first solution wins.
 
-    ``serial=True`` runs the islands one after another on the driver
-    thread instead of a thread pool — the ``--portfolio-serial``
-    verification mode.  Because all cross-island decisions happen at round
-    boundaries in logical time, the serial schedule reproduces the
-    concurrent run's winner, plans, migrations and event log exactly
-    (wall-clock payloads aside; see :func:`canonical_events`).
+    The islands run one after another on the calling thread, round by
+    round.  Because all cross-island decisions happen at round boundaries
+    in logical time, a same-seed run reproduces the winner, plans,
+    migrations and event log exactly (wall-clock payloads aside; see
+    :func:`canonical_events`).
 
-    ``on_incumbent`` is invoked from the driver thread, in deterministic
+    ``on_incumbent`` is invoked at round boundaries, in deterministic
     order, each time the portfolio-wide best-so-far improves.
     """
     t0 = time.perf_counter()
@@ -579,51 +502,40 @@ def run_portfolio(
     # The ambient registry may be absent; driver instruments still record
     # into a throwaway so the code path stays unconditional.
     metrics = metrics if metrics is not None else MetricsRegistry()
-    buffered = tracer.enabled
-    workers = _build_workers(
-        spec, domain, rng, start_state, evaluator_factory, buffered, serial
-    )
-    token = _StopToken()
+    workers = _build_workers(spec, domain, rng, start_state, evaluator_factory, tracer)
     controller = _MigrationController(spec)
     incumbents: List[Incumbent] = []
     best: Optional[Incumbent] = None
     winner: Optional[_IslandWorker] = None
     rounds = 0
     migrations = 0
-    executor = None
-    try:
-        if not serial:
-            executor = ThreadPoolExecutor(
-                max_workers=len(workers), thread_name_prefix="portfolio"
-            )
 
-        def drain() -> None:
-            nonlocal best
-            for w in workers:
-                w.flush_events(tracer)
-            for w in workers:
-                for cand in w.drain_candidates():
-                    if best is None or cand.sort_key() > best.sort_key():
-                        best = cand
-                        incumbents.append(cand)
-                        metrics.counter("incumbent_improvements").add()
-                        if tracer.enabled:
-                            tracer.emit(
-                                IncumbentImproved(
-                                    island=cand.island,
-                                    strategy=cand.strategy,
-                                    tick=cand.tick,
-                                    goal_fitness=cand.goal_fitness,
-                                    cost_fitness=cand.cost_fitness,
-                                    plan_length=len(cand.plan),
-                                    solved=cand.solved,
-                                )
+    def drain() -> None:
+        nonlocal best
+        for w in workers:
+            for cand in w.drain_candidates():
+                if best is None or cand.sort_key() > best.sort_key():
+                    best = cand
+                    incumbents.append(cand)
+                    metrics.counter("incumbent_improvements").add()
+                    if tracer.enabled:
+                        tracer.emit(
+                            IncumbentImproved(
+                                island=cand.island,
+                                strategy=cand.strategy,
+                                tick=cand.tick,
+                                goal_fitness=cand.goal_fitness,
+                                cost_fitness=cand.cost_fitness,
+                                plan_length=len(cand.plan),
+                                solved=cand.solved,
                             )
-                        if on_incumbent is not None:
-                            on_incumbent(cand)
+                        )
+                    if on_incumbent is not None:
+                        on_incumbent(cand)
 
+    try:
         while any(w.active for w in workers):
-            _run_round(workers, executor, spec.interval, token, t0)
+            _run_round(workers, spec.interval, t0)
             rounds += 1
             metrics.counter("portfolio_rounds").add()
             drain()
@@ -679,10 +591,9 @@ def run_portfolio(
                     time.perf_counter() < deadline
                     and any(w.active for w in workers)
                 ):
-                    _run_round(workers, executor, spec.interval, token, t0)
+                    _run_round(workers, spec.interval, t0)
                     rounds += 1
                     drain()
-            token.request_stop()
             for w in workers:
                 if w.active:
                     w.active = False
@@ -698,8 +609,6 @@ def run_portfolio(
                     )
                 )
     finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
         for w in workers:
             w.close()
     for w in workers:
@@ -754,9 +663,8 @@ def ring_portfolio(
     individuals for the next island's worst every *interval* generations,
     at the base rate (``adaptive=False``).  Each island rests at its first
     solution only when *base* sets ``stop_on_goal``; otherwise the ring
-    runs to the generation budget.  Run it with ``serial=True``: a GA-only
-    ring gains nothing from threads, and the serial race shares one domain
-    (with its kernel or decode engine) across its islands.
+    runs to the generation budget.  Its islands share one domain (with its
+    kernel or decode engine).
     """
     if n_islands < 2:
         raise ValueError(f"a ring needs at least 2 islands, got {n_islands}")
@@ -796,8 +704,8 @@ def parse_portfolio(text: str, base: GAConfig, **spec_kwargs) -> PortfolioSpec:
 def canonical_events(events) -> List[dict]:
     """Event dicts with wall-clock payloads masked, for replay comparison.
 
-    Serial replay reproduces every deterministic payload of the concurrent
-    run's event log; fields that measure wall time (``seconds`` on
+    Two runs with the same seed reproduce every deterministic payload of
+    each other's event log; fields that measure wall time (``seconds`` on
     evaluation batches) necessarily differ and are zeroed here — the same
     convention the soak determinism suite uses for ``replan-latency``.
     """

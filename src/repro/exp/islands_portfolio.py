@@ -6,7 +6,7 @@ total population budget on n-disk Hanoi, compare
 
 - ``single`` — one panmictic GA population,
 - ``ring-islands`` — the homogeneous island model with ring migration
-  (:func:`repro.core.ring_portfolio`, raced serially),
+  (:func:`repro.core.ring_portfolio`),
 - ``portfolio`` — the racing portfolio (:func:`repro.core.run_portfolio`):
   two GA strategies with different crossovers plus a greedy best-first
   search island, adaptive migration, first-solution cancellation.
@@ -90,7 +90,7 @@ def portfolio_trial(cell: dict, seed: int, scale: ExperimentScale) -> Dict[str, 
             interval=5,
             migration_size=migration_size,
         )
-    result = run_portfolio(domain, spec, rng, serial=structure == "ring-islands")
+    result = run_portfolio(domain, spec, rng)
     best = result.best
     return {
         "goal_fitness": best.goal_fitness if best else 0.0,

@@ -173,7 +173,7 @@ class PortfolioCancelled(RunEvent):
 class IncumbentImproved(RunEvent):
     """The portfolio-wide best-so-far plan improved (anytime API).
 
-    Deliberately excludes wall-clock time so serial replay produces a
+    Deliberately excludes wall-clock time so a same-seed run produces a
     byte-identical event log; wall times live on the
     :class:`~repro.core.portfolio.Incumbent` records in the result.
     """

@@ -14,7 +14,7 @@ in :data:`CANONICAL_INSTRUMENTS` (and the derived headline metrics in
 in exact sync with these declarations.  See DESIGN.md §7 for the design
 rationale.
 
-Concurrent layers (the portfolio engine's thread-backed islands, the
+Layers with several workers (the portfolio engine's islands, the
 planning service's per-request registries) give each worker its *own*
 registry and fold them into the parent's with
 :meth:`MetricsRegistry.merge` at a join point, preserving the no-locks
@@ -356,10 +356,9 @@ class MetricsRegistry:
 
         Counters add, timers combine their accumulations, histograms
         concatenate (the bounded sample keeps the earliest values).  This
-        is how per-island registries from concurrent portfolio workers
-        reach the run-level registry without sharing mutable state across
-        threads; merging in a fixed island order keeps the result
-        deterministic.
+        is how per-island registries from portfolio islands reach the
+        run-level registry; merging in a fixed island order keeps the
+        result deterministic.
         """
         for name, counter in other.counters.items():
             self.counter(name).add(counter.value)

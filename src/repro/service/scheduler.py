@@ -495,7 +495,6 @@ class RunScheduler:
             seed=request.seed,
             mode="portfolio",
             portfolio=parse_portfolio(request.portfolio, config),
-            portfolio_serial=True,
         ).solve(on_incumbent=on_incumbent)
         run.slices += 1
         self.metrics.counter("service_slices").add(1)

@@ -71,9 +71,7 @@ class TestIslandEvaluatorFactory:
             ),
             3, interval=2, migration_size=1,
         )
-        run_portfolio(
-            hanoi3, ring, make_rng(2), evaluator_factory=CountingEvaluator, serial=True
-        )
+        run_portfolio(hanoi3, ring, make_rng(2), evaluator_factory=CountingEvaluator)
         assert CountingEvaluator.instances == 3
         assert CountingEvaluator.closed == 3
 
@@ -87,9 +85,7 @@ class TestIslandEvaluatorFactory:
             ),
             2, interval=5, migration_size=1,
         )
-        run_portfolio(
-            hanoi3, ring, make_rng(3), evaluator_factory=CountingEvaluator, serial=True
-        )
+        run_portfolio(hanoi3, ring, make_rng(3), evaluator_factory=CountingEvaluator)
         assert CountingEvaluator.instances == 2
         assert CountingEvaluator.closed == 2
 
@@ -106,7 +102,5 @@ class TestIslandEvaluatorFactory:
             2, interval=2, migration_size=1,
         )
         with pytest.raises(RuntimeError, match="boom"):
-            run_portfolio(
-                hanoi3, ring, make_rng(4), evaluator_factory=Exploding, serial=True
-            )
+            run_portfolio(hanoi3, ring, make_rng(4), evaluator_factory=Exploding)
         assert CountingEvaluator.closed == CountingEvaluator.instances

@@ -1,4 +1,4 @@
-"""The ring island model: a GA-only portfolio spec raced serially.
+"""The ring island model: a GA-only portfolio spec.
 
 :func:`repro.core.ring_portfolio` spells the classic island model as a
 :class:`~repro.core.config.PortfolioSpec`; these cases cover its
@@ -48,7 +48,7 @@ def _cfg(n_islands=3, interval=5, migration_size=2, **island_kw):
 
 
 def _run(domain, spec, seed, **kw):
-    return run_portfolio(domain, spec, make_rng(seed), serial=True, **kw)
+    return run_portfolio(domain, spec, make_rng(seed), **kw)
 
 
 class TestConfigValidation:
@@ -200,7 +200,6 @@ def _rings(draw):
         configs=configs,
         interval=draw(st.integers(1, 5)),
         k=draw(st.integers(1, min(3, min(pops) - 1))),
-        serial=draw(st.booleans()),
         seed=draw(st.integers(0, 10_000)),
     )
 
@@ -223,7 +222,7 @@ class TestRingMatchesReference:
         recorder = MemoryRecorder()
         ring = run_portfolio(
             HanoiDomain(case["disks"]), _ring(configs, interval, k),
-            make_rng(case["seed"]), tracer=Tracer([recorder]), serial=case["serial"],
+            make_rng(case["seed"]), tracer=Tracer([recorder]),
         )
         ref = reference_islands(
             HanoiDomain(case["disks"]), configs, make_rng(case["seed"]), interval, k

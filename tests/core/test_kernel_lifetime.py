@@ -1,8 +1,8 @@
 """Kernels die with the domains that whole runs were built on.
 
-A GA episode and a portfolio race (whose islands each decode a deep copy
-of the domain) must leave nothing in the kernel cache once the caller
-drops its domain: long-lived processes build domains per unit of work.
+A GA episode and a portfolio race (whose islands all decode the caller's
+domain) must leave nothing in the kernel cache once the caller drops its
+domain: long-lived processes build domains per unit of work.
 """
 
 import gc

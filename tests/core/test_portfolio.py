@@ -1,9 +1,5 @@
 """Portfolio engine: racing, cancellation, anytime API, deterministic replay."""
 
-import os
-import signal
-import subprocess
-import sys
 import threading
 
 import pytest
@@ -22,13 +18,11 @@ from repro.core import (
     parse_portfolio,
     run_portfolio,
 )
-import repro
 from repro.core.decode_engine import DecodeEngine
 from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
 from repro.core.portfolio import _build_workers
 from repro.domains import HanoiDomain
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer
-from tests.core.test_pool_lifecycle import shm_entries
 from tests.oracle import ReferenceEvaluator
 
 
@@ -149,6 +143,19 @@ class TestRace:
         run_portfolio(hanoi3, MIXES["ga-vs-search"], make_rng(1))
         assert threading.active_count() == before
 
+    def test_race_starts_no_thread(self, hanoi5):
+        before = set(threading.enumerate())
+        during = []
+        run_portfolio(
+            hanoi5, MIXES["ga-vs-search"], make_rng(7),
+            on_incumbent=lambda inc: during.append(set(threading.enumerate())),
+        )
+        assert during
+        for seen in during:
+            assert not [t.name for t in seen if t.name.startswith("portfolio")]
+            assert seen == before
+        assert set(threading.enumerate()) == before
+
     def test_unsolved_portfolio_reports_best_effort(self, hanoi5):
         # Tiny budgets: nobody solves, but the GA best-so-far is reported.
         spec = _spec(
@@ -187,39 +194,27 @@ class TestStopOnGoal:
 
 
 class TestSharedDomain:
-    """A serial race decodes the caller's domain with one engine; islands
-    on threads each decode their own copy."""
+    """A race decodes the caller's domain, with one engine when it has no
+    kernel."""
 
-    @staticmethod
-    def _workers(domain, serial):
+    def test_serial_race_shares_the_callers_domain_and_engine(self, hanoi3):
         spec = _spec(
             StrategySpec(kind="ga", ga=_ga()),
             StrategySpec(kind="ga", ga=_ga(crossover="state-aware")),
             StrategySpec(kind="search", algorithm="gbfs"),
         )
-        return _build_workers(spec, domain, make_rng(0), None, None, False, serial)
-
-    def test_serial_race_shares_the_callers_domain_and_engine(self, hanoi3):
-        workers = self._workers(hanoi3, serial=True)
+        workers = _build_workers(spec, hanoi3, make_rng(0), None, None, Tracer())
         ga = workers[:2]
         assert all(w.run.domain is hanoi3 for w in ga)
         assert workers[2].domain is hanoi3
         assert ga[0].evaluator._engine is ga[1].evaluator._engine
 
-    def test_threaded_race_copies_the_domain_per_island(self, hanoi3):
-        workers = self._workers(hanoi3, serial=False)
-        domains = [w.run.domain for w in workers[:2]] + [workers[2].domain]
-        assert len({id(d) for d in domains}) == 3
-        assert all(d is not hanoi3 for d in domains)
-        # ... and each island builds its own engine on demand.
-        assert all(w.evaluator._engine is None for w in workers[:2])
-
 
 class TestDeterministicReplay:
-    """`--portfolio-serial` must reproduce the concurrent run exactly."""
+    """Two races with the same seed must match exactly."""
 
     @staticmethod
-    def _run(domain, mix, seed, serial):
+    def _run(domain, mix, seed):
         recorder = MemoryRecorder()
         metrics = MetricsRegistry()
         result = run_portfolio(
@@ -228,7 +223,6 @@ class TestDeterministicReplay:
             make_rng(seed),
             tracer=Tracer([recorder]),
             metrics=metrics,
-            serial=serial,
             evaluator_factory=_evaluator_factory(mix),
         )
         return result, canonical_events(recorder.events), metrics.summary()
@@ -237,20 +231,20 @@ class TestDeterministicReplay:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=2, deadline=None)
     def test_serial_reproduces_concurrent_run(self, mix, seed):
-        domain = HanoiDomain(3)
-        conc, conc_events, conc_metrics = self._run(domain, mix, seed, False)
-        ser, ser_events, ser_metrics = self._run(domain, mix, seed, True)
-        assert ser.winner == conc.winner
-        assert ser.plan == conc.plan
-        assert ser.first_solution_tick == conc.first_solution_tick
-        assert ser.ticks_run == conc.ticks_run
-        assert ser.rounds == conc.rounds
-        assert ser.migrations == conc.migrations
-        assert ser_events == conc_events
-        assert ser_metrics["counters"] == conc_metrics["counters"]
+        # The id predates the one race schedule; it now replays a run.
+        first, first_events, first_metrics = self._run(HanoiDomain(3), mix, seed)
+        again, again_events, again_metrics = self._run(HanoiDomain(3), mix, seed)
+        assert again.winner == first.winner
+        assert again.plan == first.plan
+        assert again.first_solution_tick == first.first_solution_tick
+        assert again.ticks_run == first.ticks_run
+        assert again.rounds == first.rounds
+        assert again.migrations == first.migrations
+        assert again_events == first_events
+        assert again_metrics["counters"] == first_metrics["counters"]
 
     def test_event_stream_has_portfolio_vocabulary(self, hanoi3):
-        _, events, _ = self._run(hanoi3, "ga-only", 5, True)
+        _, events, _ = self._run(hanoi3, "ga-only", 5)
         kinds = {e["kind"] for e in events}
         assert "generation" in kinds
         assert "incumbent" in kinds
@@ -356,15 +350,6 @@ class TestPlannerIntegration:
         assert stream.outcome.solved
         assert tuple(seen) == stream.outcome.incumbents
 
-    def test_portfolio_serial_flag_same_outcome(self, hanoi3):
-        spec = MIXES["ga-vs-search"]
-        a = GAPlanner(hanoi3, _ga(), seed=9, portfolio=spec).solve()
-        b = GAPlanner(
-            hanoi3, _ga(), seed=9, portfolio=spec, portfolio_serial=True
-        ).solve()
-        assert a.plan == b.plan
-        assert a.detail.winner == b.detail.winner
-
     def test_conflicting_sub_configs_rejected(self, hanoi3):
         with pytest.raises(ValueError, match="at most one"):
             GAPlanner(hanoi3, _ga(), seed=0, islands=2, portfolio=2)
@@ -398,67 +383,10 @@ class TestPooledMigration:
             spec,
             make_rng(1),
             evaluator_factory=lambda: ProcessPoolEvaluator(processes=1),
-            serial=True,
         )
-        serial = run_portfolio(HanoiDomain(4), spec, make_rng(1), serial=True)
+        serial = run_portfolio(HanoiDomain(4), spec, make_rng(1))
         assert pooled.migrations >= 1
         assert pooled.histories == serial.histories
         assert pooled.winner == serial.winner
         assert pooled.plan == serial.plan
 
-
-_RACE_SCRIPT = """
-import sys
-from repro.core import GAConfig, PortfolioSpec, StrategySpec, make_rng, run_portfolio
-from repro.core.parallel import ProcessPoolEvaluator
-from repro.domains import HanoiDomain
-
-ga = GAConfig(population_size=20, generations=6, max_len=40, init_length=10)
-spec = PortfolioSpec(
-    strategies=(
-        StrategySpec(kind="ga", ga=ga),
-        StrategySpec(kind="ga", ga=ga.replace(crossover="state-aware")),
-    ),
-    interval=2,
-)
-result = run_portfolio(
-    HanoiDomain(4), spec, make_rng(int(sys.argv[1])),
-    evaluator_factory=lambda: ProcessPoolEvaluator(processes=1),
-)
-print("rounds", result.rounds)
-"""
-
-
-class TestThreadedPoolRace:
-    @pytest.mark.timeout(600)
-    def test_threaded_pool_islands_never_deadlock_at_fork(self):
-        # Two island threads each create a shared-memory segment and fork
-        # pool workers; a fork under the other thread's resource-tracker
-        # lock used to wedge the worker forever.  Each fresh process runs
-        # the race under a timeout, and its process group is killed if it
-        # hangs so no wedged worker outlives the test.
-        before = shm_entries()
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        hung = []
-        for seed in range(5):
-            proc = subprocess.Popen(
-                [sys.executable, "-c", _RACE_SCRIPT, str(seed)],
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                start_new_session=True,
-            )
-            try:
-                out, err = proc.communicate(timeout=60)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-                hung.append(seed)
-                continue
-            assert proc.returncode == 0, err.decode()[-2000:]
-            assert b"rounds" in out
-        assert not hung, f"races with seeds {hung} hung"
-        if before is not None:
-            assert shm_entries() - before == set()

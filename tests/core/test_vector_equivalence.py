@@ -168,9 +168,9 @@ class TestVectorIslandsEquivalence:
             crossover="state-aware",
         )
         ring = ring_portfolio(base, 3, interval=4, migration_size=2)
-        on = run_portfolio(domain, ring, make_rng(5), serial=True)
+        on = run_portfolio(domain, ring, make_rng(5))
         off = run_portfolio(
-            domain, ring, make_rng(5), serial=True, evaluator_factory=ReferenceEvaluator
+            domain, ring, make_rng(5), evaluator_factory=ReferenceEvaluator
         )
         assert on.best.sort_key() == off.best.sort_key()
         assert on.plan == off.plan

@@ -127,7 +127,7 @@ class TestDriverInstrumentation:
 
     def test_island_migration_events(self, hanoi3, tracer, recorder):
         ring = ring_portfolio(_cfg(generations=6), 3, interval=2, migration_size=1)
-        result = run_portfolio(hanoi3, ring, make_rng(0), tracer=tracer, serial=True)
+        result = run_portfolio(hanoi3, ring, make_rng(0), tracer=tracer)
         # Rounds end after generations 2, 4 and 6; the last round ends the
         # run, so two migrations of one ring edge per island.
         migrations = recorder.of_kind("portfolio-migration")
