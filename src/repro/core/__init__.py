@@ -8,7 +8,6 @@ Public surface:
 - :func:`run_multiphase` — the multi-phase algorithm
 - :func:`decode` / :func:`encode_operations` — the indirect encoding
 - :class:`PopulationBuffer` — the population representation
-- length mutation operators (gene insertion / deletion)
 """
 
 from repro.core.config import GAConfig, MultiPhaseConfig, CROSSOVER_KINDS
@@ -18,7 +17,6 @@ from repro.core.fitness import FitnessFunction, FitnessResult, cost_fitness
 from repro.core.ga import GAResult, GARun, initial_population, run_ga
 from repro.core.individual import Individual
 from repro.core.multiphase import MultiPhaseResult, PhaseRecord, run_multiphase
-from repro.core.mutation import deletion_mutation, insertion_mutation
 from repro.core.parallel import (
     EvaluationContext,
     Evaluator,
@@ -62,11 +60,9 @@ __all__ = [
     "WorkerPoolError",
     "cost_fitness",
     "decode",
-    "deletion_mutation",
     "encode_operations",
     "gene_to_index",
     "initial_population",
-    "insertion_mutation",
     "make_rng",
     "run_ga",
     "run_multiphase",

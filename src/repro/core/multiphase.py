@@ -16,16 +16,14 @@ single-phase ones.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.core import rng as rng_mod
-from repro.core.config import GAConfig, MultiPhaseConfig
-from repro.core.fitness import FitnessResult
+from repro.core.config import MultiPhaseConfig
 from repro.core.ga import GAResult, GARun
-from repro.core.individual import Individual
 from repro.core.parallel import Evaluator, SerialEvaluator
 from repro.obs.events import PhaseEnd, PhaseStart
 from repro.obs.metrics import MetricsRegistry

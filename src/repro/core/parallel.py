@@ -35,7 +35,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.decode_engine import DecodeEngine
-from repro.core.encoding import decode
 from repro.core.fitness import FitnessFunction
 from repro.core.popbuffer import PopulationBuffer
 from repro.core.vector_decode import VectorDecoder
@@ -53,7 +52,41 @@ __all__ = [
     "FitnessMemo",
     "WorkerPoolError",
     "build_evaluators",
+    "Decoder",
+    "decoder_for",
 ]
+
+#: The one decoder a domain decodes on.
+Decoder = Union[VectorDecoder, DecodeEngine]
+
+
+def decoder_for(domain: PlanningDomain) -> Decoder:
+    """A fresh decoder for *domain*: the only place that picks one.
+
+    The code decoder when the domain has a kernel (DESIGN.md §12), and
+    otherwise a decode engine over transition tables (DESIGN.md §9).
+    Both keep the :class:`~repro.core.vector_decode.RowDecoder` contract
+    and give bit-identical results.
+    """
+    kernel = domain.kernel()
+    return VectorDecoder(kernel) if kernel is not None else DecodeEngine()
+
+
+#: Decoder counters reported only once they are non-zero.
+_ON_EVENT = ("decode_cache_evictions", "transition_cache_evictions", "decode_fallbacks")
+
+
+def _add_decoder_counters(metrics: MetricsRegistry, delta: dict) -> None:
+    """Add a decoder's counter growth over a batch to *metrics*.
+
+    Every counter keeps its canonical name: the code decoder's rows and
+    genes, an engine's table traffic, and both decoders' reused genes.
+    An engine's scoring seconds (``fitness_s``) are not a counter; the
+    serial evaluator records them on the ``fitness`` timer.
+    """
+    for name, value in delta.items():
+        if name != "fitness_s" and (value or name not in _ON_EVENT):
+            metrics.counter(name).add(value)
 
 
 def build_evaluators(factory, n: int) -> list:
@@ -104,29 +137,18 @@ class EvaluationContext:
         self.truncate_at_goal = truncate_at_goal
 
     def resolve_vector(self) -> bool:
-        """Whether the domain has a kernel, so the code decoder can run.
-
-        An evaluator handed no decoder (and every pool worker) decodes on
-        the code decoder exactly when this holds (DESIGN.md §12).
-        """
+        """Whether the domain has a kernel, so :func:`decoder_for` picks the
+        code decoder (DESIGN.md §12); for reports, no evaluator reads it."""
         return self.domain.kernel() is not None
 
     def decode_genes(self, genes: np.ndarray):
         """Decode one genome (no shared caches): the generation best, a migrant.
 
-        On a domain with a kernel the genome goes through a fresh code
-        decoder, where one row takes the scalar walk; otherwise through
-        the reference decoder.  Both give the same plan.
+        The genome goes through a fresh :func:`decoder_for` decoder, where
+        on a kernel domain one row takes the scalar walk.  The plan equals
+        the reference decoder's.
         """
-        kernel = self.domain.kernel()
-        if kernel is None:
-            return decode(
-                genes,
-                self.domain,
-                self.start_state,
-                truncate_at_goal=self.truncate_at_goal,
-            )
-        decoder = VectorDecoder(kernel)
+        decoder = decoder_for(self.domain)
         decoder.bind(self)
         genes = np.ascontiguousarray(genes, dtype=np.float64)
         lengths = np.array([genes.size], dtype=np.int64)
@@ -267,13 +289,12 @@ class SerialEvaluator(Evaluator):
 
     One decoder decodes every batch: *engine*, when given — a
     :class:`~repro.core.vector_decode.VectorDecoder` (the code decoder,
-    for a domain with a kernel) or a :class:`~repro.core.decode_engine.
-    DecodeEngine` (row by row through transition tables, DESIGN.md §9) —
-    and otherwise one picked per domain on first use and kept: the code
-    decoder when the domain has a kernel (DESIGN.md §12), an engine when
-    it has none.  The planning service hands its leased decoder this way,
-    and a portfolio race over a kernel-less domain shares one engine
-    across its islands.
+    DESIGN.md §12) or a :class:`~repro.core.decode_engine.DecodeEngine`
+    (row by row through transition tables, DESIGN.md §9) — and otherwise
+    the :func:`decoder_for` decoder of the context's domain, kept while
+    the domain stays the same.  The planning service hands its leased
+    decoder this way, and a portfolio race shares one decoder across its
+    islands.
 
     With a *memo* (:class:`FitnessMemo`), every pending genome of a
     buffer that keeps no plans is looked up first; hits get their
@@ -284,7 +305,7 @@ class SerialEvaluator(Evaluator):
 
     def __init__(
         self,
-        engine: Optional[Union[VectorDecoder, DecodeEngine]] = None,
+        engine: Optional[Decoder] = None,
         memo: Optional[FitnessMemo] = None,
     ) -> None:
         self._engine = engine
@@ -295,15 +316,8 @@ class SerialEvaluator(Evaluator):
     def _decoder_for(self, context: EvaluationContext):
         """The handed decoder, or the one kept for *context*'s domain."""
         decoder = self._engine
-        if self._handed:
-            return decoder
-        kernel = context.domain.kernel()
-        if kernel is not None:
-            if not (isinstance(decoder, VectorDecoder) and decoder.kernel is kernel):
-                decoder = VectorDecoder(kernel)
-        elif not isinstance(decoder, DecodeEngine):
-            decoder = DecodeEngine()
-        self._engine = decoder
+        if not self._handed and (decoder is None or decoder.domain is not context.domain):
+            decoder = self._engine = decoder_for(context.domain)
         return decoder
 
     def vector_counters(self) -> Optional[dict]:
@@ -328,9 +342,7 @@ class SerialEvaluator(Evaluator):
         """Array-native serial path: decode rows straight off the arena.
 
         Memo hits are written first; the remaining pending rows go to the
-        decoder as one batch — the code decoder decodes them whole, the
-        engine row by row over zero-copy genome views, each resuming from
-        its prefix hint.
+        decoder as one batch, each resuming from its prefix hint.
         """
         rows = np.flatnonzero(~buffer.evaluated)
         if not rows.size:
@@ -350,11 +362,7 @@ class SerialEvaluator(Evaluator):
             hits, evictions = memo.hits, memo.evictions
             rows, fingerprints = self._replay(memo, buffer, rows)
         t1 = time.perf_counter()
-        fitness_s = None
-        if isinstance(decoder, VectorDecoder):
-            decoder.evaluate_pending(buffer, context, rows)
-        else:
-            fitness_s = self._decode_on_engine(decoder, buffer, context, rows)
+        decoder.evaluate_pending(buffer, context, rows)
         decode_s = time.perf_counter() - t1
         if memo is not None:
             fitness = zip(
@@ -370,9 +378,7 @@ class SerialEvaluator(Evaluator):
         if self.instrumented:
             after = decoder.counters()
             delta = {k: after[k] - before[k] for k in after}
-            self._record_batch(
-                n, int(rows.size), seconds, decode_s, fitness_s, hits, evictions, delta
-            )
+            self._record_batch(n, int(rows.size), seconds, decode_s, hits, evictions, delta)
 
     @staticmethod
     def _replay(memo: FitnessMemo, buffer, rows: np.ndarray):
@@ -392,85 +398,38 @@ class SerialEvaluator(Evaluator):
             buffer.write_results(hit_rows, total, goal, cost, reached)
         return np.asarray(miss_rows, dtype=np.int64), fingerprints
 
-    @staticmethod
-    def _decode_on_engine(engine: DecodeEngine, buffer, context, rows: np.ndarray) -> float:
-        """Decode *rows* one by one on *engine*; return the seconds spent scoring."""
-        if not rows.size:
-            return 0.0
-        engine.bind(context)
-        fitness_fn = context.fitness
-        n = int(rows.size)
-        total = np.empty(n, dtype=np.float64)
-        goal = np.empty(n, dtype=np.float64)
-        cost = np.empty(n, dtype=np.float64)
-        reached = np.empty(n, dtype=bool)
-        plans = []
-        fitness_s = 0.0
-        for j, row in enumerate(rows.tolist()):
-            prefix, dirty = buffer.prefix_hint(row)
-            decoded = engine.decode(buffer.view(row), prefix, dirty)
-            t = time.perf_counter()
-            fit = fitness_fn(decoded)
-            fitness_s += time.perf_counter() - t
-            total[j], goal[j], cost[j], reached[j] = (
-                fit.total, fit.goal, fit.cost, fit.goal_reached
-            )
-            plans.append(decoded)
-        buffer.write_results(rows, total, goal, cost, reached, plans)
-        return fitness_s
-
     def _record_batch(
         self,
         n: int,
         n_decoded: int,
         seconds: float,
         decode_s: float,
-        fitness_s: Optional[float],
         skipped: int,
         evictions: int,
         delta: dict,
     ) -> None:
         """Batch metrics and the ``evaluation-batch`` event.
 
-        *delta* is the decoder's counter growth over the batch; an engine
-        reports ``fitness_s`` (scoring, part of ``decode_s``) and its cache
-        traffic, the code decoder its rows and genes.
+        *delta* is the decoder's counter growth over the batch; an engine's
+        ``fitness_s`` (scoring, part of ``decode_s``) goes to the
+        ``fitness`` timer.
         """
-        engine = fitness_s is not None
-        reused = delta["genes_reused"] if engine else delta["vector_genes_reused"]
         if self._metrics is not None:
             m = self._metrics
             m.counter("evals").add(n)
             m.timer("eval_batch").record(seconds)
             if n_decoded:
-                if engine:
+                fitness_s = delta.get("fitness_s")
+                if fitness_s is None:
+                    m.timer("decode").record(decode_s, count=n_decoded)
+                else:
                     m.timer("decode").record(decode_s - fitness_s, count=n_decoded)
                     m.timer("fitness").record(fitness_s, count=n_decoded)
-                else:
-                    m.timer("decode").record(decode_s, count=n_decoded)
             if self.memo is not None:
                 m.counter("evals_skipped").add(skipped)
             if evictions:
                 m.counter("memo_evictions").add(evictions)
-            m.counter("genes_reused").add(reused)
-            if engine:
-                for name in (
-                    "decode_cache_hits",
-                    "decode_cache_misses",
-                    "transition_cache_hits",
-                    "transition_cache_misses",
-                ):
-                    m.counter(name).add(delta[name])
-                for name in (
-                    "decode_cache_evictions",
-                    "transition_cache_evictions",
-                    "decode_fallbacks",
-                ):
-                    if delta[name]:
-                        m.counter(name).add(delta[name])
-            else:
-                m.counter("vector_rows").add(delta["vector_rows"])
-                m.counter("vector_genes").add(delta["vector_genes"])
+            _add_decoder_counters(m, delta)
         if self._tracer.enabled:
             self._tracer.emit(
                 EvaluationBatch(
@@ -482,7 +441,7 @@ class SerialEvaluator(Evaluator):
                     cache_hits=delta.get("decode_cache_hits", 0),
                     cache_misses=delta.get("decode_cache_misses", 0),
                     evals_skipped=skipped,
-                    genes_reused=reused,
+                    genes_reused=delta["genes_reused"],
                 )
             )
 
@@ -490,81 +449,44 @@ class SerialEvaluator(Evaluator):
 # -- process-pool machinery ---------------------------------------------------
 #
 # Worker state is installed once per process via the pool initializer, so the
-# domain is pickled once, not once per task.  Each worker builds the one
-# decoder it uses (the vector decoder on a kernel domain, a decode engine
-# otherwise) and keeps it for the life of the process, so an engine's
-# tables stay warm across batches; a pool restart rebuilds it through the same
-# initializer (cold but correct).
+# domain is pickled once, not once per task.  Each worker builds its
+# :func:`decoder_for` decoder and keeps it for the life of the process, so an
+# engine's tables stay warm across batches; a pool restart rebuilds it through
+# the same initializer (cold but correct).  A worker's kernel never crosses
+# the process boundary: the domain pickles without it.
 
 _WORKER_CONTEXT: Optional[EvaluationContext] = None
-_WORKER_ENGINE: Optional[DecodeEngine] = None
-_WORKER_VDEC: Optional[VectorDecoder] = None
+_WORKER_DECODER: Optional[Decoder] = None
 
 
 def _init_worker(context: EvaluationContext) -> None:
-    global _WORKER_CONTEXT, _WORKER_ENGINE, _WORKER_VDEC
+    global _WORKER_CONTEXT, _WORKER_DECODER
     _WORKER_CONTEXT = context
-    if context.resolve_vector():
-        # Each worker builds its own kernel (it never crosses the process
-        # boundary — the domain pickles without it) and keeps it for the
-        # life of the process.
-        _WORKER_VDEC = VectorDecoder(context.domain.kernel())
-    else:
-        # Only the transition tables: workers get no prefix plans (shipping
-        # them per task would dwarf the savings) and no fitness memo.
-        _WORKER_ENGINE = DecodeEngine()
-        _WORKER_ENGINE.bind(context)
+    _WORKER_DECODER = decoder_for(context.domain)
 
 
 def _evaluate_chunk(genes: np.ndarray, starts: np.ndarray, lengths: np.ndarray, need_plans: bool):
     """Decode one chunk's rows inside a worker.
 
     Row ``j`` of the chunk is ``genes[starts[j] : starts[j] + lengths[j]]``.
-    Returns ``(seconds, cache-stats, (total, goal, cost, reached),
-    plans-or-None)``, the fitness columns as arrays in chunk row order.
+    Prefix hints never reach workers (plans live with the parent; shipping
+    them would dwarf the savings), so every row decodes from gene 0.
+    Returns ``(seconds, counter-delta, (total, goal, cost, reached),
+    plans-or-None)``: the decoder's :meth:`counters` growth over the chunk
+    and the fitness columns as arrays in chunk row order.
     """
     assert _WORKER_CONTEXT is not None, "worker not initialised"
-    context = _WORKER_CONTEXT
+    decoder = _WORKER_DECODER
     t0 = time.perf_counter()
-    vdec = _WORKER_VDEC
-    if vdec is not None:
-        # Vectorised decode of the whole chunk in one shot.  Prefix hints
-        # never reach workers (plans live with the parent), so every row
-        # decodes from gene 0; plan objects are built only when the
-        # crossover needs them shipped back.
-        vdec.bind(context)
-        total, goal, cost, reached, _used, plans = vdec.decode_rows(
-            genes, starts, lengths, need_plans, None
-        )
-        seconds = time.perf_counter() - t0
-        return seconds, (0, 0, 0, 0), (total, goal, cost, reached), plans if need_plans else None
-    engine = _WORKER_ENGINE
-    fitness_fn = context.fitness
-    n = len(starts)
-    total = np.empty(n, dtype=np.float64)
-    goal = np.empty(n, dtype=np.float64)
-    cost = np.empty(n, dtype=np.float64)
-    reached = np.empty(n, dtype=bool)
-    plans: Optional[list] = [] if need_plans else None
-    c0 = engine.counters()
-    for j in range(n):
-        decoded = engine.decode(genes[starts[j] : starts[j] + lengths[j]])
-        fit = fitness_fn(decoded)
-        total[j] = fit.total
-        goal[j] = fit.goal
-        cost[j] = fit.cost
-        reached[j] = fit.goal_reached
-        if plans is not None:
-            plans.append(decoded)
-    seconds = time.perf_counter() - t0
-    c1 = engine.counters()
-    stats = (
-        c1["decode_cache_hits"] - c0["decode_cache_hits"],
-        c1["decode_cache_misses"] - c0["decode_cache_misses"],
-        c1["transition_cache_hits"] - c0["transition_cache_hits"],
-        c1["transition_cache_misses"] - c0["transition_cache_misses"],
+    decoder.bind(_WORKER_CONTEXT)
+    before = decoder.counters()
+    total, goal, cost, reached, _used, plans = decoder.decode_rows(
+        genes, starts, lengths, need_plans
     )
-    return seconds, stats, (total, goal, cost, reached), plans
+    after = decoder.counters()
+    seconds = time.perf_counter() - t0
+    delta = {k: after[k] - before[k] for k in after}
+    return seconds, delta, (total, goal, cost, reached), plans if need_plans else None
 
 
 def _pack_rows(buffer: PopulationBuffer, rows: np.ndarray) -> tuple:
@@ -741,10 +663,12 @@ class ProcessPoolEvaluator(Evaluator):
     def _record_batch_metrics(self, n_pending: int, seconds: float, outputs: List[tuple]) -> None:
         """Batch metrics and the ``evaluation-batch`` event."""
         worker_s = sum(out[0] for out in outputs)
-        hits = sum(out[1][0] for out in outputs)
-        misses = sum(out[1][1] for out in outputs)
-        trans_hits = sum(out[1][2] for out in outputs)
-        trans_misses = sum(out[1][3] for out in outputs)
+        delta: dict = {}
+        for out in outputs:
+            for name, value in out[1].items():
+                delta[name] = delta.get(name, 0) + value
+        hits = delta.get("decode_cache_hits", 0)
+        misses = delta.get("decode_cache_misses", 0)
         self._cache_hits += hits
         self._cache_misses += misses
         if self._metrics is not None:
@@ -753,10 +677,7 @@ class ProcessPoolEvaluator(Evaluator):
             m.timer("eval_batch").record(seconds)
             m.timer("dispatch").record(max(0.0, seconds - worker_s / self.processes))
             m.timer("worker_eval").record(worker_s, count=len(outputs))
-            m.counter("decode_cache_hits").add(hits)
-            m.counter("decode_cache_misses").add(misses)
-            m.counter("transition_cache_hits").add(trans_hits)
-            m.counter("transition_cache_misses").add(trans_misses)
+            _add_decoder_counters(m, delta)
         if self._tracer.enabled:
             self._tracer.emit(
                 EvaluationBatch(

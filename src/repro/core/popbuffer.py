@@ -150,26 +150,12 @@ class PopulationBuffer:
         return self.genes[o : o + self.lengths[i]]
 
     def prefix_hint(self, i: int):
-        """``(prefix_plan, dirty_from)`` for the decode engine (None, None if absent)."""
+        """Row *i*'s resume hint ``(prefix_plan, dirty_from)``, or ``(None, None)``."""
         prefix = self.prefix_plans[i]
         if prefix is None:
             return None, None
         dirty = int(self.dirty_from[i])
         return (prefix, dirty) if dirty >= 0 else (None, None)
-
-    def pending_hints(self):
-        """``(pending, hints)``: unevaluated row indices plus resume hints.
-
-        ``pending`` is the int array of rows with ``evaluated`` unset (in
-        row order) and ``hints[j]`` is row ``pending[j]``'s
-        ``(prefix_plan, dirty_from)`` pair, or ``None`` when the row has
-        no usable hint — exactly the shape
-        :meth:`~repro.core.vector_decode.VectorDecoder.decode_rows`
-        consumes, so whole-population decoders gather their work list in
-        one call.
-        """
-        pending = np.flatnonzero(~self.evaluated)
-        return pending, self.hints(pending)
 
     def hints(self, rows: np.ndarray) -> list:
         """Resume hints of *rows*, in order.
@@ -386,7 +372,7 @@ def _splice(
 def _mutate_record(rec: _ChildRec, rate: float, rng: np.random.Generator) -> None:
     """Draw one child's uniform-reset mutation onto its recipe.
 
-    The lineage rules match :func:`repro.core.mutation._mutated_child`: an
+    The lineage rules match ``_mutated_child`` in ``tests/oracle.py``: an
     evaluated clone's decoded plan becomes the prefix; an offspring's
     pending hint is tightened to the first changed gene; a change at gene 0
     (or a missing prefix) drops the hint.

@@ -24,8 +24,8 @@ log (modulo wall-clock ``seconds`` payloads — see
 :func:`canonical_events`).
 
 Each island gets its own evaluator and metrics registry and emits on the
-run's tracer.  The islands share the caller's domain, and so its kernel,
-or, for a domain without a kernel, one decode engine whose transition
+run's tracer.  The islands share the caller's domain and one decoder: the
+code decoder over the domain's kernel, or a decode engine whose transition
 tables every island then warms.  Per-island metrics merge into the run
 registry at the end (:meth:`~repro.obs.metrics.MetricsRegistry.merge`).
 """
@@ -40,10 +40,9 @@ import numpy as np
 
 from repro.core import rng as rng_mod
 from repro.core.config import GAConfig, PortfolioSpec, StrategySpec
-from repro.core.decode_engine import DecodeEngine
 from repro.core.fitness import cost_fitness
 from repro.core.ga import GARun
-from repro.core.parallel import Evaluator, SerialEvaluator, build_evaluators
+from repro.core.parallel import Evaluator, SerialEvaluator, build_evaluators, decoder_for
 from repro.core.popbuffer import PopulationBuffer
 from repro.core.stats import RunHistory
 from repro.obs.events import (
@@ -425,18 +424,16 @@ def _build_workers(
 ) -> List[_IslandWorker]:
     """Construct one worker per strategy, leak-free on factory failure.
 
-    Every island decodes the caller's domain, and the islands share one
-    engine when that domain has no kernel.
+    Every island decodes the caller's domain, and without an evaluator
+    factory the GA islands share one decoder: they take turns on the
+    calling thread, and each batch binds the decoder afresh.
     """
     rngs = rng_mod.spawn_many(rng, len(spec.strategies))
     ga_indices = spec.ga_indices
     if evaluator_factory is not None:
         evaluators = build_evaluators(evaluator_factory, len(ga_indices))
     else:
-        # A shared engine would decode every batch, so the islands share
-        # one only where the vector decode cannot run; otherwise each
-        # evaluator picks its own decoder.
-        shared = DecodeEngine() if domain.kernel() is None else None
+        shared = decoder_for(domain)
         evaluators = [SerialEvaluator(engine=shared) for _ in ga_indices]
     by_island = dict(zip(ga_indices, evaluators))
     budget = spec.tick_budget()
@@ -663,8 +660,8 @@ def ring_portfolio(
     individuals for the next island's worst every *interval* generations,
     at the base rate (``adaptive=False``).  Each island rests at its first
     solution only when *base* sets ``stop_on_goal``; otherwise the ring
-    runs to the generation budget.  Its islands share one domain (with its
-    kernel or decode engine).
+    runs to the generation budget.  Its islands share one domain and one
+    decoder.
     """
     if n_islands < 2:
         raise ValueError(f"a ring needs at least 2 islands, got {n_islands}")

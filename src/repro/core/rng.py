@@ -9,7 +9,7 @@ entire multi-run experiment reproducible.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 

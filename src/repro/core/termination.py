@@ -11,7 +11,7 @@ polled directly by custom loops.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from repro.core.stats import GenerationStats
 

@@ -52,7 +52,7 @@ import numpy as np
 from repro.core.encoding import DecodedPlan
 from repro.protocol import DomainKernel, PlanningDomain
 
-__all__ = ["VectorDecoder", "SCALAR_ROWS"]
+__all__ = ["RowDecoder", "VectorDecoder", "SCALAR_ROWS"]
 
 #: Rows whose plans are rebuilt from one bulk gather of the trace.
 _PLAN_BLOCK = 64
@@ -62,7 +62,49 @@ _PLAN_BLOCK = 64
 SCALAR_ROWS = 96
 
 
-class VectorDecoder:
+class RowDecoder:
+    """The batch contract both decoders keep (DESIGN.md §9, §12).
+
+    A decoder persists across generations and implements three calls:
+    ``bind(context)`` (re)targets it at an evaluation context once per
+    batch; ``decode_rows(arena, offsets, lengths, keep_plans, hints)``
+    decodes and scores genome rows out of a gene arena, returning
+    ``(total, goal, cost, reached, used, plans)``; and ``counters()``
+    reports its cumulative work under canonical metric names.  A worker
+    process, an evaluator and a service lease therefore score rows
+    through the same calls, whichever decoder the domain has, and
+    :meth:`evaluate_pending` is written once on top of them.
+    """
+
+    def evaluate_pending(self, buffer, context, rows: Optional[np.ndarray] = None) -> int:
+        """Evaluate *rows* of *buffer* (default: every unevaluated row) in place.
+
+        Returns the number of rows decoded.  Fills the packed fitness
+        arrays and the ``plans`` list, whatever ``buffer.keep_plans`` says:
+        in-process a plan costs no shipping, and it lets the next
+        generation's breeding carry prefix hints even under the random
+        crossover (only the process pool legitimately skips plans).
+        Prefix hints are consumed and cleared.  The decoder is bound even
+        when no row is pending, so it is always targeted at the domain it
+        last evaluated for.
+        """
+        if rows is None:
+            rows = np.flatnonzero(~buffer.evaluated)
+        self.bind(context)
+        if rows.size == 0:
+            return 0
+        total, gfit, costf, reached, _used, plans = self.decode_rows(
+            buffer.genes,
+            buffer.offsets[rows],
+            buffer.lengths[rows],
+            True,
+            buffer.hints(rows),
+        )
+        buffer.write_results(rows, total, gfit, costf, reached, plans)
+        return int(rows.size)
+
+
+class VectorDecoder(RowDecoder):
     """Decodes gene arenas against a :class:`~repro.protocol.DomainKernel`.
 
     One decoder persists across generations (mirroring
@@ -377,37 +419,10 @@ class VectorDecoder:
             )
             lo = hi
 
-    # -- buffer-level entry point ---------------------------------------------
-
-    def evaluate_pending(self, buffer, context, rows: Optional[np.ndarray] = None) -> int:
-        """Evaluate *rows* of *buffer* (default: every unevaluated row) in place.
-
-        Returns the number of rows decoded.  Fills the packed fitness
-        arrays and the ``plans`` list, whatever ``buffer.keep_plans`` says:
-        in-process a plan costs no shipping, and it lets the next
-        generation's breeding carry prefix hints even under the random
-        crossover (only the process pool legitimately skips plans).
-        Prefix hints are consumed and cleared.
-        """
-        if rows is None:
-            rows = np.flatnonzero(~buffer.evaluated)
-        if rows.size == 0:
-            return 0
-        self.bind(context)
-        total, gfit, costf, reached, _used, plans = self.decode_rows(
-            buffer.genes,
-            buffer.offsets[rows],
-            buffer.lengths[rows],
-            True,
-            buffer.hints(rows),
-        )
-        buffer.write_results(rows, total, gfit, costf, reached, plans)
-        return int(rows.size)
-
     def counters(self) -> dict:
         """Decoder counters, flat, using canonical metric names."""
         return {
             "vector_rows": self.vector_rows,
             "vector_genes": self.vector_genes,
-            "vector_genes_reused": self.genes_reused,
+            "genes_reused": self.genes_reused,
         }

@@ -142,7 +142,7 @@ class HanoiKernel(DomainKernel):
     A Hanoi state is exactly "which stake is each disk on" — the stacking
     order within a stake is forced by disk size — so a state's code is the
     base-3 number ``sum_i stake(disk i+1) * 3**i``, and the whole
-    transition system (``3**n`` states × up to 6 moves) is tabulated
+    transition system (``3**n`` states × at most 3 moves) is tabulated
     vectorised at construction; every question is one gather.  State
     tuples are built once per code on first request and served from one
     list, so plans share their key objects.
@@ -171,8 +171,9 @@ class HanoiKernel(DomainKernel):
         for i in range(n - 1, -1, -1):
             top[rows, stakes[:, i]] = i
         vc = np.zeros(m, dtype=np.int32)
-        succ = np.zeros((m, 6), dtype=np.int32)
-        move = np.zeros((m, 6), dtype=np.int8)  # slot -> index into _MOVES
+        # At most 3 moves: the smallest disk has 2, one other top disk 1.
+        succ = np.zeros((m, 3), dtype=np.int32)
+        move = np.zeros((m, 3), dtype=np.int8)  # slot -> index into _MOVES
         for mi, (src, dst) in enumerate(_MOVES):
             movable = top[:, src]
             ok = (movable < n) & (movable < top[:, dst])

@@ -41,11 +41,9 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.decode_engine import DecodeEngine
-from repro.core.parallel import FitnessMemo
-from repro.core.vector_decode import VectorDecoder
+from repro.core.parallel import Decoder, FitnessMemo, decoder_for
 from repro.domains import registry as domain_registry
 from repro.domains.base import PlanningDomain
 from repro.obs.metrics import MetricsRegistry
@@ -55,9 +53,6 @@ __all__ = ["config_hash", "EngineLease", "EngineCache", "MAX_IDLE_PAIRS"]
 #: Idle pairs kept across all keys, and fitness memos kept across all
 #: trajectories; the least recently released goes first.
 MAX_IDLE_PAIRS = 32
-
-#: The one decoder a domain decodes on.
-Decoder = Union[VectorDecoder, DecodeEngine]
 
 
 def config_hash(domain: str, args: Sequence[object] = ()) -> str:
@@ -90,14 +85,10 @@ class EngineLease:
 
     @property
     def decoder(self) -> Decoder:
-        """The pair's decoder, built on first use (building a kernel costs).
-
-        The code decoder when the domain has a kernel, a
-        :class:`~repro.core.decode_engine.DecodeEngine` otherwise.
-        """
+        """The pair's :func:`~repro.core.parallel.decoder_for` decoder, built
+        on first use (building a kernel costs)."""
         if self._decoder is None:
-            kernel = self.domain.kernel()
-            self._decoder = VectorDecoder(kernel) if kernel is not None else DecodeEngine()
+            self._decoder = decoder_for(self.domain)
         return self._decoder
 
 

@@ -14,7 +14,6 @@ from repro.core import GAConfig, Individual, make_rng, run_ga
 from repro.core.decode_engine import DecodeEngine, TransitionCache
 from repro.core.encoding import DecodeCache, decode
 from repro.core.fitness import FitnessFunction
-from repro.core.mutation import deletion_mutation, insertion_mutation
 from repro.core.parallel import EvaluationContext, FitnessMemo, SerialEvaluator
 from repro.core.popbuffer import PopulationBuffer
 from repro.domains import HanoiDomain, SlidingTileDomain
@@ -403,21 +402,6 @@ class TestOperatorLineage:
                 dirty_from=m.dirty_from,
             )
             assert_plans_identical(plan, naive)
-
-    def test_insertion_and_deletion_carry_lineage(self, hanoi3, rng):
-        parent = self._evaluated(hanoi3, rng)
-        ins = insertion_mutation(parent, rng, max_len=64)
-        if ins.dirty_from is not None:
-            assert ins.prefix_plan is parent.decoded
-            np.testing.assert_array_equal(
-                ins.genes[: ins.dirty_from], parent.genes[: ins.dirty_from]
-            )
-        dele = deletion_mutation(parent, rng)
-        if dele.dirty_from is not None:
-            assert dele.prefix_plan is parent.decoded
-            np.testing.assert_array_equal(
-                dele.genes[: dele.dirty_from], parent.genes[: dele.dirty_from]
-            )
 
 
 class TestEvaluatorIntegration:

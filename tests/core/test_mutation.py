@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    Individual,
-    deletion_mutation,
-    insertion_mutation,
-    make_rng,
-)
+from repro.core import Individual, make_rng
 from tests.oracle import uniform_reset_mutation
 
 
@@ -57,45 +52,3 @@ class TestUniformReset:
         # With rate tiny and few genes, usually nothing mutates.
         results = [uniform_reset_mutation(ind, 1e-9, rng) for _ in range(10)]
         assert any(r is ind for r in results)
-
-
-class TestInsertion:
-    def test_length_grows_by_one(self, rng):
-        ind = Individual(genes=rng.random(5))
-        out = insertion_mutation(ind, rng)
-        assert len(out) == 6
-
-    def test_respects_max_len(self, rng):
-        ind = Individual(genes=rng.random(5))
-        assert insertion_mutation(ind, rng, max_len=5) is ind
-
-    def test_original_genes_present_in_order(self):
-        rng = make_rng(3)
-        ind = Individual(genes=np.array([0.1, 0.2, 0.3]))
-        out = insertion_mutation(ind, rng)
-        kept = [g for g in out.genes if g in (0.1, 0.2, 0.3)]
-        assert kept == [0.1, 0.2, 0.3]
-
-
-class TestDeletion:
-    def test_length_shrinks_by_one(self, rng):
-        ind = Individual(genes=rng.random(5))
-        out = deletion_mutation(ind, rng)
-        assert len(out) == 4
-
-    def test_minimum_length_one(self, rng):
-        ind = Individual(genes=rng.random(1))
-        assert deletion_mutation(ind, rng) is ind
-
-    def test_remaining_genes_keep_order(self):
-        rng = make_rng(4)
-        ind = Individual(genes=np.array([0.1, 0.2, 0.3, 0.4]))
-        out = deletion_mutation(ind, rng)
-        original = [0.1, 0.2, 0.3, 0.4]
-        it = iter(original)
-        for g in out.genes:
-            for o in it:
-                if o == g:
-                    break
-            else:
-                pytest.fail("deletion reordered the surviving genes")

@@ -21,7 +21,8 @@ from repro.core import (
 from repro.core.decode_engine import DecodeEngine
 from repro.core.parallel import ProcessPoolEvaluator, SerialEvaluator
 from repro.core.portfolio import _build_workers
-from repro.domains import HanoiDomain
+from repro.core.vector_decode import VectorDecoder
+from repro.domains import BlocksWorldDomain, HanoiDomain
 from repro.obs import MemoryRecorder, MetricsRegistry, Tracer
 from tests.oracle import ReferenceEvaluator
 
@@ -194,8 +195,8 @@ class TestStopOnGoal:
 
 
 class TestSharedDomain:
-    """A race decodes the caller's domain, with one engine when it has no
-    kernel."""
+    """A race decodes the caller's domain, on one decoder its GA islands
+    share, with or without a kernel."""
 
     def test_serial_race_shares_the_callers_domain_and_engine(self, hanoi3):
         spec = _spec(
@@ -203,11 +204,14 @@ class TestSharedDomain:
             StrategySpec(kind="ga", ga=_ga(crossover="state-aware")),
             StrategySpec(kind="search", algorithm="gbfs"),
         )
-        workers = _build_workers(spec, hanoi3, make_rng(0), None, None, Tracer())
-        ga = workers[:2]
-        assert all(w.run.domain is hanoi3 for w in ga)
-        assert workers[2].domain is hanoi3
-        assert ga[0].evaluator._engine is ga[1].evaluator._engine
+        blocks = BlocksWorldDomain([["a", "b", "c"]], [["c", "b", "a"]])
+        for domain, decoder_type in ((hanoi3, VectorDecoder), (blocks, DecodeEngine)):
+            workers = _build_workers(spec, domain, make_rng(0), None, None, Tracer())
+            ga = workers[:2]
+            assert all(w.run.domain is domain for w in ga)
+            assert workers[2].domain is domain
+            assert isinstance(ga[0].evaluator._engine, decoder_type)
+            assert ga[0].evaluator._engine is ga[1].evaluator._engine
 
 
 class TestDeterministicReplay:

@@ -32,6 +32,7 @@ from repro.core.popbuffer import PopulationBuffer
 from repro.core.vector_decode import VectorDecoder
 from repro.domains import HanoiDomain, PocketCubeDomain, SlidingTileDomain
 from repro.domains.pocket_cube import scrambled_state
+from repro.grid import imaging_pipeline
 from tests.oracle import ReferenceEvaluator
 
 
@@ -291,9 +292,12 @@ class TestScalarAndVectorWalks:
 
 
 class TestLazyPlans:
-    @pytest.mark.parametrize("name", ["hanoi-5", "tile-3", "cube"])
+    # The workflow domain has no kernel and non-unit operation costs.
+    DOMAINS = {**WALK_DOMAINS, "workflow": lambda: imaging_pipeline()[1]}
+
+    @pytest.mark.parametrize("name", ["hanoi-5", "tile-3", "cube", "workflow"])
     def test_decode_genes_equals_the_reference_decode(self, name, rng):
-        domain = WALK_DOMAINS[name]()
+        domain = self.DOMAINS[name]()
         context = EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
         for _ in range(20):
             genes = rng.random(int(rng.integers(0, 60)))

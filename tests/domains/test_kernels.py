@@ -156,6 +156,8 @@ class TestHanoiKernel:
         states = [kernel.state_of(code) for code in range(3**3)]
         assert len(set(states)) == 3**3
         assert_kernel_matches_domain(domain, states)
+        # A state has at most 3 moves, so the tables hold 3 slots per code.
+        assert kernel._succ.shape == kernel._move.shape == (3**3, 3)
 
     def test_size_cap_returns_none(self):
         assert HanoiDomain(_MAX_KERNEL_DISKS + 1).kernel() is None

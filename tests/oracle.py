@@ -31,7 +31,7 @@ from repro.core.encoding import DecodeCache, decode
 from repro.core.fitness import FitnessFunction
 from repro.core.ga import GAResult, GARun, initial_population
 from repro.core.individual import Individual
-from repro.core.mutation import _mutated_child, sample_uniform_reset
+from repro.core.mutation import sample_uniform_reset
 from repro.core.parallel import EvaluationContext, Evaluator
 from repro.core.rng import spawn_many
 from repro.core.selection import tournament_winner_indices
@@ -143,6 +143,26 @@ CROSSOVER_OPERATORS: dict = {
 
 
 # -- mutation (Section 3.4.3) -------------------------------------------------
+
+
+def _mutated_child(ind: Individual, genes: np.ndarray, first_changed: int) -> Individual:
+    """Build the post-mutation child, carrying incremental-decode lineage.
+
+    Genes before *first_changed* are untouched, so the child keeps the best
+    prefix it can: the input's own pending prefix (tightened to the first
+    change) when it was an unevaluated offspring, or the input's decoded
+    plan when it was an evaluated parent copy.  The generation step applies
+    the same rules to its child recipes (``repro.core.popbuffer._mutate_record``).
+    """
+    if ind.prefix_plan is not None and ind.dirty_from is not None:
+        prefix, dirty = ind.prefix_plan, min(ind.dirty_from, first_changed)
+    elif ind.decoded is not None:
+        prefix, dirty = ind.decoded, first_changed
+    else:
+        prefix, dirty = None, 0
+    if prefix is None or dirty <= 0:
+        return Individual(genes=genes)
+    return Individual(genes=genes, dirty_from=min(dirty, int(genes.size)), prefix_plan=prefix)
 
 
 def uniform_reset_mutation(
