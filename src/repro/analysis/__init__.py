@@ -1,8 +1,7 @@
-"""Experiment harness: drivers for every paper table/figure plus ablations."""
+"""Experiment scale, parameter tables, figures, ablations and statistics."""
 
 from repro.analysis.ablations import (
     crossover_on_hanoi,
-    island_study,
     maxlen_sweep,
     phase_budget_sweep,
     seeding_study,
@@ -13,9 +12,6 @@ from repro.analysis.experiments import (
     ExperimentScale,
     hanoi_max_len,
     hanoi_parameter_table,
-    run_hanoi_table2,
-    run_tile_table4,
-    run_tile_table5,
     scale_from_env,
     tile_init_length,
     tile_max_len,
@@ -29,8 +25,7 @@ __all__ = [
     "ExperimentScale", "Table", "crossover_on_hanoi", "figure1", "figure2", "figure3",
     "hanoi_max_len", "hanoi_parameter_table", "maxlen_sweep", "phase_budget_sweep",
     "planner_comparison", "profile_call", "render_hanoi", "render_tile_board",
-    "run_hanoi_table2", "run_tile_table4", "run_tile_table5", "scale_from_env",
-    "seeding_study", "tile_init_length", "tile_max_len", "tile_parameter_table",
+    "scale_from_env", "seeding_study", "tile_init_length", "tile_max_len", "tile_parameter_table",
     "weight_sweep",
 ]
 
@@ -46,4 +41,4 @@ from repro.analysis.stats_util import (  # noqa: E402
     summarize,
 )
 
-__all__ += ["MeanCI", "bootstrap_ci", "island_study", "mann_whitney", "mean_ci", "summarize"]
+__all__ += ["MeanCI", "bootstrap_ci", "mann_whitney", "mean_ci", "summarize"]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.experiments import (
     ExperimentScale,
     multiphase_config,
@@ -23,7 +21,6 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.tables import Table
 from repro.core import (
-    GAConfig,
     MultiPhaseConfig,
     encode_operations,
     Individual,
@@ -32,11 +29,9 @@ from repro.core import (
     spawn_many,
 )
 from repro.domains.hanoi import HanoiDomain, optimal_hanoi_moves
-from repro.domains.sliding_tile import SlidingTileDomain
 
 __all__ = [
     "crossover_on_hanoi",
-    "island_study",
     "maxlen_sweep",
     "weight_sweep",
     "phase_budget_sweep",
@@ -215,57 +210,3 @@ def _run_single_result(result) -> dict:
         "solved": result.best.fitness.goal_reached,
         "gens": result.solved_at_generation,
     }
-
-
-def island_study(
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 23,
-    n_disks: int = 5,
-    n_islands: int = 4,
-) -> Table:
-    """Island model vs one panmictic population at equal evaluation budget.
-
-    Beyond-paper extension: splits the same population size across
-    *n_islands* ring-migrating islands and compares solve rate on the
-    deceptive weighted-disk Hanoi fitness.
-    """
-    from repro.core import ring_portfolio, run_portfolio
-
-    s = scale or scale_from_env()
-    root = make_rng(seed)
-    domain = HanoiDomain(n_disks)
-    max_len = hanoi_max_len(n_disks)
-    total_pop = s.population_size
-    table = Table(
-        f"Ablation: island model on Hanoi-{n_disks}, total population {total_pop} ({s.label} scale)",
-        ["Structure", "Avg Goal Fitness", "Solved Runs", "Total Runs"],
-    )
-
-    single_cfg = single_phase_config(s, max_len, domain.optimal_length, "random")
-    records = [run_single_record(domain, single_cfg, rng) for rng in spawn_many(root, s.runs_hanoi)]
-    table.add_row(
-        "1 population",
-        round(sum(r.goal_fitness for r in records) / len(records), 3),
-        sum(r.solved for r in records),
-        len(records),
-    )
-
-    per_island = max(2, total_pop // n_islands)
-    ring = ring_portfolio(
-        single_cfg.replace(population_size=per_island),
-        n_islands,
-        migration_size=max(1, per_island // 10),
-    )
-    goals, solved = [], 0
-    for rng in spawn_many(root, s.runs_hanoi):
-        result = run_portfolio(domain, ring, rng)
-        assert result.best is not None
-        goals.append(result.best.goal_fitness)
-        solved += result.solved
-    table.add_row(
-        f"{n_islands} islands (ring migration)",
-        round(sum(goals) / len(goals), 3),
-        solved,
-        len(goals),
-    )
-    return table

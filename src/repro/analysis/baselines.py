@@ -9,9 +9,7 @@ perform well only on small problems") made measurable.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.analysis.experiments import (
     ExperimentScale,

@@ -1,7 +1,7 @@
-"""Experiment drivers: one function per paper table plus the ablations.
+"""Experiment scale, parameter tables and the shared single-run records.
 
-Every driver takes an :class:`ExperimentScale` so the same code serves two
-regimes:
+Every table, config and experiment spec takes an :class:`ExperimentScale`
+so the same code serves two regimes:
 
 - ``ExperimentScale.paper()`` — the paper's parameters (pop 200, 500
   generations, 10 runs for Hanoi / 50 for tiles); minutes-to-hours of CPU.
@@ -26,23 +26,18 @@ scan; recorded in EXPERIMENTS.md).  The rules live beside their domains,
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.analysis.tables import Table
 from repro.core import (
     GAConfig,
     MultiPhaseConfig,
-    make_rng,
     run_ga,
     run_multiphase,
-    spawn_many,
 )
-from repro.domains.hanoi import HanoiDomain, hanoi_max_len
-from repro.domains.sliding_tile import SlidingTileDomain, tile_init_length, tile_max_len
+from repro.domains.hanoi import hanoi_max_len
+from repro.domains.sliding_tile import tile_init_length, tile_max_len
 
 __all__ = [
     "ExperimentScale",
@@ -52,9 +47,6 @@ __all__ = [
     "tile_init_length",
     "hanoi_parameter_table",
     "tile_parameter_table",
-    "run_hanoi_table2",
-    "run_tile_table4",
-    "run_tile_table5",
     "RunRecord",
     "single_phase_config",
     "multiphase_config",
@@ -155,7 +147,7 @@ def tile_parameter_table(scale: Optional[ExperimentScale] = None) -> Table:
 
 @dataclass
 class RunRecord:
-    """Per-run measurements shared by the table drivers."""
+    """Per-run measurements shared by the experiment specs and ablations."""
 
     goal_fitness: float
     size: int
@@ -228,142 +220,3 @@ def run_multi_record(domain, config: MultiPhaseConfig, rng) -> RunRecord:
         solved_in_phase=result.solved_in_phase,
         elapsed_seconds=result.elapsed_seconds,
     )
-
-
-def _aggregate(records: Sequence[RunRecord]) -> Tuple[float, float, float, int, float]:
-    """(avg goal fitness, avg size, avg gens-to-solution, n solved, avg time)."""
-    n = len(records)
-    avg_goal = sum(r.goal_fitness for r in records) / n
-    avg_size = sum(r.size for r in records) / n
-    solved = [r for r in records if r.solved and r.generations is not None]
-    avg_gens = sum(r.generations for r in solved) / len(solved) if solved else float("nan")
-    avg_time = sum(r.elapsed_seconds for r in records) / n
-    return avg_goal, avg_size, avg_gens, len(solved), avg_time
-
-
-# -- Table 2: Towers of Hanoi ----------------------------------------------------
-
-
-def run_hanoi_table2(
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 2003,
-    crossover: str = "random",
-) -> Table:
-    """Single- vs multi-phase GA across disk counts (paper Table 2).
-
-    Expected shape: multi-phase goal fitness ≥ single-phase at every size;
-    fitness decreases with disk count; multi-phase solutions are longer.
-    """
-    s = scale or scale_from_env()
-    root = make_rng(seed)
-    table = Table(
-        f"Table 2: Towers of Hanoi results ({s.label} scale)",
-        [
-            "GA Type",
-            "Disks",
-            "Avg Goal Fitness",
-            "Avg Size of Solution",
-            "Avg Gens to Find Solution",
-            "Solved Runs",
-            "Total Runs",
-        ],
-    )
-    for ga_type in ("single-phase", "multi-phase"):
-        for n_disks in s.hanoi_disks:
-            domain = HanoiDomain(n_disks)
-            max_len = hanoi_max_len(n_disks)
-            init = domain.optimal_length
-            rngs = spawn_many(root, s.runs_hanoi)
-            records = []
-            for rng in rngs:
-                if ga_type == "single-phase":
-                    cfg = single_phase_config(s, max_len, init, crossover)
-                    records.append(run_single_record(domain, cfg, rng))
-                else:
-                    cfg = multiphase_config(s, max_len, init, crossover)
-                    records.append(run_multi_record(domain, cfg, rng))
-            avg_goal, avg_size, avg_gens, n_solved, _t = _aggregate(records)
-            table.add_row(
-                ga_type, n_disks, round(avg_goal, 3), round(avg_size, 1),
-                round(avg_gens, 1) if avg_gens == avg_gens else "-", n_solved, len(records),
-            )
-    return table
-
-
-# -- Tables 4 and 5: Sliding-tile puzzle -------------------------------------------
-
-
-def _tile_records(
-    scale: ExperimentScale, n: int, crossover: str, root_rng
-) -> List[RunRecord]:
-    domain = SlidingTileDomain(n)
-    cfg = multiphase_config(scale, tile_max_len(n), tile_init_length(n), crossover)
-    records = []
-    for rng in spawn_many(root_rng, scale.runs_tile):
-        records.append(run_multi_record(domain, cfg, rng))
-    return records
-
-
-def run_tile_table4(
-    scale: Optional[ExperimentScale] = None, seed: int = 2003
-) -> Table:
-    """Crossover type × board size (paper Table 4).
-
-    Expected shape: the three crossovers are close; 3×3 solved in nearly
-    every run; 4×4 almost never; size and time grow sharply from 9→16 tiles.
-    """
-    s = scale or scale_from_env()
-    root = make_rng(seed)
-    table = Table(
-        f"Table 4: Sliding-tile puzzle results ({s.label} scale)",
-        [
-            "Crossover",
-            "Tiles",
-            "Avg Goal Fitness",
-            "Avg Size of Solution",
-            "Runs Finding Valid Solution",
-            "Total Runs",
-            "Avg Time (s)",
-        ],
-    )
-    for crossover in ("state-aware", "random", "mixed"):
-        for n in s.tile_sizes:
-            records = _tile_records(s, n, crossover, root)
-            avg_goal, avg_size, _gens, n_solved, avg_time = _aggregate(records)
-            table.add_row(
-                crossover, n * n, round(avg_goal, 3), round(avg_size, 2),
-                n_solved, len(records), round(avg_time, 2),
-            )
-    return table
-
-
-def run_tile_table5(
-    scale: Optional[ExperimentScale] = None, seed: int = 2003, n: int = 3
-) -> Table:
-    """Phase in which the first valid solution appears (paper Table 5).
-
-    Expected shape: state-aware and mixed solve mostly in phase 1; random
-    needs phase 2 more often; almost everything resolves within two phases.
-    """
-    s = scale or scale_from_env()
-    root = make_rng(seed)
-    counts: Dict[str, List[int]] = {}
-    for crossover in ("random", "state-aware", "mixed"):
-        records = _tile_records(s, n, crossover, root)
-        per_phase = [0] * s.max_phases
-        for r in records:
-            if r.solved_in_phase is not None:
-                per_phase[r.solved_in_phase - 1] += 1
-        counts[crossover] = per_phase
-    table = Table(
-        f"Table 5: runs finding a valid solution per phase, {n}x{n} ({s.label} scale)",
-        ["Phase", "Random", "State-aware", "Mixed"],
-    )
-    for phase in range(s.max_phases):
-        table.add_row(
-            phase + 1,
-            counts["random"][phase],
-            counts["state-aware"][phase],
-            counts["mixed"][phase],
-        )
-    return table

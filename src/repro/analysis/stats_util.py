@@ -16,7 +16,7 @@ there made up most of the start-up time and resident memory of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

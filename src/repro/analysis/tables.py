@@ -11,7 +11,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 __all__ = ["Table"]
 

@@ -43,9 +43,6 @@ from repro.analysis import (
     maxlen_sweep,
     phase_budget_sweep,
     planner_comparison,
-    run_hanoi_table2,
-    run_tile_table4,
-    run_tile_table5,
     seeding_study,
     tile_parameter_table,
     weight_sweep,
@@ -201,15 +198,22 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     scale = _scale(args)
-    drivers = {
-        1: lambda: hanoi_parameter_table(scale),
-        2: lambda: run_hanoi_table2(scale, seed=args.seed),
-        3: lambda: tile_parameter_table(scale),
-        4: lambda: run_tile_table4(scale, seed=args.seed),
-        5: lambda: run_tile_table5(scale, seed=args.seed),
-    }
-    print(drivers[args.number]())
-    return 0
+    parameter_tables = {1: hanoi_parameter_table, 3: tile_parameter_table}
+    if args.number in parameter_tables:
+        print(parameter_tables[args.number](scale))
+        return 0
+    import dataclasses
+
+    from repro.exp import get_spec, run_inline
+
+    name = {2: "table2-hanoi", 4: "table4-tile", 5: "table5-phases"}[args.number]
+    result = run_inline(
+        dataclasses.replace(get_spec(name), base_seed=args.seed), scale=scale
+    )
+    print(result.table())
+    for record in result.failed:
+        print(f"trial {record.trial_id} failed: {record.error}", file=sys.stderr)
+    return 1 if result.failed else 0
 
 
 def _cmd_figure(args) -> int:
@@ -238,8 +242,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    import numpy as np
-
     from repro.analysis import Table
     from repro.core import make_rng
     from repro.scheduling import (
@@ -275,7 +277,6 @@ def _cmd_chaos(args) -> int:
         greedy_grid_planner,
         imaging_pipeline,
     )
-    from repro.obs import MetricsRegistry, Tracer
     from repro.obs.tracer import default_metrics, default_tracer
 
     onto, domain = imaging_pipeline()

@@ -207,8 +207,9 @@ class GARun:
         if self.best is None or key > self.best.sort_key():
             best = buf.materialize(bi)
             if best.decoded is None:
-                # Shared-memory dispatch returns packed fitness only; the
-                # single generation winner is decoded lazily parent-side.
+                # Under the random crossover the buffer keeps no plans (the
+                # process pool returns fitness only); the single generation
+                # winner is decoded lazily parent-side.
                 best.decoded = self.context.decode_genes(best.genes)
             self.best = best
         if self.solved_at is None and stats.solved_count > 0:

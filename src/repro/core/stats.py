@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -55,19 +55,3 @@ class RunHistory:
 
     def __len__(self) -> int:
         return len(self.generations)
-
-    @property
-    def best_goal_trace(self) -> np.ndarray:
-        return np.array([g.best_goal for g in self.generations])
-
-    @property
-    def best_total_trace(self) -> np.ndarray:
-        return np.array([g.best_total for g in self.generations])
-
-    @property
-    def first_solved_generation(self) -> Optional[int]:
-        """Generation index at which some individual first solved the problem."""
-        for g in self.generations:
-            if g.solved_count > 0:
-                return g.generation
-        return None

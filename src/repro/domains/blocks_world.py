@@ -9,7 +9,7 @@ counting satisfied goal atoms.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Sequence
 
 from repro.planning.adapter import StripsDomainAdapter
 from repro.planning.conditions import atom

@@ -87,10 +87,6 @@ class GridNavigationDomain(PlanningDomain):
     def initial_state(self) -> tuple:
         return self._starts
 
-    @property
-    def goal_cells(self) -> tuple:
-        return self._goals
-
     def _target(self, state, mv: NavMove) -> Optional[Tuple[int, int]]:
         r, c = state[mv.robot]
         for name, dr, dc in _DIRS:

@@ -154,11 +154,6 @@ class PocketCubeDomain(PlanningDomain):
         """The cubie-word kernel over composed per-move permutation tables."""
         return cached_kernel(self, CubeKernel)
 
-    @staticmethod
-    def solved_state() -> Tuple[tuple, tuple]:
-        """The solved ``(cp, co)``."""
-        return (_SOLVED_CP, _SOLVED_CO)
-
 
 class CubeKernel(DomainKernel):
     """Cubie kernel on the 40-bit state word: no tables of states.

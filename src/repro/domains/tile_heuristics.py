@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.domains.sliding_tile import SlidingTileDomain
 
 __all__ = [

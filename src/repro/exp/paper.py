@@ -1,13 +1,13 @@
 """Built-in experiment specs: the paper's result tables as data.
 
-Each spec re-expresses one ``benchmarks/bench_table*.py`` one-off as a
-declarative grid + trial function + aggregation, so the tables are
-produced by the shared :class:`~repro.exp.runner.SweepRunner` (resume,
-provenance, parallelism) instead of nineteen hand-rolled trial loops.
-The trial functions reuse the exact configs of the
-:mod:`repro.analysis.experiments` drivers; only the seeding pathway
-differs (per-trial derived seeds instead of one spawning root RNG, which
-is what makes individual trials resumable).
+Each spec is the only definition of one paper result table (2, 4 or 5):
+a declarative grid + trial function + aggregation run by the shared
+:class:`~repro.exp.runner.SweepRunner` (resume, provenance,
+parallelism).  ``repro table N``, ``repro exp`` and the
+``benchmarks/bench_table*.py`` benches all run these specs.  The trial
+functions build their configs with :mod:`repro.analysis.experiments`
+and seed each trial from the spec's base seed and the trial id, which
+is what makes individual trials resumable.
 """
 
 from __future__ import annotations

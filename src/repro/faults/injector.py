@@ -17,7 +17,7 @@ so adding a clause never perturbs the draws of clauses before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from repro.core.rng import make_rng

@@ -13,7 +13,7 @@ out a computation, while planning does."
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.grid.activity_graph import ActivityGraph, plan_to_activity_graph

@@ -10,7 +10,7 @@ states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
 __all__ = ["DataType", "DataProduct", "ProvenanceStep"]

@@ -9,7 +9,7 @@ the whole stack (plan → activity graph → simulation) holds up.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -7,8 +7,7 @@ coordination service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.grid.data import DataType
 from repro.grid.programs import ProgramSpec

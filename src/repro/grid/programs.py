@@ -8,8 +8,8 @@ disk, and a compute size in Mflop that heterogeneous machine speeds divide).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.grid.data import DataProduct
 from repro.grid.resources import Machine

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.grid.activity_graph import Activity, ActivityGraph
@@ -106,9 +106,6 @@ class ExecutionResult:
     placements: frozenset
     success: bool
     aborted_at: Optional[float] = None
-
-    def records_for(self, machine: str) -> List[TaskRecord]:
-        return [r for r in self.trace if r.machine == machine]
 
 
 def _check_monotone(events: Sequence[GridEvent]) -> Tuple[GridEvent, ...]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Optional, Sequence, Tuple
+from typing import FrozenSet, Hashable, Sequence, Tuple
 
 from repro.protocol import PlanningDomain
 from repro.grid.data import DataProduct

@@ -72,10 +72,6 @@ class Tracer:
         for sink in self.sinks:
             sink.write(event)
 
-    def add_sink(self, sink: Sink) -> None:
-        """Attach another sink; subsequent emits include it."""
-        self.sinks.append(sink)
-
     def flush(self) -> None:
         """Flush every attached sink."""
         for sink in self.sinks:

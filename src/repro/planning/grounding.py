@@ -14,7 +14,7 @@ schema's ``constraint`` predicate (e.g. "the two pegs must differ").
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.planning.conditions import Atom

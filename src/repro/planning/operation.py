@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.planning.conditions import Atom, State, format_atom
+from repro.planning.conditions import State, format_atom
 
 __all__ = ["Operation"]
 

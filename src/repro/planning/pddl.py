@@ -28,11 +28,11 @@ Untyped parameters/objects fall into the pseudo-type ``object``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.planning.conditions import Atom
-from repro.planning.grounding import OperatorSchema, ground_all
+from repro.planning.grounding import OperatorSchema
 from repro.planning.problem import PlanningProblem
 
 __all__ = ["parse_domain", "parse_problem", "load_problem", "PddlDomain", "PddlError"]
@@ -118,8 +118,6 @@ class PddlDomain:
         ``stack(a, a)``) are silently dropped — they can never appear in a
         meaningful plan and PDDL imposes no implicit inequality.
         """
-        import itertools
-
         from repro.planning.grounding import ground_schema
 
         ops = []

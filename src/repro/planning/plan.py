@@ -7,11 +7,10 @@ satisfying every goal condition (paper, Section 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.planning.conditions import State, format_atom
-from repro.planning.operation import Operation
+from repro.planning.conditions import State
 from repro.planning.problem import PlanningProblem
 
 __all__ = ["Plan", "SimulationResult", "simulate"]

@@ -8,12 +8,12 @@ postconditions, and a cost), an initial state ``s0`` and a goal state ``g``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.planning.conditions import Atom, State, format_atom, make_state
-from repro.planning.operation import Operation, check_operations
+from repro.planning.operation import check_operations
 
 __all__ = ["PlanningProblem"]
 

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.planning.conditions import Atom, State
+from repro.planning.conditions import Atom
 from repro.planning.operation import Operation
 from repro.planning.problem import PlanningProblem
 from repro.planning.search.classical import SearchResult

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, Dict, Hashable
+from typing import Callable, Dict
 
 from repro.protocol import PlanningDomain
 from repro.planning.conditions import Atom, State

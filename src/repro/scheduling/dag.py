@@ -19,7 +19,7 @@ bridges from a grid :class:`ActivityGraph`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import networkx as nx

@@ -17,8 +17,8 @@ All functions consume an arrival schedule plus an ETC matrix and return a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -56,11 +56,6 @@ class DynamicScheduleResult:
     @property
     def makespan(self) -> float:
         return float(self.completion.max()) if self.completion.size else 0.0
-
-    @property
-    def mean_response(self) -> float:
-        """Mean task turnaround (completion - arrival is tracked by caller)."""
-        return float(self.completion.mean()) if self.completion.size else 0.0
 
 
 def poisson_arrivals(

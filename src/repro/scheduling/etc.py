@@ -18,7 +18,6 @@ Generation follows the range-based method: ``etc[i, j] = tau_i * u_ij`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 

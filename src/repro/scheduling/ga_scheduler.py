@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.obs.events import SchedulerGeneration
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, default_metrics, default_tracer
 from repro.scheduling.heuristics import min_min
-from repro.scheduling.metrics import flowtime, machine_loads, makespan
+from repro.scheduling.metrics import flowtime, makespan
 
 __all__ = ["GASchedulerConfig", "GASchedulerResult", "ga_schedule"]
 

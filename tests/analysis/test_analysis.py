@@ -1,5 +1,6 @@
 """Tests for tables, rendering, and the experiment drivers (scaled)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -15,14 +16,12 @@ from repro.analysis import (
     profile_call,
     render_hanoi,
     render_tile_board,
-    run_hanoi_table2,
-    run_tile_table4,
-    run_tile_table5,
     scale_from_env,
     tile_init_length,
     tile_max_len,
     tile_parameter_table,
 )
+from repro.exp import get_spec, run_inline
 
 
 class TestTable:
@@ -126,29 +125,35 @@ TINY = ExperimentScale.scaled(
 )
 
 
+def _spec_table(name, seed):
+    """The registered sweep *name* at ``TINY`` scale and base seed *seed*."""
+    spec = dataclasses.replace(get_spec(name), base_seed=seed)
+    return run_inline(spec, scale=TINY).table()
+
+
 class TestExperimentDrivers:
     def test_table2_structure_and_shape(self):
-        t = run_hanoi_table2(TINY, seed=1)
+        t = _spec_table("table2-hanoi", seed=1)
         assert t.column("GA Type") == ["single-phase", "multi-phase"]
         assert all(0.0 <= f <= 1.0 for f in t.column("Avg Goal Fitness"))
         assert all(n <= 2 for n in t.column("Solved Runs"))
 
     def test_table4_structure(self):
-        t = run_tile_table4(TINY, seed=1)
+        t = _spec_table("table4-tile", seed=1)
         assert t.column("Crossover") == ["state-aware", "random", "mixed"]
         assert t.column("Tiles") == [9, 9, 9]
         assert all(time >= 0 for time in t.column("Avg Time (s)"))
 
     def test_table5_counts_bounded(self):
-        t = run_tile_table5(TINY, seed=1)
+        t = _spec_table("table5-phases", seed=1)
         for col in ("Random", "State-aware", "Mixed"):
             counts = t.column(col)
             assert sum(counts) <= TINY.runs_tile
             assert all(c >= 0 for c in counts)
 
     def test_drivers_reproducible(self):
-        a = run_hanoi_table2(TINY, seed=3).rows
-        b = run_hanoi_table2(TINY, seed=3).rows
+        a = _spec_table("table2-hanoi", seed=3).rows
+        b = _spec_table("table2-hanoi", seed=3).rows
         assert a == b
 
 

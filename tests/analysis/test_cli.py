@@ -54,6 +54,49 @@ class TestCommands:
         assert main(["table", "3"]) == 0
         assert "Crossover type" in capsys.readouterr().out
 
+    @pytest.fixture
+    def tiny_scale(self, monkeypatch):
+        """Run ``repro table`` at a scale of seconds, whatever its flags."""
+        from repro.analysis import ExperimentScale
+
+        tiny = ExperimentScale.scaled(
+            population_size=20,
+            generations_single=15,
+            generations_phase=5,
+            runs_hanoi=1,
+            runs_tile=1,
+            hanoi_disks=(3,),
+            tile_sizes=(3,),
+        )
+        monkeypatch.setattr("repro.cli._scale", lambda args: tiny)
+        return tiny
+
+    def test_trial_tables_print_the_registered_sweeps(self, tiny_scale, capsys):
+        from repro.exp import run_inline
+
+        for number, name in ((2, "table2-hanoi"), (5, "table5-phases")):
+            assert main(["table", str(number)]) == 0
+            expected = str(run_inline(name, scale=tiny_scale).table())
+            assert capsys.readouterr().out == expected + "\n"
+
+        assert main(["table", "4"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        expected = str(run_inline("table4-tile", scale=tiny_scale).table()).splitlines()
+        assert len(printed) == len(expected)
+        for got, want in zip(printed, expected):
+            # Every cell but the last, ``Avg Time (s)``, is deterministic.
+            assert got.rsplit("|", 1)[0] == want.rsplit("|", 1)[0]
+
+    def test_trial_table_reports_failed_trials(self, tiny_scale, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.exp.paper.run_single_record", broken)
+        assert main(["table", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "multi-phase" in captured.out
+        assert "single-phase" in captured.err and "boom" in captured.err
+
     def test_schedule_command(self, capsys):
         rc = main(["schedule", "--tasks", "24", "--machines", "4", "--generations", "10"])
         out = capsys.readouterr().out

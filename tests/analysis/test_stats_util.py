@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import MeanCI, bootstrap_ci, mann_whitney, mean_ci, summarize
+from repro.analysis import bootstrap_ci, mann_whitney, mean_ci, summarize
 from repro.core import make_rng
 
 

@@ -4,7 +4,6 @@ The fallback per-test timeout shim lives in the repo-root ``conftest.py``
 so it also covers ``benchmarks/``.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import GAConfig, make_rng

@@ -16,7 +16,7 @@ from repro.core.encoding import DecodeCache, decode
 from repro.core.fitness import FitnessFunction
 from repro.core.parallel import EvaluationContext, FitnessMemo, SerialEvaluator
 from repro.core.popbuffer import PopulationBuffer
-from repro.domains import HanoiDomain, SlidingTileDomain
+from repro.domains import HanoiDomain
 from tests.oracle import ReferenceEvaluator, random_crossover, uniform_reset_mutation
 
 

@@ -11,7 +11,6 @@ from repro.core import (
     run_multiphase,
     run_portfolio,
 )
-from repro.domains import HanoiDomain
 
 
 class CountingEvaluator(SerialEvaluator):

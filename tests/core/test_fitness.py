@@ -1,10 +1,9 @@
 """Tests for the fitness function (paper equations 2 and 4)."""
 
-import numpy as np
 import pytest
 
 from repro.core import FitnessFunction, cost_fitness, decode
-from repro.core.encoding import DecodedPlan, encode_operations
+from repro.core.encoding import encode_operations
 from repro.domains import HanoiDomain, optimal_hanoi_moves
 
 

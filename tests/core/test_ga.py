@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import GAConfig, GARun, Individual, initial_population, make_rng, run_ga
-from repro.domains import HanoiDomain
 
 
 class TestInitialPopulation:

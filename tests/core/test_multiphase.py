@@ -1,6 +1,5 @@
 """Tests for the multi-phase GA driver."""
 
-import numpy as np
 import pytest
 
 from repro.core import GAConfig, MultiPhaseConfig, make_rng, run_multiphase

@@ -1,6 +1,5 @@
 """Property-based tests on domain invariants (hypothesis)."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

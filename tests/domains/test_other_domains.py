@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GAConfig, GAPlanner, make_rng
+from repro.core import GAConfig, GAPlanner
 from repro.domains import (
     BlocksWorldDomain,
     BriefcaseDomain,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.domains import registry
-from repro.domains.registry import DomainEntry
 
 
 class TestLookup:

@@ -5,7 +5,6 @@ import pytest
 from repro.core import make_rng
 from repro.domains import (
     AccurateTileDomain,
-    SlidingTileDomain,
     accurate_tile_fitness,
     build_pattern_database,
     linear_conflict,

@@ -1,6 +1,5 @@
 """Property tests over random grids and pipelines (the whole grid stack)."""
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st

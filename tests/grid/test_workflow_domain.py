@@ -7,7 +7,6 @@ from repro.grid import (
     DataProduct,
     DataType,
     GridWorkflowDomain,
-    InputSpec,
     Ontology,
     OutputSpec,
     ProgramSpec,

@@ -1,12 +1,11 @@
 """Integration tests: whole-stack flows across packages."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import crossover_on_hanoi, maxlen_sweep, phase_budget_sweep, planner_comparison, seeding_study, weight_sweep
 from repro.analysis.experiments import ExperimentScale
 from repro.core import GAConfig, GAPlanner, MultiPhaseConfig, make_rng, run_multiphase
-from repro.domains import HanoiDomain, SlidingTileDomain, optimal_hanoi_moves
+from repro.domains import HanoiDomain, SlidingTileDomain
 from repro.grid import (
     CoordinationService,
     GridEvent,
@@ -15,7 +14,7 @@ from repro.grid import (
     imaging_pipeline,
     plan_to_activity_graph,
 )
-from repro.planning.search import astar, breadth_first_search
+from repro.planning.search import breadth_first_search
 
 TINY = ExperimentScale.scaled(
     population_size=24,

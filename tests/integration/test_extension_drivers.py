@@ -1,9 +1,11 @@
 """Integration tests for the extension study drivers."""
 
-import pytest
+import dataclasses
 
-from repro.analysis import fitness_accuracy_study, island_study
+from repro.analysis import fitness_accuracy_study
 from repro.analysis.experiments import ExperimentScale
+from repro.exp import get_spec, run_inline
+from repro.exp.islands_portfolio import STRUCTURES
 
 TINY = ExperimentScale.scaled(
     population_size=24,
@@ -32,13 +34,19 @@ class TestFitnessAccuracyStudy:
 
 
 class TestIslandStudy:
+    """The ``islands-portfolio`` sweep: structures compared per disk count."""
+
+    @staticmethod
+    def _table(seed):
+        spec = dataclasses.replace(get_spec("islands-portfolio"), base_seed=seed)
+        return run_inline(spec, scale=TINY).table()
+
     def test_structure(self):
-        t = island_study(TINY, seed=3, n_disks=3, n_islands=3)
-        assert len(t.rows) == 2
-        assert t.rows[0][0] == "1 population"
-        assert "islands" in t.rows[1][0]
+        t = self._table(seed=3)
+        assert t.column("Structure") == list(STRUCTURES)
+        assert t.column("Disks") == [3, 3, 3]
         assert all(0.0 <= f <= 1.0 for f in t.column("Avg Goal Fitness"))
 
     def test_total_runs_consistent(self):
-        t = island_study(TINY, seed=4, n_disks=3)
-        assert t.column("Total Runs") == [2, 2]
+        t = self._table(seed=4)
+        assert t.column("Total Runs") == [TINY.runs_hanoi] * len(STRUCTURES)

@@ -1,7 +1,5 @@
 """Tests for the Graphplan planner."""
 
-import pytest
-
 from repro.domains import blocks_world_problem, hanoi_strips_problem
 from repro.planning import Operation, Plan, PlanningProblem, atom
 from repro.planning.search import graphplan

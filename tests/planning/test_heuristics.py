@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from repro.domains import HanoiDomain, hanoi_strips_problem
+from repro.domains import hanoi_strips_problem
 from repro.planning import Operation, PlanningProblem, atom
 from repro.planning.search import (
     astar,
-    breadth_first_search,
     goal_count,
     goal_gap,
     make_h_add,

@@ -1,9 +1,7 @@
 """Tests for plan reuse (prefix matching + repair)."""
 
-import pytest
-
-from repro.domains import HanoiDomain, SlidingTileDomain, optimal_hanoi_moves
-from repro.planning.reuse import ReuseResult, reuse_plan, valid_prefix
+from repro.domains import HanoiDomain, optimal_hanoi_moves
+from repro.planning.reuse import reuse_plan, valid_prefix
 from repro.planning.search import breadth_first_search
 
 

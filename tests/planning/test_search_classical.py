@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.domains import HanoiDomain, SlidingTileDomain, hanoi_strips_problem
+from repro.domains import HanoiDomain, hanoi_strips_problem
 from repro.planning import StripsDomainAdapter
 from repro.planning.search import (
     astar,

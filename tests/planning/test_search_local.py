@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import make_rng
-from repro.domains import HanoiDomain, SlidingTileDomain
+from repro.domains import HanoiDomain
 from repro.planning.search import (
     goal_gap,
     greedy_best_first,

@@ -3,11 +3,10 @@
 import math
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from repro.core import make_rng
-from repro.scheduling import DagProblem, DagSchedule, heft, random_layered_dag
+from repro.scheduling import DagProblem, heft, random_layered_dag
 
 
 def _chain_problem(costs):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import make_rng
 from repro.scheduling import (
     BATCH_HEURISTICS,
     ETCParams,

@@ -13,12 +13,10 @@ from repro.scheduling import (
     generate_etc,
     machine_loads,
     makespan,
-    max_min,
     mct,
     met,
     min_min,
     olb,
-    sufferage,
 )
 
 

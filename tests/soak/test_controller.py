@@ -3,7 +3,7 @@
 import pytest
 
 from repro.grid.simulator import GridEvent
-from repro.grid.workflow_domain import GridWorkflowDomain, RunProgram, Transfer
+from repro.grid.workflow_domain import RunProgram, Transfer
 from repro.obs import MetricsRegistry, Tracer
 from repro.soak import ArrivalStream, ReplanController, request_domain, soak_ontology
 from repro.soak.controller import _greedy, relaxed_feasible
