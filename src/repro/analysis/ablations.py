@@ -23,7 +23,6 @@ from repro.analysis.tables import Table
 from repro.core import (
     MultiPhaseConfig,
     encode_operations,
-    Individual,
     make_rng,
     run_ga,
     spawn_many,
@@ -186,7 +185,7 @@ def seeding_study(
         records = []
         for rng in spawn_many(root, s.runs_hanoi):
             seeds = [
-                Individual(genes=encode_operations(domain, domain.initial_state, prefix, rng=rng))
+                encode_operations(domain, domain.initial_state, prefix, rng=rng)
                 for _ in range(n_seeds)
             ]
             result = run_ga(domain, cfg, rng, seeds=seeds)
@@ -204,7 +203,6 @@ def seeding_study(
 
 
 def _run_single_result(result) -> dict:
-    assert result.best.fitness is not None
     return {
         "goal": result.best.fitness.goal,
         "solved": result.best.fitness.goal_reached,

@@ -198,7 +198,6 @@ def run_single_record(domain, config: GAConfig, rng) -> RunRecord:
     """Run one single-phase GA trial and fold the result into a :class:`RunRecord`."""
     result = run_ga(domain, config, rng)
     decoded = result.best.decoded
-    assert decoded is not None and result.best.fitness is not None
     return RunRecord(
         goal_fitness=result.best.fitness.goal,
         size=len(decoded.operations),

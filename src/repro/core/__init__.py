@@ -15,7 +15,6 @@ from repro.core.decode_engine import DecodeEngine, TransitionCache
 from repro.core.encoding import DecodeCache, DecodedPlan, decode, encode_operations, gene_to_index
 from repro.core.fitness import FitnessFunction, FitnessResult, cost_fitness
 from repro.core.ga import GAResult, GARun, initial_population, run_ga
-from repro.core.individual import Individual
 from repro.core.multiphase import MultiPhaseResult, PhaseRecord, run_multiphase
 from repro.core.parallel import (
     EvaluationContext,
@@ -44,7 +43,6 @@ __all__ = [
     "GAResult",
     "GARun",
     "GenerationStats",
-    "Individual",
     "MultiPhaseConfig",
     "MultiPhaseResult",
     "PLANNING_MODES",

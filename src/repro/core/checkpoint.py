@@ -2,7 +2,7 @@
 
 Long full-fidelity experiment sweeps (50 runs × 500 generations) benefit
 from resumability.  A checkpoint captures the population genomes, the RNG
-state, the generation counter and the best-so-far individual; the domain
+state, the generation counter and the best-so-far genome; the domain
 and config are reconstructed by the caller (they are code, not data).
 
 Durability contract (the fault-model half of this module):
@@ -32,11 +32,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ga import GARun
-from repro.core.individual import Individual
+from repro.core.ga import BestGenome, GARun
+from repro.core.popbuffer import PopulationBuffer
 from repro.obs.events import CheckpointRecovered, CheckpointWrite
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer, default_metrics, default_tracer
+from repro.obs.tracer import Tracer, default_metrics, default_tracer
 
 __all__ = [
     "Checkpoint",
@@ -76,7 +76,7 @@ def capture(run: GARun) -> Checkpoint:
     return Checkpoint(
         version=_FORMAT_VERSION,
         generation=run.generation,
-        genomes=[ind.genes.copy() for ind in run.population],
+        genomes=[run.buffer.view(i).copy() for i in range(run.buffer.n)],
         rng_state=run.rng.bit_generator.state,
         best_genes=None if run.best is None else run.best.genes.copy(),
         solved_at=run.solved_at,
@@ -194,29 +194,27 @@ def restore_run(run: GARun, ckpt: Checkpoint) -> GARun:
 
     The run must have been built with the same domain, config and start
     state that produced the checkpoint; only the evolving state is restored.
+    The genomes enter through :meth:`~repro.core.popbuffer.PopulationBuffer.
+    from_genomes`, the intake seeds take, as pending rows.
 
     Observability round-trip: events are tagged with the generation counter,
     and the restored run resumes counting at ``ckpt.generation``, so a trace
     spanning the original and resumed runs contains each generation exactly
-    once.  The best-individual re-evaluation below is bookkeeping, not new
-    search work — it is deliberately hidden from the run's tracer/metrics so
-    resuming never double-counts evaluations.
+    once.  The best genome's plan and fitness are rebuilt with the run's
+    context, not its evaluator: bookkeeping, not new search work, so
+    resuming never counts an evaluation.
     """
     if len(ckpt.genomes) != run.config.population_size:
         raise ValueError(
             f"checkpoint population size {len(ckpt.genomes)} does not match "
             f"config population size {run.config.population_size}"
         )
-    run.population = [Individual(genes=g) for g in ckpt.genomes]
+    run.buffer = PopulationBuffer.from_genomes(ckpt.genomes, keep_plans=run.buffer.keep_plans)
     run.generation = ckpt.generation
     run.rng.bit_generator.state = ckpt.rng_state
     run.solved_at = ckpt.solved_at
     if ckpt.best_genes is not None:
-        best = Individual(genes=ckpt.best_genes)
-        run.evaluator.bind_observability(NULL_TRACER, None, scope=run.scope)
-        try:
-            run.evaluator.evaluate([best], run.context)
-        finally:
-            run.evaluator.bind_observability(run.tracer, run.metrics, scope=run.scope)
-        run.best = best
+        genes = np.array(ckpt.best_genes, dtype=np.float64)
+        decoded = run.context.decode_genes(genes)
+        run.best = BestGenome(genes=genes, fitness=run.context.fitness(decoded), decoded=decoded)
     return run

@@ -10,9 +10,9 @@ One run evolves a fixed-size population of variable-length float genomes:
 4. apply per-gene uniform-reset mutation,
 5. replace the population and repeat.
 
-The best individual *by goal fitness* seen in any generation is tracked
-across the whole run (the paper reports "the individual with the highest
-goal fitness in each run").
+The best genome *by goal fitness* seen in any generation is tracked
+across the whole run as a :class:`BestGenome` (the paper reports "the
+individual with the highest goal fitness in each run").
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import GAConfig
-from repro.core.fitness import FitnessFunction
-from repro.core.individual import Individual
+from repro.core.encoding import DecodedPlan
+from repro.core.fitness import FitnessFunction, FitnessResult
 from repro.core.parallel import EvaluationContext, Evaluator, SerialEvaluator
 from repro.core.popbuffer import PopulationBuffer, breed, select_parent_indices
 from repro.core.stats import GenerationStats, RunHistory
@@ -34,7 +34,38 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, default_metrics, default_tracer
 from repro.protocol import PlanningDomain
 
-__all__ = ["GARun", "GAResult", "initial_population", "run_ga"]
+__all__ = ["BestGenome", "GARun", "GAResult", "initial_population", "run_ga"]
+
+
+@dataclass(frozen=True)
+class BestGenome:
+    """The best genome a run has seen, with its score and decoded plan.
+
+    Attributes
+    ----------
+    genes:
+        A copy of the genome's row.
+    fitness:
+        Its fitness.
+    decoded:
+        Its decoded plan.
+    """
+
+    genes: np.ndarray
+    fitness: FitnessResult
+    decoded: DecodedPlan
+
+    def sort_key(self) -> tuple:
+        """Ranking key: goal fitness first, then total fitness.
+
+        The paper reports "the individual with the highest goal fitness in
+        each run"; ties break on the combined fitness (which folds in cost).
+        """
+        return _rank(self.fitness)
+
+
+def _rank(fitness: FitnessResult) -> tuple:
+    return (fitness.goal, fitness.total)
 
 
 @dataclass
@@ -44,7 +75,7 @@ class GAResult:
     Attributes
     ----------
     best:
-        The individual with the highest goal fitness seen during the run
+        The genome with the highest goal fitness seen during the run
         (ties broken by total fitness).
     history:
         Per-generation statistics.
@@ -53,14 +84,14 @@ class GAResult:
         ``stop_on_goal`` triggered).
     solved_at_generation:
         First generation (0-based) whose population contained a solving
-        individual, or ``None``.
+        genome, or ``None``.
     start_state:
         The state this run searched from.
     elapsed_seconds:
         Wall-clock time of the run.
     """
 
-    best: Individual
+    best: BestGenome
     history: RunHistory
     generations_run: int
     solved_at_generation: Optional[int]
@@ -69,32 +100,34 @@ class GAResult:
 
     @property
     def solved(self) -> bool:
-        return self.best.fitness is not None and self.best.fitness.goal_reached
+        """Whether the best genome's plan reaches the goal."""
+        return self.best.fitness.goal_reached
 
     @property
     def best_plan(self) -> tuple:
-        if self.best.decoded is None:
-            raise ValueError("best individual was never decoded")
+        """The operations of the best genome's plan."""
         return self.best.decoded.operations
 
 
 def initial_population(
-    config: GAConfig, rng: np.random.Generator, seeds: Optional[Sequence[Individual]] = None
-) -> List[Individual]:
+    config: GAConfig, rng: np.random.Generator, seeds: Optional[Sequence[np.ndarray]] = None
+) -> PopulationBuffer:
     """Random initial population (Section 3.2), optionally partially seeded.
 
-    *seeds* (at most the population size) are copied in first; the remainder
-    is random.  Seeding is the GenPlan-style strategy studied in the seeding
-    ablation — the paper's own experiments use a fully random population.
+    *seeds* (gene arrays, at most the population size) fill the first rows;
+    the rest are random.  Seeding is the GenPlan-style strategy studied in
+    the seeding ablation — the paper's own experiments use a fully random
+    population.  The buffer keeps plans unless the crossover is random
+    (only the state-matching crossovers read parents' plans).
     """
-    population: List[Individual] = []
+    genomes: List[np.ndarray] = []
     if seeds:
         if len(seeds) > config.population_size:
             raise ValueError(
                 f"{len(seeds)} seeds exceed population size {config.population_size}"
             )
-        population.extend(s.copy() for s in seeds)
-    while len(population) < config.population_size:
+        genomes.extend(seeds)
+    while len(genomes) < config.population_size:
         if isinstance(config.init_length, tuple):
             lo, hi = config.init_length
             length = int(rng.integers(lo, hi + 1))
@@ -102,8 +135,8 @@ def initial_population(
             length = config.init_length
         if config.max_len is not None:
             length = min(length, config.max_len)
-        population.append(Individual.random(length, rng))
-    return population
+        genomes.append(rng.random(length))
+    return PopulationBuffer.from_genomes(genomes, keep_plans=config.crossover != "random")
 
 
 class GARun:
@@ -120,6 +153,11 @@ class GARun:
     :func:`repro.obs.observe` (the null tracer / no registry otherwise), and
     *scope* tags this run's events when several runs share one tracer
     (phases, islands).
+
+    State: the population is :attr:`buffer`, a :class:`~repro.core.
+    popbuffer.PopulationBuffer` whose first rows are the *seeds* (gene
+    arrays) when given; :attr:`best` is the run's :class:`BestGenome` so
+    far, ``None`` until the first generation is evaluated.
     """
 
     def __init__(
@@ -129,7 +167,7 @@ class GARun:
         rng: np.random.Generator,
         start_state: Optional[object] = None,
         evaluator: Optional[Evaluator] = None,
-        seeds: Optional[Sequence[Individual]] = None,
+        seeds: Optional[Sequence[np.ndarray]] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         scope: str = "",
@@ -151,29 +189,11 @@ class GARun:
         self.metrics = metrics if metrics is not None else default_metrics()
         self.scope = scope
         self.evaluator.bind_observability(self.tracer, self.metrics, scope=scope)
-        # The state-matching crossovers read parents' match_keys, so the
-        # buffer must keep decoded plans; random crossover does not, which
-        # lets the process pool skip shipping plans back.
-        self._keep_plans = config.crossover != "random"
-        self.population = initial_population(config, rng, seeds=seeds)
+        self.buffer = initial_population(config, rng, seeds=seeds)
         self.history = RunHistory()
         self.generation = 0
-        self.best: Optional[Individual] = None
+        self.best: Optional[BestGenome] = None
         self.solved_at: Optional[int] = None
-
-    # -- population storage --------------------------------------------------
-    #
-    # The population lives in ``buffer``; Individuals appear only at the API
-    # edge below (checkpoints, tests), materialised on read and packed on
-    # write.
-
-    @property
-    def population(self) -> List[Individual]:
-        return self.buffer.to_individuals()
-
-    @population.setter
-    def population(self, value: Sequence[Individual]) -> None:
-        self.buffer = PopulationBuffer.from_individuals(value, keep_plans=self._keep_plans)
 
     def replace_worst(self, migrants: PopulationBuffer) -> None:
         """Swap this run's ``migrants.n`` worst rows for *migrants* (migration).
@@ -189,7 +209,7 @@ class GARun:
         worst = np.argsort(buf.total, kind="stable")[: migrants.n]
         keep = np.setdiff1d(np.arange(buf.n, dtype=np.int64), worst)
         merged = PopulationBuffer.concatenate([buf.take(keep), migrants])
-        if self._keep_plans:
+        if merged.keep_plans:
             for i in range(keep.size, merged.n):
                 if merged.evaluated[i] and merged.plans[i] is None:
                     merged.plans[i] = self.context.decode_genes(merged.view(i))
@@ -203,15 +223,16 @@ class GARun:
         stats = GenerationStats.from_buffer(self.generation, buf)
         self.history.record(stats)
         bi = buf.best_index()
-        key = (float(buf.goal[bi]), float(buf.total[bi]))
-        if self.best is None or key > self.best.sort_key():
-            best = buf.materialize(bi)
-            if best.decoded is None:
+        fitness = buf.fitness_result(bi)
+        if self.best is None or _rank(fitness) > self.best.sort_key():
+            genes = buf.view(bi).copy()
+            decoded = buf.plans[bi]
+            if decoded is None:
                 # Under the random crossover the buffer keeps no plans (the
                 # process pool returns fitness only); the single generation
                 # winner is decoded lazily parent-side.
-                best.decoded = self.context.decode_genes(best.genes)
-            self.best = best
+                decoded = self.context.decode_genes(genes)
+            self.best = BestGenome(genes=genes, fitness=fitness, decoded=decoded)
         if self.solved_at is None and stats.solved_count > 0:
             self.solved_at = self.generation
         if self.tracer.enabled:
@@ -274,7 +295,7 @@ def run_ga(
     rng: np.random.Generator,
     start_state: Optional[object] = None,
     evaluator: Optional[Evaluator] = None,
-    seeds: Optional[Sequence[Individual]] = None,
+    seeds: Optional[Sequence[np.ndarray]] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     scope: str = "",

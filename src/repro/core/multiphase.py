@@ -143,7 +143,6 @@ def run_multiphase(
                     evaluator.close()
             total_generations += result.generations_run
             best = result.best
-            assert best.decoded is not None and best.fitness is not None
             record = PhaseRecord(
                 index=phase_index,
                 result=result,

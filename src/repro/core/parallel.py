@@ -30,7 +30,7 @@ import pickle
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.obs.events import EvaluationBatch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.protocol import PlanningDomain
-from repro.core.individual import Individual
 
 __all__ = [
     "Evaluator",
@@ -163,26 +162,6 @@ class Evaluator:
     _tracer: Tracer = NULL_TRACER
     _metrics: Optional[MetricsRegistry] = None
     _scope: str = ""
-
-    def evaluate(self, population: Sequence[Individual], context: EvaluationContext) -> None:
-        """Evaluate the pending Individuals of *population* in place.
-
-        They are packed into a plan-keeping :class:`~repro.core.popbuffer.
-        PopulationBuffer` (Individuals carry their phenotype), evaluated by
-        :meth:`evaluate_buffer`, and the results written back only after it
-        returned — a failed attempt writes nothing, so the batch is safe to
-        retry.  Not an override point: evaluators implement
-        :meth:`evaluate_buffer` only.
-        """
-        pending = [ind for ind in population if not ind.is_evaluated]
-        if not pending:
-            return
-        buffer = PopulationBuffer.from_individuals(pending, keep_plans=True)
-        self.evaluate_buffer(buffer, context)
-        for i, ind in enumerate(pending):
-            ind.decoded, ind.fitness = buffer.plans[i], buffer.fitness_result(i)
-            ind.prefix_plan = None
-            ind.dirty_from = None
 
     def evaluate_buffer(self, buffer: PopulationBuffer, context: EvaluationContext) -> None:
         """Fill in the pending rows of *buffer* (plans too when it keeps them).

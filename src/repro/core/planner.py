@@ -27,10 +27,11 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.core.config import GAConfig, MultiPhaseConfig, PortfolioSpec
 from repro.core.encoding import encode_operations
 from repro.core.ga import GAResult, run_ga
-from repro.core.individual import Individual
 from repro.core.multiphase import MultiPhaseResult, run_multiphase
 from repro.core.parallel import Evaluator, ProcessPoolEvaluator
 from repro.core.portfolio import (
@@ -237,18 +238,17 @@ class GAPlanner:
     def seed_individuals(
         self, plans: Sequence[Sequence], jitter: bool = True
     ) -> list:
-        """Encode known-good operation sequences as seed individuals."""
+        """Encode known-good operation sequences as seed genomes (gene arrays)."""
         rng = self.rng if jitter else None
-        seeds = []
-        for ops in plans:
-            genes = encode_operations(self.domain, self.domain.initial_state, ops, rng=rng)
-            seeds.append(Individual(genes=genes))
-        return seeds
+        return [
+            encode_operations(self.domain, self.domain.initial_state, ops, rng=rng)
+            for ops in plans
+        ]
 
     def solve(
         self,
         start_state: Optional[object] = None,
-        seeds: Optional[Sequence[Individual]] = None,
+        seeds: Optional[Sequence[np.ndarray]] = None,
         on_incumbent: Optional[Callable[[Incumbent], None]] = None,
     ) -> PlanningOutcome:
         """Run the configured mode and package the uniform outcome.
@@ -295,7 +295,6 @@ class GAPlanner:
                 metrics=self.metrics,
             )
         decoded = result.best.decoded
-        assert decoded is not None and result.best.fitness is not None
         return PlanningOutcome(
             plan=decoded.operations,
             solved=result.best.fitness.goal_reached,

@@ -10,6 +10,11 @@ batched draw plus an argmax gather, offspring are materialised with slice
 copies into a freshly allocated arena, and every mutation in the generation
 lands in one vectorised scatter.
 
+The buffer is the run's only population: genomes from outside a run
+(seeds, a restored checkpoint) enter through :meth:`PopulationBuffer.
+from_genomes`, which validates them, and rows are read through
+zero-copy :meth:`~PopulationBuffer.view` slices.
+
 **Replay-exact randomness.**  The paper's operators draw from the generator
 per individual, in a data-dependent, interleaved order (pair coin →
 crossover cuts → per-child mutation mask → replacement values), so a
@@ -21,7 +26,7 @@ those draws in that order through the shared samplers
 :func:`~repro.core.selection.tournament_winner_indices`), while all data
 movement — parent copies, splices, mutation application — is batched away.
 The test suite holds :func:`breed` bit-identical to an object reference
-step that applies the same operators one Individual at a time
+step that applies the same operators to one genome record at a time
 (``tests/oracle.py``).
 """
 
@@ -33,7 +38,6 @@ import numpy as np
 
 from repro.core.crossover import sample_crossover_cuts
 from repro.core.fitness import FitnessResult
-from repro.core.individual import Individual
 from repro.core.mutation import sample_uniform_reset
 from repro.core.selection import tournament_winner_indices
 
@@ -122,25 +126,29 @@ class PopulationBuffer:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_individuals(
-        cls, population: Sequence[Individual], keep_plans: bool = True
+    def from_genomes(
+        cls, genomes: Sequence[np.ndarray], keep_plans: bool = True
     ) -> "PopulationBuffer":
-        """Pack a list of individuals, preserving evaluation state and hints."""
-        if not population:
+        """Pack genomes from outside the run (seeds, a checkpoint) as pending rows.
+
+        The one intake for genomes the run did not breed itself: each must
+        be a non-empty one-dimensional array of genes in ``[0, 1)``.  The
+        genes are copied into the arena.
+        """
+        rows = [np.asarray(g, dtype=np.float64) for g in genomes]
+        if not rows:
             raise ValueError("population is empty")
-        lengths = np.fromiter((len(ind) for ind in population), np.int64, len(population))
-        offsets = _offsets_from(lengths)
-        arena = np.empty(int(lengths.sum()), dtype=np.float64)
-        for ind, o, length in zip(population, offsets, lengths):
-            arena[o : o + length] = ind.genes
-        buf = cls(arena, offsets, lengths, keep_plans=keep_plans)
-        for i, ind in enumerate(population):
-            if ind.is_evaluated:
-                buf.set_result(i, ind.decoded, ind.fitness)
-            elif ind.prefix_plan is not None and ind.dirty_from is not None:
-                buf.prefix_plans[i] = ind.prefix_plan
-                buf.dirty_from[i] = int(ind.dirty_from)
-        return buf
+        for g in rows:
+            if g.ndim != 1:
+                raise ValueError(f"genome must be one-dimensional, got shape {g.shape}")
+            if g.size == 0:
+                raise ValueError("genome must contain at least one gene")
+        arena = np.concatenate(rows)
+        # Written so that a NaN gene fails too.
+        if not (float(arena.min()) >= 0.0 and float(arena.max()) < 1.0 + 1e-12):
+            raise ValueError("genes must lie in [0, 1)")
+        lengths = np.fromiter((g.size for g in rows), np.int64, len(rows))
+        return cls(arena, _offsets_from(lengths), lengths, keep_plans=keep_plans)
 
     # -- row access ----------------------------------------------------------
 
@@ -213,27 +221,12 @@ class PopulationBuffer:
                 out[i] = plan
                 prefix[i] = None
 
-    def materialize(self, i: int) -> Individual:
-        """Row *i* as an :class:`Individual` (genes shared with the arena)."""
-        genes = self.view(i)
-        if self.evaluated[i]:
-            return Individual(
-                genes=genes, decoded=self.plans[i], fitness=self.fitness_result(i)
-            )
-        prefix, dirty = self.prefix_hint(i)
-        if prefix is not None:
-            return Individual(genes=genes, dirty_from=dirty, prefix_plan=prefix)
-        return Individual(genes=genes)
-
-    def to_individuals(self) -> List[Individual]:
-        """The whole population as a list (checkpoints, migration, tests)."""
-        return [self.materialize(i) for i in range(self.n)]
-
     def best_index(self) -> int:
         """First row attaining the lexicographic ``(goal, total)`` maximum.
 
-        Matches ``max(population, key=Individual.sort_key)`` exactly:
-        Python's ``max`` keeps the first of equal maxima.
+        Matches ``max`` over the rows by the best-genome ranking key
+        (:meth:`repro.core.ga.BestGenome.sort_key`) exactly: Python's
+        ``max`` keeps the first of equal maxima.
         """
         if not self.evaluated.all():
             raise ValueError("population has not been evaluated")
@@ -292,9 +285,9 @@ class _ChildRec:
     """Recipe for one offspring row: source segments + mutation scatter.
 
     The breeding loop only records *what* to copy; the arena is allocated
-    and filled once at the end, so no intermediate arrays or Individuals
-    are built.  ``inherit`` names the parent row whose evaluation the child
-    keeps (an unmutated clone), ``-1`` otherwise.
+    and filled once at the end, so no intermediate gene arrays are built.
+    ``inherit`` names the parent row whose evaluation the child keeps (an
+    unmutated clone), ``-1`` otherwise.
     """
 
     __slots__ = (

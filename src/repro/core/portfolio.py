@@ -91,7 +91,11 @@ class Incumbent:
     wall_s: float
 
     def sort_key(self) -> tuple:
-        """Ranking key mirroring :meth:`Individual.sort_key`: goal, then cost."""
+        """Ranking key: goal fitness, then cost fitness.
+
+        Unlike :meth:`repro.core.ga.BestGenome.sort_key`, which breaks goal
+        ties on total fitness, this breaks them on cost fitness alone.
+        """
         return (self.goal_fitness, self.cost_fitness)
 
     def to_dict(self) -> dict:
@@ -237,14 +241,10 @@ class _GAIsland(_IslandWorker):
                         island=self.index,
                         strategy=self.label,
                         tick=self.ticks,
-                        plan=best.decoded.operations if best.decoded else (),
+                        plan=best.decoded.operations,
                         goal_fitness=fit.goal,
                         cost_fitness=fit.cost,
-                        plan_cost=float(
-                            self.run.domain.plan_cost(
-                                best.decoded.operations if best.decoded else ()
-                            )
-                        ),
+                        plan_cost=float(self.run.domain.plan_cost(best.decoded.operations)),
                         solved=fit.goal_reached,
                         wall_s=time.perf_counter() - t0,
                     )
@@ -262,7 +262,7 @@ class _GAIsland(_IslandWorker):
 
     def best_total(self) -> float:
         best = self.run.best
-        return best.total_fitness if best is not None else -np.inf
+        return best.fitness.total if best is not None else -np.inf
 
     def close(self) -> None:
         self.evaluator.close()

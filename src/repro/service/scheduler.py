@@ -519,14 +519,14 @@ class RunScheduler:
 
     def _emit_incumbent(self, run: ServiceRun) -> None:
         ga = run._ga
-        if ga is None or ga.best is None or ga.best.fitness is None:
+        if ga is None or ga.best is None:
             return
         key = ga.best.sort_key()
         if run._best_key is not None and key <= run._best_key:
             return
         run._best_key = key
         best = ga.best
-        plan_length = len(best.decoded.operations) if best.decoded is not None else 0
+        plan_length = len(best.decoded.operations)
         event = IncumbentImproved(
             scope=f"req-{run.request_id}",
             island=0,
@@ -555,14 +555,12 @@ class RunScheduler:
         ga = run._ga
         assert ga is not None and ga.best is not None
         best = ga.best
-        solved = best.fitness is not None and best.fitness.goal_reached
-        plan = [str(op) for op in best.decoded.operations] if best.decoded is not None else []
         self._finish(
             run,
-            solved=solved,
+            solved=best.fitness.goal_reached,
             timed_out=timed_out,
-            plan=plan,
-            goal_fitness=best.fitness.goal if best.fitness is not None else 0.0,
+            plan=[str(op) for op in best.decoded.operations],
+            goal_fitness=best.fitness.goal,
             generations=ga.generation,
         )
 

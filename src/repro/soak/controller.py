@@ -11,9 +11,7 @@ produces a replacement plan through a degradation ladder ordered by cost
    the greedy planner fill in only the broken suffix;
 2. **ga-warm** — a single-phase GA replan whose population is *seeded*
    from the surviving prefix: seed genomes share the prefix genes and
-   carry ``dirty_from``/``prefix_plan`` decode lineage, so the decode
-   engine re-decodes only the damaged suffix on first evaluation (the
-   dirty-prefix path of DESIGN.md §9/§11);
+   differ only in a random tail;
 3. **greedy** — plain greedy best-first from the observed state;
 4. **shed** — give up (the caller drops the request).
 
@@ -36,8 +34,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import GAConfig
-from repro.core.encoding import decode, encode_operations
-from repro.core.individual import Individual
+from repro.core.encoding import encode_operations
 from repro.grid.ontology import Ontology
 from repro.grid.simulator import GridEvent
 from repro.grid.workflow_domain import GridWorkflowDomain, RunProgram, Transfer
@@ -212,8 +209,8 @@ class ReplanController:
             return self._report(decision, request, now)
 
         # Rung 2: warm-population GA replan, seeded with the surviving
-        # prefix and its decode lineage.  Skipped once the request's
-        # wall-clock replan budget is spent.
+        # prefix.  Skipped once the request's wall-clock replan budget is
+        # spent.
         if wall_spent_s + (time.perf_counter() - t0) < self.replan_budget_s:
             seeds = self._warm_seeds(domain, old_suffix, observed, request, round_index)
             plan = self._ga_replan(domain, request, round_index, seeds=seeds)
@@ -259,13 +256,11 @@ class ReplanController:
         round_index: int,
         n_seeds: int = 4,
     ):
-        """Seed individuals sharing the surviving prefix, with decode lineage.
+        """Seed genomes sharing the surviving prefix.
 
-        Each seed genome is ``prefix genes + random tail``; ``dirty_from``
-        points at the first tail gene and ``prefix_plan`` carries the
-        prefix's decoded walk, so the decode engine resumes from the last
-        intact state instead of re-decoding the whole genome — only the
-        churn-damaged suffix is decoded fresh.
+        Each seed genome is ``prefix genes + random tail``: the GA starts
+        from the last intact state's plan and searches only the
+        churn-damaged suffix.
         """
         cfg = self._ga_config()
         max_len = cfg.max_len
@@ -282,19 +277,11 @@ class ReplanController:
             )
         except ValueError:  # pragma: no cover - cut came from valid_prefix
             return None
-        prefix_decoded = decode(prefix_genes, domain, observed, truncate_at_goal=True)
         seeds = []
         for _ in range(n_seeds):
             tail_len = int(rng.integers(1, max(2, max_len - cut + 1)))
             tail = rng.random(tail_len)
-            genes = np.concatenate([prefix_genes, tail])[:max_len]
-            seeds.append(
-                Individual(
-                    genes=genes,
-                    dirty_from=int(prefix_genes.size),
-                    prefix_plan=prefix_decoded,
-                )
-            )
+            seeds.append(np.concatenate([prefix_genes, tail])[:max_len])
         return seeds
 
     def _ga_config(self) -> GAConfig:

@@ -2,8 +2,8 @@
 
 :class:`~repro.core.ga.GARun` breeds on the structure-of-arrays
 :class:`~repro.core.popbuffer.PopulationBuffer`; ``tests/oracle.py``'s
-:func:`reference_ga` runs the same GA one Individual at a time with the
-paper's object operators.  ``breed`` replays the operators' RNG draws
+:func:`reference_ga` runs the same GA one genome record at a time with
+the paper's object operators.  ``breed`` replays the operators' RNG draws
 exactly (DESIGN.md §11), so same seed → same per-generation statistics,
 same best genome, fitness and decoded plan, to the last bit — on the
 serial evaluator, the process pool or the reference evaluator.  Hypothesis
@@ -124,9 +124,8 @@ class TestProcessPoolBatchedEquivalence:
 
     @pytest.mark.parametrize("crossover", ["state-aware", "mixed"])
     def test_pool_list_api_matches_oracle(self, crossover):
-        # The oracle loop drives the pool's list API, which packs the
-        # Individuals into a plan-keeping buffer and publishes it through
-        # the same shared-memory path.
+        # The oracle loop drives the pool through ``evaluate_records``,
+        # which packs the pending records into a plan-keeping buffer.
         domain = HanoiDomain(3)
         config = GAConfig(
             population_size=16,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GAConfig, GARun, make_rng
+from repro.core import GAConfig, GARun, SerialEvaluator, make_rng
 from repro.core.checkpoint import capture, load_checkpoint, restore_run, save_checkpoint
 from repro.domains import HanoiDomain
 
@@ -12,6 +12,18 @@ def _fresh_run(seed=0, **cfg_kw):
     base = dict(population_size=10, generations=20, max_len=35, init_length=7)
     base.update(cfg_kw)
     return GARun(HanoiDomain(3), GAConfig(**base), make_rng(seed))
+
+
+class _CountingEvaluator(SerialEvaluator):
+    """A serial evaluator that counts its ``evaluate_buffer`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def evaluate_buffer(self, buffer, context):
+        self.calls += 1
+        super().evaluate_buffer(buffer, context)
 
 
 class TestCheckpoint:
@@ -52,6 +64,20 @@ class TestCheckpoint:
         ckpt = capture(run)
         assert ckpt.best_genes is not None
         assert np.array_equal(ckpt.best_genes, run.best.genes)
+
+    def test_restore_evaluates_nothing_on_the_run_evaluator(self, tmp_path):
+        run = _fresh_run(seed=4)
+        for _ in range(4):
+            run.step()
+        path = tmp_path / "ckpt.pkl"
+        save_checkpoint(run, path)
+        counting = _CountingEvaluator()
+        fresh = GARun(HanoiDomain(3), run.config, make_rng(0), evaluator=counting)
+        restored = restore_run(fresh, load_checkpoint(path))
+        assert counting.calls == 0
+        assert np.array_equal(restored.best.genes, run.best.genes)
+        assert restored.best.fitness == run.best.fitness
+        assert restored.best.decoded.operations == run.best.decoded.operations
 
     def test_load_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.pkl"

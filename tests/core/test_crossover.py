@@ -6,68 +6,73 @@ import pytest
 from repro.core import (
     EvaluationContext,
     FitnessFunction,
-    Individual,
     SerialEvaluator,
     make_rng,
 )
 from repro.domains import HanoiDomain
-from tests.oracle import mixed_crossover, random_crossover, state_aware_crossover
+from tests.oracle import (
+    RefIndividual,
+    evaluate_records,
+    mixed_crossover,
+    random_crossover,
+    state_aware_crossover,
+)
 
 
 def _evaluated(domain, genes):
-    ind = Individual(genes=np.asarray(genes, dtype=float))
+    ind = RefIndividual(genes=np.asarray(genes, dtype=float))
     ctx = EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
-    SerialEvaluator().evaluate([ind], ctx)
+    evaluate_records(SerialEvaluator(), [ind], ctx)
     return ind
 
 
 class TestRandomCrossover:
     def test_children_are_valid_individuals(self, rng):
-        p1 = Individual(genes=rng.random(10))
-        p2 = Individual(genes=rng.random(6))
+        p1 = RefIndividual(genes=rng.random(10))
+        p2 = RefIndividual(genes=rng.random(6))
         c1, c2 = random_crossover(p1, p2, rng)
         assert len(c1) >= 1 and len(c2) >= 1
 
     def test_total_gene_count_preserved(self, rng):
         # One-point crossover redistributes genes without losing any
         # (before MaxLen clipping).
-        p1 = Individual(genes=rng.random(10))
-        p2 = Individual(genes=rng.random(6))
+        p1 = RefIndividual(genes=rng.random(10))
+        p2 = RefIndividual(genes=rng.random(6))
         c1, c2 = random_crossover(p1, p2, rng, max_len=None)
         assert len(c1) + len(c2) == 16
 
     def test_max_len_enforced(self, rng):
-        p1 = Individual(genes=rng.random(30))
-        p2 = Individual(genes=rng.random(30))
+        p1 = RefIndividual(genes=rng.random(30))
+        p2 = RefIndividual(genes=rng.random(30))
         for _ in range(20):
             c1, c2 = random_crossover(p1, p2, rng, max_len=32)
             assert len(c1) <= 32 and len(c2) <= 32
 
     def test_genes_come_from_parents(self, rng):
-        p1 = Individual(genes=np.full(8, 0.25))
-        p2 = Individual(genes=np.full(8, 0.75))
+        p1 = RefIndividual(genes=np.full(8, 0.25))
+        p2 = RefIndividual(genes=np.full(8, 0.75))
         c1, c2 = random_crossover(p1, p2, rng)
         pool = {0.25, 0.75}
         assert set(np.round(c1.genes, 2)) <= pool
         assert set(np.round(c2.genes, 2)) <= pool
 
     def test_single_gene_parents(self, rng):
-        p1 = Individual(genes=np.array([0.2]))
-        p2 = Individual(genes=np.array([0.8]))
+        p1 = RefIndividual(genes=np.array([0.2]))
+        p2 = RefIndividual(genes=np.array([0.8]))
         c1, c2 = random_crossover(p1, p2, rng)
         assert len(c1) >= 1 and len(c2) >= 1
 
     def test_children_are_new_objects(self, rng):
-        p1 = Individual(genes=rng.random(5))
-        p2 = Individual(genes=rng.random(5))
+        p1 = RefIndividual(genes=rng.random(5))
+        p2 = RefIndividual(genes=rng.random(5))
         c1, c2 = random_crossover(p1, p2, rng)
         assert c1 is not p1 and c2 is not p2
 
 
 class TestStateAwareCrossover:
     def test_requires_decoded_parents(self, rng):
-        p1 = Individual(genes=rng.random(5))
-        p2 = Individual(genes=rng.random(5))
+        p1 = RefIndividual(genes=rng.random(5))
+        p2 = RefIndividual(genes=rng.random(5))
         with pytest.raises(ValueError, match="decoded"):
             state_aware_crossover(p1, p2, rng)
 
@@ -85,7 +90,7 @@ class TestStateAwareCrossover:
                 continue  # no matching cut; parents copied
             hits += 1
             ctx = EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
-            SerialEvaluator().evaluate([c1, c2], ctx)
+            evaluate_records(SerialEvaluator(), [c1, c2], ctx)
             # The child's op sequence must be a prefix of p1's ops followed
             # by a contiguous run of p2's ops: the inherited suffix keeps
             # the meaning it had in the donor parent.
@@ -190,7 +195,7 @@ class TestDecodeKeyMatching:
             if c1.genes is p1.genes and c2.genes is p2.genes:
                 continue
             ctx = EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
-            SerialEvaluator().evaluate([c1], ctx)
+            evaluate_records(SerialEvaluator(), [c1], ctx)
             _assert_spliced(c1.decoded.operations, p1.decoded.operations, p2.decoded.operations)
             checked += 1
         assert checked >= 10

@@ -10,14 +10,19 @@ of an engine.
 import numpy as np
 import pytest
 
-from repro.core import GAConfig, Individual, make_rng, run_ga
+from repro.core import GAConfig, make_rng, run_ga
 from repro.core.decode_engine import DecodeEngine, TransitionCache
 from repro.core.encoding import DecodeCache, decode
 from repro.core.fitness import FitnessFunction
 from repro.core.parallel import EvaluationContext, FitnessMemo, SerialEvaluator
 from repro.core.popbuffer import PopulationBuffer
 from repro.domains import HanoiDomain
-from tests.oracle import ReferenceEvaluator, random_crossover, uniform_reset_mutation
+from tests.oracle import (
+    RefIndividual,
+    ReferenceEvaluator,
+    random_crossover,
+    uniform_reset_mutation,
+)
 
 
 def assert_plans_identical(a, b):
@@ -45,9 +50,13 @@ def evaluate(evaluator, genes, context):
 
     A memo hit writes no plan; the plan returned is then ``None``.
     """
-    buffer = PopulationBuffer.from_individuals([Individual(genes=genes)], keep_plans=False)
+    buffer = PopulationBuffer.from_genomes([genes], keep_plans=False)
     evaluator.evaluate_buffer(buffer, context)
     return buffer.plans[0], buffer.fitness_result(0)
+
+
+def _random_buffer(rng, n, length):
+    return PopulationBuffer.from_genomes([rng.random(length) for _ in range(n)])
 
 
 def memo_evaluator(memo=None):
@@ -350,7 +359,7 @@ class TestOperatorLineage:
     """Crossover/mutation must hand children a *conservative* dirty_from."""
 
     def _evaluated(self, domain, rng, n=18):
-        ind = Individual.random(n, rng)
+        ind = RefIndividual(genes=rng.random(n))
         ind.decoded = decode(ind.genes, domain, domain.initial_state)
         return ind
 
@@ -369,7 +378,7 @@ class TestOperatorLineage:
             )
 
     def test_unevaluated_parents_produce_plain_children(self, rng):
-        p1, p2 = Individual.random(10, rng), Individual.random(10, rng)
+        p1, p2 = RefIndividual(genes=rng.random(10)), RefIndividual(genes=rng.random(10))
         c1, c2 = random_crossover(p1, p2, rng, max_len=64)
         assert c1.prefix_plan is None and c2.prefix_plan is None
 
@@ -406,17 +415,18 @@ class TestOperatorLineage:
 
 class TestEvaluatorIntegration:
     def test_serial_engine_matches_naive_evaluator(self, hanoi3, rng):
-        pop = [Individual.random(16, rng) for _ in range(20)]
-        pop_naive = [ind.copy() for ind in pop]
+        genomes = [rng.random(16) for _ in range(20)]
+        buf = PopulationBuffer.from_genomes(genomes)
+        buf_naive = PopulationBuffer.from_genomes(genomes)
         engine = DecodeEngine()
         with SerialEvaluator(engine=engine) as ev:
-            ev.evaluate(pop, make_context(hanoi3))
+            ev.evaluate_buffer(buf, make_context(hanoi3))
         assert engine.active
-        ReferenceEvaluator().evaluate(pop_naive, make_context(hanoi3))
-        for a, b in zip(pop, pop_naive):
-            assert_plans_identical(a.decoded, b.decoded)
-            assert a.fitness.total == b.fitness.total
-            assert a.fitness.goal == b.fitness.goal
+        ReferenceEvaluator().evaluate_buffer(buf_naive, make_context(hanoi3))
+        for i in range(buf.n):
+            assert_plans_identical(buf.plans[i], buf_naive.plans[i])
+            assert buf.total[i] == buf_naive.total[i]
+            assert buf.goal[i] == buf_naive.goal[i]
 
     def test_injected_engine_decodes_on_a_kernel_domain(self, hanoi3, rng):
         # Hanoi has a kernel, so only the injected engine keeps the
@@ -424,23 +434,22 @@ class TestEvaluatorIntegration:
         assert hanoi3.kernel() is not None
         engine = DecodeEngine()
         with SerialEvaluator(engine=engine) as ev:
-            ev.evaluate([Individual.random(12, rng) for _ in range(6)], make_context(hanoi3))
+            ev.evaluate_buffer(_random_buffer(rng, 6, 12), make_context(hanoi3))
             assert engine.active and ev.vector_counters() is None
             assert ev.engine_counters()["transition_cache_misses"] > 0
         with SerialEvaluator() as ev:
-            ev.evaluate([Individual.random(12, rng) for _ in range(6)], make_context(hanoi3))
+            ev.evaluate_buffer(_random_buffer(rng, 6, 12), make_context(hanoi3))
             assert ev.engine_counters() is None and ev.vector_counters() is not None
 
     def test_prefix_fields_cleared_after_evaluation(self, hanoi3, rng):
-        parent = Individual.random(16, rng)
-        parent.decoded = decode(parent.genes, hanoi3, hanoi3.initial_state)
-        child = Individual(
-            genes=parent.genes.copy(), dirty_from=8, prefix_plan=parent.decoded
-        )
+        genes = rng.random(16)
+        child = PopulationBuffer.from_genomes([genes])
+        child.prefix_plans[0] = decode(genes, hanoi3, hanoi3.initial_state)
+        child.dirty_from[0] = 8
         with SerialEvaluator() as ev:
-            ev.evaluate([child], make_context(hanoi3))
-        assert child.prefix_plan is None and child.dirty_from is None
-        assert child.is_evaluated
+            ev.evaluate_buffer(child, make_context(hanoi3))
+        assert child.prefix_hint(0) == (None, None)
+        assert child.evaluated[0] and child.plans[0] is not None
 
     def test_ga_runs_with_engine_disabled(self, hanoi3):
         cfg = GAConfig(
@@ -456,17 +465,13 @@ class TestEvaluatorIntegration:
     def test_shared_engine_across_evaluators(self, hanoi3, rng):
         engine = DecodeEngine()
         ctx = make_context(hanoi3)
-        pop = [Individual.random(12, rng) for _ in range(10)]
+        genomes = [rng.random(12) for _ in range(10)]
         with SerialEvaluator(engine=engine) as e1:
-            e1.evaluate(pop, ctx)
+            e1.evaluate_buffer(PopulationBuffer.from_genomes(genomes), ctx)
         assert engine.active
         warm_misses = engine.counters()["transition_cache_misses"]
         assert warm_misses > 0
-        pop2 = [ind.copy() for ind in pop]
-        for ind in pop2:
-            ind.decoded = None
-            ind.fitness = None
         with SerialEvaluator(engine=engine) as e2:
-            e2.evaluate(pop2, ctx)
+            e2.evaluate_buffer(PopulationBuffer.from_genomes(genomes), ctx)
         # Second evaluator reused the first one's tables: no new misses.
         assert engine.counters()["transition_cache_misses"] == warm_misses

@@ -3,33 +3,33 @@
 import numpy as np
 import pytest
 
-from repro.core import GAConfig, GARun, Individual, initial_population, make_rng, run_ga
+from repro.core import GAConfig, GARun, initial_population, make_rng, run_ga
 
 
 class TestInitialPopulation:
     def test_size_and_length(self, rng):
         cfg = GAConfig(population_size=10, max_len=50, init_length=20)
         pop = initial_population(cfg, rng)
-        assert len(pop) == 10
-        assert all(len(ind) == 20 for ind in pop)
+        assert pop.n == 10
+        assert (pop.lengths == 20).all()
 
     def test_length_range_sampled(self, rng):
         cfg = GAConfig(population_size=50, max_len=50, init_length=(5, 15))
         pop = initial_population(cfg, rng)
-        lengths = {len(ind) for ind in pop}
+        lengths = set(pop.lengths.tolist())
         assert lengths <= set(range(5, 16))
         assert len(lengths) > 3  # actually varied
 
     def test_seeds_included_first(self, rng):
         cfg = GAConfig(population_size=5, max_len=50, init_length=10)
-        seed = Individual(genes=np.full(7, 0.5))
+        seed = np.full(7, 0.5)
         pop = initial_population(cfg, rng, seeds=[seed])
-        assert len(pop) == 5
-        assert np.array_equal(pop[0].genes, seed.genes)
+        assert pop.n == 5
+        assert np.array_equal(pop.view(0), seed)
 
     def test_too_many_seeds_rejected(self, rng):
         cfg = GAConfig(population_size=2, max_len=50, init_length=10)
-        seeds = [Individual(genes=rng.random(3)) for _ in range(3)]
+        seeds = [rng.random(3) for _ in range(3)]
         with pytest.raises(ValueError):
             initial_population(cfg, rng, seeds=seeds)
 
@@ -51,7 +51,7 @@ class TestGARun:
         run = GARun(hanoi3, small_config, rng)
         for _ in range(5):
             run.step()
-            assert len(run.population) == small_config.population_size
+            assert run.buffer.n == small_config.population_size
 
     def test_solves_hanoi3(self, hanoi3):
         cfg = GAConfig(
@@ -101,7 +101,7 @@ class TestGARun:
         run = GARun(hanoi3, cfg, rng)
         for _ in range(15):
             run.step()
-            assert all(len(ind) <= 20 for ind in run.population)
+            assert (run.buffer.lengths <= 20).all()
 
     def test_custom_start_state(self, hanoi3, rng, small_config):
         # Start one move from the goal: trivially solvable in generation 0.

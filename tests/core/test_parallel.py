@@ -5,9 +5,7 @@ import pytest
 
 from repro.core import (
     EvaluationContext,
-    Evaluator,
     FitnessFunction,
-    Individual,
     ProcessPoolEvaluator,
     SerialEvaluator,
     make_rng,
@@ -20,79 +18,91 @@ def _context(domain):
     return EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
 
 
-class _HalfThenFail(Evaluator):
-    """Evaluates the first pending row of each batch, then raises."""
+def _random_buffer(rng, n, length):
+    return PopulationBuffer.from_genomes([rng.random(length) for _ in range(n)])
 
-    def evaluate_buffer(self, buffer, context):
-        first = int(np.flatnonzero(~buffer.evaluated)[0])
-        decoded = context.decode_genes(buffer.view(first))
-        buffer.set_result(first, decoded, context.fitness(decoded))
-        raise RuntimeError("batch failed")
+
+class _FailingFitness(FitnessFunction):
+    """Scores two plans, then raises."""
+
+    def __init__(self, domain):
+        super().__init__(domain)
+        self.calls = 0
+
+    def __call__(self, decoded):
+        self.calls += 1
+        if self.calls > 2:
+            raise RuntimeError("batch failed")
+        return super().__call__(decoded)
 
 
 class TestListEvaluate:
-    """``Evaluator.evaluate`` packs Individuals, calls ``evaluate_buffer``
-    and writes back only once it returned."""
+    """``evaluate_buffer`` writes each pending row's result into the
+    buffer, and only once the whole batch succeeded."""
 
     def test_writes_results_back(self, hanoi3, rng):
         ctx = _context(hanoi3)
-        pop = [Individual.random(10, rng) for _ in range(4)]
-        SerialEvaluator().evaluate(pop, ctx)
-        for ind in pop:
-            expected = ctx.decode_genes(ind.genes)
-            assert ind.decoded.operations == expected.operations
-            assert ind.fitness == ctx.fitness(expected)
+        buffer = _random_buffer(rng, 4, 10)
+        SerialEvaluator().evaluate_buffer(buffer, ctx)
+        for i in range(buffer.n):
+            expected = ctx.decode_genes(buffer.view(i))
+            assert buffer.plans[i].operations == expected.operations
+            assert buffer.fitness_result(i) == ctx.fitness(expected)
 
-    def test_failed_batch_writes_nothing(self, hanoi3, rng):
-        pop = [Individual.random(10, rng) for _ in range(4)]
+    def test_failed_batch_writes_nothing(self, rng):
+        # Blocks World decodes on the engine, which scores row by row.
+        domain = BlocksWorldDomain([["a", "b", "c"]], [["c", "b", "a"]])
+        ctx = EvaluationContext(domain, domain.initial_state, _FailingFitness(domain))
+        buffer = _random_buffer(rng, 4, 10)
         with pytest.raises(RuntimeError, match="batch failed"):
-            _HalfThenFail().evaluate(pop, _context(hanoi3))
-        assert all(ind.fitness is None and ind.decoded is None for ind in pop)
+            SerialEvaluator().evaluate_buffer(buffer, ctx)
+        assert ctx.fitness.calls == 3
+        assert not buffer.evaluated.any()
+        assert np.isnan(buffer.total).all()
+        assert all(plan is None for plan in buffer.plans)
 
 
 class TestSerialEvaluator:
     def test_fills_fitness_and_decoded(self, hanoi3, rng):
-        pop = [Individual.random(10, rng) for _ in range(5)]
-        SerialEvaluator().evaluate(pop, _context(hanoi3))
-        assert all(ind.is_evaluated for ind in pop)
+        buffer = _random_buffer(rng, 5, 10)
+        SerialEvaluator().evaluate_buffer(buffer, _context(hanoi3))
+        assert buffer.evaluated.all()
+        assert all(plan is not None for plan in buffer.plans)
 
     def test_skips_already_evaluated(self, hanoi3, rng):
-        pop = [Individual.random(10, rng)]
+        buffer = _random_buffer(rng, 1, 10)
         ev = SerialEvaluator()
         ctx = _context(hanoi3)
-        ev.evaluate(pop, ctx)
-        marker = pop[0].fitness
-        ev.evaluate(pop, ctx)
-        assert pop[0].fitness is marker  # untouched
+        ev.evaluate_buffer(buffer, ctx)
+        marker = buffer.plans[0]
+        ev.evaluate_buffer(buffer, ctx)
+        assert buffer.plans[0] is marker  # untouched
 
     def test_cache_reset_on_domain_change(self, rng):
         ev = SerialEvaluator()
         for domain in (HanoiDomain(3), HanoiDomain(4)):
-            pop = [Individual.random(8, rng)]
-            ev.evaluate(pop, _context(domain))
-            assert pop[0].is_evaluated
+            buffer = _random_buffer(rng, 1, 8)
+            ev.evaluate_buffer(buffer, _context(domain))
+            assert buffer.evaluated[0]
 
     def test_context_manager(self, hanoi3, rng):
         with SerialEvaluator() as ev:
-            pop = [Individual.random(5, rng)]
-            ev.evaluate(pop, _context(hanoi3))
-        assert pop[0].is_evaluated
+            buffer = _random_buffer(rng, 1, 5)
+            ev.evaluate_buffer(buffer, _context(hanoi3))
+        assert buffer.evaluated[0]
 
 
 class TestProcessPoolEvaluator:
     def test_matches_serial_results(self, hanoi3, rng):
-        pop_a = [Individual.random(12, rng) for _ in range(8)]
-        pop_b = [ind.copy() for ind in pop_a]
-        for ind in pop_b:
-            ind.decoded = None
-            ind.fitness = None
+        buf_a = _random_buffer(rng, 8, 12)
+        buf_b = PopulationBuffer.from_genomes([buf_a.view(i) for i in range(buf_a.n)])
         ctx = _context(hanoi3)
-        SerialEvaluator().evaluate(pop_a, ctx)
+        SerialEvaluator().evaluate_buffer(buf_a, ctx)
         with ProcessPoolEvaluator(ctx, processes=2) as ev:
-            ev.evaluate(pop_b, ctx)
-        for a, b in zip(pop_a, pop_b):
-            assert a.fitness == b.fitness
-            assert a.decoded.operations == b.decoded.operations
+            ev.evaluate_buffer(buf_b, ctx)
+        for i in range(buf_a.n):
+            assert buf_a.fitness_result(i) == buf_b.fitness_result(i)
+            assert buf_a.plans[i].operations == buf_b.plans[i].operations
 
     @pytest.mark.parametrize("keep_plans", [True, False])
     @pytest.mark.parametrize("domain_name", ["hanoi3", "blocks"])
@@ -107,8 +117,8 @@ class TestProcessPoolEvaluator:
         )
         ctx = _context(domain)
         rng = make_rng(31)
-        pop = [Individual.random(int(rng.integers(1, 20)), rng) for _ in range(30)]
-        buffer = PopulationBuffer.from_individuals(pop, keep_plans=keep_plans)
+        genomes = [rng.random(int(rng.integers(1, 20))) for _ in range(30)]
+        buffer = PopulationBuffer.from_genomes(genomes, keep_plans=keep_plans)
         done = [i for i in range(30) if i % 3 == 1]
         for i in done:
             decoded = ctx.decode_genes(buffer.view(i))
@@ -131,16 +141,18 @@ class TestProcessPoolEvaluator:
         other = _context(HanoiDomain(4))
         with ProcessPoolEvaluator(ctx, processes=1) as ev:
             with pytest.raises(ValueError, match="bound to the context"):
-                ev.evaluate([Individual.random(5, rng)], other)
+                ev.evaluate_buffer(_random_buffer(rng, 1, 5), other)
 
     def test_empty_and_already_evaluated(self, hanoi3, rng):
         ctx = _context(hanoi3)
-        pop = [Individual.random(5, rng)]
-        SerialEvaluator().evaluate(pop, ctx)
+        buffer = _random_buffer(rng, 1, 5)
+        SerialEvaluator().evaluate_buffer(buffer, ctx)
+        marker = buffer.plans[0]
+        empty = np.zeros(0, dtype=np.int64)
         with ProcessPoolEvaluator(ctx, processes=1) as ev:
-            ev.evaluate([], ctx)
-            ev.evaluate(pop, ctx)  # nothing pending
-        assert pop[0].is_evaluated
+            ev.evaluate_buffer(PopulationBuffer(np.zeros(0), empty, empty), ctx)
+            ev.evaluate_buffer(buffer, ctx)  # nothing pending
+        assert buffer.plans[0] is marker
 
     @pytest.mark.parametrize("processes", [0, -2])
     def test_bad_process_count(self, processes):

@@ -1,7 +1,8 @@
 """PopulationBuffer unit behaviour: packing, stats, hints, subset ops.
 
 Trajectory-level equivalence lives in ``test_batched_equivalence.py``; this
-file pins the buffer's own contracts — lossless Individual round-trips,
+file pins the buffer's own contracts — the genome intake, lossless
+round-trips through the reference records,
 ``GenerationStats.from_buffer`` equality, ``best_index`` tie-breaking, and
 the property that a bred generation carries exactly the same
 incremental-decode lineage (``dirty_from`` + prefix plan) per offspring as
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GAConfig, GARun, Individual, PopulationBuffer, make_rng
+from repro.core import GAConfig, GARun, PopulationBuffer, make_rng
 from repro.core.popbuffer import breed, select_parent_indices
 from repro.core.stats import GenerationStats
 from repro.domains import HanoiDomain
-from tests.oracle import reference_generation, stats_from_population
+from tests.oracle import pack, reference_generation, stats_from_population, unpack
 
 
 def evaluated_run(config, seed):
@@ -32,20 +33,19 @@ BASE = GAConfig(population_size=12, generations=3, max_len=24, init_length=(4, 1
 class TestRoundTrip:
     def test_unevaluated_round_trip(self):
         rng = make_rng(3)
-        population = [Individual.random(int(rng.integers(1, 9)), rng) for _ in range(7)]
-        buf = PopulationBuffer.from_individuals(population)
-        back = buf.to_individuals()
-        assert len(back) == len(population)
-        for a, b in zip(population, back):
-            np.testing.assert_array_equal(a.genes, b.genes)
-            assert not b.is_evaluated
+        genomes = [rng.random(int(rng.integers(1, 9))) for _ in range(7)]
+        buf = PopulationBuffer.from_genomes(genomes)
+        assert buf.n == len(genomes)
+        for i, genes in enumerate(genomes):
+            np.testing.assert_array_equal(buf.view(i), genes)
+        assert not buf.evaluated.any()
 
     def test_evaluated_round_trip_preserves_fitness_and_plans(self):
         run = evaluated_run(BASE, 17)
-        population = run.population
-        buf = PopulationBuffer.from_individuals(population)
+        population = unpack(run.buffer)
+        buf = pack(population)
         np.testing.assert_array_equal(buf.evaluated, np.ones(len(population), bool))
-        for i, ind in enumerate(buf.to_individuals()):
+        for i, ind in enumerate(unpack(buf)):
             src = population[i]
             np.testing.assert_array_equal(ind.genes, src.genes)
             assert ind.fitness == src.fitness
@@ -61,7 +61,7 @@ class TestRoundTrip:
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            PopulationBuffer.from_individuals([])
+            PopulationBuffer.from_genomes([])
 
 
 class TestStatsAndBest:
@@ -69,32 +69,26 @@ class TestStatsAndBest:
     @settings(max_examples=10, deadline=None)
     def test_from_buffer_matches_from_population(self, seed):
         run = evaluated_run(BASE, seed)
-        population = run.population
-        buf = PopulationBuffer.from_individuals(population)
-        assert GenerationStats.from_buffer(0, buf) == stats_from_population(0, population)
+        population = unpack(run.buffer)
+        assert GenerationStats.from_buffer(0, run.buffer) == stats_from_population(0, population)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=10, deadline=None)
     def test_best_index_matches_object_max(self, seed):
         run = evaluated_run(BASE, seed)
-        population = run.population
-        buf = PopulationBuffer.from_individuals(population)
+        population = unpack(run.buffer)
         expected = max(range(len(population)), key=lambda i: population[i].sort_key())
-        assert buf.best_index() == expected
+        assert run.buffer.best_index() == expected
 
     def test_best_index_requires_evaluation(self):
         rng = make_rng(0)
-        buf = PopulationBuffer.from_individuals(
-            [Individual.random(4, rng) for _ in range(3)]
-        )
+        buf = PopulationBuffer.from_genomes([rng.random(4) for _ in range(3)])
         with pytest.raises(ValueError, match="evaluated"):
             buf.best_index()
 
     def test_select_requires_evaluation(self):
         rng = make_rng(0)
-        buf = PopulationBuffer.from_individuals(
-            [Individual.random(4, rng) for _ in range(3)]
-        )
+        buf = PopulationBuffer.from_genomes([rng.random(4) for _ in range(3)])
         with pytest.raises(ValueError, match="evaluated"):
             select_parent_indices(buf, BASE, rng)
 
@@ -142,7 +136,7 @@ class TestDirtyFromLineage:
         on = evaluated_run(config, seed)
         off = evaluated_run(config, seed)
         on._next_generation()
-        offspring = reference_generation(off.population, config, off.rng)
+        offspring = reference_generation(unpack(off.buffer), config, off.rng)
         buf = on.buffer
         assert buf.n == len(offspring)
         for i, ind in enumerate(offspring):

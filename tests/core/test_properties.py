@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core import (
-    Individual,
     decode,
     encode_operations,
     gene_to_index,
@@ -14,7 +13,7 @@ from repro.core import (
 )
 from repro.core.fitness import cost_fitness
 from repro.domains import HanoiDomain, SlidingTileDomain
-from tests.oracle import random_crossover, uniform_reset_mutation
+from tests.oracle import RefIndividual, random_crossover, uniform_reset_mutation
 
 genes_arrays = hnp.arrays(
     dtype=np.float64,
@@ -108,7 +107,7 @@ class TestOperatorProperties:
     @settings(max_examples=50, deadline=None)
     def test_crossover_children_well_formed(self, g1, g2, seed):
         rng = make_rng(seed)
-        c1, c2 = random_crossover(Individual(genes=g1), Individual(genes=g2), rng, max_len=50)
+        c1, c2 = random_crossover(RefIndividual(genes=g1), RefIndividual(genes=g2), rng, max_len=50)
         for c in (c1, c2):
             assert 1 <= len(c) <= 50
             assert (c.genes >= 0).all() and (c.genes < 1).all()
@@ -117,7 +116,7 @@ class TestOperatorProperties:
     @settings(max_examples=50, deadline=None)
     def test_mutation_preserves_shape_and_range(self, genes, rate, seed):
         rng = make_rng(seed)
-        out = uniform_reset_mutation(Individual(genes=genes), rate, rng)
+        out = uniform_reset_mutation(RefIndividual(genes=genes), rate, rng)
         assert len(out) == len(genes)
         assert (out.genes >= 0).all() and (out.genes < 1).all()
 

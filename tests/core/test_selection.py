@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import Individual, make_rng
+from repro.core import make_rng
 from repro.core.fitness import FitnessResult
-from tests.oracle import tournament_selection
+from tests.oracle import RefIndividual, tournament_selection
 
 
 def _pop(fitnesses):
     pop = []
     for f in fitnesses:
-        ind = Individual(genes=np.array([min(f, 0.999)]))
+        ind = RefIndividual(genes=np.array([min(f, 0.999)]))
         ind.fitness = FitnessResult(goal=f, cost=0.5, total=f)
         pop.append(ind)
     return pop
@@ -56,7 +56,7 @@ class TestTournament:
             tournament_selection([], 1, rng)
 
     def test_unevaluated_population_rejected(self, rng):
-        pop = [Individual(genes=np.array([0.5]))]
+        pop = [RefIndividual(genes=np.array([0.5]))]
         with pytest.raises(ValueError):
             tournament_selection(pop, 1, rng)
 

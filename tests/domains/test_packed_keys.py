@@ -100,13 +100,14 @@ def test_tile5_engine_plans_match_oracle():
     assert runs[0].evaluator.vector_counters() is None
     for run in runs:
         run.evaluator.evaluate_buffer(run.buffer, run.context)
-    eng, ref = (run.population for run in runs)
-    for a, b in zip(eng, ref):
-        assert a.decoded.operations == b.decoded.operations
-        assert a.decoded.state_keys == b.decoded.state_keys
-        assert a.decoded.match_keys == b.decoded.match_keys
-        assert a.decoded.final_state == b.decoded.final_state
-        assert a.fitness == b.fitness
+    eng, ref = (run.buffer for run in runs)
+    for i in range(eng.n):
+        a, b = eng.plans[i], ref.plans[i]
+        assert a.operations == b.operations
+        assert a.state_keys == b.state_keys
+        assert a.match_keys == b.match_keys
+        assert a.final_state == b.final_state
+        assert eng.fitness_result(i) == ref.fitness_result(i)
 
 
 def test_tile4_kernel_keeps_no_per_state_memory():

@@ -41,8 +41,8 @@ def cfg():
 
 def expected_fitness(cfg, ctx):
     pop = initial_population(cfg, make_rng(3))
-    SerialEvaluator().evaluate(pop, ctx)
-    return [ind.fitness.total for ind in pop]
+    SerialEvaluator().evaluate_buffer(pop, ctx)
+    return pop.total.tolist()
 
 
 class _AlwaysBroken(Evaluator):
@@ -78,8 +78,8 @@ class TestKillResilience:
         pop = initial_population(cfg, make_rng(3))
         policy = ResiliencePolicy(retry_max=2, eval_timeout_s=30.0, **NO_SLEEP)
         with ResilientEvaluator(policy=policy, worker_crashes=2) as ev:
-            ev.evaluate(pop, ctx)
-            assert [ind.fitness.total for ind in pop] == expected
+            ev.evaluate_buffer(pop, ctx)
+            assert pop.total.tolist() == expected
             assert not ev.degraded  # the pool recovered; no permanent fallback
 
     def test_survives_hung_worker_via_batch_timeout(self, cfg, ctx):
@@ -92,8 +92,8 @@ class TestKillResilience:
             ProcessPoolEvaluator(processes=1), policy=policy,
             worker_hangs=1, hang_seconds=30.0,
         ) as ev:
-            ev.evaluate(pop, ctx)
-            assert [ind.fitness.total for ind in pop] == expected
+            ev.evaluate_buffer(pop, ctx)
+            assert pop.total.tolist() == expected
 
     def test_retry_events_and_counters(self, cfg, ctx):
         pop = initial_population(cfg, make_rng(3))
@@ -102,7 +102,7 @@ class TestKillResilience:
         policy = ResiliencePolicy(retry_max=2, eval_timeout_s=30.0, **NO_SLEEP)
         with ResilientEvaluator(policy=policy, worker_crashes=1) as ev:
             ev.bind_observability(Tracer([rec]), metrics, scope="test")
-            ev.evaluate(pop, ctx)
+            ev.evaluate_buffer(pop, ctx)
         retries = [e for e in rec.events if e.kind == "retry"]
         assert retries and retries[0].component == "evaluator"
         assert "WorkerPoolError" in retries[0].reason
@@ -134,8 +134,8 @@ class TestBrokenBetweenBatches:
         policy = ResiliencePolicy(retry_max=2, eval_timeout_s=30.0, **NO_SLEEP)
         with ResilientEvaluator(policy=policy, worker_crashes=2) as ev:
             break_pool(ev.inner, ctx)
-            ev.evaluate(pop, ctx)
-            assert [ind.fitness.total for ind in pop] == expected
+            ev.evaluate_buffer(pop, ctx)
+            assert pop.total.tolist() == expected
             assert not ev.degraded
 
 
@@ -151,14 +151,14 @@ class TestDegradation:
             ev.bind_observability(Tracer([rec]), metrics, scope="test")
             for _ in range(2):  # two consecutive batches exhaust their retries
                 pop = initial_population(cfg, make_rng(3))
-                ev.evaluate(pop, ctx)
-                assert [ind.fitness.total for ind in pop] == expected
+                ev.evaluate_buffer(pop, ctx)
+                assert pop.total.tolist() == expected
             assert ev.degraded
             calls_at_degrade = inner.calls
             # Degraded: later batches go straight to serial, pool untouched.
             pop = initial_population(cfg, make_rng(3))
-            ev.evaluate(pop, ctx)
-            assert [ind.fitness.total for ind in pop] == expected
+            ev.evaluate_buffer(pop, ctx)
+            assert pop.total.tolist() == expected
             assert inner.calls == calls_at_degrade
         degraded = [e for e in rec.events if e.kind == "evaluator-degraded"]
         assert len(degraded) == 1
@@ -179,7 +179,7 @@ class TestDegradation:
         policy = ResiliencePolicy(retry_max=1, degrade_after=1, **NO_SLEEP)
         with ResilientEvaluator(FlakyOnce(), policy=policy) as ev:
             pop = initial_population(cfg, make_rng(3))
-            ev.evaluate(pop, ctx)  # first attempt fails, retry succeeds
+            ev.evaluate_buffer(pop, ctx)  # first attempt fails, retry succeeds
             assert not ev.degraded
 
     def test_unpicklable_domain_fails_with_clear_error_then_degrades(self, cfg):
@@ -198,9 +198,9 @@ class TestDegradation:
         policy = ResiliencePolicy(retry_max=1, degrade_after=1, **NO_SLEEP)
         pop = initial_population(cfg, make_rng(3))
         with ResilientEvaluator(policy=policy) as ev:
-            ev.evaluate(pop, bad_ctx)
+            ev.evaluate_buffer(pop, bad_ctx)
             assert ev.degraded
-            assert all(ind.fitness is not None for ind in pop)
+            assert pop.evaluated.all()
 
 
 @pytest.mark.chaos

@@ -9,8 +9,8 @@ from repro.core import (
     FitnessFunction,
     GAConfig,
     GARun,
-    Individual,
     MultiPhaseConfig,
+    PopulationBuffer,
     ProcessPoolEvaluator,
     SerialEvaluator,
     make_rng,
@@ -219,19 +219,19 @@ class TestSerialVsProcessEquivalence:
         # has no decode-cache traffic to compare).
         domain = BlocksWorldDomain([["a", "b", "c"]], [["c", "b", "a"]])
         rng = make_rng(seed)
-        population = [Individual.random(int(rng.integers(1, 20)), rng) for _ in range(12)]
+        genomes = [rng.random(int(rng.integers(1, 20))) for _ in range(12)]
         context = EvaluationContext(domain, domain.initial_state, FitnessFunction(domain))
 
         serial_metrics = MetricsRegistry()
         serial = SerialEvaluator()
         serial.bind_observability(Tracer([MemoryRecorder()]), serial_metrics)
-        serial.evaluate([ind.copy() for ind in population], context)
+        serial.evaluate_buffer(PopulationBuffer.from_genomes(genomes), context)
 
         pool_metrics = MetricsRegistry()
         pool_recorder = MemoryRecorder()
         with ProcessPoolEvaluator(processes=2) as pool:
             pool.bind_observability(Tracer([pool_recorder]), pool_metrics)
-            pool.evaluate([ind.copy() for ind in population], context)
+            pool.evaluate_buffer(PopulationBuffer.from_genomes(genomes), context)
 
         assert serial_metrics.counters["evals"].value == pool_metrics.counters["evals"].value
         # Decode work is identical, so total cache traffic (hits + misses)
@@ -248,6 +248,6 @@ class TestSerialVsProcessEquivalence:
         batches = pool_recorder.of_kind("evaluation-batch")
         assert len(batches) == 1
         assert batches[0].mode == "process"
-        assert batches[0].n_evaluated == len(population)
+        assert batches[0].n_evaluated == len(genomes)
         # 12 rows over 2 processes: chunks of ceil(12 / 8) = 2 rows.
         assert batches[0].chunks == 6

@@ -8,12 +8,17 @@ equivalence suites hold the decode engine, the vector walk and the pool
 against it.
 
 The GA's generation step runs on the :class:`~repro.core.popbuffer.
-PopulationBuffer` arrays (:func:`repro.core.popbuffer.breed`).  The object
-operators below — per-Individual crossover, uniform-reset mutation and
-tournament selection — are the paper's Sections 3.4.1–3.4.3 written the
-plain way, drawing through the same samplers; :func:`reference_ga` chains
-them into the whole single-phase loop, so the replay suites hold
-:class:`~repro.core.ga.GARun` bit-identical to it (DESIGN.md §11).
+PopulationBuffer` arrays (:func:`repro.core.popbuffer.breed`).  The
+reference GA instead keeps one :class:`RefIndividual` record per genome
+(genes, plan, fitness, resume hint).  Its object operators — crossover,
+uniform-reset mutation and tournament selection — are the paper's
+Sections 3.4.1–3.4.3 written the plain way, drawing through the same
+samplers; :func:`reference_ga` chains them into the whole single-phase
+loop, so the replay suites hold :class:`~repro.core.ga.GARun`
+bit-identical to it (DESIGN.md §11).  :func:`evaluate_records` packs a
+list of records into a buffer, runs any production evaluator's
+``evaluate_buffer`` on it and unpacks the results, so the reference loop
+drives the serial and pool evaluators too.
 
 :func:`reference_islands` is the classic island model — a fixed ring
 stepped in lockstep — which a ring portfolio
@@ -27,12 +32,12 @@ import numpy as np
 
 from repro.core.config import GAConfig
 from repro.core.crossover import sample_crossover_cuts
-from repro.core.encoding import DecodeCache, decode
-from repro.core.fitness import FitnessFunction
-from repro.core.ga import GAResult, GARun, initial_population
-from repro.core.individual import Individual
+from repro.core.encoding import DecodeCache, DecodedPlan, decode
+from repro.core.fitness import FitnessFunction, FitnessResult
+from repro.core.ga import BestGenome, GAResult, GARun, initial_population
 from repro.core.mutation import sample_uniform_reset
 from repro.core.parallel import EvaluationContext, Evaluator
+from repro.core.popbuffer import PopulationBuffer
 from repro.core.rng import spawn_many
 from repro.core.selection import tournament_winner_indices
 from repro.core.stats import GenerationStats, RunHistory
@@ -58,6 +63,103 @@ class ReferenceEvaluator(Evaluator):
             buffer.set_result(i, decoded, context.fitness(decoded))
 
 
+# -- one genome at a time -----------------------------------------------------
+
+
+@dataclass
+class RefIndividual:
+    """One genome of the reference GA, with its evaluation and resume hint.
+
+    ``decoded``/``fitness`` are ``None`` until evaluated.  ``dirty_from``/
+    ``prefix_plan`` are an unevaluated offspring's resume hint: genes
+    before ``dirty_from`` equal those of the genome that decoded to
+    ``prefix_plan``.  Genes are read-only, so records may share them.
+    """
+
+    genes: np.ndarray
+    decoded: Optional[DecodedPlan] = None
+    fitness: Optional[FitnessResult] = None
+    dirty_from: Optional[int] = None
+    prefix_plan: Optional[DecodedPlan] = None
+
+    def __post_init__(self) -> None:
+        genes = np.asarray(self.genes, dtype=np.float64)
+        if genes.flags.writeable:
+            genes = genes.copy()
+            genes.setflags(write=False)
+        self.genes = genes
+
+    def __len__(self) -> int:
+        return int(self.genes.size)
+
+    @property
+    def is_evaluated(self) -> bool:
+        return self.fitness is not None and self.decoded is not None
+
+    @property
+    def total_fitness(self) -> float:
+        return self.fitness.total
+
+    def copy(self) -> "RefIndividual":
+        """A copy sharing the genome, evaluation and hint."""
+        return RefIndividual(
+            genes=self.genes,
+            decoded=self.decoded,
+            fitness=self.fitness,
+            dirty_from=self.dirty_from,
+            prefix_plan=self.prefix_plan,
+        )
+
+    def sort_key(self) -> tuple:
+        """The run's ranking key: goal fitness, then total fitness."""
+        return (self.fitness.goal, self.fitness.total)
+
+
+def pack(population: Sequence[RefIndividual]) -> PopulationBuffer:
+    """A plan-keeping buffer of *population*'s genomes, evaluations and hints."""
+    buffer = PopulationBuffer.from_genomes([ind.genes for ind in population])
+    for i, ind in enumerate(population):
+        if ind.is_evaluated:
+            buffer.set_result(i, ind.decoded, ind.fitness)
+        elif ind.prefix_plan is not None and ind.dirty_from is not None:
+            buffer.prefix_plans[i] = ind.prefix_plan
+            buffer.dirty_from[i] = ind.dirty_from
+    return buffer
+
+
+def unpack(buffer: PopulationBuffer) -> List[RefIndividual]:
+    """The rows of *buffer* as records (genes shared with the arena)."""
+    out = []
+    for i in range(buffer.n):
+        ind = RefIndividual(genes=buffer.view(i))
+        if buffer.evaluated[i]:
+            ind.decoded, ind.fitness = buffer.plans[i], buffer.fitness_result(i)
+        else:
+            ind.prefix_plan, ind.dirty_from = buffer.prefix_hint(i)
+        out.append(ind)
+    return out
+
+
+def evaluate_records(
+    evaluator: Evaluator, population: Sequence[RefIndividual], context: EvaluationContext
+) -> None:
+    """Evaluate the pending records of *population* in place.
+
+    They are packed into a plan-keeping buffer, evaluated by
+    ``evaluator.evaluate_buffer``, and written back only after it
+    returned, so a failed call writes nothing.
+    """
+    pending = [ind for ind in population if not ind.is_evaluated]
+    if not pending:
+        return
+    buffer = pack(pending)
+    evaluator.evaluate_buffer(buffer, context)
+    for i, ind in enumerate(pending):
+        ind.decoded, ind.fitness = buffer.plans[i], buffer.fitness_result(i)
+        ind.prefix_plan = None
+        ind.dirty_from = None
+
+
 # -- crossover (Section 3.4.2) ------------------------------------------------
 
 
@@ -68,8 +170,8 @@ def _clip(genes: np.ndarray, max_len: Optional[int]) -> np.ndarray:
 
 
 def _one_point_children(
-    p1: Individual, p2: Individual, cut1: int, cut2: int, max_len: Optional[int]
-) -> Tuple[Individual, Individual]:
+    p1: RefIndividual, p2: RefIndividual, cut1: int, cut2: int, max_len: Optional[int]
+) -> Tuple[RefIndividual, RefIndividual]:
     g1 = np.concatenate([p1.genes[:cut1], p2.genes[cut2:]])
     g2 = np.concatenate([p2.genes[:cut2], p1.genes[cut1:]])
     children = []
@@ -85,30 +187,30 @@ def _one_point_children(
         prefix = fallback.decoded
         if prefix is not None and cut > 0:
             children.append(
-                Individual(genes=g, dirty_from=min(cut, int(g.size)), prefix_plan=prefix)
+                RefIndividual(genes=g, dirty_from=min(cut, int(g.size)), prefix_plan=prefix)
             )
         else:
-            children.append(Individual(genes=g))
+            children.append(RefIndividual(genes=g))
     return children[0], children[1]
 
 
 def random_crossover(
-    p1: Individual,
-    p2: Individual,
+    p1: RefIndividual,
+    p2: RefIndividual,
     rng: np.random.Generator,
     max_len: Optional[int] = None,
-) -> Tuple[Individual, Individual]:
+) -> Tuple[RefIndividual, RefIndividual]:
     """One-point crossover with independent cut points on each parent."""
     cut1, cut2 = sample_crossover_cuts("random", len(p1), len(p2), None, None, rng)
     return _one_point_children(p1, p2, cut1, cut2, max_len)
 
 
 def state_aware_crossover(
-    p1: Individual,
-    p2: Individual,
+    p1: RefIndividual,
+    p2: RefIndividual,
     rng: np.random.Generator,
     max_len: Optional[int] = None,
-) -> Tuple[Individual, Individual]:
+) -> Tuple[RefIndividual, RefIndividual]:
     """State-aware crossover; copies the parents when no matching cut exists."""
     cuts = sample_crossover_cuts(
         "state-aware", len(p1), len(p2), p1.decoded, p2.decoded, rng
@@ -119,11 +221,11 @@ def state_aware_crossover(
 
 
 def mixed_crossover(
-    p1: Individual,
-    p2: Individual,
+    p1: RefIndividual,
+    p2: RefIndividual,
     rng: np.random.Generator,
     max_len: Optional[int] = None,
-) -> Tuple[Individual, Individual]:
+) -> Tuple[RefIndividual, RefIndividual]:
     """State-aware when a matching cut exists, otherwise random.
 
     Implemented exactly as the paper describes: pick the first cut, look for
@@ -145,7 +247,7 @@ CROSSOVER_OPERATORS: dict = {
 # -- mutation (Section 3.4.3) -------------------------------------------------
 
 
-def _mutated_child(ind: Individual, genes: np.ndarray, first_changed: int) -> Individual:
+def _mutated_child(ind: RefIndividual, genes: np.ndarray, first_changed: int) -> RefIndividual:
     """Build the post-mutation child, carrying incremental-decode lineage.
 
     Genes before *first_changed* are untouched, so the child keeps the best
@@ -161,13 +263,13 @@ def _mutated_child(ind: Individual, genes: np.ndarray, first_changed: int) -> In
     else:
         prefix, dirty = None, 0
     if prefix is None or dirty <= 0:
-        return Individual(genes=genes)
-    return Individual(genes=genes, dirty_from=min(dirty, int(genes.size)), prefix_plan=prefix)
+        return RefIndividual(genes=genes)
+    return RefIndividual(genes=genes, dirty_from=min(dirty, int(genes.size)), prefix_plan=prefix)
 
 
 def uniform_reset_mutation(
-    ind: Individual, rate: float, rng: np.random.Generator
-) -> Individual:
+    ind: RefIndividual, rate: float, rng: np.random.Generator
+) -> RefIndividual:
     """Replace each gene with a new uniform float with probability *rate*.
 
     Returns the same object when nothing mutates (genomes are immutable, so
@@ -189,7 +291,7 @@ def uniform_reset_mutation(
 # -- selection (Section 3.4.1) ------------------------------------------------
 
 
-def _require_evaluated(population: Sequence[Individual]) -> None:
+def _require_evaluated(population: Sequence[RefIndividual]) -> None:
     if not population:
         raise ValueError("population is empty")
     for ind in population:
@@ -199,7 +301,7 @@ def _require_evaluated(population: Sequence[Individual]) -> None:
 
 
 def tournament_selection(
-    population: Sequence[Individual],
+    population: Sequence[RefIndividual],
     n: int,
     rng: np.random.Generator,
     tournament_size: int = 2,
@@ -219,10 +321,10 @@ def tournament_selection(
 # -- the generation loop ------------------------------------------------------
 
 
-def stats_from_population(generation: int, population: Sequence[Individual]) -> GenerationStats:
-    """:class:`GenerationStats` collected from Individuals."""
+def stats_from_population(generation: int, population: Sequence[RefIndividual]) -> GenerationStats:
+    """:class:`GenerationStats` collected from records."""
     totals = np.array([ind.total_fitness for ind in population])
-    goals = np.array([ind.goal_fitness for ind in population])
+    goals = np.array([ind.fitness.goal for ind in population])
     lengths = np.array([len(ind) for ind in population])
     solved = sum(
         1 for ind in population if ind.fitness is not None and ind.fitness.goal_reached
@@ -241,8 +343,8 @@ def stats_from_population(generation: int, population: Sequence[Individual]) -> 
 
 
 def reference_generation(
-    population: Sequence[Individual], cfg: GAConfig, rng: np.random.Generator
-) -> List[Individual]:
+    population: Sequence[RefIndividual], cfg: GAConfig, rng: np.random.Generator
+) -> List[RefIndividual]:
     """Breed the next generation from an evaluated *population*.
 
     Elites first; parents paired ``(i, i+1)`` with wraparound; the second
@@ -251,7 +353,7 @@ def reference_generation(
     """
     crossover = CROSSOVER_OPERATORS[cfg.crossover]
     parents = tournament_selection(population, cfg.population_size, rng, cfg.tournament_size)
-    offspring: List[Individual] = []
+    offspring: List[RefIndividual] = []
     if cfg.elitism:
         elite = sorted(population, key=lambda ind: ind.total_fitness, reverse=True)
         offspring.extend(e.copy() for e in elite[: cfg.elitism])
@@ -278,10 +380,10 @@ def reference_ga(
     rng: np.random.Generator,
     evaluator: Optional[Evaluator] = None,
 ) -> GAResult:
-    """Run the single-phase GA on Individuals: what ``run_ga`` must equal.
+    """Run the single-phase GA on records: what ``run_ga`` must equal.
 
-    *evaluator* (default :class:`ReferenceEvaluator`) is driven through the
-    list API, :meth:`~repro.core.parallel.Evaluator.evaluate`.
+    *evaluator* (default :class:`ReferenceEvaluator`) is driven through
+    :func:`evaluate_records`.
     """
     context = EvaluationContext(
         domain,
@@ -290,13 +392,13 @@ def reference_ga(
         truncate_at_goal=config.truncate_at_goal,
     )
     evaluator = evaluator if evaluator is not None else ReferenceEvaluator()
-    population = initial_population(config, rng)
+    population = unpack(initial_population(config, rng))
     history = RunHistory()
-    best: Optional[Individual] = None
+    best: Optional[RefIndividual] = None
     solved_at: Optional[int] = None
     generation = 0
     for _ in range(config.generations):
-        evaluator.evaluate(population, context)
+        evaluate_records(evaluator, population, context)
         stats = stats_from_population(generation, population)
         history.record(stats)
         gen_best = max(population, key=lambda ind: ind.sort_key())
@@ -309,7 +411,7 @@ def reference_ga(
         if config.stop_on_goal and solved_at is not None:
             break
     return GAResult(
-        best=best,
+        best=BestGenome(genes=best.genes.copy(), fitness=best.fitness, decoded=best.decoded),
         history=history,
         generations_run=generation,
         solved_at_generation=solved_at,
@@ -324,10 +426,10 @@ def reference_ga(
 @dataclass
 class IslandsResult:
     """What :func:`reference_islands` ran: one history per island, the
-    best Individual, and every migration edge as ``(generation, src, dst,
+    best genome, and every migration edge as ``(generation, src, dst,
     k)``."""
 
-    best: Individual
+    best: BestGenome
     histories: List[RunHistory]
     generations_run: int
     solved_at_generation: Optional[int]
@@ -376,7 +478,7 @@ def reference_islands(
         for run in islands:
             run._next_generation()
     return IslandsResult(
-        best=max((run.best for run in islands), key=Individual.sort_key),
+        best=max((run.best for run in islands), key=BestGenome.sort_key),
         histories=[run.history for run in islands],
         generations_run=generations,
         solved_at_generation=solved_at,
