@@ -1,44 +1,42 @@
-"""Experiment scale, parameter tables, figures, ablations and statistics."""
+"""Experiment scale, parameter tables, figures, ablations and statistics.
 
-from repro.analysis.ablations import (
-    crossover_on_hanoi,
-    maxlen_sweep,
-    phase_budget_sweep,
-    seeding_study,
-    weight_sweep,
-)
-from repro.analysis.baselines import planner_comparison
-from repro.analysis.experiments import (
-    ExperimentScale,
-    hanoi_max_len,
-    hanoi_parameter_table,
-    scale_from_env,
-    tile_init_length,
-    tile_max_len,
-    tile_parameter_table,
-)
-from repro.analysis.profiling import profile_call
-from repro.analysis.render import figure1, figure2, figure3, render_hanoi, render_tile_board
-from repro.analysis.tables import Table
+Each name loads with the module that defines it, on first access
+(:mod:`repro._lazy`): a caller of one table builder loads neither the
+ablation drivers nor the planner comparison.
+"""
 
-__all__ = [
-    "ExperimentScale", "Table", "crossover_on_hanoi", "figure1", "figure2", "figure3",
-    "hanoi_max_len", "hanoi_parameter_table", "maxlen_sweep", "phase_budget_sweep",
-    "planner_comparison", "profile_call", "render_hanoi", "render_tile_board",
-    "scale_from_env", "seeding_study", "tile_init_length", "tile_max_len", "tile_parameter_table",
-    "weight_sweep",
-]
+from repro._lazy import lazy_exports
 
-from repro.analysis.fitness_study import fitness_accuracy_study  # noqa: E402
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "crossover_on_hanoi": "ablations",
+    "maxlen_sweep": "ablations",
+    "phase_budget_sweep": "ablations",
+    "seeding_study": "ablations",
+    "weight_sweep": "ablations",
+    "planner_comparison": "baselines",
+    "ExperimentScale": "experiments",
+    "hanoi_max_len": "experiments",
+    "hanoi_parameter_table": "experiments",
+    "scale_from_env": "experiments",
+    "tile_init_length": "experiments",
+    "tile_max_len": "experiments",
+    "tile_parameter_table": "experiments",
+    "fitness_accuracy_study": "fitness_study",
+    "profile_call": "profiling",
+    "figure1": "render",
+    "figure2": "render",
+    "figure3": "render",
+    "render_hanoi": "render",
+    "render_tile_board": "render",
+    "MeanCI": "stats_util",
+    "bootstrap_ci": "stats_util",
+    "mann_whitney": "stats_util",
+    "mean_ci": "stats_util",
+    "summarize": "stats_util",
+    "Table": "tables",
+}
 
-__all__ += ["fitness_accuracy_study"]
+__all__ = sorted(_EXPORTS)
 
-from repro.analysis.stats_util import (  # noqa: E402
-    MeanCI,
-    bootstrap_ci,
-    mann_whitney,
-    mean_ci,
-    summarize,
-)
-
-__all__ += ["MeanCI", "bootstrap_ci", "mann_whitney", "mean_ci", "summarize"]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -30,34 +30,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.analysis import (
-    ExperimentScale,
-    crossover_on_hanoi,
-    figure1,
-    figure2,
-    figure3,
-    fitness_accuracy_study,
-    hanoi_parameter_table,
-    maxlen_sweep,
-    phase_budget_sweep,
-    planner_comparison,
-    seeding_study,
-    tile_parameter_table,
-    weight_sweep,
-)
-from repro.core import GAConfig, GAPlanner
-from repro.domains import registry as domain_registry
-from repro.domains.hanoi import hanoi_max_len
-from repro.domains.sliding_tile import tile_init_length, tile_max_len
 from repro.exp.defaults import ABLATION_SEEDS, PAPER_SEED, SCHEDULE_SEED
-from repro.obs import JsonlSink, MetricsRegistry, ProgressSink, Tracer, observe
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer, observe
+
+if TYPE_CHECKING:
+    from repro.analysis.experiments import ExperimentScale
 
 __all__ = ["main"]
 
 
 def _scale(args) -> ExperimentScale:
+    from repro.analysis.experiments import ExperimentScale
+
     return ExperimentScale.scaled() if args.scaled else ExperimentScale.paper()
 
 
@@ -80,6 +67,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 def _build_observability(args):
     """Tracer + metrics registry from the parsed obs flags."""
+    from repro.obs.sinks import JsonlSink, ProgressSink
+
     sinks = []
     if getattr(args, "trace", None):
         sinks.append(JsonlSink(args.trace))
@@ -130,6 +119,11 @@ def _resolve_solve_evaluator(args):
 
 
 def _cmd_solve(args) -> int:
+    from repro.core import GAConfig, GAPlanner
+    from repro.domains import registry as domain_registry
+    from repro.domains.hanoi import hanoi_max_len
+    from repro.domains.sliding_tile import tile_init_length, tile_max_len
+
     domain = domain_registry.create(args.domain, args.size)
     if args.domain == "hanoi":
         max_len = hanoi_max_len(args.size)
@@ -197,6 +191,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from repro.analysis.experiments import hanoi_parameter_table, tile_parameter_table
+
     scale = _scale(args)
     parameter_tables = {1: hanoi_parameter_table, 3: tile_parameter_table}
     if args.number in parameter_tables:
@@ -217,11 +213,22 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    from repro.analysis.render import figure1, figure2, figure3
+
     print({1: figure1, 2: figure2, 3: figure3}[args.number]())
     return 0
 
 
 def _cmd_ablation(args) -> int:
+    from repro.analysis.ablations import (
+        crossover_on_hanoi,
+        maxlen_sweep,
+        phase_budget_sweep,
+        seeding_study,
+        weight_sweep,
+    )
+    from repro.analysis.fitness_study import fitness_accuracy_study
+
     scale = _scale(args)
     seed = args.seed if args.seed is not None else ABLATION_SEEDS[args.study]
     drivers = {
@@ -237,6 +244,8 @@ def _cmd_ablation(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis.baselines import planner_comparison
+
     print(planner_comparison(_scale(args), seed=args.seed))
     return 0
 
@@ -339,7 +348,7 @@ def _cmd_soak(args) -> int:
 
 def _exp_scale(args) -> ExperimentScale:
     """Scale for ``exp`` commands: flags win, else ``REPRO_FULL`` decides."""
-    from repro.analysis.experiments import scale_from_env
+    from repro.analysis.experiments import ExperimentScale, scale_from_env
 
     if getattr(args, "full", False):
         return ExperimentScale.paper()

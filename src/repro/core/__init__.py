@@ -8,121 +8,89 @@ Public surface:
 - :func:`run_multiphase` — the multi-phase algorithm
 - :func:`decode` / :func:`encode_operations` — the indirect encoding
 - :class:`PopulationBuffer` — the population representation
+
+The single-run engine (configuration, encoding, fitness, ``ga`` with its
+evaluators and both decoders, the population buffer, RNG, statistics and
+termination) loads with the package, since every caller runs it.  The
+drivers built on it — ``planner``, ``multiphase``, ``portfolio``,
+``resilient`` and ``checkpoint`` — load on first access to one of their
+names (:mod:`repro._lazy`).
 """
 
-from repro.core.config import GAConfig, MultiPhaseConfig, CROSSOVER_KINDS
-from repro.core.decode_engine import DecodeEngine, TransitionCache
-from repro.core.encoding import DecodeCache, DecodedPlan, decode, encode_operations, gene_to_index
-from repro.core.fitness import FitnessFunction, FitnessResult, cost_fitness
-from repro.core.ga import GAResult, GARun, initial_population, run_ga
-from repro.core.multiphase import MultiPhaseResult, PhaseRecord, run_multiphase
-from repro.core.parallel import (
-    EvaluationContext,
-    Evaluator,
-    ProcessPoolEvaluator,
-    SerialEvaluator,
-    WorkerPoolError,
+from repro._lazy import lazy_exports
+
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "Checkpoint": "checkpoint",
+    "CheckpointError": "checkpoint",
+    "checkpoint_path": "checkpoint",
+    "load_checkpoint": "checkpoint",
+    "load_latest_checkpoint": "checkpoint",
+    "restore_run": "checkpoint",
+    "save_checkpoint": "checkpoint",
+    "CROSSOVER_KINDS": "config",
+    "GAConfig": "config",
+    "MultiPhaseConfig": "config",
+    "PortfolioSpec": "config",
+    "STRATEGY_KINDS": "config",
+    "StrategySpec": "config",
+    "DecodeEngine": "decode_engine",
+    "TransitionCache": "decode_engine",
+    "DecodeCache": "encoding",
+    "DecodedPlan": "encoding",
+    "decode": "encoding",
+    "encode_operations": "encoding",
+    "gene_to_index": "encoding",
+    "FitnessFunction": "fitness",
+    "FitnessResult": "fitness",
+    "cost_fitness": "fitness",
+    "GAResult": "ga",
+    "GARun": "ga",
+    "initial_population": "ga",
+    "run_ga": "ga",
+    "MultiPhaseResult": "multiphase",
+    "PhaseRecord": "multiphase",
+    "run_multiphase": "multiphase",
+    "EvaluationContext": "parallel",
+    "Evaluator": "parallel",
+    "ProcessPoolEvaluator": "parallel",
+    "SerialEvaluator": "parallel",
+    "WorkerPoolError": "parallel",
+    "build_evaluators": "parallel",
+    "GAPlanner": "planner",
+    "IncumbentStream": "planner",
+    "PLANNING_MODES": "planner",
+    "PlanningOutcome": "planner",
+    "PopulationBuffer": "popbuffer",
+    "Incumbent": "portfolio",
+    "PortfolioResult": "portfolio",
+    "default_portfolio": "portfolio",
+    "parse_portfolio": "portfolio",
+    "ring_portfolio": "portfolio",
+    "run_portfolio": "portfolio",
+    "ResiliencePolicy": "resilient",
+    "ResilientEvaluator": "resilient",
+    "make_rng": "rng",
+    "spawn": "rng",
+    "spawn_many": "rng",
+    "GenerationStats": "stats",
+    "RunHistory": "stats",
+    "Deadline": "termination",
+    "FitnessTarget": "termination",
+    "GenerationLimit": "termination",
+    "Stagnation": "termination",
+    "all_of": "termination",
+    "any_of": "termination",
+    "canonical_events": ".obs.events",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(
+    __name__,
+    _EXPORTS,
+    eager=(
+        "config", "decode_engine", "encoding", "fitness", "ga", "parallel",
+        "popbuffer", "rng", "stats", "termination",
+    ),
 )
-from repro.core.popbuffer import PopulationBuffer
-from repro.core.resilient import ResiliencePolicy, ResilientEvaluator
-from repro.core.planner import GAPlanner, PLANNING_MODES, PlanningOutcome
-from repro.core.rng import make_rng, spawn, spawn_many
-from repro.core.stats import GenerationStats, RunHistory
-
-__all__ = [
-    "CROSSOVER_KINDS",
-    "DecodeCache",
-    "DecodeEngine",
-    "DecodedPlan",
-    "EvaluationContext",
-    "Evaluator",
-    "FitnessFunction",
-    "FitnessResult",
-    "GAConfig",
-    "GAPlanner",
-    "GAResult",
-    "GARun",
-    "GenerationStats",
-    "MultiPhaseConfig",
-    "MultiPhaseResult",
-    "PLANNING_MODES",
-    "PhaseRecord",
-    "PlanningOutcome",
-    "PopulationBuffer",
-    "ProcessPoolEvaluator",
-    "ResiliencePolicy",
-    "ResilientEvaluator",
-    "RunHistory",
-    "SerialEvaluator",
-    "TransitionCache",
-    "WorkerPoolError",
-    "cost_fitness",
-    "decode",
-    "encode_operations",
-    "gene_to_index",
-    "initial_population",
-    "make_rng",
-    "run_ga",
-    "run_multiphase",
-    "spawn",
-    "spawn_many",
-]
-
-from repro.core.termination import (  # noqa: E402
-    Deadline,
-    FitnessTarget,
-    GenerationLimit,
-    Stagnation,
-    all_of,
-    any_of,
-)
-
-__all__ += ["Deadline", "FitnessTarget", "GenerationLimit", "Stagnation", "all_of", "any_of"]
-
-from repro.core.config import PortfolioSpec, StrategySpec, STRATEGY_KINDS  # noqa: E402
-from repro.core.parallel import build_evaluators  # noqa: E402
-from repro.core.planner import IncumbentStream  # noqa: E402
-from repro.core.portfolio import (  # noqa: E402
-    Incumbent,
-    PortfolioResult,
-    canonical_events,
-    default_portfolio,
-    parse_portfolio,
-    ring_portfolio,
-    run_portfolio,
-)
-
-__all__ += [
-    "Incumbent",
-    "IncumbentStream",
-    "PortfolioResult",
-    "PortfolioSpec",
-    "STRATEGY_KINDS",
-    "StrategySpec",
-    "build_evaluators",
-    "canonical_events",
-    "default_portfolio",
-    "parse_portfolio",
-    "ring_portfolio",
-    "run_portfolio",
-]
-
-from repro.core.checkpoint import (  # noqa: E402
-    Checkpoint,
-    CheckpointError,
-    checkpoint_path,
-    load_checkpoint,
-    load_latest_checkpoint,
-    restore_run,
-    save_checkpoint,
-)
-
-__all__ += [
-    "Checkpoint",
-    "CheckpointError",
-    "checkpoint_path",
-    "load_checkpoint",
-    "load_latest_checkpoint",
-    "restore_run",
-    "save_checkpoint",
-]

@@ -28,9 +28,7 @@ import math
 import os
 import pickle
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +40,9 @@ from repro.obs.events import EvaluationBatch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.protocol import PlanningDomain
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "Evaluator",
@@ -531,6 +532,8 @@ class ProcessPoolEvaluator(Evaluator):
                 f"SerialEvaluator, or make the domain picklable (no lambdas, open "
                 f"files or thread locks in its state)"
             ) from exc
+        from concurrent.futures import ProcessPoolExecutor
+
         self.context = context
         self._pool = ProcessPoolExecutor(
             max_workers=self.processes,
@@ -570,6 +573,8 @@ class ProcessPoolEvaluator(Evaluator):
         like a broken batch does, so the caller's recovery ladder can
         restart it.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         if self._pool is None:
             raise RuntimeError("pool not started; evaluate once or call ensure_started()")
         try:
@@ -597,6 +602,8 @@ class ProcessPoolEvaluator(Evaluator):
         written after every chunk returned, so a failed batch leaves the
         buffer un-evaluated and safe to retry.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
         self.ensure_started(context)
         assert self._pool is not None
         pending = np.flatnonzero(~buffer.evaluated)

@@ -21,7 +21,7 @@ updates — happen at round boundaries.  The winner is the island with the
 smallest ``(first-solution tick, island index)`` pair, so two runs with
 the same seed produce the same winner, the same plans, and the same event
 log (modulo wall-clock ``seconds`` payloads — see
-:func:`canonical_events`).
+:func:`~repro.obs.events.canonical_events`).
 
 Each island gets its own evaluator and metrics registry and emits on the
 run's tracer.  The islands share the caller's domain and one decoder: the
@@ -63,12 +63,7 @@ __all__ = [
     "default_portfolio",
     "ring_portfolio",
     "parse_portfolio",
-    "canonical_events",
 ]
-
-#: Event payload keys holding wall-clock measurements, masked by
-#: :func:`canonical_events` when comparing the traces of same-seed runs.
-_WALL_CLOCK_KEYS = ("seconds",)
 
 
 @dataclass(frozen=True)
@@ -488,7 +483,7 @@ def run_portfolio(
     round.  Because all cross-island decisions happen at round boundaries
     in logical time, a same-seed run reproduces the winner, plans,
     migrations and event log exactly (wall-clock payloads aside; see
-    :func:`canonical_events`).
+    :func:`~repro.obs.events.canonical_events`).
 
     ``on_incumbent`` is invoked at round boundaries, in deterministic
     order, each time the portfolio-wide best-so-far improves.
@@ -696,21 +691,3 @@ def parse_portfolio(text: str, base: GAConfig, **spec_kwargs) -> PortfolioSpec:
         else:
             raise ValueError(f"unknown strategy {item!r} (expected ga[...]/search[...])")
     return PortfolioSpec(strategies=tuple(strategies), **spec_kwargs)
-
-
-def canonical_events(events) -> List[dict]:
-    """Event dicts with wall-clock payloads masked, for replay comparison.
-
-    Two runs with the same seed reproduce every deterministic payload of
-    each other's event log; fields that measure wall time (``seconds`` on
-    evaluation batches) necessarily differ and are zeroed here — the same
-    convention the soak determinism suite uses for ``replan-latency``.
-    """
-    out = []
-    for event in events:
-        record = event.to_dict()
-        for key in _WALL_CLOCK_KEYS:
-            if key in record:
-                record[key] = 0.0
-        out.append(record)
-    return out

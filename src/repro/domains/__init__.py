@@ -1,57 +1,52 @@
-"""Planning domains: the paper's evaluation puzzles and richer worlds."""
+"""Planning domains: the paper's evaluation puzzles and richer worlds.
 
-from repro.protocol import PlanningDomain
-from repro.domains.blocks_world import BlocksWorldDomain, blocks_world_problem, towers_to_atoms
-from repro.domains.briefcase import BriefcaseDomain, briefcase_problem
-from repro.domains.hanoi import HanoiDomain, HanoiMove, hanoi_strips_problem, optimal_hanoi_moves
-from repro.domains.navigation import GridNavigationDomain, NavMove
-from repro.domains.sliding_tile import (
-    SlidingTileDomain,
-    TileMove,
-    is_solvable,
-    manhattan_distance,
-    random_solvable_start,
-    reversed_start,
-)
+Each name loads with the module that defines it, on first access
+(:mod:`repro._lazy`): building a Hanoi domain loads neither the other
+domains nor the STRIPS planners.
+"""
 
-__all__ = [
-    "BlocksWorldDomain", "BriefcaseDomain", "GridNavigationDomain", "HanoiDomain",
-    "HanoiMove", "NavMove", "PlanningDomain", "SlidingTileDomain", "TileMove",
-    "blocks_world_problem", "briefcase_problem", "hanoi_strips_problem", "is_solvable",
-    "manhattan_distance", "optimal_hanoi_moves", "random_solvable_start",
-    "reversed_start", "towers_to_atoms",
-]
+from repro._lazy import lazy_exports
 
-from repro.domains.hanoi_fitness import StructuralHanoiDomain, hanoi_distance  # noqa: E402
-from repro.domains.tile_heuristics import (  # noqa: E402
-    AccurateTileDomain,
-    PatternDatabase,
-    accurate_tile_fitness,
-    build_pattern_database,
-    linear_conflict,
-    make_disjoint_pdb_heuristic,
-    make_linear_conflict_heuristic,
-)
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "PlanningDomain": ".protocol",
+    "BlocksWorldDomain": "blocks_world",
+    "blocks_world_problem": "blocks_world",
+    "towers_to_atoms": "blocks_world",
+    "BriefcaseDomain": "briefcase",
+    "briefcase_problem": "briefcase",
+    "HanoiDomain": "hanoi",
+    "HanoiMove": "hanoi",
+    "hanoi_strips_problem": "hanoi",
+    "optimal_hanoi_moves": "hanoi",
+    "StructuralHanoiDomain": "hanoi_fitness",
+    "hanoi_distance": "hanoi_fitness",
+    "GridNavigationDomain": "navigation",
+    "NavMove": "navigation",
+    "CubeMove": "pocket_cube",
+    "PocketCubeDomain": "pocket_cube",
+    "scrambled_state": "pocket_cube",
+    "DomainEntry": "registry",
+    "create": "registry",
+    "domain_names": "registry",
+    "get_entry": "registry",
+    "list_entries": "registry",
+    "register": "registry",
+    "SlidingTileDomain": "sliding_tile",
+    "TileMove": "sliding_tile",
+    "is_solvable": "sliding_tile",
+    "manhattan_distance": "sliding_tile",
+    "random_solvable_start": "sliding_tile",
+    "reversed_start": "sliding_tile",
+    "AccurateTileDomain": "tile_heuristics",
+    "PatternDatabase": "tile_heuristics",
+    "accurate_tile_fitness": "tile_heuristics",
+    "build_pattern_database": "tile_heuristics",
+    "linear_conflict": "tile_heuristics",
+    "make_disjoint_pdb_heuristic": "tile_heuristics",
+    "make_linear_conflict_heuristic": "tile_heuristics",
+}
 
-__all__ += [
-    "AccurateTileDomain", "PatternDatabase", "StructuralHanoiDomain",
-    "accurate_tile_fitness", "build_pattern_database", "hanoi_distance",
-    "linear_conflict", "make_disjoint_pdb_heuristic", "make_linear_conflict_heuristic",
-]
+__all__ = sorted(_EXPORTS)
 
-from repro.domains.pocket_cube import CubeMove, PocketCubeDomain, scrambled_state  # noqa: E402
-
-__all__ += ["CubeMove", "PocketCubeDomain", "scrambled_state"]
-
-from repro.domains.registry import (  # noqa: E402
-    DomainEntry,
-    create,
-    domain_names,
-    get_entry,
-    list_entries,
-    register,
-)
-
-__all__ += [
-    "DomainEntry", "create", "domain_names", "get_entry", "list_entries", "register",
-]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -194,9 +194,11 @@ class HanoiKernel(DomainKernel):
         self._states = np.full(m, None, dtype=object)
         self._built = np.zeros(m, dtype=bool)
         self._moves = np.array(domain._moves, dtype=object)
-        # The scalar step's list table (code -> tuple of successor codes),
-        # built on the first step; the goal is the one all-on-goal code.
-        self._next: Optional[list] = None
+        # The scalar step's three slot lists (code -> successor in that
+        # slot), built on the first step; the goal is the one all-on-goal code.
+        self._first: Optional[list] = None
+        self._second: Optional[list] = None
+        self._third: Optional[list] = None
         self._goal_code = int(np.flatnonzero(self._gmask)[0])
 
     # -- DomainKernel surface -------------------------------------------------
@@ -226,32 +228,37 @@ class HanoiKernel(DomainKernel):
         return self._gfit[codes]
 
     def step(self, code: int, gene: float):
-        """One gene on the list table: a tuple index and a comparison.
+        """One gene on the slot lists: two list reads and a comparison.
 
         A Hanoi state has two or three moves, and ``gene * k < k`` for
         every gene below 1 when ``k <= 3``, so ``int(gene * k)`` is found
-        by two comparisons.
+        by two comparisons; a two-move state's third slot holds ``None``.
         """
         try:
-            succ = self._next[code]
-        except TypeError:  # no table yet: built on the first step
-            self._next = self._next_table()
-            succ = self._next[code]
-        x = gene * len(succ)
-        slot = 0 if x < 1.0 else 1 if x < 2.0 else 2
-        code = succ[slot]
+            third = self._third[code]
+        except TypeError:  # no lists yet: built on the first step
+            self._first, self._second, self._third = self._slot_lists()
+            third = self._third[code]
+        x = gene * (2 if third is None else 3)
+        if x < 1.0:
+            slot, code = 0, self._first[code]
+        elif x < 2.0:
+            slot, code = 1, self._second[code]
+        else:
+            slot, code = 2, third
         return slot, code, code == self._goal_code
 
-    def _next_table(self) -> list:
-        """Per code, the tuple of its two or three successor codes in slot order."""
+    def _slot_lists(self) -> tuple:
+        """Per slot, the list of every code's successor in that slot:
+        three pointers a state over one shared int per code, read with no
+        index arithmetic per step."""
         codes = list(range(self._succ.shape[0]))  # one shared int per code
         first, second, third = (
             [codes[c] for c in self._succ[:, j].tolist()] for j in range(3)
         )
-        return [
-            (a, b) if k == 2 else (a, b, c)
-            for k, a, b, c in zip(self._vc.tolist(), first, second, third)
-        ]
+        for code in np.flatnonzero(self._vc == 2).tolist():
+            third[code] = None
+        return first, second, third
 
     # -- reconstruction -------------------------------------------------------
 

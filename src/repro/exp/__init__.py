@@ -12,67 +12,48 @@ mean ± CI summaries and Wilcoxon comparisons, and regenerates the marked
 sections of ``EXPERIMENTS.md`` — documentation as a build artifact.
 
 The CLI surface is ``python -m repro exp {list,run,status,resume,report}``.
+
+Each name loads with the module that defines it, on first access
+(:mod:`repro._lazy`); the built-in specs register on the first registry
+lookup (:mod:`repro.exp.registry`).
 """
 
-from repro.exp.defaults import (
-    ABLATION_SEEDS,
-    DEFAULT_RESULTS_ROOT,
-    GRID_SEED,
-    PAPER_SEED,
-    SCHEDULE_SEED,
-    default_out_dir,
-)
-from repro.exp.records import (
-    TrialRecord,
-    append_record,
-    git_revision,
-    load_records,
-    read_manifest,
-    write_manifest,
-)
-from repro.exp.registry import get_spec, list_specs, register, spec_names
-from repro.exp.report import (
-    experiment_report,
-    markdown_table,
-    render_sections,
-    update_experiments_md,
-)
-from repro.exp.runner import SweepResult, SweepRunner, SweepStatus, run_inline, sweep_status
-from repro.exp.spec import Comparison, ExperimentSpec, TrialSpec, config_hash, derive_seed
+from repro._lazy import lazy_exports
 
-# Built-in paper/table specs self-register on import.
-from repro.exp import paper as _paper  # noqa: F401  (import for side effect)
-from repro.exp import islands_portfolio as _islands_portfolio  # noqa: F401  (self-registers)
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "ABLATION_SEEDS": "defaults",
+    "DEFAULT_RESULTS_ROOT": "defaults",
+    "GRID_SEED": "defaults",
+    "PAPER_SEED": "defaults",
+    "SCHEDULE_SEED": "defaults",
+    "default_out_dir": "defaults",
+    "TrialRecord": "records",
+    "append_record": "records",
+    "git_revision": "records",
+    "load_records": "records",
+    "read_manifest": "records",
+    "write_manifest": "records",
+    "get_spec": "registry",
+    "list_specs": "registry",
+    "register": "registry",
+    "spec_names": "registry",
+    "experiment_report": "report",
+    "markdown_table": "report",
+    "render_sections": "report",
+    "update_experiments_md": "report",
+    "SweepResult": "runner",
+    "SweepRunner": "runner",
+    "SweepStatus": "runner",
+    "run_inline": "runner",
+    "sweep_status": "runner",
+    "Comparison": "spec",
+    "ExperimentSpec": "spec",
+    "TrialSpec": "spec",
+    "config_hash": "spec",
+    "derive_seed": "spec",
+}
 
-__all__ = [
-    "ABLATION_SEEDS",
-    "Comparison",
-    "DEFAULT_RESULTS_ROOT",
-    "ExperimentSpec",
-    "GRID_SEED",
-    "PAPER_SEED",
-    "SCHEDULE_SEED",
-    "SweepResult",
-    "SweepRunner",
-    "SweepStatus",
-    "TrialRecord",
-    "TrialSpec",
-    "append_record",
-    "config_hash",
-    "default_out_dir",
-    "derive_seed",
-    "experiment_report",
-    "get_spec",
-    "git_revision",
-    "list_specs",
-    "load_records",
-    "markdown_table",
-    "read_manifest",
-    "register",
-    "render_sections",
-    "run_inline",
-    "spec_names",
-    "sweep_status",
-    "update_experiments_md",
-    "write_manifest",
-]
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

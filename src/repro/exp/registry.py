@@ -1,12 +1,14 @@
 """The experiment registry: name → :class:`ExperimentSpec`.
 
-Built-in specs (the paper tables in :mod:`repro.exp.paper`) register at
-import time; projects can :func:`register` their own.  Lookups raise
-with the list of known names, so a CLI typo is a one-line fix.
+Built-in specs (the paper tables in :mod:`repro.exp.paper` and the
+island study in :mod:`repro.exp.islands_portfolio`) register on the
+registry's first use; projects can :func:`register` their own.  Lookups
+raise with the list of known names, so a CLI typo is a one-line fix.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Dict, List
 
 from repro.exp.spec import ExperimentSpec
@@ -14,6 +16,19 @@ from repro.exp.spec import ExperimentSpec
 __all__ = ["register", "get_spec", "list_specs", "spec_names"]
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
+
+#: Modules whose import registers the built-in specs.
+_BUILTINS = ("repro.exp.paper", "repro.exp.islands_portfolio")
+_builtins_loaded = False
+
+
+def _load_builtins() -> None:
+    """Import the built-in spec modules once, before the first lookup."""
+    global _builtins_loaded
+    if not _builtins_loaded:
+        _builtins_loaded = True
+        for name in _BUILTINS:
+            import_module(name)
 
 
 def register(spec: ExperimentSpec, replace: bool = False) -> ExperimentSpec:
@@ -27,6 +42,7 @@ def register(spec: ExperimentSpec, replace: bool = False) -> ExperimentSpec:
         Allow overwriting an existing registration (tests use this);
         without it a duplicate name raises ``ValueError``.
     """
+    _load_builtins()
     if spec.name in _REGISTRY and not replace:
         raise ValueError(f"experiment {spec.name!r} is already registered")
     _REGISTRY[spec.name] = spec
@@ -38,6 +54,7 @@ def get_spec(name: str) -> ExperimentSpec:
 
     Raises ``KeyError`` naming the known experiments when absent.
     """
+    _load_builtins()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -47,6 +64,7 @@ def get_spec(name: str) -> ExperimentSpec:
 
 def spec_names() -> List[str]:
     """Sorted names of every registered experiment."""
+    _load_builtins()
     return sorted(_REGISTRY)
 
 

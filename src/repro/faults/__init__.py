@@ -20,16 +20,23 @@ recovery all have a seeded adversary to prove themselves against, with the
 ``fault-injected`` / ``retry`` / ``evaluator-degraded`` / ``replan``
 events and ``faults_injected`` / ``retries`` / ``degradations`` counters
 flowing through :mod:`repro.obs`.
+
+Each name loads with the module that defines it, on first access
+(:mod:`repro._lazy`): parsing a spec loads neither the grid nor the GA.
 """
 
-from repro.faults.injector import FaultInjector, FaultPlan
-from repro.faults.spec import FAULT_KINDS, FaultClause, FaultSpec, parse_fault_spec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultClause",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "parse_fault_spec",
-]
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "FaultInjector": "injector",
+    "FaultPlan": "injector",
+    "FAULT_KINDS": "spec",
+    "FaultClause": "spec",
+    "FaultSpec": "spec",
+    "parse_fault_spec": "spec",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

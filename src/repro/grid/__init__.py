@@ -1,39 +1,53 @@
-"""Simulated heterogeneous grid: ontologies, workflows, societal services."""
+"""Simulated heterogeneous grid: ontologies, workflows, societal services.
 
-from repro.grid.activity_graph import Activity, ActivityGraph, plan_to_activity_graph, to_dot
-from repro.grid.broker import (
-    Offer,
-    Placement,
-    PlacementError,
-    ResourceBroker,
-    RetryPolicy,
-)
-from repro.grid.catalog import ReplicaCatalog, StorageFullError
-from repro.grid.coordination import (
-    Attempt,
-    CoordinationReport,
-    CoordinationService,
-    ga_grid_planner,
-    greedy_grid_planner,
-)
-from repro.grid.data import DataProduct, DataType, ProvenanceStep
-from repro.grid.generators import random_grid, random_pipeline
-from repro.grid.ontology import Ontology
-from repro.grid.programs import InputSpec, OutputSpec, ProgramSpec
-from repro.grid.resources import GridTopology, Link, Machine, Site
-from repro.grid.scenarios import imaging_pipeline, small_heterogeneous_grid
-from repro.grid.simulator import ExecutionResult, GridEvent, GridSimulator, TaskRecord
-from repro.grid.workflow_domain import GridWorkflowDomain, RunProgram, Transfer
+Each name loads with the module that defines it, on first access
+(:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "Activity", "ActivityGraph", "Attempt", "CoordinationReport", "CoordinationService",
-    "DataProduct", "DataType", "ExecutionResult", "GridEvent", "GridSimulator",
-    "GridTopology", "GridWorkflowDomain", "InputSpec", "Link", "Machine", "Offer",
-    "Ontology", "OutputSpec", "Placement", "PlacementError", "ProgramSpec",
-    "ProvenanceStep", "ReplicaCatalog", "ResourceBroker", "RetryPolicy",
-    "StorageFullError",
-    "RunProgram", "Site", "TaskRecord", "Transfer", "ga_grid_planner",
-    "greedy_grid_planner",
-    "imaging_pipeline", "plan_to_activity_graph", "random_grid", "random_pipeline",
-    "small_heterogeneous_grid", "to_dot",
-]
+from repro._lazy import lazy_exports
+
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "Activity": "activity_graph",
+    "ActivityGraph": "activity_graph",
+    "plan_to_activity_graph": "activity_graph",
+    "to_dot": "activity_graph",
+    "Offer": "broker",
+    "Placement": "broker",
+    "PlacementError": "broker",
+    "ResourceBroker": "broker",
+    "RetryPolicy": "broker",
+    "ReplicaCatalog": "catalog",
+    "StorageFullError": "catalog",
+    "Attempt": "coordination",
+    "CoordinationReport": "coordination",
+    "CoordinationService": "coordination",
+    "ga_grid_planner": "coordination",
+    "greedy_grid_planner": "coordination",
+    "DataProduct": "data",
+    "DataType": "data",
+    "ProvenanceStep": "data",
+    "random_grid": "generators",
+    "random_pipeline": "generators",
+    "Ontology": "ontology",
+    "InputSpec": "programs",
+    "OutputSpec": "programs",
+    "ProgramSpec": "programs",
+    "GridTopology": "resources",
+    "Link": "resources",
+    "Machine": "resources",
+    "Site": "resources",
+    "imaging_pipeline": "scenarios",
+    "small_heterogeneous_grid": "scenarios",
+    "ExecutionResult": "simulator",
+    "GridEvent": "simulator",
+    "GridSimulator": "simulator",
+    "TaskRecord": "simulator",
+    "GridWorkflowDomain": "workflow_domain",
+    "RunProgram": "workflow_domain",
+    "Transfer": "workflow_domain",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

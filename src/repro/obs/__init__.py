@@ -21,130 +21,75 @@ Instrumented constructors take explicit ``tracer=`` / ``metrics=``
 arguments and fall back to the ambient pair installed by :func:`observe`
 — which is how the CLI's ``--trace/--metrics/--progress`` flags reach every
 subcommand without threading parameters through the analysis drivers.
+
+Every name loads with the module that defines it, on first access
+(:mod:`repro._lazy`): a GA run loads events, metrics and the tracer, and
+no sink until it installs one.
 """
 
-from repro.obs.events import (
-    EVENT_KINDS,
-    CheckpointRecovered,
-    CheckpointWrite,
-    DecodeCacheSnapshot,
-    EvaluationBatch,
-    EvaluatorDegraded,
-    FaultInjected,
-    GenerationComplete,
-    IncumbentImproved,
-    IslandVelocity,
-    PhaseEnd,
-    PhaseStart,
-    PortfolioCancelled,
-    PortfolioMigration,
-    ReplanTriggered,
-    RetryAttempt,
-    ReplanLatency,
-    RequestArrived,
-    RequestCompleted,
-    RequestShed,
-    RunEvent,
-    SchedulerGeneration,
-    ServiceAdmitted,
-    ServiceCompleted,
-    ServiceShed,
-    ServiceSlice,
-    SimulationComplete,
-    SweepProgress,
-    TrialFinished,
-    TrialStarted,
-    event_from_dict,
-)
-from repro.obs.metrics import (
-    CANONICAL_INSTRUMENTS,
-    DERIVED_METRICS,
-    Counter,
-    Histogram,
-    InstrumentSpec,
-    MetricsRegistry,
-    Timer,
-    planner_summary,
-    service_summary,
-    soak_summary,
-)
-from repro.obs.reference import (
-    render_derived_table,
-    render_event_table,
-    render_instrument_table,
-)
-from repro.obs.sinks import (
-    CSV_COLUMNS,
-    CsvSummarySink,
-    JsonlSink,
-    MemoryRecorder,
-    ProgressSink,
-    read_trace,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    Sink,
-    Tracer,
-    default_metrics,
-    default_tracer,
-    observe,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CANONICAL_INSTRUMENTS",
-    "CSV_COLUMNS",
-    "CheckpointRecovered",
-    "CheckpointWrite",
-    "Counter",
-    "CsvSummarySink",
-    "DERIVED_METRICS",
-    "DecodeCacheSnapshot",
-    "EVENT_KINDS",
-    "EvaluationBatch",
-    "EvaluatorDegraded",
-    "FaultInjected",
-    "GenerationComplete",
-    "Histogram",
-    "IncumbentImproved",
-    "InstrumentSpec",
-    "IslandVelocity",
-    "JsonlSink",
-    "MemoryRecorder",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "PhaseEnd",
-    "PhaseStart",
-    "PortfolioCancelled",
-    "PortfolioMigration",
-    "ProgressSink",
-    "ReplanLatency",
-    "ReplanTriggered",
-    "RequestArrived",
-    "RequestCompleted",
-    "RequestShed",
-    "RetryAttempt",
-    "RunEvent",
-    "SchedulerGeneration",
-    "ServiceAdmitted",
-    "ServiceCompleted",
-    "ServiceShed",
-    "ServiceSlice",
-    "SimulationComplete",
-    "Sink",
-    "SweepProgress",
-    "Timer",
-    "Tracer",
-    "TrialFinished",
-    "TrialStarted",
-    "default_metrics",
-    "default_tracer",
-    "event_from_dict",
-    "observe",
-    "planner_summary",
-    "read_trace",
-    "render_derived_table",
-    "render_event_table",
-    "render_instrument_table",
-    "service_summary",
-    "soak_summary",
-]
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "CheckpointRecovered": "events",
+    "CheckpointWrite": "events",
+    "DecodeCacheSnapshot": "events",
+    "EVENT_KINDS": "events",
+    "EvaluationBatch": "events",
+    "EvaluatorDegraded": "events",
+    "FaultInjected": "events",
+    "GenerationComplete": "events",
+    "IncumbentImproved": "events",
+    "IslandVelocity": "events",
+    "PhaseEnd": "events",
+    "PhaseStart": "events",
+    "PortfolioCancelled": "events",
+    "PortfolioMigration": "events",
+    "ReplanLatency": "events",
+    "ReplanTriggered": "events",
+    "RequestArrived": "events",
+    "RequestCompleted": "events",
+    "RequestShed": "events",
+    "RetryAttempt": "events",
+    "RunEvent": "events",
+    "SchedulerGeneration": "events",
+    "ServiceAdmitted": "events",
+    "ServiceCompleted": "events",
+    "ServiceShed": "events",
+    "ServiceSlice": "events",
+    "SimulationComplete": "events",
+    "SweepProgress": "events",
+    "TrialFinished": "events",
+    "TrialStarted": "events",
+    "canonical_events": "events",
+    "event_from_dict": "events",
+    "CANONICAL_INSTRUMENTS": "metrics",
+    "Counter": "metrics",
+    "DERIVED_METRICS": "metrics",
+    "Histogram": "metrics",
+    "InstrumentSpec": "metrics",
+    "MetricsRegistry": "metrics",
+    "Timer": "metrics",
+    "planner_summary": "metrics",
+    "service_summary": "metrics",
+    "soak_summary": "metrics",
+    "render_derived_table": "reference",
+    "render_event_table": "reference",
+    "render_instrument_table": "reference",
+    "CSV_COLUMNS": "sinks",
+    "CsvSummarySink": "sinks",
+    "JsonlSink": "sinks",
+    "MemoryRecorder": "sinks",
+    "ProgressSink": "sinks",
+    "read_trace": "sinks",
+    "NULL_TRACER": "tracer",
+    "Sink": "tracer",
+    "Tracer": "tracer",
+    "default_metrics": "tracer",
+    "default_tracer": "tracer",
+    "observe": "tracer",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

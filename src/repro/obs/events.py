@@ -16,7 +16,7 @@ run uses the empty scope.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING, ClassVar, Dict, Type
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Type
 
 if TYPE_CHECKING:  # import at runtime would cycle: repro.core imports repro.obs
     from repro.core.stats import GenerationStats
@@ -52,8 +52,13 @@ __all__ = [
     "TrialFinished",
     "SweepProgress",
     "EVENT_KINDS",
+    "canonical_events",
     "event_from_dict",
 ]
+
+#: Event payload keys holding wall-clock measurements, masked by
+#: :func:`canonical_events` when comparing the traces of same-seed runs.
+_WALL_CLOCK_KEYS = ("seconds",)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -546,3 +551,21 @@ def event_from_dict(record: dict) -> RunEvent:
     known = {f.name for f in fields(cls)}
     payload = {k: v for k, v in record.items() if k in known}
     return cls(**payload)
+
+
+def canonical_events(events) -> List[dict]:
+    """Event dicts with wall-clock payloads masked, for replay comparison.
+
+    Two runs with the same seed reproduce every deterministic payload of
+    each other's event log; fields that measure wall time (``seconds`` on
+    evaluation batches) necessarily differ and are zeroed here — the same
+    convention the soak determinism suite uses for ``replan-latency``.
+    """
+    out = []
+    for event in events:
+        record = event.to_dict()
+        for key in _WALL_CLOCK_KEYS:
+            if key in record:
+                record[key] = 0.0
+        out.append(record)
+    return out

@@ -1,18 +1,41 @@
-"""STRIPS-like planning substrate: conditions, operations, problems, plans."""
+"""STRIPS-like planning substrate: conditions, operations, problems, plans.
 
-from repro.planning.adapter import StripsDomainAdapter
-from repro.planning.conditions import Atom, State, atom, format_atom, format_state, make_state, satisfies
-from repro.planning.grounding import OperatorSchema, ground_all, ground_schema, is_variable
-from repro.planning.operation import Operation
-from repro.planning.pddl import PddlDomain, PddlError, load_problem, parse_domain, parse_problem
-from repro.planning.reuse import ReuseResult, reuse_plan, valid_prefix
-from repro.planning.plan import Plan, SimulationResult, simulate
-from repro.planning.problem import PlanningProblem
+Each name loads with the module that defines it, on first access
+(:mod:`repro._lazy`), so a domain built on conditions and grounded
+operators loads neither the PDDL parser nor plan reuse.
+"""
 
-__all__ = [
-    "Atom", "State", "atom", "format_atom", "format_state", "make_state", "satisfies",
-    "Operation", "OperatorSchema", "ground_all", "ground_schema", "is_variable",
-    "PddlDomain", "PddlError", "Plan", "PlanningProblem", "ReuseResult",
-    "SimulationResult", "StripsDomainAdapter", "load_problem", "parse_domain",
-    "parse_problem", "reuse_plan", "simulate", "valid_prefix",
-]
+from repro._lazy import lazy_exports
+
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "StripsDomainAdapter": "adapter",
+    "Atom": "conditions",
+    "State": "conditions",
+    "atom": "conditions",
+    "format_atom": "conditions",
+    "format_state": "conditions",
+    "make_state": "conditions",
+    "satisfies": "conditions",
+    "OperatorSchema": "grounding",
+    "ground_all": "grounding",
+    "ground_schema": "grounding",
+    "is_variable": "grounding",
+    "Operation": "operation",
+    "PddlDomain": "pddl",
+    "PddlError": "pddl",
+    "load_problem": "pddl",
+    "parse_domain": "pddl",
+    "parse_problem": "pddl",
+    "Plan": "plan",
+    "SimulationResult": "plan",
+    "simulate": "plan",
+    "PlanningProblem": "problem",
+    "ReuseResult": "reuse",
+    "reuse_plan": "reuse",
+    "valid_prefix": "reuse",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

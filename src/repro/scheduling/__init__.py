@@ -1,31 +1,44 @@
-"""Heterogeneous-computing scheduling substrate (Braun et al. benchmark)."""
+"""Heterogeneous-computing scheduling substrate (Braun et al. benchmark).
 
-from repro.scheduling.etc import CONSISTENCY_KINDS, ETCParams, HETEROGENEITY_RANGES, generate_etc
-from repro.scheduling.ga_scheduler import GASchedulerConfig, GASchedulerResult, ga_schedule
-from repro.scheduling.heuristics import HEURISTICS, max_min, mct, met, min_min, olb, sufferage
-from repro.scheduling.metrics import flowtime, machine_loads, makespan
+Each name loads with the module that defines it, on first access
+(:mod:`repro._lazy`): the heuristics, the ETC generator and the GA
+scheduler load without networkx, which only the DAG scheduler (HEFT) needs.
+"""
 
-__all__ = [
-    "CONSISTENCY_KINDS", "ETCParams", "GASchedulerConfig", "GASchedulerResult",
-    "HETEROGENEITY_RANGES", "HEURISTICS", "flowtime", "ga_schedule", "generate_etc",
-    "machine_loads", "makespan", "max_min", "mct", "met", "min_min", "olb", "sufferage",
-]
+from repro._lazy import lazy_exports
 
-from repro.scheduling.dynamic import (  # noqa: E402
-    BATCH_HEURISTICS,
-    IMMEDIATE_HEURISTICS,
-    DynamicScheduleResult,
-    TaskArrival,
-    batch_mode,
-    immediate_mode,
-    poisson_arrivals,
-)
+#: Public name → the module that defines it.
+_EXPORTS = {
+    "DagProblem": "dag",
+    "DagSchedule": "dag",
+    "heft": "dag",
+    "random_layered_dag": "dag",
+    "BATCH_HEURISTICS": "dynamic",
+    "DynamicScheduleResult": "dynamic",
+    "IMMEDIATE_HEURISTICS": "dynamic",
+    "TaskArrival": "dynamic",
+    "batch_mode": "dynamic",
+    "immediate_mode": "dynamic",
+    "poisson_arrivals": "dynamic",
+    "CONSISTENCY_KINDS": "etc",
+    "ETCParams": "etc",
+    "HETEROGENEITY_RANGES": "etc",
+    "generate_etc": "etc",
+    "GASchedulerConfig": "ga_scheduler",
+    "GASchedulerResult": "ga_scheduler",
+    "ga_schedule": "ga_scheduler",
+    "HEURISTICS": "heuristics",
+    "max_min": "heuristics",
+    "mct": "heuristics",
+    "met": "heuristics",
+    "min_min": "heuristics",
+    "olb": "heuristics",
+    "sufferage": "heuristics",
+    "flowtime": "metrics",
+    "machine_loads": "metrics",
+    "makespan": "metrics",
+}
 
-__all__ += [
-    "BATCH_HEURISTICS", "DynamicScheduleResult", "IMMEDIATE_HEURISTICS",
-    "TaskArrival", "batch_mode", "immediate_mode", "poisson_arrivals",
-]
+__all__ = sorted(_EXPORTS)
 
-from repro.scheduling.dag import DagProblem, DagSchedule, heft, random_layered_dag  # noqa: E402
-
-__all__ += ["DagProblem", "DagSchedule", "heft", "random_layered_dag"]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

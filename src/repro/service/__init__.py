@@ -10,13 +10,14 @@ config-hash (:mod:`~repro.service.cache`).  ``docs/service.md`` is the
 operations guide; the benchmark harness's ``service-repeat`` and
 ``service-mixed`` workloads (``benchmarks/harness``) measure it under load.
 
-The package imports its submodules lazily (PEP 562): ``from repro.service
-import X`` loads only the module that defines ``X``, so a protocol-only
-client (:mod:`~repro.service.client`, :mod:`~repro.service.protocol`)
-starts without numpy or the GA stack.
+The package imports its submodules lazily through the shared export
+table of :mod:`repro._lazy`: ``from repro.service import X`` loads only
+the module that defines ``X``, so a protocol-only client
+(:mod:`~repro.service.client`, :mod:`~repro.service.protocol`) starts
+without numpy or the GA stack.
 """
 
-from importlib import import_module
+from repro._lazy import lazy_exports
 
 #: Public name → the submodule that defines it.
 _EXPORTS = {
@@ -48,12 +49,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    """Import the submodule defining *name* on first access."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)

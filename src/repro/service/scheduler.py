@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.config import GAConfig
 from repro.core.ga import GARun
 from repro.core.parallel import SerialEvaluator
-from repro.core.portfolio import canonical_events
 from repro.domains.hanoi import hanoi_max_len
 from repro.domains.sliding_tile import tile_init_length, tile_max_len
 from repro.obs.events import (
@@ -39,6 +38,7 @@ from repro.obs.events import (
     ServiceCompleted,
     ServiceShed,
     ServiceSlice,
+    canonical_events,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemoryRecorder
@@ -80,7 +80,7 @@ _CACHE_WARMTH_KEYS = (
 def service_canonical_events(events) -> List[dict]:
     """Event dicts with wall-clock *and* cache-warmth payloads masked.
 
-    Extends :func:`repro.core.portfolio.canonical_events`: shared-engine
+    Extends :func:`repro.obs.events.canonical_events`: shared-engine
     warmth (decode-cache and fitness-memo hit counts) legitimately depends
     on request interleaving while the search trajectory stays bit-identical,
     so warmth counters are zeroed along with wall-clock fields.

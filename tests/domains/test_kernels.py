@@ -8,6 +8,7 @@ also checked exhaustively.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -158,6 +159,19 @@ class TestHanoiKernel:
         assert_kernel_matches_domain(domain, states)
         # A state has at most 3 moves, so the tables hold 3 slots per code.
         assert kernel._succ.shape == kernel._move.shape == (3**3, 3)
+
+    def test_scalar_slot_lists_cost_under_64_bytes_a_state(self):
+        # The scalar step's successor lists, built on the first step, are
+        # what an idle service pair keeps of a Hanoi request.
+        kernel = HanoiDomain(10).kernel()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            kernel.step(0, 0.5)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 3**10
 
     def test_size_cap_returns_none(self):
         assert HanoiDomain(_MAX_KERNEL_DISKS + 1).kernel() is None

@@ -1,7 +1,19 @@
-"""The service starts without scipy; the grid and the soak run without networkx.
+"""Each entry point loads what it runs, and not what it might run.
 
-``repro.service`` imports its submodules lazily, so a protocol-only client
-loads neither numpy nor the GA stack.
+Every package re-exports its submodules through one lazy export table
+(:mod:`repro._lazy`) and eagerly imports only what each of its callers
+runs.  For ``repro.core`` that is the single-run GA engine, so ``import
+repro.core`` loads ``repro.core.ga``; the drivers built on it (planner,
+multi-phase, portfolio, resilient, checkpoint), the STRIPS planners, the
+PDDL parser and the trace sinks load on first use.  A serial GA run
+never imports ``concurrent.futures`` or ``multiprocessing``:
+:class:`~repro.core.parallel.ProcessPoolEvaluator` imports them when it
+starts a pool.  ``repro.cli`` imports each subcommand's stack inside its
+handler, so ``repro serve`` loads neither the analysis drivers nor the
+sweep runner.
+
+``repro.service`` imports its submodules lazily, so a protocol-only
+client loads neither numpy nor the GA stack.
 
 scipy is imported only inside :func:`repro.analysis.stats_util.mean_ci` and
 :func:`repro.analysis.stats_util.mann_whitney`; loading it at import time
@@ -10,10 +22,11 @@ made up most of the start-up time and memory of ``repro serve``.
 networkx is imported by :mod:`repro.scheduling.dag` and, on first call, by
 :func:`repro.grid.activity_graph.activity_graph_to_dag_problem`, the bridge
 to HEFT.  ``repro.grid`` routes and orders its own graphs, so a soak never
-loads it.
+loads it, and ``repro.scheduling`` loads ``dag`` only when ``heft`` or
+``DagProblem`` is first named.
 
 Each case runs in a fresh interpreter, since this test session has long
-since loaded both libraries through other tests.
+since loaded every module through other tests.
 """
 
 import json
@@ -38,6 +51,7 @@ print(json.dumps({
     "served": all(run.state == DONE for run in runs),
     "scipy": "scipy" in sys.modules,
     "analysis": "repro.analysis" in sys.modules,
+    "exp_runner": "repro.exp.runner" in sys.modules,
 }))
 """
 
@@ -58,6 +72,89 @@ def test_cli_and_service_serve_without_scipy():
     out = run_fresh("import repro.cli\n" + SERVE_TWO_REQUESTS)
     assert out["served"] is True
     assert out["scipy"] is False
+
+
+def test_cli_serve_path_loads_neither_analysis_nor_the_sweep_runner():
+    out = run_fresh("import repro.cli\nfrom repro.service import serve\n" + SERVE_TWO_REQUESTS)
+    assert out["served"] is True
+    assert out["analysis"] is False
+    assert out["exp_runner"] is False
+
+
+def test_core_import_loads_the_ga_engine():
+    out = run_fresh(
+        """
+import json, sys
+import repro.core
+
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro.core."))))
+"""
+    )
+    assert "repro.core.ga" in out
+    assert "repro.core.parallel" in out
+    assert "repro.core.planner" not in out
+
+
+def test_serial_ga_run_loads_no_pool_driver_planner_or_sink():
+    out = run_fresh(
+        """
+import json, sys
+from repro.core import GAConfig, GARun, SerialEvaluator, make_rng
+from repro.domains import HanoiDomain
+
+config = GAConfig(
+    population_size=200, generations=10**6, max_len=5 * 127, init_length=127,
+    stop_on_goal=False,
+)
+with SerialEvaluator() as evaluator:
+    run = GARun(HanoiDomain(7), config, make_rng(1), evaluator=evaluator)
+    for _ in range(3):
+        run.step()
+print(json.dumps({"generations": len(run.history.generations), "modules": sorted(sys.modules)}))
+"""
+    )
+    assert out["generations"] == 3
+    unwanted = [
+        "multiprocessing",
+        "concurrent.futures",
+        "repro.core.portfolio",
+        "repro.core.planner",
+        "repro.core.multiphase",
+        "repro.core.checkpoint",
+        "repro.core.resilient",
+        "repro.planning.search",
+        "repro.planning.pddl",
+        "repro.obs.sinks",
+    ]
+    assert [m for m in unwanted if m in out["modules"]] == []
+
+
+def test_scheduling_loads_networkx_only_for_the_dag_scheduler():
+    out = run_fresh(
+        """
+import json, sys
+import repro.scheduling
+from repro.scheduling import ETCParams, GASchedulerConfig, ga_schedule, generate_etc
+from repro.scheduling import makespan, min_min, sufferage
+from repro.core import make_rng
+
+etc = generate_etc(ETCParams(n_tasks=16, n_machines=4), make_rng(1))
+spans = [makespan(etc, min_min(etc)), makespan(etc, sufferage(etc))]
+ga = ga_schedule(etc, GASchedulerConfig(generations=3), make_rng(2))
+before = "networkx" in sys.modules
+from repro.scheduling import DagProblem, heft
+print(json.dumps({
+    "before": before,
+    "after": "networkx" in sys.modules,
+    "ok": all(s > 0 for s in spans) and ga.makespan > 0 and callable(heft),
+    "dag": DagProblem.__module__,
+}))
+"""
+    )
+    assert out["ok"] is True
+    assert out["before"] is False
+    assert out["after"] is True
+    assert out["dag"] == "repro.scheduling.dag"
 
 
 def test_service_alone_loads_neither_scipy_nor_analysis():
