@@ -201,9 +201,10 @@ class GARun:
         The population must be evaluated.  Survivors keep their order and
         the migrants follow; a stable argsort picks the same victims as a
         stable sort by total fitness.  A migrant that arrives evaluated but
-        without its plan (the process pool under random crossover
-        ships fitness only) is decoded here when this run keeps plans,
-        because the state-matching crossovers read parents' plans.
+        without its plan (it comes from a run under the random crossover,
+        whose evaluators build no plans) is decoded here when this run
+        keeps plans, because the state-matching crossovers read parents'
+        plans.
         """
         buf = self.buffer
         worst = np.argsort(buf.total, kind="stable")[: migrants.n]
@@ -228,9 +229,9 @@ class GARun:
             genes = buf.view(bi).copy()
             decoded = buf.plans[bi]
             if decoded is None:
-                # Under the random crossover the buffer keeps no plans (the
-                # process pool returns fitness only); the single generation
-                # winner is decoded lazily parent-side.
+                # Under the random crossover no evaluator builds plans
+                # (serial or pooled, the buffer keeps none); the single
+                # generation winner is decoded lazily here.
                 decoded = self.context.decode_genes(genes)
             self.best = BestGenome(genes=genes, fitness=fitness, decoded=decoded)
         if self.solved_at is None and stats.solved_count > 0:

@@ -322,7 +322,8 @@ class SerialEvaluator(Evaluator):
         """Array-native serial path: decode rows straight off the arena.
 
         Memo hits are written first; the remaining pending rows go to the
-        decoder as one batch, each resuming from its prefix hint.
+        decoder as one batch, each resuming from its prefix hint when it
+        has one (only plan-keeping buffers and the engine make them).
         """
         rows = np.flatnonzero(~buffer.evaluated)
         if not rows.size:
@@ -451,6 +452,8 @@ def _evaluate_chunk(genes: np.ndarray, starts: np.ndarray, lengths: np.ndarray, 
     Row ``j`` of the chunk is ``genes[starts[j] : starts[j] + lengths[j]]``.
     Prefix hints never reach workers (plans live with the parent; shipping
     them would dwarf the savings), so every row decodes from gene 0.
+    Plans are built only when *need_plans* (the buffer keeps plans), the
+    rule the serial evaluator follows too.
     Returns ``(seconds, counter-delta, (total, goal, cost, reached),
     plans-or-None)``: the decoder's :meth:`counters` growth over the chunk
     and the fitness columns as arrays in chunk row order.

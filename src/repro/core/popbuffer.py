@@ -76,10 +76,10 @@ class PopulationBuffer:
         Decoded phenotype per evaluated row, or ``None`` when the evaluator
         built none (``keep_plans=False``).
     keep_plans:
-        Whether evaluators must populate ``plans``.  Required by the
+        Whether evaluators build ``plans``.  Required by the
         state-matching crossovers (they read parents' ``match_keys``); the
-        random crossover leaves it off so pool workers return fitness
-        columns only.
+        random crossover leaves it off, so the code decoder and pool
+        workers build no plans and rows carry no resume hints.
     """
 
     __slots__ = (

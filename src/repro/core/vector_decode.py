@@ -15,9 +15,11 @@ That loop pays a fixed numpy cost per gene position, however few rows
 are live, so a batch of fewer than :data:`SCALAR_ROWS` rows (a service
 request's population, a pool chunk, one lazily decoded plan) walks row
 by row in plain Python instead, one :meth:`~repro.protocol.DomainKernel.
-step` per gene; both walks hand the same trace to the same plan rebuild.
+step` per gene.  When plans are kept, both walks hand the same trace to
+the same plan rebuild; otherwise both take an untraced branch.
 
-The dirty-prefix machinery carries over at row granularity: a row with a
+The dirty-prefix machinery carries over at row granularity, for buffers
+that keep plans (no other row has a parent plan): a row with a
 ``(prefix_plan, dirty_from)`` hint re-enters at the code of the parent
 plan's ``state_keys[dirty]`` (:meth:`~repro.protocol.DomainKernel.
 code_of_key`, which cannot miss: a code is the state itself) and resumes
@@ -80,13 +82,15 @@ class RowDecoder:
         """Evaluate *rows* of *buffer* (default: every unevaluated row) in place.
 
         Returns the number of rows decoded.  Fills the packed fitness
-        arrays and the ``plans`` list, whatever ``buffer.keep_plans`` says:
-        in-process a plan costs no shipping, and it lets the next
-        generation's breeding carry prefix hints even under the random
-        crossover (only the process pool legitimately skips plans).
-        Prefix hints are consumed and cleared.  The decoder is bound even
-        when no row is pending, so it is always targeted at the domain it
-        last evaluated for.
+        arrays, and the ``plans`` list as ``buffer.keep_plans`` says: the
+        one plan rule the process pool keeps too.  Under the random
+        crossover the code decoder builds no plan, so no row has a parent
+        plan to resume from and every row walks from the start code; the
+        generation best is decoded lazily (``GARun._evaluate_and_record``).
+        A :class:`~repro.core.decode_engine.DecodeEngine` builds every plan
+        anyway, so its rows keep resuming.  Prefix hints are consumed and
+        cleared.  The decoder is bound even when no row is pending, so it
+        is always targeted at the domain it last evaluated for.
         """
         if rows is None:
             rows = np.flatnonzero(~buffer.evaluated)
@@ -97,7 +101,7 @@ class RowDecoder:
             buffer.genes,
             buffer.offsets[rows],
             buffer.lengths[rows],
-            True,
+            buffer.keep_plans,
             buffer.hints(rows),
         )
         buffer.write_results(rows, total, gfit, costf, reached, plans)
@@ -158,10 +162,13 @@ class VectorDecoder(RowDecoder):
 
         Returns ``(total, goal, costf, reached, used, plans)`` — float64 /
         bool / int64 arrays plus a per-row plan list.  ``plans`` holds a
-        :class:`DecodedPlan` for every row when *keep_plans* is true, and
-        otherwise only for rows fully served by their parent prefix (whose
-        plan already exists); remaining entries are ``None``.  ``hints[i]``
-        may hold a ``(prefix_plan, dirty_from)`` pair for resume.  Fewer
+        :class:`DecodedPlan` for every row when *keep_plans* is true: the
+        walks then trace their steps and :meth:`_fill_plans` rebuilds the
+        plans.  Otherwise nothing is traced, and only a row fully served
+        by its parent prefix (whose plan already exists) gets a plan;
+        remaining entries are ``None``.  ``hints[i]`` may hold a
+        ``(prefix_plan, dirty_from)`` pair for resume; only plan-keeping
+        buffers have them.  Fewer
         than :data:`SCALAR_ROWS` rows walk one by one through
         :meth:`~repro.protocol.DomainKernel.step`; more walk together.
         """

@@ -14,14 +14,16 @@ can do, so new domains become available everywhere by registering once:
 - ``strips`` — a grounded STRIPS formulation exists for the domain
   (usable with the classical-planner baselines in :mod:`repro.planning`).
 
-Built-in domains register at import time; projects can :func:`register`
-their own.  Lookups raise with the list of known names, so a CLI typo is
-a one-line fix.
+Built-in domains register at import time, each through a factory that
+imports its module on the first :func:`create`; projects can
+:func:`register` their own.  Lookups raise with the list of known names,
+so a CLI typo is a one-line fix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, Dict, List
 
 from repro.protocol import PlanningDomain
@@ -110,37 +112,43 @@ def list_entries() -> List[DomainEntry]:
     return [_REGISTRY[name] for name in domain_names()]
 
 
+def _builtin(module: str, cls: str) -> Callable[..., PlanningDomain]:
+    """A factory that imports ``repro.domains.<module>`` on its first call.
+
+    Registering a built-in so loads none of its code: a run that builds a
+    Hanoi domain never imports Blocks World or the STRIPS plan classes.
+    """
+
+    def factory(*args, **kwargs) -> PlanningDomain:
+        return getattr(import_module(f"repro.domains.{module}"), cls)(*args, **kwargs)
+
+    return factory
+
+
 def _register_builtins() -> None:
     """Register the repository's own domains (import-time side effect)."""
-    from repro.domains.blocks_world import BlocksWorldDomain
-    from repro.domains.briefcase import BriefcaseDomain
-    from repro.domains.hanoi import HanoiDomain
-    from repro.domains.navigation import GridNavigationDomain
-    from repro.domains.pocket_cube import PocketCubeDomain
-    from repro.domains.sliding_tile import SlidingTileDomain
-
     register(DomainEntry(
-        "hanoi", HanoiDomain, has_kernel=True, strips=True,
+        "hanoi", _builtin("hanoi", "HanoiDomain"), has_kernel=True, strips=True,
         description="Towers of Hanoi (paper Table 2); size = number of disks",
     ))
     register(DomainEntry(
-        "tile", SlidingTileDomain, has_kernel=True,
+        "tile", _builtin("sliding_tile", "SlidingTileDomain"), has_kernel=True,
         description="n×n sliding-tile puzzle (paper Tables 4/5); size = side length",
     ))
     register(DomainEntry(
-        "cube", PocketCubeDomain, has_kernel=True,
+        "cube", _builtin("pocket_cube", "PocketCubeDomain"), has_kernel=True,
         description="2×2×2 pocket cube (hard-domain extension)",
     ))
     register(DomainEntry(
-        "blocks", BlocksWorldDomain, strips=True,
+        "blocks", _builtin("blocks_world", "BlocksWorldDomain"), strips=True,
         description="Blocks World between two tower configurations",
     ))
     register(DomainEntry(
-        "briefcase", BriefcaseDomain, strips=True,
+        "briefcase", _builtin("briefcase", "BriefcaseDomain"), strips=True,
         description="Pednault's Briefcase transport domain",
     ))
     register(DomainEntry(
-        "navigation", GridNavigationDomain,
+        "navigation", _builtin("navigation", "GridNavigationDomain"),
         description="Grid navigation with obstacles",
     ))
 

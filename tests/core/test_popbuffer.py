@@ -6,7 +6,8 @@ round-trips through the reference records,
 ``GenerationStats.from_buffer`` equality, ``best_index`` tie-breaking, and
 the property that a bred generation carries exactly the same
 incremental-decode lineage (``dirty_from`` + prefix plan) per offspring as
-the per-individual reference step (``tests/oracle.py``).
+the per-individual reference step (``tests/oracle.py``), and none under
+the random crossover, whose buffers keep no plans.
 """
 
 import numpy as np
@@ -41,7 +42,8 @@ class TestRoundTrip:
         assert not buf.evaluated.any()
 
     def test_evaluated_round_trip_preserves_fitness_and_plans(self):
-        run = evaluated_run(BASE, 17)
+        # A plan-keeping config: under the random crossover no row has a plan.
+        run = evaluated_run(BASE.replace(crossover="state-aware"), 17)
         population = unpack(run.buffer)
         buf = pack(population)
         np.testing.assert_array_equal(buf.evaluated, np.ones(len(population), bool))
@@ -141,6 +143,13 @@ class TestDirtyFromLineage:
         assert buf.n == len(offspring)
         for i, ind in enumerate(offspring):
             np.testing.assert_array_equal(buf.view(i), ind.genes)
+            if crossover == "random":
+                # The code decoder builds no plans under the random
+                # crossover, so no offspring has a parent plan to resume.
+                assert bool(buf.evaluated[i]) == (ind.fitness is not None)
+                assert int(buf.dirty_from[i]) == -1
+                assert buf.prefix_plans[i] is None
+                continue
             if ind.is_evaluated:
                 # Unmutated clones keep their parent's evaluation either way.
                 assert bool(buf.evaluated[i])

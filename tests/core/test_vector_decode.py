@@ -3,18 +3,23 @@
 The trajectory-level bit-identity suites live in
 ``test_vector_equivalence.py``; this file drives :class:`VectorDecoder`
 directly into its corners — empty rows, dirty-prefix resume exactly at
-row boundaries, a parent that stopped inside the shared prefix — and
-checks that a domain without a kernel runs on the decode engine.
+row boundaries, a parent that stopped inside the shared prefix — checks
+that a domain without a kernel runs on the decode engine, and holds a GA
+run to the plan rule: plans (and so resume hints) exist only when the
+buffer keeps them.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core import GAConfig, make_rng, run_ga
+from repro.core import GAConfig, GARun, decode, make_rng, run_ga
 from repro.core.fitness import FitnessFunction
 from repro.core.parallel import EvaluationContext, SerialEvaluator
 from repro.core.vector_decode import VectorDecoder
-from repro.domains import GridNavigationDomain, HanoiDomain
+from repro.domains import GridNavigationDomain, HanoiDomain, SlidingTileDomain
 
 
 def _context(domain, truncate=True):
@@ -132,3 +137,66 @@ class TestConfigGuards:
         assert result.generations_run == 2
         assert evaluator.vector_counters() is None  # the object path ran
         assert evaluator.engine_counters() is not None
+
+
+def _evaluated_run(domain, crossover, population, generations):
+    """A serial run stepped *generations* times, then its population evaluated."""
+    config = GAConfig(
+        population_size=population, generations=generations, max_len=60,
+        init_length=(10, 30), crossover=crossover, stop_on_goal=False,
+    )
+    evaluator = SerialEvaluator()
+    run = GARun(domain, config, make_rng(5), evaluator=evaluator)
+    for _ in range(generations):
+        run.step()
+    run._evaluate_and_record()
+    return run, evaluator
+
+
+def _reference(run, genes):
+    return decode(genes, run.domain, run.start_state, truncate_at_goal=True)
+
+
+class TestPlanRule:
+    """A row's plan is built only when the buffer keeps plans."""
+
+    @pytest.mark.parametrize("population", [20, 120])  # scalar and batch walks
+    @pytest.mark.parametrize("domain", [HanoiDomain(4), SlidingTileDomain(3)], ids=["hanoi", "tile"])
+    def test_random_crossover_builds_no_plans(self, domain, population):
+        run, evaluator = _evaluated_run(domain, "random", population, 6)
+        assert not run.buffer.keep_plans
+        assert all(plan is None for plan in run.buffer.plans)
+        assert evaluator.vector_counters()["genes_reused"] == 0
+        # The best is decoded lazily, and equals the reference decode.
+        assert run.best.decoded == _reference(run, run.best.genes)
+
+    @pytest.mark.parametrize("crossover", ["state-aware", "mixed"])
+    def test_state_matching_crossover_keeps_one_plan_per_row(self, crossover):
+        run, evaluator = _evaluated_run(HanoiDomain(4), crossover, 20, 6)
+        buf = run.buffer
+        assert buf.keep_plans
+        for i in range(buf.n):
+            ref = _reference(run, buf.view(i))
+            assert buf.plans[i].match_keys == ref.match_keys
+            assert buf.plans[i].operations == ref.operations
+        # Offspring still resume from their parents' plans.
+        assert evaluator.vector_counters()["genes_reused"] > 0
+
+    def test_random_crossover_retains_no_plans_or_hints(self):
+        # tile-4 at the benchmark's shape: plans and hints held about 3 MB
+        # after 13 generations when every row kept its plan.
+        config = GAConfig(
+            population_size=200, generations=13, max_len=512, init_length=128,
+            stop_on_goal=False,
+        )
+        run = GARun(SlidingTileDomain(4), config, make_rng(20030422), evaluator=SerialEvaluator())
+        run.step()  # loads every module the run uses before tracing starts
+        tracemalloc.start()
+        try:
+            for _ in range(12):
+                run.step()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.5e6

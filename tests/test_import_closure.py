@@ -259,3 +259,32 @@ print(json.dumps({
     assert out["before"] is False and out["after"] is True
     assert out["nodes"] == list(range(len(out["nodes"])))
     assert out["edges"] == out["graph_edges"] == out["comm"]
+
+
+def test_registry_loads_a_builtin_domain_only_on_create():
+    out = run_fresh(
+        """
+import json, sys
+import repro.service.cache
+from repro.domains import registry
+
+hanoi = registry.create("hanoi", 3)
+loaded = sorted(sys.modules)
+blocks = registry.create("blocks", [["a", "b"]], [["b", "a"]])
+print(json.dumps({
+    "hanoi": type(hanoi).__name__,
+    "blocks": type(blocks).__name__,
+    "modules": loaded,
+}))
+"""
+    )
+    assert (out["hanoi"], out["blocks"]) == ("HanoiDomain", "BlocksWorldDomain")
+    unwanted = [
+        "repro.domains.blocks_world",
+        "repro.domains.briefcase",
+        "repro.domains.navigation",
+        "repro.domains.pocket_cube",
+        "repro.planning.adapter",
+        "repro.planning.plan",
+    ]
+    assert [m for m in unwanted if m in out["modules"]] == []
